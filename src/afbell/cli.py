@@ -55,7 +55,7 @@ from .rotations import CollectiveRotation, RotationPair, apply_collective, apply
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
 
-HARDY = 9.0 / 112.0
+HARDY = float(lhv.HARDY_VALUE)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -138,10 +138,12 @@ def _random_span_state(rng: np.random.Generator, v0: StateVector, v1: StateVecto
     return StateVector(4, amps / np.linalg.norm(amps))
 
 
-def run_verify_suite(tolerance: float | None = None, seed: int = 2026,
+def run_verify_suite(tolerance: float | None = None, seed: int = 0,
                      invariance_samples: int = 100,
                      robustness_samples: int = 20) -> list[CheckResult]:
     """Run every check; ``tolerance`` overrides the 1e-12 exact-class default.
+
+    ``seed`` drives every randomized check (span states, rotations, setups).
 
     The looser rotation-invariance class (1e-10) and the stricter
     zero-outcome-mass bound (1e-14) are pinned.  Overrides below ~1e-15 sit
@@ -178,19 +180,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 2026,
     )
     results.append(CheckResult("expansion-reconstruction", dev, exact_tol))
 
-    def _pvm_deviation(m) -> float:
-        worst = 0.0
-        total = np.zeros((m.dim, m.dim), dtype=complex)
-        projs = [p for _, p in m.outcomes]
-        for i, p in enumerate(projs):
-            worst = max(worst, float(np.abs(p - p.conj().T).max()))
-            worst = max(worst, float(np.abs(p @ p - p).max()))
-            for q in projs[:i]:
-                worst = max(worst, float(np.abs(p @ q).max()))
-            total += p
-        return max(worst, float(np.abs(total - np.eye(m.dim)).max()))
-
-    dev = max(_pvm_deviation(build_F()), _pvm_deviation(build_G()))
+    dev = max(build_F().violation(), build_G().violation())
     results.append(CheckResult("pvm-invariants", dev, exact_tol))
 
     proto = {s: local_protocol_for(s) for s in ("F", "G")}
@@ -271,7 +261,10 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 2026,
         "identity-gg-hardy",
         abs(behavior.prob(Setting.G, Setting.G, 1, 1) - HARDY), exact_tol))
 
-    gg_expected = np.array([[49.0, 27.0, 0.0], [27.0, 9.0, 0.0], [0.0, 0.0, 0.0]]) / 112.0
+    # Perfect correlations fix the whole GG table from the Hardy fraction h:
+    # P(-,-) = 1 - 7h, P(-,+) = P(+,-) = 3h, P(+,+) = h.
+    h = lhv.HARDY_VALUE
+    gg_expected = np.array([[1 - 7 * h, 3 * h, 0], [3 * h, h, 0], [0, 0, 0]], dtype=float)
     dev = float(np.abs(behavior.table(Setting.G, Setting.G) - gg_expected).max())
     results.append(CheckResult("gg-table-exact", dev, exact_tol))
 
@@ -368,7 +361,7 @@ def _chain_lines(audit) -> list[str]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = run_verify_suite(tolerance=cfg.tolerance)
+    results = run_verify_suite(tolerance=cfg.tolerance, seed=cfg.root_seed)
     text = _render_checks(results, cfg.format, cfg.metadata())
     print(text, end="")
     out_dir = _resolve_output_dir(cfg)

@@ -19,7 +19,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .observables import PVM, build_F, build_G, local_protocol_for, protocol_eigenvectors
+from .observables import (
+    ALL_STRINGS,
+    PVM,
+    build_F,
+    build_G,
+    local_protocol_for,
+    protocol_eigenvectors,
+)
 from .qstate import StateVector, build_eta, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
@@ -27,6 +34,7 @@ from .rotations import (
     STREAM_OUTCOME,
     STREAM_SETTINGS,
     CollectiveRotation,
+    apply_fourfold,
     mix64,
     mix64_array,
     rotate_pvm,
@@ -125,33 +133,31 @@ class SetupRotations:
 
 
 def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, int], float]:
-    """Dense Born rule for commuting side-by-side PVMs on an 8-qubit state."""
+    """Dense Born rule for side-by-side PVMs on an 8-qubit state's 16x16 grid G:
+    P(a, b) = Re <G, Pa G Pb^T>."""
     if state.num_qubits != 8 or pvm_a.dim != 16 or pvm_b.dim != 16:
         raise ValueError("joint_born expects an 8-qubit state and 16-dim PVMs")
-    amps = state.amps
-    probs: dict[tuple[int, int], float] = {}
-    for la, pa in pvm_a.outcomes:
-        for lb, pb in pvm_b.outcomes:
-            p = float(np.real(np.vdot(amps, np.kron(pa, pb) @ amps)))
-            probs[(la, lb)] = max(p, 0.0)
-    return probs
+    grid = state.amps.reshape(16, 16)
+    return {
+        (la, lb): max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
+        for la, pa in pvm_a.outcomes for lb, pb in pvm_b.outcomes
+    }
 
 
 def sequential_joint(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, int], float]:
     """Joint distribution via sequential projection: measure A, project and
     renormalize (the post-measurement convention), then measure B."""
-    amps = state.amps
+    grid = state.amps.reshape(16, 16)
     probs: dict[tuple[int, int], float] = {}
-    eye = np.eye(pvm_b.dim)
     for la, pa in pvm_a.outcomes:
-        collapsed = np.kron(pa, eye) @ amps
+        collapsed = pa @ grid
         p_a = float(np.real(np.vdot(collapsed, collapsed)))
         for lb, pb in pvm_b.outcomes:
             if p_a <= 0.0:
                 probs[(la, lb)] = 0.0
                 continue
             post = collapsed / math.sqrt(p_a)
-            p_b = float(np.real(np.vdot(post, np.kron(np.eye(pvm_a.dim), pb) @ post)))
+            p_b = float(np.real(np.vdot(post, post @ pb.T)))
             probs[(la, lb)] = p_a * max(p_b, 0.0)
     return probs
 
@@ -396,66 +402,45 @@ class JointStats:
         return merged
 
 
-def _rotate_fourfold_batch(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply each trial's 2x2 unitary to all four qubit axes of (n, k, 16) vectors."""
-    n, k = vecs.shape[:2]
-    cube = vecs.reshape(n, k, 2, 2, 2, 2)
-    for axis in range(2, 6):
-        cube = np.moveaxis(cube, axis, 5)
-        cube = np.einsum("nij,nabcdj->nabcdi", u, cube)
-        cube = np.moveaxis(cube, 5, axis)
-    return cube.reshape(n, k, 16)
+_ETA_GRID = build_eta().amps.reshape(16, 16)
+
+# Conjugated (setting, outcome, 16 amps) vectors each side projects onto: the
+# -1/+1 states of F and G (pvm path), or the 16 product eigenvectors of the F
+# and G protocols (protocol path), whose strings _PROTOCOL_LABELS classifies.
+_PVM_VECTORS = np.array([
+    [build_phi(0).amps, build_phi(1).amps],
+    [build_psi(0).amps, build_psi(1).amps],
+]).conj()
+_PROTOCOL_VECTORS = np.array([
+    protocol_eigenvectors(local_protocol_for(s)) for s in ("F", "G")
+]).conj()
+_PROTOCOL_LABELS = np.array([
+    [local_protocol_for(s).classify(bits) for bits in ALL_STRINGS] for s in ("F", "G")
+], dtype=np.int8)
 
 
-_BASIS_VECTORS = None  # lazy (2 settings, 2 outcomes, 16 amps)
+def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
+                  code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+    """(n, k, k) joint probabilities of each side's k outcome vectors through
+    that trial's rotated setups; ``vectors`` holds them conjugated, by setting.
 
-
-def _basis_vectors() -> np.ndarray:
-    global _BASIS_VECTORS
-    if _BASIS_VECTORS is None:
-        _BASIS_VECTORS = np.array([
-            [build_phi(0).amps, build_phi(1).amps],
-            [build_psi(0).amps, build_psi(1).amps],
-        ])
-    return _BASIS_VECTORS
-
-
-def _pair_tables_batch(u_a: np.ndarray, u_b: np.ndarray,
-                       code_a: np.ndarray, code_b: np.ndarray,
-                       eta_grid: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) joint probabilities of the +-1 outcomes through rotated setups.
-
-    Aborts if any trial puts more than ZERO_OUTCOME_TOL mass on the 0 label.
+    With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
+    conj(R_a v_a)^T G conj(R_b v_b).  Alice's bras are the kernel with conj(U_a)
+    on conj(v_a); Bob's conj(R_b) then acts on the contracted rows from the
+    right (the kernel with U_b^dagger), so no rotated copy of both sides is
+    held at once.  Aborts if any trial puts more than ZERO_OUTCOME_TOL mass
+    outside the k x k outcomes (the 0 label).
     """
-    basis = _basis_vectors()
-    alice = _rotate_fourfold_batch(u_a, basis[code_a])
-    bob = _rotate_fourfold_batch(u_b, basis[code_b])
-    row = np.einsum("nai,ij->naj", alice.conj(), eta_grid)
-    amp = np.einsum("naj,nbj->nab", row, bob.conj())
-    p2 = np.abs(amp) ** 2
-    zero_mass = 1.0 - p2.sum(axis=(1, 2))
-    worst = float(zero_mass.max())
+    rows = apply_fourfold(u_a.conj()[:, None], vectors[code_a]) @ _ETA_GRID
+    rows = apply_fourfold(np.swapaxes(u_b.conj(), 1, 2)[:, None], rows)
+    p = np.abs(rows @ np.swapaxes(vectors[code_b], 1, 2)) ** 2
+    total = p.sum(axis=(1, 2), keepdims=True)
+    worst = float(1.0 - total.min())
     if worst > ZERO_OUTCOME_TOL:
         raise RuntimeError(
             f"outcome 0 acquired probability {worst:.3e} in a sampled trial"
         )
-    return p2 / p2.sum(axis=(1, 2), keepdims=True)
-
-
-def _string_tables_batch(u_a: np.ndarray, u_b: np.ndarray,
-                         code_a: np.ndarray, code_b: np.ndarray,
-                         eta_grid: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) joint probabilities over outcome-string pairs (protocol path)."""
-    eigvecs = np.array([
-        protocol_eigenvectors(local_protocol_for("F")),
-        protocol_eigenvectors(local_protocol_for("G")),
-    ])
-    alice = _rotate_fourfold_batch(u_a, eigvecs[code_a])
-    bob = _rotate_fourfold_batch(u_b, eigvecs[code_b])
-    row = np.einsum("nai,ij->naj", alice.conj(), eta_grid)
-    amp = np.einsum("naj,nbj->nab", row, bob.conj())
-    p = np.abs(amp) ** 2
-    return p / p.sum(axis=(1, 2), keepdims=True)
+    return p / total
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -479,14 +464,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         raise ValueError(f"unknown measurement path {measurement_path!r}")
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
-    eta_grid = build_eta().amps.reshape(16, 16)
-
     fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
-    if measurement_path == "protocol":
-        classify = np.array([
-            [local_protocol_for("F").classify(format(i, "04b")) for i in range(16)],
-            [local_protocol_for("G").classify(format(i, "04b")) for i in range(16)],
-        ], dtype=np.int8)
 
     cols: dict[str, list[np.ndarray]] = {key: [] for key in
                                          ("trial", "sa", "sb", "ka", "kb", "oa", "ob")}
@@ -519,17 +497,17 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         draw = (mix64_array(base ^ np.uint64(STREAM_OUTCOME))
                 >> np.uint64(11)).astype(np.float64) * (2.0**-53)
         if measurement_path == "pvm":
-            tables = _pair_tables_batch(u_a, u_b, code_a, code_b, eta_grid)
+            tables = _tables_batch(_PVM_VECTORS, u_a, u_b, code_a, code_b)
             cum = np.cumsum(tables.reshape(m, 4), axis=1)
             pick = _sample_rows(cum, draw * cum[:, -1])
             out_a = np.where((pick >> 1) == 0, -1, 1).astype(np.int8)
             out_b = np.where((pick & 1) == 0, -1, 1).astype(np.int8)
         else:
-            tables = _string_tables_batch(u_a, u_b, code_a, code_b, eta_grid)
+            tables = _tables_batch(_PROTOCOL_VECTORS, u_a, u_b, code_a, code_b)
             cum = np.cumsum(tables.reshape(m, 256), axis=1)
             pick = _sample_rows(cum, draw * cum[:, -1])
-            out_a = classify[code_a, pick >> 4]
-            out_b = classify[code_b, pick & 15]
+            out_a = _PROTOCOL_LABELS[code_a, pick >> 4]
+            out_b = _PROTOCOL_LABELS[code_b, pick & 15]
 
         cols["trial"].append(idx)
         cols["sa"].append(code_a.astype(np.int8))

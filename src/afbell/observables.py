@@ -57,22 +57,21 @@ class PVM:
                 return proj
         raise KeyError(f"no outcome labelled {label}")
 
-    def validate(self, tol: float = PVM_TOL) -> None:
-        """Check Hermiticity, idempotence, mutual orthogonality and completeness."""
-        dim = self.dim
-        total = np.zeros((dim, dim), dtype=complex)
+    def violation(self) -> float:
+        """Worst entrywise deviation from Hermiticity, idempotence, mutual
+        orthogonality and completeness."""
         projs = [proj for _, proj in self.outcomes]
-        for i, p in enumerate(projs):
-            if np.max(np.abs(p - p.conj().T)) > tol:
-                raise ValueError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > tol:
-                raise ValueError(f"projector {i} is not idempotent")
-            for q in projs[:i]:
-                if np.max(np.abs(p @ q)) > tol:
-                    raise ValueError("projectors are not mutually orthogonal")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > tol:
-            raise ValueError("projectors do not sum to the identity")
+        residuals = [p - p.conj().T for p in projs]
+        residuals += [p @ p - p for p in projs]
+        residuals += [p @ q for i, p in enumerate(projs) for q in projs[:i]]
+        residuals.append(sum(projs) - np.eye(self.dim))
+        return max(float(np.abs(r).max()) for r in residuals)
+
+    def validate(self, tol: float = PVM_TOL) -> None:
+        """Raise ValueError if violation() exceeds tol."""
+        worst = self.violation()
+        if worst > tol:
+            raise ValueError(f"not a PVM: worst violation {worst:.3e} exceeds {tol:.1e}")
 
 
 def _rank1(state: StateVector) -> np.ndarray:

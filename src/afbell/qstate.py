@@ -4,7 +4,8 @@ Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
 All amplitudes are stored as complex128; exact values such as 1/(2*sqrt(3))
 are built from closed-form expressions so that 1e-12 tolerances stay
-meaningful.  States are immutable after construction.
+meaningful.  States are immutable after construction and hold at most
+MAX_QUBITS = 8 qubits, the size of the source state.
 """
 
 from __future__ import annotations
@@ -20,24 +21,8 @@ SQRT7 = math.sqrt(7.0)
 
 NORM_TOL = 1e-12
 
-# Dense storage grows as 2^n; 8 qubits is all this library needs, but the
-# cap can be raised (to at most 12) for experiments via configure_max_qubits.
-DEFAULT_MAX_QUBITS = 8
-_HARD_MAX_QUBITS = 12
-_max_qubits = DEFAULT_MAX_QUBITS
-
-
-def configure_max_qubits(n: int) -> None:
-    """Set the process-wide register size cap (1..12 qubits)."""
-    global _max_qubits
-    if not 1 <= n <= _HARD_MAX_QUBITS:
-        raise ValueError(f"max qubits must be in 1..{_HARD_MAX_QUBITS}, got {n}")
-    _max_qubits = n
-
-
-def max_qubits() -> int:
-    """Current register size cap."""
-    return _max_qubits
+# Dense storage grows as 2^n; the 8-qubit source state is the largest register.
+MAX_QUBITS = 8
 
 
 def basis_index(bits: str) -> int:
@@ -62,9 +47,9 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= _max_qubits:
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(
-                f"num_qubits must be in 1..{_max_qubits}, got {self.num_qubits}"
+                f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}"
             )
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
@@ -121,9 +106,9 @@ def basis_state(num_qubits: int, bits: str) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the most significant ones."""
     n = a.num_qubits + b.num_qubits
-    if n > _max_qubits:
+    if n > MAX_QUBITS:
         raise ValueError(
-            f"tensor product would need {n} qubits, above the cap of {_max_qubits}"
+            f"tensor product would need {n} qubits, above the cap of {MAX_QUBITS}"
         )
     return StateVector(n, np.kron(a.amps, b.amps))
 

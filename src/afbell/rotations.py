@@ -2,10 +2,14 @@
 
 A physical rotation of one observer's apparatus lifts to the same single-qubit
 special unitary on each of that observer's four qubits, i.e. the four-fold
-Kronecker power U (x) U (x) U (x) U.  Determinism contract: every random draw
-is a pure function of a 64-bit seed.  Per-trial seeds derive from a root seed
-by XOR with the trial index followed by a 64-bit mixing permutation
-(the splitmix64 finalizer), so results do not depend on execution order.
+Kronecker power U (x) U (x) U (x) U; apply_fourfold is the one kernel that
+applies it.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
+qubits 1-4 index the rows, Bob's qubits 5-8 the columns.
+
+Determinism contract: every random draw is a pure function of a 64-bit seed.
+Per-trial seeds derive from a root seed by XOR with the trial index followed
+by a 64-bit mixing permutation (the splitmix64 finalizer), so results do not
+depend on execution order.
 """
 
 from __future__ import annotations
@@ -143,7 +147,6 @@ class CollectiveRotation:
     """A single-qubit unitary applied identically to all four qubits of one side."""
 
     u: np.ndarray
-    fold: int = 4
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=complex)
@@ -151,18 +154,9 @@ class CollectiveRotation:
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
         if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
             raise ValueError("matrix is not unitary")
-        if self.fold < 1:
-            raise ValueError("fold must be positive")
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
-
-    def matrix(self) -> np.ndarray:
-        """Expanded 2^fold x 2^fold Kronecker power."""
-        m = np.array([[1.0 + 0j]])
-        for _ in range(self.fold):
-            m = np.kron(m, self.u)
-        return m
 
     @classmethod
     def identity(cls) -> "CollectiveRotation":
@@ -189,38 +183,38 @@ class RotationPair:
         return cls(CollectiveRotation.sample(seed_alice), CollectiveRotation.sample(seed_bob))
 
 
-def _apply_fourfold(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to each of the four qubit axes of a 16-amplitude block."""
-    cube = amps.reshape(2, 2, 2, 2)
-    for axis in range(4):
-        cube = np.moveaxis(np.tensordot(u, cube, axes=([1], [axis])), 0, axis)
-    return cube.reshape(16)
+def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply U (x) U (x) U (x) U to the last, 16-long axis of x.
+
+    u has shape (..., 2, 2) and broadcasts against x's leading axes.  On the
+    4x4 reshape X of each 16-vector (rows: qubits 1-2, columns: qubits 3-4)
+    the four-fold power acts as (U (x) U) X (U (x) U)^T.
+    """
+    uu = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(*u.shape[:-2], 4, 4)
+    grid = x.reshape(*x.shape[:-1], 4, 4)
+    return (uu @ grid @ np.swapaxes(uu, -1, -2)).reshape(x.shape)
 
 
 def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
     """Rotate a 4-qubit state by the four-fold power of r's single-qubit unitary."""
-    if s.num_qubits != 4 or r.fold != 4:
-        raise ValueError("apply_collective expects a 4-qubit state and fold 4")
-    return StateVector(4, _apply_fourfold(r.u, s.amps))
+    if s.num_qubits != 4:
+        raise ValueError("apply_collective expects a 4-qubit state")
+    return StateVector(4, apply_fourfold(r.u, s.amps))
 
 
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:
-    """Apply p.r_alice to qubits 1-4 and p.r_bob to qubits 5-8."""
+    """Apply p.r_alice to qubits 1-4 (grid rows) and p.r_bob to qubits 5-8 (columns)."""
     if s.num_qubits != 8:
         raise ValueError("apply_pair expects an 8-qubit state")
-    grid = s.amps.reshape(16, 16)
-    out = np.empty_like(grid)
-    for col in range(16):
-        out[:, col] = _apply_fourfold(p.r_alice.u, grid[:, col])
-    for row in range(16):
-        out[row, :] = _apply_fourfold(p.r_bob.u, out[row, :])
-    return StateVector(8, out.reshape(256))
+    grid = apply_fourfold(p.r_bob.u, s.amps.reshape(16, 16))
+    return StateVector(8, apply_fourfold(p.r_alice.u, grid.T).T.reshape(256))
 
 
 def rotate_pvm(r: CollectiveRotation, m: PVM) -> PVM:
-    """Conjugate every projector by the expanded rotation: P -> R P R^dagger."""
-    big = r.matrix()
-    if big.shape[0] != m.dim:
+    """Conjugate every projector by the four-fold rotation: P -> R P R^dagger."""
+    if m.dim != 16:
         raise ValueError("rotation dimension does not match the PVM")
-    big_dag = big.conj().T
-    return PVM(tuple((label, big @ proj @ big_dag) for label, proj in m.outcomes))
+    return PVM(tuple(
+        (label, apply_fourfold(r.u.conj(), apply_fourfold(r.u, proj.T).T))
+        for label, proj in m.outcomes
+    ))

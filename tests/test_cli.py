@@ -77,6 +77,19 @@ def test_verify_below_floating_floor_fails(capsys):
     assert "first failing check" in captured.err
 
 
+def test_verify_uses_seed(tmp_path, capsys):
+    deviations = {}
+    for seed in ("1", "0x2A"):
+        out = tmp_path / seed
+        assert main(["verify", "--seed", seed, "--format", "json", "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
+        checks = {row["name"]: row["deviation"] for row in payload["checks"]}
+        deviations[seed] = checks["invariance-eta-pairs"]
+    capsys.readouterr()
+    assert deviations["1"] != deviations["0x2A"]
+
+
 def test_verify_json_format(tmp_path, capsys):
     assert main(["verify", "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()

@@ -1,11 +1,13 @@
 """Exact behavior tables, conditionals, and the seeded Monte Carlo engine."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
     SETTING_PAIRS,
@@ -37,6 +39,36 @@ EXPECTED = {
     ("G", "G"): [[Fraction(49, 112), Fraction(27, 112), 0],
                  [Fraction(27, 112), Fraction(9, 112), 0], [0, 0, 0]],
 }
+
+
+LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
+
+# sha256 of outcome_a || outcome_b (int8 bytes) for fixed seeds under the
+# uniform policy.  A ~1e-16 change in the batched tables can flip an
+# inverse-CDF pick and move a pin; such a change must be reported, not
+# hidden by re-seeding or resizing.
+GOLDEN_OUTCOMES = [
+    ("pvm", 50_000, 0, False,
+     "5e3beaf34778bfe39dbb99b60ef851c852e3c9e8ec89d32eff290f794944f677"),
+    ("pvm", 50_000, 42, False,
+     "d379bba6fcc9d4aeb55dcae44c28849d5db316b08876dfd06f73d1faaa5f0645"),
+    ("pvm", 50_000, 2024, False,
+     "026d0ee9e8ee2ae0862f48d7fb1175c926bd6fc1c408edaa18f887c697190821"),
+    ("pvm", 50_000, 0xDEADBEEF12345678, False,
+     "141ba7be9f29696813ebac19927471ae467df15fe53e4949ab2aec4804ede31c"),
+    ("pvm", 50_000, 7, True,
+     "99ea79124abed335764f1b983a8b9d8bfe5c657385e4d857ffe70819a09cd61e"),
+    ("protocol", 10_000, 0, False,
+     "df8623606ab89bdc42db38f5eff11e042d91fa7297cda6456c6d57211c3541fb"),
+    ("protocol", 10_000, 42, False,
+     "7aabe54b0eb07b52f8932ae049f6790a6638de3a15fc132f1f149ce2ec83c46b"),
+    ("protocol", 10_000, 2024, False,
+     "ecbc238facc752a97ce7d4d7ebd7e7c96ac5af31a3b05ecbbe4f0efd43bb5cac"),
+    ("protocol", 10_000, 0xDEADBEEF12345678, False,
+     "2401e60910b647acdfd27f8ce14c218fe169febb539e2ca38dffacb8da915307"),
+    ("protocol", 10_000, 7, True,
+     "4dfa49fb315a1788a1d9e58027124f7105e1fb11598694d801b1dd6e2be05b7c"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +165,7 @@ def test_parse_policy():
 def test_run_trials_reproducible():
     log1, stats1 = run_trials(4000, 2024, "uniform")
     log2, stats2 = run_trials(4000, 2024, "uniform")
-    for col in ("trial", "setting_a", "setting_b", "seed_a", "seed_b",
-                "outcome_a", "outcome_b"):
+    for col in LOG_COLUMNS:
         assert np.array_equal(getattr(log1, col), getattr(log2, col))
     log3, _ = run_trials(4000, 2025, "uniform")
     assert not np.array_equal(log1.outcome_a, log3.outcome_a)
@@ -165,6 +196,28 @@ def test_run_trials_outcome_zero_never_occurs():
     for pair in SETTING_PAIRS:
         c = stats.counts[pair]
         assert c[2, :].sum() == 0 and c[:, 2].sum() == 0
+
+
+@pytest.mark.parametrize("path", ["pvm", "protocol"])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_run_trials_independent_of_chunking(monkeypatch, path, fixed):
+    reference, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
+                              measurement_path=path)
+    monkeypatch.setattr(experiment, "_CHUNK", 97)
+    chunked, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
+                            measurement_path=path)
+    prefix, _ = run_trials(333, 0xC0FFEE, "uniform", fixed_rotations=fixed,
+                           measurement_path=path)
+    for col in LOG_COLUMNS:
+        assert np.array_equal(getattr(chunked, col), getattr(reference, col)), col
+        assert np.array_equal(getattr(prefix, col), getattr(reference, col)[:333]), col
+
+
+@pytest.mark.parametrize("path,n,root,fixed,digest", GOLDEN_OUTCOMES)
+def test_golden_outcome_pins(path, n, root, fixed, digest):
+    log, _ = run_trials(n, root, "uniform", fixed_rotations=fixed, measurement_path=path)
+    got = hashlib.sha256(log.outcome_a.tobytes() + log.outcome_b.tobytes()).hexdigest()
+    assert got == digest
 
 
 def test_run_trials_validation():

@@ -17,13 +17,11 @@ from afbell.qstate import (
     build_eta,
     build_phi,
     build_psi,
-    configure_max_qubits,
     distance,
     eta_from_table,
     expand_eta_in,
     from_terms,
     inner_product,
-    max_qubits,
     permute_qubits,
     states_equal,
     swap_qubits_2_3,
@@ -204,15 +202,6 @@ def test_tensor_qubit_cap():
     eta = build_eta()
     with pytest.raises(ValueError):
         tensor(eta, basis_state(1, "0"))
-    configure_max_qubits(9)
-    try:
-        bigger = tensor(eta, basis_state(1, "0"))
-        assert bigger.num_qubits == 9
-    finally:
-        configure_max_qubits(8)
-    assert max_qubits() == 8
-    with pytest.raises(ValueError):
-        configure_max_qubits(13)
 
 
 def test_inner_product_properties():

@@ -11,6 +11,7 @@ from afbell.rotations import (
     CollectiveRotation,
     RotationPair,
     apply_collective,
+    apply_fourfold,
     apply_pair,
     is_special_unitary,
     mix64,
@@ -171,16 +172,21 @@ def test_collective_rotation_validation():
         CollectiveRotation(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         CollectiveRotation(np.eye(3))
-    with pytest.raises(ValueError):
-        CollectiveRotation(np.eye(2), fold=0)
 
 
 def test_collective_rotation_matrix_expansion():
     rot = CollectiveRotation.sample(4321)
-    big = rot.matrix()
+    big = apply_fourfold(rot.u, np.eye(16)).T
     manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
     assert np.abs(big - manual).max() < 1e-15
     assert np.abs(big @ big.conj().T - np.eye(16)).max() < 1e-12
+    # A (n, 1, 2, 2) stack of unitaries rotates each trial's (k, 16) vectors.
+    us = sample_su2_batch(np.arange(3, dtype=np.uint64))
+    vecs = np.random.default_rng(1).standard_normal((3, 5, 16)) + 0j
+    batch = apply_fourfold(us[:, None], vecs)
+    for n, u in enumerate(us):
+        expanded = np.kron(np.kron(u, u), np.kron(u, u))
+        assert np.abs(batch[n] - vecs[n] @ expanded.T).max() < 1e-14
 
 
 def test_rotation_json_export():
