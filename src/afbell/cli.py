@@ -87,6 +87,8 @@ class RunConfig:
             raise ValueError("--seed must fit in 64 bits")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.command == "lhv-audit" and self.format == "csv":
+            raise ValueError("lhv-audit has no csv format; use text or json")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("--tolerance must be positive")
         parse_policy(self.setting_policy)
@@ -434,23 +436,29 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
     cert = lhv.check_feasibility(kept)
     valid = lhv.verify_certificate(cert, kept)
     rendering = lhv.render_certificate(cert, kept)
-    print(rendering)
-    print(f"certificate verification: {'ok' if valid else 'FAILED'}")
-
+    payload = lhv.certificate_to_json_dict(cert, kept)
+    payload["metadata"] = cfg.metadata()
+    payload["verified"] = valid
     if cfg.max_hardy:
         zeros = [c for c in kept if c.value == 0 and c.kind == lhv.KIND_EQUALS]
-        bound = lhv.max_hardy_fraction(zeros)
-        print(f"max both-G fraction: {bound} (local models) vs 9/112 (quantum)")
+        payload["max_hardy_fraction"] = str(lhv.max_hardy_fraction(zeros))
+
+    if cfg.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        print(rendering)
+        print(f"certificate verification: {'ok' if valid else 'FAILED'}")
+        if cfg.max_hardy:
+            print(f"max both-G fraction: {payload['max_hardy_fraction']} "
+                  "(local models) vs 9/112 (quantum)")
 
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
-        payload = lhv.certificate_to_json_dict(cert, kept)
-        payload["metadata"] = cfg.metadata()
-        payload["verified"] = valid
         _write_text(out_dir / "certificate.json", json.dumps(payload, indent=2))
         meta_lines = "".join(f"# {k}: {v}\n" for k, v in cfg.metadata().items())
         _write_text(out_dir / "derivation.txt", meta_lines + rendering + "\n")
-        print(f"wrote {out_dir / 'certificate.json'} and {out_dir / 'derivation.txt'}")
+        if cfg.format != "json":
+            print(f"wrote {out_dir / 'certificate.json'} and {out_dir / 'derivation.txt'}")
     return EXIT_OK if valid else EXIT_CHECK_FAILURE
 
 

@@ -4,23 +4,24 @@ A local hidden-variable model is a probability distribution over deterministic
 strategies, each assigning one outcome to every (side, setting) pair in
 advance.  This module decides, in exact rational arithmetic with no floating
 point anywhere, whether any such distribution satisfies a list of behavioral
-constraints, and emits a machine-checkable certificate either way: a witness
-distribution, or a derivation whose steps are set-inclusion and measure
-statements over the finite strategy space.
+constraints, and emits a machine-checkable certificate either way.
 
-Feasibility is decided by direct set-measure reasoning: probability-zero
-constraints carve out a forbidden region, and a positive-probability event
-contained in that region is an immediate contradiction.  Remaining positive
-constraints are satisfied, when possible, by exhaustive search over small
-candidate supports (atoms of the event algebra), which is exact and complete
-because a satisfiable system of k constraints admits a solution supported on
-at most k+1 atoms.
+The decision is one linear program over the strategy space: a column per
+distinct event-membership pattern, a row per constraint plus normalization,
+solved by a phase-1 simplex with Bland's rule.  A feasible answer carries the
+basic solution as a witness distribution.  An infeasible answer carries the
+phase-1 dual as a Farkas vector: one weight per constraint and one for
+normalization, turning the constraints into an inequality every strategy
+satisfies and the constraint values violate.  For the quantum constraints it
+is Hardy's argument (Hardy, PRL 71, 1665, 1993): P(both G=1) <= P(both F=1)
++ P(G_B=1, F_A!=1) + P(G_A=1, F_B!=1), with 9/112 on the left and 0 on the
+right.  ``verify_certificate`` checks either kind over the full product space
+without calling the solver.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -32,9 +33,6 @@ HARDY_VALUE = Fraction(9, 112)
 
 KIND_EQUALS = "equals"
 KIND_AT_LEAST = "at_least"
-
-# Candidate-support enumeration guard; far above anything the audit needs.
-_MAX_CANDIDATES = 500_000
 
 
 class Strategy(NamedTuple):
@@ -115,33 +113,17 @@ def quantum_constraints() -> list[Constraint]:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    """One machine-checkable statement in an infeasibility derivation.
-
-    kinds:
-      containment       event(target) is inside the union of the cited events
-                        (target None means the whole strategy space is)
-      zero_measure      the cited constraints force their events' union to
-                        probability 0
-      contradiction     the target constraint demands positive probability for
-                        that event (target None: normalization demands total 1)
-      basis_exhaustion  no candidate support solves the positive constraints
-    """
-
-    kind: str
-    statement: str
-    constraints_used: tuple[int, ...]
-    target: int | None = None
-
-
-@dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Outcome of a feasibility decision, carrying its own evidence."""
+    """Outcome of a feasibility decision, carrying its own evidence.
+
+    ``farkas`` holds one weight per constraint followed by one for
+    normalization; see ``verify_certificate`` for what makes it a proof.
+    """
 
     feasible: bool
     outcome_values: tuple[int, ...]
     witness: tuple[tuple[Strategy, Fraction], ...] | None = None
-    derivation: tuple[DerivationStep, ...] | None = None
+    farkas: tuple[Fraction, ...] | None = None
 
     def witness_dict(self) -> dict[Strategy, Fraction]:
         if self.witness is None:
@@ -149,150 +131,43 @@ class FeasibilityCertificate:
         return dict(self.witness)
 
 
-def _zero_and_positive(constraints: list[Constraint]) -> tuple[list[int], list[int]]:
-    zero, positive = [], []
-    for i, c in enumerate(constraints):
-        if c.value == 0:
-            if c.kind == KIND_EQUALS:
-                zero.append(i)
-            # 'at_least 0' is vacuous
-        else:
-            positive.append(i)
-    return zero, positive
+def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]
+               ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Phase-1 simplex with Bland's rule on ``matrix x = rhs, x >= 0`` (rhs >= 0).
 
-
-def _greedy_cover(target: frozenset[Strategy], zero_events: list[tuple[int, frozenset[Strategy]]]
-                  ) -> tuple[int, ...]:
-    """Indices of zero events covering the target set (greedy, deterministic)."""
-    remaining = set(target)
-    chosen: list[int] = []
-    while remaining:
-        idx, ev = max(zero_events, key=lambda p: (len(p[1] & remaining), -p[0]))
-        gain = ev & remaining
-        if not gain:
-            raise RuntimeError("cover does not exist; caller must guarantee coverage")
-        chosen.append(idx)
-        remaining -= gain
-    return tuple(sorted(chosen))
-
-
-def _containment_derivation(constraints: list[Constraint], target_idx: int | None,
-                            cover: tuple[int, ...]) -> tuple[DerivationStep, ...]:
-    cover_names = ", ".join(constraints[j].name for j in cover)
-    if target_idx is None:
-        what = "every strategy"
-        demand = "normalization requires total probability 1"
-    else:
-        c = constraints[target_idx]
-        what = f"every strategy in the event of '{c.name}'"
-        op = "=" if c.kind == KIND_EQUALS else ">="
-        demand = f"constraint '{c.name}' requires probability {op} {c.value} > 0 for that event"
-    return (
-        DerivationStep(
-            kind="containment",
-            statement=f"{what} lies in one of the events of {{{cover_names}}}",
-            constraints_used=cover,
-            target=target_idx,
-        ),
-        DerivationStep(
-            kind="zero_measure",
-            statement="each of those events has probability 0, hence so does their union",
-            constraints_used=cover,
-        ),
-        DerivationStep(
-            kind="contradiction",
-            statement=f"{demand}, but steps 1-2 force it to probability 0",
-            constraints_used=(target_idx,) if target_idx is not None else (),
-            target=target_idx,
-        ),
-    )
-
-
-def _solve_restricted(matrix: list[list[Fraction]], rhs: list[Fraction],
-                      support: tuple[int, ...]) -> dict[int, Fraction] | None:
-    """Solve matrix[:, support] x = rhs exactly; free variables are set to 0."""
-    rows, cols = len(matrix), len(support)
-    aug = [[matrix[r][c] for c in support] + [rhs[r]] for r in range(rows)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
+    Returns ``(x, None)`` with a basic solution x when the system is feasible,
+    else ``(None, y)`` with the phase-1 dual y_i = 1 - the reduced cost of
+    artificial i.
+    """
+    rows, cols = len(matrix), len(matrix[0])
+    one, zero = Fraction(1), Fraction(0)
+    tableau = [matrix[r] + [one if k == r else zero for k in range(rows)] + [rhs[r]]
+               for r in range(rows)]
+    basis = list(range(cols, cols + rows))
+    # Phase-1 objective row: reduced costs of minimizing the sum of artificials.
+    cost = [-sum(row[j] for row in tableau) for j in range(cols)] + [zero] * rows
+    cost.append(-sum(rhs))
+    while True:
+        enter = next((j for j in range(cols + rows) if cost[j] < 0), None)
+        if enter is None:
             break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    solution = {v: Fraction(0) for v in support}
-    for row, c in enumerate(pivot_cols):
-        solution[support[c]] = aug[row][cols]
-    return solution
-
-
-def _solve_positive_system(constraints: list[Constraint], positive: list[int],
-                           survivors: list[Strategy]
-                           ) -> tuple[tuple[Strategy, Fraction], ...] | None:
-    """Exact witness over atoms of the positive events, or None if none exists."""
-    # Group surviving strategies by which positive events they belong to; any
-    # representative of an atom is as good as any other, so keep the first.
-    atom_reps: dict[int, Strategy] = {}
-    for s in survivors:
-        mask = 0
-        for bit, i in enumerate(positive):
-            if constraints[i].event(s):
-                mask |= 1 << bit
-        atom_reps.setdefault(mask, s)
-    atoms = sorted(atom_reps.items())
-
-    n_atoms = len(atoms)
-    n_eq = len(positive) + 1
-    slack_var: dict[int, int] = {}
-    n_vars = n_atoms
-    for row, i in enumerate(positive):
-        if constraints[i].kind == KIND_AT_LEAST:
-            slack_var[row] = n_vars
-            n_vars += 1
-
-    matrix = [[Fraction(0)] * n_vars for _ in range(n_eq)]
-    rhs: list[Fraction] = []
-    for row, i in enumerate(positive):
-        for ai, (mask, _) in enumerate(atoms):
-            if (mask >> row) & 1:
-                matrix[row][ai] = Fraction(1)
-        if row in slack_var:
-            matrix[row][slack_var[row]] = Fraction(-1)
-        rhs.append(constraints[i].value)
-    for ai in range(n_atoms):
-        matrix[n_eq - 1][ai] = Fraction(1)
-    rhs.append(Fraction(1))
-
-    candidates = sum(math.comb(n_vars, k) for k in range(1, n_eq + 1))
-    if candidates > _MAX_CANDIDATES:
-        raise ValueError(
-            f"{len(positive)} overlapping positive constraints exceed the "
-            "exhaustive-search budget of this audit"
-        )
-    for size in range(1, n_eq + 1):
-        for support in itertools.combinations(range(n_vars), size):
-            sol = _solve_restricted(matrix, rhs, support)
-            if sol is None or any(v < 0 for v in sol.values()):
-                continue
-            masses: dict[Strategy, Fraction] = {}
-            for var, mass in sol.items():
-                if var < n_atoms and mass > 0:
-                    masses[atoms[var][1]] = mass
-            return tuple(sorted(masses.items()))
-    return None
+        ratios = [(row[-1] / row[enter], basis[r], r)
+                  for r, row in enumerate(tableau) if row[enter] > 0]
+        _, _, leave = min(ratios)
+        pivot = tableau[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in tableau + [cost]:
+            if row is not pivot and row[enter] != 0:
+                f = row[enter]
+                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None, [1 - cost[cols + r] for r in range(rows)]
+    solution = [zero] * cols
+    for r, j in enumerate(basis):
+        if j < cols:
+            solution[j] = tableau[r][-1]
+    return solution, None
 
 
 def check_feasibility(constraints: list[Constraint],
@@ -300,51 +175,33 @@ def check_feasibility(constraints: list[Constraint],
                       ) -> FeasibilityCertificate:
     """Exact decision: does any strategy distribution satisfy all constraints?
 
+    One linear program in exact rationals: a column per distinct
+    event-membership pattern (its first strategy stands for the rest), a row
+    per constraint plus normalization, a -1 slack per ``at_least`` row.
+
     ``strategies`` defaults to the full 81-element space; a custom space
     should be a full product over an outcome alphabet (as from
     ``all_strategies``) so the certificate re-verifies against the same space.
     """
     space = strategies if strategies is not None else all_strategies()
     values = tuple(sorted({v for s in space for v in s})) or OUTCOME_VALUES
-    zero, positive = _zero_and_positive(constraints)
-    zero_events = [(i, constraints[i].event_set(space)) for i in zero]
-    forbidden = frozenset().union(*(ev for _, ev in zero_events)) if zero_events else frozenset()
-    survivors = [s for s in space if s not in forbidden]
+    patterns: dict[tuple[bool, ...], Strategy] = {}
+    for s in space:
+        patterns.setdefault(tuple(c.event(s) for c in constraints), s)
+    reps = list(patterns.items())
+    slacks = [i for i, c in enumerate(constraints) if c.kind == KIND_AT_LEAST]
+    matrix = [[Fraction(int(p[i])) for p, _ in reps]
+              + [Fraction(-1 if k == i else 0) for k in slacks]
+              for i in range(len(constraints))]
+    matrix.append([Fraction(1)] * len(reps) + [Fraction(0)] * len(slacks))
+    rhs = [c.value for c in constraints] + [Fraction(1)]
 
-    if not survivors:
-        cover = _greedy_cover(frozenset(space), zero_events)
-        return FeasibilityCertificate(
-            feasible=False,
-            outcome_values=values,
-            derivation=_containment_derivation(constraints, None, cover),
-        )
-
-    for i in positive:
-        event = constraints[i].event_set(space)
-        if not (event - forbidden):
-            cover = _greedy_cover(event, zero_events)
-            return FeasibilityCertificate(
-                feasible=False,
-                outcome_values=values,
-                derivation=_containment_derivation(constraints, i, cover),
-            )
-
-    if not positive:
-        witness = ((survivors[0], Fraction(1)),)
-        return FeasibilityCertificate(feasible=True, outcome_values=values, witness=witness)
-
-    witness = _solve_positive_system(constraints, positive, survivors)
-    if witness is not None:
-        return FeasibilityCertificate(feasible=True, outcome_values=values, witness=witness)
-    step = DerivationStep(
-        kind="basis_exhaustion",
-        statement=(
-            "no nonnegative exact solution exists on any candidate support of "
-            "the positive constraints' event atoms"
-        ),
-        constraints_used=tuple(positive),
-    )
-    return FeasibilityCertificate(feasible=False, outcome_values=values, derivation=(step,))
+    solution, dual = _phase_one(matrix, rhs)
+    if dual is not None:
+        return FeasibilityCertificate(feasible=False, outcome_values=values,
+                                      farkas=tuple(dual))
+    witness = tuple(sorted((s, m) for (_, s), m in zip(reps, solution) if m > 0))
+    return FeasibilityCertificate(feasible=True, outcome_values=values, witness=witness)
 
 
 def max_hardy_fraction(other_constraints: list[Constraint],
@@ -367,49 +224,17 @@ def max_hardy_fraction(other_constraints: list[Constraint],
     return Fraction(1) if hardy else Fraction(0)
 
 
-def _verify_derivation(derivation: tuple[DerivationStep, ...],
-                       constraints: list[Constraint],
-                       space: tuple[Strategy, ...]) -> bool:
-    if len(derivation) == 1 and derivation[0].kind == "basis_exhaustion":
-        # Recheck by re-deciding from scratch.
-        return not check_feasibility(constraints, space).feasible
-
-    if len(derivation) != 3:
-        return False
-    containment, zero_measure, contradiction = derivation
-    if (containment.kind, zero_measure.kind, contradiction.kind) != (
-            "containment", "zero_measure", "contradiction"):
-        return False
-    cover = containment.constraints_used
-    if zero_measure.constraints_used != cover:
-        return False
-    if containment.target != contradiction.target:
-        return False
-    if any(not 0 <= j < len(constraints) for j in cover):
-        return False
-    # Step 2: every cited constraint pins its event to probability zero.
-    if any(constraints[j].kind != KIND_EQUALS or constraints[j].value != 0 for j in cover):
-        return False
-    # Step 1: enumerate the containment claim.
-    target = containment.target
-    if target is None:
-        covered = space
-    else:
-        if not 0 <= target < len(constraints):
-            return False
-        covered = [s for s in space if constraints[target].event(s)]
-    for s in covered:
-        if not any(constraints[j].event(s) for j in cover):
-            return False
-    # Step 3: the target demands strictly positive probability.
-    if target is None:
-        return True  # total probability 1 > 0 always contradicts an empty space
-    return constraints[target].value > 0
-
-
 def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint],
                        strategies: tuple[Strategy, ...] | None = None) -> bool:
-    """Independently re-check a certificate with exact arithmetic."""
+    """Independently re-check a certificate with exact arithmetic.
+
+    A witness must be a distribution meeting every constraint.  A Farkas
+    vector y (weights y_i per constraint, y_norm for normalization) proves
+    infeasibility when every strategy s has sum_i y_i [s in E_i] + y_norm <= 0,
+    every ``at_least`` weight is >= 0, and sum_i y_i value_i + y_norm > 0:
+    averaging the first inequality over any model satisfying the constraints
+    would give the opposite of the last.  No solver is consulted.
+    """
     if not isinstance(c, FeasibilityCertificate):
         raise TypeError("not a FeasibilityCertificate")
     space = strategies if strategies is not None else all_strategies(c.outcome_values)
@@ -433,9 +258,19 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint],
                 return False
         return True
 
-    if c.derivation is None or not c.derivation:
-        raise ValueError("malformed certificate: infeasible but no derivation")
-    return _verify_derivation(c.derivation, constraints, space)
+    if not c.farkas:
+        raise ValueError("malformed certificate: infeasible but no Farkas vector")
+    if any(not isinstance(w, Fraction) for w in c.farkas):
+        raise ValueError("malformed certificate: Farkas weights must be Fractions")
+    if len(c.farkas) != len(constraints) + 1:
+        return False
+    *weights, y_norm = c.farkas
+    if any(w < 0 for w, con in zip(weights, constraints) if con.kind == KIND_AT_LEAST):
+        return False
+    for s in space:
+        if sum(w for w, con in zip(weights, constraints) if con.event(s)) + y_norm > 0:
+            return False
+    return sum(w * con.value for w, con in zip(weights, constraints)) + y_norm > 0
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +308,43 @@ def certificate_to_json_dict(c: FeasibilityCertificate,
         out["witness"] = [
             {"strategy": list(s), "probability": str(m)} for s, m in c.witness
         ]
-    if c.derivation is not None:
-        out["derivation"] = [
-            {
-                "kind": step.kind,
-                "statement": step.statement,
-                "constraints_used": list(step.constraints_used),
-                "target": step.target,
-            }
-            for step in c.derivation
+    if c.farkas is not None:
+        names = [con.name for con in constraints] + ["normalization"]
+        out["farkas"] = [
+            {"constraint": name, "weight": str(w)} for name, w in zip(names, c.farkas)
         ]
     return out
 
 
 def render_certificate(c: FeasibilityCertificate, constraints: list[Constraint]) -> str:
-    """Plain-text rendering of the witness or derivation chain."""
-    lines = []
+    """Plain-text rendering of the witness, or of the Farkas vector as a 3-step proof."""
     if c.feasible:
-        lines.append("FEASIBLE: a local model reproduces the constraints")
+        lines = ["FEASIBLE: a local model reproduces the constraints"]
         for s, m in c.witness or ():
             lines.append(f"  P(f_a={s.f_a:+d}, g_a={s.g_a:+d}, f_b={s.f_b:+d}, g_b={s.g_b:+d}) = {m}")
-    else:
-        lines.append("INFEASIBLE: no local model satisfies the constraints")
-        for k, step in enumerate(c.derivation or (), start=1):
-            cited = ", ".join(constraints[j].name for j in step.constraints_used)
-            lines.append(f"  step {k} [{step.kind}] {step.statement}")
-            if cited:
-                lines.append(f"         uses: {cited}")
-    return "\n".join(lines)
+        return "\n".join(lines)
+
+    *weights, y_norm = c.farkas
+    # Positive weights on the left, negative on the right: each step reads "left <= right".
+    left = [(w, con) for w, con in zip(weights, constraints) if w > 0]
+    right = [(-w, con) for w, con in zip(weights, constraints) if w < 0]
+    sides = ((left, max(y_norm, 0)), (right, max(-y_norm, 0)))
+
+    def inequality(symbol: str) -> str:
+        texts = []
+        for terms, constant in sides:
+            parts = [(symbol if w == 1 else f"{w}*{symbol}").format(con.name) for w, con in terms]
+            texts.append(" + ".join(parts + ([str(constant)] if constant else [])) or "0")
+        return " <= ".join(texts)
+
+    lhs, rhs = (sum((w * con.value for w, con in terms), constant) for terms, constant in sides)
+    relation = ">=" if any(con.kind == KIND_AT_LEAST for _, con in left) else "="
+    n = len(all_strategies(c.outcome_values))
+    return "\n".join([
+        "INFEASIBLE: no local model satisfies the constraints",
+        f"  step 1 every strategy s satisfies {inequality('[s in {}]')}"
+        f" (checked on all {n} strategies)",
+        f"  step 2 hence every distribution satisfies {inequality('P({})')}",
+        f"  step 3 the constraints make the left side {relation} {lhs} and the right side"
+        f" = {rhs}, but {lhs} > {rhs}: no local model exists",
+    ])

@@ -10,7 +10,6 @@ MAX_QUBITS = 8 qubits, the size of the source state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -71,22 +70,6 @@ class StateVector:
             raise ValueError(f"label {bits!r} has wrong length for {self.num_qubits} qubits")
         return complex(self.amps[basis_index(bits)])
 
-    def nonzero_items(self, tol: float = 0.0) -> list[tuple[str, complex]]:
-        """(bit string, amplitude) pairs with |amp| > tol, sorted by basis index."""
-        return [
-            (basis_bits(i, self.num_qubits), complex(a))
-            for i, a in enumerate(self.amps)
-            if abs(a) > tol
-        ]
-
-    def dump_json(self, tol: float = 0.0) -> str:
-        """Debug dump: JSON array of {basis_label, re, im} for nonzero amplitudes."""
-        rows = [
-            {"basis_label": bits, "re": a.real, "im": a.imag}
-            for bits, a in self.nonzero_items(tol)
-        ]
-        return json.dumps(rows)
-
 
 def from_terms(num_qubits: int, terms: dict[str, complex]) -> StateVector:
     """Build a state from a {bit string: amplitude} table (no normalization)."""
@@ -127,17 +110,6 @@ def distance(a: StateVector, b: StateVector) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("dimension mismatch")
     return float(np.linalg.norm(a.amps - b.amps))
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-12,
-                 up_to_global_phase: bool = False) -> bool:
-    """Amplitude-wise equality, optionally modulo a global phase."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    if not up_to_global_phase:
-        return distance(a, b) <= tol
-    overlap = abs(np.vdot(a.amps, b.amps))
-    return abs(overlap - a.norm() * b.norm()) <= tol
 
 
 def permute_qubits(state: StateVector, order: tuple[int, ...]) -> StateVector:

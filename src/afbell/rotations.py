@@ -22,8 +22,6 @@ import numpy as np
 from .observables import PVM
 from .qstate import StateVector
 
-UNITARY_TOL = 1e-12
-
 _MASK64 = (1 << 64) - 1
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
@@ -96,18 +94,6 @@ def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
     )
 
 
-def su2_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation by angle about a 3-vector axis, lifted to SU(2)."""
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise ValueError("zero rotation axis")
-    half = angle / 2.0
-    return su2_from_quaternion(
-        np.concatenate([[math.cos(half)], math.sin(half) * axis / n])
-    )
-
-
 def sample_su2(rng_seed: int) -> np.ndarray:
     """Haar-distributed SU(2) matrix, a deterministic function of the seed.
 
@@ -130,16 +116,6 @@ def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
     out[:, 1, 0] = y - 1j * x
     out[:, 1, 1] = w + 1j * z
     return out
-
-
-def is_special_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    u = np.asarray(u)
-    if u.shape != (2, 2):
-        return False
-    return (
-        np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol
-        and abs(np.linalg.det(u) - 1.0) <= tol
-    )
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,27 @@ def test_lhv_audit_default(tmp_path, capsys):
     assert "0 (local models) vs 9/112 (quantum)" in out
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["feasible"] is False and cert["verified"] is True
-    assert len(cert["derivation"]) == 3
-    assert (tmp_path / "derivation.txt").exists()
+    weights = {w["constraint"]: w["weight"] for w in cert["farkas"]}
+    assert weights == {"ff_zero": "-1", "gb_implies_fa": "-1", "ga_implies_fb": "-1",
+                       "gg_hardy": "1", "no_zero_outcome": "0", "normalization": "0"}
+    derivation = (tmp_path / "derivation.txt").read_text()
+    assert [line.split()[:2] for line in derivation.splitlines() if "step" in line] == [
+        ["step", "1"], ["step", "2"], ["step", "3"]]
+
+
+def test_lhv_audit_json_format(tmp_path, capsys):
+    assert main(["lhv-audit", "--max-hardy", "--format", "json",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads((tmp_path / "certificate.json").read_text())
+    assert printed["feasible"] is False and printed["verified"] is True
+    assert set(printed["metadata"]) == {"version", "root_seed", "config_hash"}
+    assert printed["max_hardy_fraction"] == "0"
+
+
+def test_lhv_audit_csv_is_usage_error(capsys):
+    assert main(["lhv-audit", "--format", "csv"]) == EXIT_USAGE
+    assert "csv" in capsys.readouterr().err
 
 
 def test_lhv_audit_drop_constraint(capsys):

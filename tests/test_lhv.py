@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,17 @@ from afbell.lhv import (
     render_certificate,
     verify_certificate,
 )
+
+
+def _weights(cert, constraints):
+    """The Farkas vector keyed by constraint name."""
+    names = [c.name for c in constraints] + ["normalization"]
+    return dict(zip(names, cert.farkas, strict=True))
+
+
+def _replace_weight(cert, constraints, name, weight):
+    weights = _weights(cert, constraints) | {name: Fraction(weight)}
+    return dataclasses.replace(cert, farkas=tuple(weights.values()))
 
 
 def test_strategy_space_sizes():
@@ -62,12 +74,10 @@ def test_quantum_constraints_infeasible():
     cert = check_feasibility(cons)
     assert not cert.feasible
     assert cert.witness is None
-    assert len(cert.derivation) == 3
-    kinds = [s.kind for s in cert.derivation]
-    assert kinds == ["containment", "zero_measure", "contradiction"]
-    cited = {cons[j].name for j in cert.derivation[0].constraints_used}
-    assert cited == {"ff_zero", "gb_implies_fa", "ga_implies_fb"}
-    assert cons[cert.derivation[2].target].name == "gg_hardy"
+    # Hardy's inequality: P(GG) <= P(FF) + P(G_B, not F_A) + P(G_A, not F_B).
+    assert _weights(cert, cons) == {
+        "ff_zero": -1, "gb_implies_fa": -1, "ga_implies_fb": -1, "gg_hardy": 1,
+        "no_zero_outcome": 0, "normalization": 0}
     assert verify_certificate(cert, cons)
 
 
@@ -154,7 +164,8 @@ def test_unsatisfiable_overlapping_positives():
     ]
     cert = check_feasibility(cons)
     assert not cert.feasible
-    assert cert.derivation[0].kind == "basis_exhaustion"
+    # P(a) + P(b) <= 1 on every strategy, against 9/10 + 9/10.
+    assert _weights(cert, cons) == {"a": 1, "b": 1, "normalization": -1}
     assert verify_certificate(cert, cons)
 
 
@@ -162,7 +173,8 @@ def test_everything_forbidden_is_infeasible():
     cons = [Constraint("nothing", KIND_EQUALS, Fraction(0), lambda s: True)]
     cert = check_feasibility(cons)
     assert not cert.feasible
-    assert cert.derivation[0].target is None
+    # Normalization alone is refuted: 1 <= P(nothing) = 0.
+    assert _weights(cert, cons) == {"nothing": -1, "normalization": 1}
     assert verify_certificate(cert, cons)
 
 
@@ -187,32 +199,41 @@ def test_bell_gap_is_a_strict_rational_inequality():
 def test_verify_rejects_tampered_containment():
     cons = quantum_constraints()
     cert = check_feasibility(cons)
-    step = cert.derivation[0]
-    # Remove one cited constraint: containment no longer holds.
-    reduced = step.constraints_used[:-1]
-    tampered = dataclasses.replace(
-        cert,
-        derivation=(
-            dataclasses.replace(step, constraints_used=reduced),
-            dataclasses.replace(cert.derivation[1], constraints_used=reduced),
-            cert.derivation[2],
-        ),
-    )
-    assert verify_certificate(tampered, cons) is False
+    # Without gg_hardy the bound reads 0 <= ...; without one zero event some
+    # both-G strategy escapes the right side.
+    for name in ("gg_hardy", "ff_zero", "gb_implies_fa", "ga_implies_fb"):
+        assert verify_certificate(_replace_weight(cert, cons, name, 0), cons) is False
+
+
+def test_verify_rejects_negative_at_least_weight():
+    ge = Constraint("gg_at_least", KIND_AT_LEAST, HARDY_VALUE,
+                    lambda s: s.g_a == 1 and s.g_b == 1)
+    cons = [c for c in quantum_constraints() if c.value == 0] + [ge]
+    cert = check_feasibility(cons)
+    assert _weights(cert, cons)["gg_at_least"] == 1 and verify_certificate(cert, cons)
+    assert verify_certificate(_replace_weight(cert, cons, "gg_at_least", -1), cons) is False
 
 
 def test_verify_rejects_mismatched_citations():
     cons = quantum_constraints()
     cert = check_feasibility(cons)
-    tampered = dataclasses.replace(
-        cert,
-        derivation=(
-            cert.derivation[0],
-            dataclasses.replace(cert.derivation[1], constraints_used=(0,)),
-            cert.derivation[2],
-        ),
-    )
-    assert verify_certificate(tampered, cons) is False
+    hardy_zero = [
+        dataclasses.replace(c, value=Fraction(0)) if c.name == "gg_hardy" else c
+        for c in cons
+    ]
+    assert verify_certificate(cert, hardy_zero) is False
+    assert verify_certificate(cert, cons[:-1]) is False  # wrong length
+
+
+def test_verify_never_calls_the_solver(monkeypatch):
+    cons = quantum_constraints()
+    cert = check_feasibility(cons)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_certificate re-decided feasibility")
+
+    monkeypatch.setattr(lhv, "check_feasibility", refuse)
+    assert verify_certificate(cert, cons)
 
 
 def test_verify_rejects_perturbed_witness():
@@ -247,6 +268,10 @@ def test_verify_rejects_malformed_certificates():
         witness=((Strategy(-1, -1, -1, -1), 1.0),))
     with pytest.raises(ValueError):
         verify_certificate(float_mass, cons)
+    int_weights = FeasibilityCertificate(
+        feasible=False, outcome_values=OUTCOME_VALUES, farkas=(-1, -1, -1, 1, 0, 0))
+    with pytest.raises(ValueError):
+        verify_certificate(int_weights, cons)
 
 
 def test_verify_every_corpus_certificate():
@@ -283,9 +308,10 @@ def test_certificate_json_export():
     hardy = next(c for c in parsed["constraints"] if c["name"] == "gg_hardy")
     assert Fraction(hardy["value"]) == Fraction(9, 112)
     assert len(hardy["event"]) == 9
-    assert len(parsed["derivation"]) == 3
-    for step in parsed["derivation"]:
-        assert all(0 <= j < 5 for j in step["constraints_used"])
+    assert [w["constraint"] for w in parsed["farkas"]] == [
+        "ff_zero", "gb_implies_fa", "ga_implies_fb", "gg_hardy", "no_zero_outcome",
+        "normalization"]
+    assert [Fraction(w["weight"]) for w in parsed["farkas"]] == [-1, -1, -1, 1, 0, 0]
 
     feasible = check_feasibility([c for c in cons if c.name != "ff_zero"])
     payload2 = certificate_to_json_dict(feasible, cons[1:])
@@ -300,6 +326,10 @@ def test_render_certificate_text():
     assert "INFEASIBLE" in text
     assert "step 1" in text and "step 3" in text
     assert "gg_hardy" in text
+    step1 = next(line for line in text.splitlines() if "step 1" in line)
+    assert "[s in gg_hardy] <= [s in ff_zero] + [s in gb_implies_fa] + " \
+           "[s in ga_implies_fb] (checked on all 81 strategies)" in step1
+    assert "left side = 9/112 and the right side = 0" in text
 
     feasible = check_feasibility([])
     text2 = render_certificate(feasible, [])
@@ -309,10 +339,60 @@ def test_render_certificate_text():
 def test_derivation_statement_matches_semantics():
     cons = quantum_constraints()
     cert = check_feasibility(cons)
-    containment = cert.derivation[0]
     space = all_strategies()
+    weights = _weights(cert, cons)
+    # The -1 weighted zero events cover the +1 weighted Hardy event.
     union = set()
-    for j in containment.constraints_used:
-        union |= set(cons[j].event_set(space))
-    target_event = cons[containment.target].event_set(space)
+    for c in cons:
+        if weights[c.name] < 0:
+            union |= set(c.event_set(space))
+    target_event = next(c for c in cons if weights[c.name] > 0).event_set(space)
     assert target_event <= union
+
+
+# Verdicts of check_feasibility recorded before the LP replaced the greedy
+# cover and support enumeration ('F' feasible, 'I' infeasible).
+# Subset k keeps quantum_constraints()[j] for every bit j set in k.
+SUBSET_VERDICTS = "FFFFFFFFFFFFFFFIFFFFFFFFFFFFFFFI"
+RANDOM_VERDICTS = (
+    "FFFFIFFFFFFFFFFFFFFFFFFIFFFFFFFFFFFFFFFFFFFFFFFFFF"
+    "FFFFFFFFFFFFFFIFFFIFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF"
+    "FFFFFFFFIFFFFIIFFFFFFFFFIFFFFFFFFFFFFFFFFFIFFFFFFF"
+    "FFFFFFFFFFFFFFFFFFFFFIIFFFFFFFFFIFFFFFFFFFFFFFFFFF"
+)
+
+
+def _random_corpus():
+    """Seeded constraint sets of 0-4 random events over the 81 strategies."""
+    rng = random.Random(0)
+    space = all_strategies()
+    corpus = []
+    for i in range(len(RANDOM_VERDICTS)):
+        cons = []
+        for j in range(rng.randint(0, 4)):
+            density = rng.choice((0.05, 0.2, 0.5, 0.8))
+            members = frozenset(s for s in space if rng.random() < density)
+            value = Fraction(rng.choice((0, rng.randint(1, 12))), 12)
+            kind = rng.choice((KIND_EQUALS, KIND_AT_LEAST))
+            cons.append(Constraint(f"r{i}_{j}", kind, value, members.__contains__))
+        corpus.append(cons)
+    return corpus
+
+
+RANDOM_CORPUS = _random_corpus()
+
+
+@pytest.mark.parametrize("subset", range(32))
+def test_subset_verdict_pins(subset):
+    cons = [c for j, c in enumerate(quantum_constraints()) if subset >> j & 1]
+    cert = check_feasibility(cons)
+    assert cert.feasible == (SUBSET_VERDICTS[subset] == "F")
+    assert verify_certificate(cert, cons)
+
+
+@pytest.mark.parametrize("index", range(len(RANDOM_VERDICTS)))
+def test_random_corpus_verdict_pins(index):
+    cons = RANDOM_CORPUS[index]
+    cert = check_feasibility(cons)
+    assert cert.feasible == (RANDOM_VERDICTS[index] == "F")
+    assert verify_certificate(cert, cons)

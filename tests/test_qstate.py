@@ -1,7 +1,5 @@
 """State construction, expansion tables, and register plumbing."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from afbell.qstate import (
     from_terms,
     inner_product,
     permute_qubits,
-    states_equal,
     swap_qubits_2_3,
     tensor,
 )
@@ -232,27 +229,12 @@ def test_statevector_immutable():
         phi0.amps[0] = 1.0
 
 
-def test_states_equal_global_phase():
-    phi0 = build_phi(0)
-    rotated = StateVector(4, np.exp(1j * 0.7) * phi0.amps)
-    assert not states_equal(phi0, rotated)
-    assert states_equal(phi0, rotated, up_to_global_phase=True)
-
-
 def test_permute_qubits_roundtrip():
     eta = build_eta()
     ident = permute_qubits(eta, (1, 2, 3, 4, 5, 6, 7, 8))
     assert np.array_equal(ident.amps, eta.amps)
     with pytest.raises(ValueError):
         permute_qubits(eta, (1, 1, 3, 4, 5, 6, 7, 8))
-
-
-def test_dump_json_format():
-    dump = json.loads(build_phi(0).dump_json())
-    assert [row["basis_label"] for row in dump] == ["0101", "0110", "1001", "1010"]
-    assert dump[0] == {"basis_label": "0101", "re": 0.5, "im": 0.0}
-    indices = [basis_index(row["basis_label"]) for row in dump]
-    assert indices == sorted(indices)
 
 
 def test_from_terms_accumulates():
