@@ -20,7 +20,6 @@ from .observables import (
     build_G,
     coarse_grain,
     local_protocol_for,
-    protocol_pvm,
 )
 from .rotations import (
     CollectiveRotation,
@@ -37,7 +36,6 @@ from .experiment import (
     Setting,
     SetupRotations,
     TrialLog,
-    TrialRecord,
     conditional,
     epr_audit,
     exact_behavior,
@@ -58,11 +56,11 @@ __all__ = [
     "StateVector", "basis_state", "build_eta", "build_phi", "build_psi",
     "expand_eta_in", "inner_product", "tensor",
     "PVM", "LocalProtocol", "born_distribution", "build_F", "build_G",
-    "coarse_grain", "local_protocol_for", "protocol_pvm",
+    "coarse_grain", "local_protocol_for",
     "CollectiveRotation", "RotationPair", "apply_collective", "apply_pair",
     "rotate_pvm", "sample_su2", "split_seed",
     "ExactBehavior", "JointStats", "Setting", "SetupRotations", "TrialLog",
-    "TrialRecord", "conditional", "epr_audit", "exact_behavior", "run_trials",
+    "conditional", "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",
     "max_hardy_fraction", "quantum_constraints", "verify_certificate",
 ]

@@ -87,10 +87,11 @@ class RunConfig:
             raise ValueError("--seed must fit in 64 bits")
         if self.format not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.command == "lhv-audit" and self.format == "csv":
-            raise ValueError("lhv-audit has no csv format; use text or json")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
+        if self.command in ("sample", "lhv-audit") and self.format == "csv":
+            raise ValueError(f"{self.command} has no csv format; use text or json")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance)
+                                               and self.tolerance > 0):
+            raise ValueError("--tolerance must be positive and finite")
         parse_policy(self.setting_policy)
 
     def config_hash(self) -> str:
@@ -186,30 +187,31 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0,
     results.append(CheckResult("pvm-invariants", dev, exact_tol))
 
     proto = {s: local_protocol_for(s) for s in ("F", "G")}
-    minus_counts = [sum(1 for v in proto[s].classifier.values() if v == -1) for s in ("F", "G")]
-    dev = max(abs(c - 4) for c in minus_counts)
+    counts = {s: {label: int(np.count_nonzero(p.labels == label)) for label in (-1, +1)}
+              for s, p in proto.items()}
+    dev = max(abs(c[-1] - 4) for c in counts.values())
     results.append(CheckResult("protocol-partition", float(dev), 0.0,
                                detail="4 strings map to -1, 12 to +1, per setting"))
 
+    # Each discriminated state spreads evenly over the strings of its label.
     worst = 0.0
     for tag, minus_state, plus_state in (("F", phi[0], phi[1]), ("G", psi[0], psi[1])):
         p = proto[tag]
-        for bits, prob in string_distribution(minus_state, p).items():
-            target = 0.25 if p.classify(bits) == -1 else 0.0
-            worst = max(worst, abs(prob - target))
-        for bits, prob in string_distribution(plus_state, p).items():
-            target = 1.0 / 12.0 if p.classify(bits) == +1 else 0.0
-            worst = max(worst, abs(prob - target))
+        for label, state in ((-1, minus_state), (+1, plus_state)):
+            probs = np.array(list(string_distribution(state, p).values()))
+            target = np.where(p.labels == label, 1.0 / counts[tag][label], 0.0)
+            worst = max(worst, float(np.abs(probs - target).max()))
     results.append(CheckResult("protocol-string-probs", worst, exact_tol))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for tag, v0, v1, pvm in (("F", phi[0], phi[1], build_F()), ("G", psi[0], psi[1], build_G())):
         p = proto[tag]
+        coarse_pvm = coarse_grain(p)
         for _ in range(invariance_samples):
             state = _random_span_state(rng, v0, v1)
             fine = classified_distribution(state, p)
-            coarse = born_distribution(state, coarse_grain(p))
+            coarse = born_distribution(state, coarse_pvm)
             exact = born_distribution(state, pvm)
             for label in (-1, +1):
                 worst = max(worst, abs(fine[label] - exact[label]))
@@ -344,7 +346,7 @@ def _chain_lines(audit) -> list[str]:
 
     e = audit.exact
     lines = [
-        f"both measure G, both obtain 1:        P = {_fmt(e.hardy_fraction)}  (exact 9/112 = {HARDY:.6f})",
+        f"both measure G, both obtain 1:        P = {_fmt(e.hardy_fraction)}  (exact {lhv.HARDY_VALUE} = {HARDY:.6f})",
         f"Bob G=1 makes Alice F=1 certain:      P = {_fmt(e.cond_ab)}",
         f"Alice G=1 makes Bob F=1 certain:      P = {_fmt(e.cond_ba)}",
         f"both measure F, both obtain 1:        P = {_fmt(e.joint_ff)}",
@@ -414,7 +416,8 @@ def cmd_sample(cfg: RunConfig) -> int:
     if n_gg:
         p_hat = stats.count(Setting.G, Setting.G, 1, 1) / n_gg
         sigma3 = 3.0 * math.sqrt(HARDY * (1.0 - HARDY) / n_gg)
-        print(f"hardy fraction: {p_hat:.6f} +- {sigma3:.6f} (3-sigma), exact 9/112 = {HARDY:.6f}")
+        print(f"hardy fraction: {p_hat:.6f} +- {sigma3:.6f} (3-sigma), "
+              f"exact {lhv.HARDY_VALUE} = {HARDY:.6f}")
     else:
         print("hardy fraction: no (G,G) trials under this policy")
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'stats.json'}")
@@ -450,7 +453,7 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
         print(f"certificate verification: {'ok' if valid else 'FAILED'}")
         if cfg.max_hardy:
             print(f"max both-G fraction: {payload['max_hardy_fraction']} "
-                  "(local models) vs 9/112 (quantum)")
+                  f"(local models) vs {lhv.HARDY_VALUE} (quantum)")
 
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
@@ -501,7 +504,7 @@ def cmd_report(cfg: RunConfig) -> int:
             "no local model reproduces these numbers (certificate verified)"
             if not cert.feasible else "feasible (unexpected)"))
         lines.append(f"max both-G fraction for local models: "
-                     f"{payload['lhv']['max_hardy_fraction']} vs 9/112 quantum")
+                     f"{payload['lhv']['max_hardy_fraction']} vs {lhv.HARDY_VALUE} quantum")
         text = "\n".join(lines) + "\n"
     print(text, end="")
     out_dir = _resolve_output_dir(cfg)

@@ -15,18 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
-from .observables import (
-    ALL_STRINGS,
-    PVM,
-    build_F,
-    build_G,
-    local_protocol_for,
-    protocol_eigenvectors,
-)
+from .observables import PVM, build_F, build_G, local_protocol_for
 from .qstate import StateVector, build_eta, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
@@ -76,8 +68,6 @@ SETTING_PAIRS = (
     (Setting.G, Setting.F),
     (Setting.G, Setting.G),
 )
-
-_SETTING_BY_CODE = (Setting.F, Setting.G)
 
 
 def _label_index(label: int) -> int:
@@ -266,21 +256,8 @@ def conditional(behavior: ExactBehavior,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo event."""
-
-    trial_index: int
-    setting_a: Setting
-    setting_b: Setting
-    seed_a: int
-    seed_b: int
-    outcome_a: int
-    outcome_b: int
-
-
 class TrialLog:
-    """Columnar sequence of TrialRecords (cheap at millions of trials)."""
+    """Columnar trial log, one array per field (cheap at millions of trials)."""
 
     def __init__(self, trial: np.ndarray, setting_a: np.ndarray, setting_b: np.ndarray,
                  seed_a: np.ndarray, seed_b: np.ndarray,
@@ -301,23 +278,6 @@ class TrialLog:
 
     def __len__(self) -> int:
         return len(self.trial)
-
-    def __getitem__(self, i: int) -> TrialRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        return TrialRecord(
-            trial_index=int(self.trial[i]),
-            setting_a=_SETTING_BY_CODE[self.setting_a[i]],
-            setting_b=_SETTING_BY_CODE[self.setting_b[i]],
-            seed_a=int(self.seed_a[i]),
-            seed_b=int(self.seed_b[i]),
-            outcome_a=int(self.outcome_a[i]),
-            outcome_b=int(self.outcome_b[i]),
-        )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     CSV_HEADER = "trial,setting_a,setting_b,seed_a,seed_b,outcome_a,outcome_b"
 
@@ -370,16 +330,9 @@ class JointStats:
         return stats
 
     @classmethod
-    def from_records(cls, records) -> "JointStats":
-        if isinstance(records, TrialLog):
-            return cls.from_arrays(records.setting_a, records.setting_b,
-                                   records.outcome_a, records.outcome_b)
-        stats = cls()
-        for r in records:
-            i = _label_index(r.outcome_a)
-            j = _label_index(r.outcome_b)
-            stats.counts[(r.setting_a, r.setting_b)][i, j] += 1
-        return stats
+    def from_records(cls, log: TrialLog) -> "JointStats":
+        """Counts of every trial in a log."""
+        return cls.from_arrays(log.setting_a, log.setting_b, log.outcome_a, log.outcome_b)
 
     def total(self, setting_a: Setting, setting_b: Setting) -> int:
         return int(self.counts[(setting_a, setting_b)].sum())
@@ -411,12 +364,8 @@ _PVM_VECTORS = np.array([
     [build_phi(0).amps, build_phi(1).amps],
     [build_psi(0).amps, build_psi(1).amps],
 ]).conj()
-_PROTOCOL_VECTORS = np.array([
-    protocol_eigenvectors(local_protocol_for(s)) for s in ("F", "G")
-]).conj()
-_PROTOCOL_LABELS = np.array([
-    [local_protocol_for(s).classify(bits) for bits in ALL_STRINGS] for s in ("F", "G")
-], dtype=np.int8)
+_PROTOCOL_VECTORS = np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()
+_PROTOCOL_LABELS = np.array([local_protocol_for(s).labels for s in ("F", "G")])
 
 
 def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
@@ -584,16 +533,15 @@ def _empirical_chain(stats: JointStats) -> ChainValues:
     )
 
 
-def epr_audit(trials, exact: ExactBehavior, tol: float = 1e-9) -> EprAudit:
+def epr_audit(trials: TrialLog | None, exact: ExactBehavior, tol: float = 1e-9) -> EprAudit:
     """Report the inference chain: a nonzero both-G fraction, two perfect
     conditionals, and a forbidden both-F event.
 
-    ``trials`` may be a TrialLog, an iterable of TrialRecords, or None for an
-    exact-only audit.
+    ``trials`` is a TrialLog, or None for an exact-only audit.
     """
     chain = _exact_chain(exact)
     empirical = None
-    if trials is not None and (not hasattr(trials, "__len__") or len(trials)):
+    if trials is not None and len(trials):
         empirical = _empirical_chain(JointStats.from_records(trials))
 
     witnessed = (

@@ -100,7 +100,7 @@ def quantum_constraints() -> list[Constraint]:
             kind=KIND_EQUALS,
             value=HARDY_VALUE,
             event=lambda s: s.g_a == 1 and s.g_b == 1,
-            description="both sides obtain G=1 in exactly 9/112 of the runs",
+            description=f"both sides obtain G=1 in exactly {HARDY_VALUE} of the runs",
         ),
         Constraint(
             name="no_zero_outcome",

@@ -11,9 +11,10 @@ the 16 outcome strings.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -120,14 +121,12 @@ def born_distribution(state: StateVector, m: PVM) -> dict[int, float]:
 # ---------------------------------------------------------------------------
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-# x-basis outcomes are recorded as bits: the +1 eigenvector of sigma_x is bit
-# 0, the -1 eigenvector is bit 1 (mirroring the z-basis convention).
-_AXIS_EIGENVECTORS: dict[str, tuple[np.ndarray, np.ndarray]] = {
-    "z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
-    "x": (
-        np.array([_SQRT2_INV, _SQRT2_INV], dtype=complex),
-        np.array([_SQRT2_INV, -_SQRT2_INV], dtype=complex),
-    ),
+# Per-axis eigenbases, one row per recorded bit: the +1 eigenvector of
+# sigma_x is bit 0, the -1 eigenvector is bit 1 (mirroring the z-basis
+# convention).
+_AXIS_BASES: dict[str, np.ndarray] = {
+    "z": np.eye(2, dtype=complex),
+    "x": np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex),
 }
 
 ALL_STRINGS = tuple(format(i, "04b") for i in range(16))
@@ -135,10 +134,17 @@ ALL_STRINGS = tuple(format(i, "04b") for i in range(16))
 
 @dataclass(frozen=True)
 class LocalProtocol:
-    """Fixed per-qubit measurement axes plus a total outcome classifier."""
+    """Fixed per-qubit measurement axes plus a total outcome classifier.
+
+    Construction also fixes the protocol's read-only product eigenbasis,
+    ``eigenvectors`` (row i is the eigenvector of outcome string
+    ALL_STRINGS[i]), and ``labels`` (int8, labels[i] = classify(ALL_STRINGS[i])).
+    """
 
     axes: tuple[str, str, str, str]
     classifier: Mapping[str, int]
+    eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
+    labels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if sorted(self.axes) != ["x", "x", "z", "z"]:
@@ -147,6 +153,11 @@ class LocalProtocol:
             raise ValueError("classifier must be total on all 16 outcome strings")
         if any(v not in (-1, +1) for v in self.classifier.values()):
             raise ValueError("classifier labels must be -1 or +1")
+        vecs = functools.reduce(np.kron, (_AXIS_BASES[a] for a in self.axes))
+        labels = np.array([self.classifier[s] for s in ALL_STRINGS], dtype=np.int8)
+        for name, arr in (("eigenvectors", vecs), ("labels", labels)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def classify(self, bits: str) -> int:
         return self.classifier[bits]
@@ -161,50 +172,35 @@ def _f_classifier(bits: str) -> int:
     return -1 if (bits[0] != bits[1] and bits[2] != bits[3]) else +1
 
 
+_PROTOCOLS = {
+    "F": LocalProtocol(("z", "z", "x", "x"), {s: _f_classifier(s) for s in ALL_STRINGS}),
+    # Same construction conjugated by the qubit 2 <-> 3 exchange.
+    "G": LocalProtocol(("z", "x", "z", "x"),
+                       {s: _f_classifier(s[0] + s[2] + s[1] + s[3]) for s in ALL_STRINGS}),
+}
+
+
 def local_protocol_for(setting: str) -> LocalProtocol:
     """Protocol measuring F (z on qubits 1,2; x on 3,4) or G (qubits 2,3 swapped)."""
-    if setting == "F":
-        table = {s: _f_classifier(s) for s in ALL_STRINGS}
-        return LocalProtocol(("z", "z", "x", "x"), table)
-    if setting == "G":
-        # Same construction conjugated by the qubit 2 <-> 3 exchange.
-        table = {s: _f_classifier(s[0] + s[2] + s[1] + s[3]) for s in ALL_STRINGS}
-        return LocalProtocol(("z", "x", "z", "x"), table)
-    raise ValueError(f"setting must be 'F' or 'G', got {setting!r}")
-
-
-def protocol_eigenvectors(p: LocalProtocol) -> np.ndarray:
-    """(16, 16) array whose row i is the product eigenvector of outcome string i."""
-    vecs = np.empty((16, 16), dtype=complex)
-    for i, bits in enumerate(ALL_STRINGS):
-        v = np.array([1.0 + 0j])
-        for axis, b in zip(p.axes, bits):
-            v = np.kron(v, _AXIS_EIGENVECTORS[axis][int(b)])
-        vecs[i] = v
-    return vecs
-
-
-def protocol_pvm(p: LocalProtocol) -> tuple[tuple[str, np.ndarray], ...]:
-    """The 16 rank-1 projectors onto the protocol's product eigenbasis."""
-    vecs = protocol_eigenvectors(p)
-    return tuple(
-        (bits, np.outer(vecs[i], vecs[i].conj())) for i, bits in enumerate(ALL_STRINGS)
-    )
+    if setting not in _PROTOCOLS:
+        raise ValueError(f"setting must be 'F' or 'G', got {setting!r}")
+    return _PROTOCOLS[setting]
 
 
 def coarse_grain(p: LocalProtocol) -> PVM:
-    """Two-outcome PVM obtained by summing the rank-1 projectors per classifier label."""
-    acc = {-1: np.zeros((16, 16), dtype=complex), +1: np.zeros((16, 16), dtype=complex)}
-    for bits, proj in protocol_pvm(p):
-        acc[p.classify(bits)] += proj
-    return PVM(((-1, acc[-1]), (+1, acc[+1])))
+    """Two-outcome PVM: per classifier label, the projector onto its eigenvectors."""
+    outcomes = []
+    for label in (-1, +1):
+        vecs = p.eigenvectors[p.labels == label]
+        outcomes.append((label, vecs.T @ vecs.conj()))
+    return PVM(tuple(outcomes))
 
 
 def string_distribution(state: StateVector, p: LocalProtocol) -> dict[str, float]:
     """Probability of each 4-bit outcome string when measuring the protocol."""
     if state.num_qubits != 4:
         raise ValueError("protocol measurements act on 4-qubit states")
-    amps = protocol_eigenvectors(p).conj() @ state.amps
+    amps = p.eigenvectors.conj() @ state.amps
     return {bits: float(abs(a) ** 2) for bits, a in zip(ALL_STRINGS, amps)}
 
 

@@ -31,13 +31,6 @@ def basis_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def basis_bits(index: int, num_qubits: int) -> str:
-    """Bit-string label of a basis index (inverse of basis_index)."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    return format(index, f"0{num_qubits}b")
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Immutable dense amplitude vector over an n-qubit register."""

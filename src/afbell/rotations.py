@@ -82,18 +82,6 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     )
 
 
-def su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) -> SU(2) matrix w*I - i(x*sx + y*sy + z*sz)."""
-    q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise ValueError("zero quaternion")
-    w, x, y, z = q / norm
-    return np.array(
-        [[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex
-    )
-
-
 def sample_su2(rng_seed: int) -> np.ndarray:
     """Haar-distributed SU(2) matrix, a deterministic function of the seed.
 
@@ -109,6 +97,7 @@ def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
     u = _uniforms_batch(np.asarray(seeds, dtype=np.uint64), 4)
     q = _normals_from_uniforms(u)
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    # Unit quaternion (w, x, y, z) -> w*I - i(x*sx + y*sy + z*sz).
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     out = np.empty((len(q), 2, 2), dtype=complex)
     out[:, 0, 0] = w - 1j * z

@@ -77,6 +77,15 @@ def test_verify_below_floating_floor_fails(capsys):
     assert "first failing check" in captured.err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
+    # inf would pass every check and nan fail every check, whatever the deviations.
+    assert main(["verify", "--tolerance", value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--tolerance" in captured.err
+    assert "checks passed" not in captured.out
+
+
 def test_verify_uses_seed(tmp_path, capsys):
     deviations = {}
     for seed in ("1", "0x2A"):
@@ -175,6 +184,13 @@ def test_lhv_audit_json_format(tmp_path, capsys):
 def test_lhv_audit_csv_is_usage_error(capsys):
     assert main(["lhv-audit", "--format", "csv"]) == EXIT_USAGE
     assert "csv" in capsys.readouterr().err
+
+
+def test_sample_csv_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sample", "--trials", "10", "--format", "csv", "--out", str(out)]) == EXIT_USAGE
+    assert "csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lhv_audit_drop_constraint(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from afbell.experiment import (
     JointStats,
     Setting,
     SetupRotations,
-    TrialRecord,
     conditional,
     epr_audit,
     exact_behavior,
@@ -171,6 +171,10 @@ def test_run_trials_reproducible():
     assert not np.array_equal(log1.outcome_a, log3.outcome_a)
     for pair in SETTING_PAIRS:
         assert np.array_equal(stats1.counts[pair], stats2.counts[pair])
+    assert log1.trial.tolist() == list(range(4000))
+    # Per-trial seeds differ across trials (fresh rotations every trial) and sides.
+    assert len(set(log1.seed_a.tolist())) == 4000
+    assert not np.any(log1.seed_a == log1.seed_b)
 
 
 def test_run_trials_policies():
@@ -181,8 +185,9 @@ def test_run_trials_policies():
     log, stats = run_trials(8, 3, "cycle")
     for pair in SETTING_PAIRS:
         assert stats.total(*pair) == 2
-    assert log[0].setting_a is Setting.F and log[0].setting_b is Setting.F
-    assert log[3].setting_a is Setting.G and log[3].setting_b is Setting.G
+    # Setting codes: 0 is F, 1 is G.
+    assert log.setting_a.tolist() == [0, 0, 1, 1] * 2
+    assert log.setting_b.tolist() == [0, 1, 0, 1] * 2
 
     _, stats = run_trials(20_000, 4, "uniform")
     for pair in SETTING_PAIRS:
@@ -227,21 +232,6 @@ def test_run_trials_validation():
         run_trials(10, 1, "uniform", measurement_path="telepathy")
 
 
-def test_trial_records_and_seeds():
-    log, _ = run_trials(64, 5, "uniform")
-    rec = log[0]
-    assert isinstance(rec, TrialRecord)
-    assert rec.trial_index == 0
-    assert rec.outcome_a in (-1, 1) and rec.outcome_b in (-1, 1)
-    assert 0 <= rec.seed_a < 2**64 and rec.seed_a != rec.seed_b
-    assert log[-1].trial_index == 63
-    assert len(list(iter(log))) == 64
-    with pytest.raises(IndexError):
-        log[64]
-    # Per-trial seeds differ across trials (fresh rotations every trial).
-    assert len(set(log.seed_a.tolist())) == 64
-
-
 def test_fixed_rotations_mode():
     log, stats = run_trials(3000, 6, "uniform", fixed_rotations=True)
     # One seed per (side, setting): at most two distinct values per column.
@@ -262,9 +252,16 @@ def test_fixed_rotations_mode():
 
 def test_jointstats_paths_agree():
     log, stats = run_trials(2500, 8, "uniform")
-    rebuilt = JointStats.from_records(list(log))
-    for pair in SETTING_PAIRS:
-        assert np.array_equal(stats.counts[pair], rebuilt.counts[pair])
+    # Pure-Python reference: count (setting_a, setting_b, outcome_a, outcome_b) rows.
+    rows = Counter(zip(log.setting_a.tolist(), log.setting_b.tolist(),
+                       log.outcome_a.tolist(), log.outcome_b.tolist()))
+    codes = {Setting.F: 0, Setting.G: 1}
+    for path in (stats, JointStats.from_records(log)):
+        for sa, sb in SETTING_PAIRS:
+            for i, la in enumerate(LABEL_ORDER):
+                for j, lb in enumerate(LABEL_ORDER):
+                    expected = rows[(codes[sa], codes[sb], la, lb)]
+                    assert path.counts[(sa, sb)][i, j] == expected
 
 
 def test_jointstats_merge_commutative():

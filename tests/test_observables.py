@@ -1,6 +1,7 @@
 """PVM structure, Born distributions, and the single-qubit protocol."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from afbell.observables import (
     classified_distribution,
     coarse_grain,
     local_protocol_for,
-    protocol_eigenvectors,
-    protocol_pvm,
     string_distribution,
 )
 from afbell.qstate import StateVector, basis_state, build_phi, build_psi
@@ -128,13 +127,39 @@ def test_protocol_example_strings():
 
 def test_protocol_eigenbasis_orthonormal():
     for tag in ("F", "G"):
-        vecs = protocol_eigenvectors(local_protocol_for(tag))
+        proto = local_protocol_for(tag)
+        vecs = proto.eigenvectors
+        assert vecs.shape == (16, 16)
         gram = vecs.conj() @ vecs.T
         assert np.abs(gram - np.eye(16)).max() < TOL
-        fine = protocol_pvm(local_protocol_for(tag))
-        assert len(fine) == 16
-        total = sum(p for _, p in fine)
+        coarse = coarse_grain(proto)
+        total = coarse.projector(-1) + coarse.projector(+1)
         assert np.abs(total - np.eye(16)).max() < TOL
+
+
+def test_protocol_eigenbasis_oracle():
+    # Reference: row i is the Kronecker product, qubit by qubit, of the axis
+    # eigenvector selected by bit i (sigma_x +1 eigenvector is bit 0).
+    s = 1.0 / math.sqrt(2.0)
+    axis_vectors = {
+        "z": ([1.0, 0.0], [0.0, 1.0]),
+        "x": ([s, s], [s, -s]),
+    }
+    for tag in ("F", "G"):
+        proto = local_protocol_for(tag)
+        for i, bits in enumerate(ALL_STRINGS):
+            row = np.array([1.0 + 0j])
+            for axis, b in zip(proto.axes, bits):
+                row = np.kron(row, np.array(axis_vectors[axis][int(b)], dtype=complex))
+            assert np.array_equal(proto.eigenvectors[i], row), (tag, bits)
+            assert proto.labels[i] == proto.classify(bits), (tag, bits)
+        assert proto.labels.dtype == np.int8
+        for arr in (proto.eigenvectors, proto.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert local_protocol_for("F") is local_protocol_for("F")
+    assert local_protocol_for("G") is local_protocol_for("G")
 
 
 def test_string_probabilities_on_discriminated_states():

@@ -9,7 +9,6 @@ from afbell.qstate import (
     SQRT3,
     SQRT7,
     StateVector,
-    basis_bits,
     basis_index,
     basis_state,
     build_eta,
@@ -32,16 +31,13 @@ def test_basis_index_convention():
     # Qubit 1 is the most significant bit.
     assert basis_index("0101") == 5
     assert basis_index("1000") == 8
-    assert basis_bits(5, 4) == "0101"
     for i in range(16):
-        assert basis_index(basis_bits(i, 4)) == i
+        assert basis_index(format(i, "04b")) == i
 
 
 def test_basis_index_rejects_garbage():
     with pytest.raises(ValueError):
         basis_index("01a1")
-    with pytest.raises(ValueError):
-        basis_bits(16, 4)
 
 
 def test_phi_amplitudes():

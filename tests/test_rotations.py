@@ -19,7 +19,6 @@ from afbell.rotations import (
     sample_su2,
     sample_su2_batch,
     split_seed,
-    su2_from_quaternion,
 )
 
 INV_TOL = 1e-10
@@ -75,13 +74,6 @@ def test_haar_trace_moment():
     mean = stat.mean()
     stderr = stat.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 0.25) < 3.0 * stderr
-
-
-def test_su2_from_quaternion_normalizes():
-    u = su2_from_quaternion(np.array([2.0, 0.0, 0.0, 0.0]))
-    assert np.abs(u - np.eye(2)).max() < 1e-15
-    with pytest.raises(ValueError):
-        su2_from_quaternion(np.zeros(4))
 
 
 def test_axis_angle_x_pi_flips_all_bits():
