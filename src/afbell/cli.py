@@ -57,6 +57,11 @@ ENV_OUTPUT_DIR = "AFBELL_OUT"
 
 HARDY = float(lhv.HARDY_VALUE)
 
+# Draws per randomized verify check: span states, rotations, rotation pairs;
+# seeded setups for rotation-robustness.
+INVARIANCE_SAMPLES = 100
+ROBUSTNESS_SAMPLES = 20
+
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
@@ -141,9 +146,7 @@ def _random_span_state(rng: np.random.Generator, v0: StateVector, v1: StateVecto
     return StateVector(4, amps / np.linalg.norm(amps))
 
 
-def run_verify_suite(tolerance: float | None = None, seed: int = 0,
-                     invariance_samples: int = 100,
-                     robustness_samples: int = 20) -> list[CheckResult]:
+def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every check; ``tolerance`` overrides the 1e-12 exact-class default.
 
     ``seed`` drives every randomized check (span states, rotations, setups).
@@ -208,7 +211,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0,
     for tag, v0, v1, pvm in (("F", phi[0], phi[1], build_F()), ("G", psi[0], psi[1], build_G())):
         p = proto[tag]
         coarse_pvm = coarse_grain(p)
-        for _ in range(invariance_samples):
+        for _ in range(INVARIANCE_SAMPLES):
             state = _random_span_state(rng, v0, v1)
             fine = classified_distribution(state, p)
             coarse = born_distribution(state, coarse_pvm)
@@ -218,22 +221,22 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0,
                 worst = max(worst, abs(coarse[label] - exact[label]))
             worst = max(worst, abs(exact[0]))
     results.append(CheckResult("protocol-pvm-agreement", worst, exact_tol,
-                               detail=f"{invariance_samples} random span states per setting"))
+                               detail=f"{INVARIANCE_SAMPLES} random span states per setting"))
 
     worst = 0.0
-    for k in range(invariance_samples):
+    for k in range(INVARIANCE_SAMPLES):
         rot = CollectiveRotation.sample(split_seed(seed, 2 * k))
         for s in (*phi, *psi):
             worst = max(worst, distance(apply_collective(rot, s), s))
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
-                               detail=f"{invariance_samples} collective rotations x 4 states"))
+                               detail=f"{INVARIANCE_SAMPLES} collective rotations x 4 states"))
 
     worst = 0.0
-    for k in range(invariance_samples):
+    for k in range(INVARIANCE_SAMPLES):
         pair = RotationPair.sample(split_seed(seed, 3 * k + 1), split_seed(seed, 5 * k + 2))
         worst = max(worst, distance(apply_pair(pair, eta), eta))
     results.append(CheckResult("invariance-eta-pairs", worst, 1e-10,
-                               detail=f"{invariance_samples} independent rotation pairs"))
+                               detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))
 
     setup = SetupRotations.sample(split_seed(seed, 77))
     rotated = exact_behavior(setup)
@@ -275,12 +278,12 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0,
     results.append(CheckResult("zero-outcome-mass", behavior.zero_outcome_mass(), 1e-14))
 
     worst = 0.0
-    for k in range(robustness_samples):
+    for k in range(ROBUSTNESS_SAMPLES):
         table = exact_behavior(SetupRotations.sample(split_seed(seed, 1000 + k)))
         for sa, sb in SETTING_PAIRS:
             worst = max(worst, float(np.abs(table.table(sa, sb) - behavior.table(sa, sb)).max()))
     results.append(CheckResult("rotation-robustness", worst, 1e-10,
-                               detail=f"{robustness_samples} independently seeded rotation 4-tuples"))
+                               detail=f"{ROBUSTNESS_SAMPLES} independently seeded rotation 4-tuples"))
 
     worst = 0.0
     for b in (behavior, rotated):

@@ -1,13 +1,13 @@
 """Exact computation and seeded Monte Carlo sampling of the two-observer behavior.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
-measures F or G, possibly through an independently rotated setup.  The exact
-path evaluates dense Born-rule sandwiches of (optionally rotated) PVMs.  The
-sampling path draws, per trial, fresh Haar rotations for each side, computes
-the trial's joint outcome distribution through those rotations, and samples
-the outcome pair from it.  Every random quantity is a pure function of the
-root seed and the trial index, so results are identical regardless of
-execution order or chunk boundaries.
+measures F or G, possibly through an independently rotated setup.  One
+batched Born-rule kernel gives the joint table of each side's labelled basis
+rows through rotated setups.  The exact path runs it on complete F/G bases and
+sums the table by label; the sampling path draws fresh Haar rotations per
+trial and samples a row pair from its table.  Every random quantity is a pure
+function of the root seed and the trial index, so results are identical
+regardless of execution order or chunk boundaries.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .rotations import (
     apply_fourfold,
     mix64,
     mix64_array,
-    rotate_pvm,
     sample_su2_batch,
 )
 
@@ -211,24 +210,75 @@ class ExactBehavior:
 def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:
     """All four setting pairs' joint outcome tables on the source state.
 
-    With ``rotations`` supplied, each side's PVM for each setting is
-    conjugated by that setup's collective rotation first; the tables are
-    provably independent of the choice.
+    With ``rotations`` supplied, each side measures each setting through that
+    setup's collective rotation; the tables are provably independent of the
+    choice.  The 0 cells are Born masses on the 0 rows, not differences.
     """
-    eta = build_eta()
-    canonical = {Setting.F: build_F(), Setting.G: build_G()}
-    tables = {}
-    for sa, sb in SETTING_PAIRS:
-        pvm_a, pvm_b = canonical[sa], canonical[sb]
-        if rotations is not None:
-            pvm_a = rotate_pvm(rotations.for_side("A", sa), pvm_a)
-            pvm_b = rotate_pvm(rotations.for_side("B", sb), pvm_b)
-        probs = joint_born(eta, pvm_a, pvm_b)
-        t = np.zeros((3, 3))
-        for (la, lb), p in probs.items():
-            t[_label_index(la), _label_index(lb)] = p
-        tables[(sa, sb)] = t
-    return ExactBehavior(tables)
+    setup = rotations if rotations is not None else SetupRotations.identity()
+    u_a = np.array([setup.for_side("A", sa).u for sa, _ in SETTING_PAIRS])
+    u_b = np.array([setup.for_side("B", sb).u for _, sb in SETTING_PAIRS])
+    fine = _tables_batch(_PVM_BASES, u_a, u_b, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+    return ExactBehavior(dict(zip(SETTING_PAIRS, _LABEL_ONE_HOT.T @ fine @ _LABEL_ONE_HOT)))
+
+
+_ETA_GRID = build_eta().amps.reshape(16, 16)
+
+
+def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarray:
+    """Rows minus, plus, then the 0 projector's columns orthonormalized against
+    the rows so far (Gram-Schmidt run twice); columns in their span drop out."""
+    rows = [minus.amps, plus.amps]
+    for col in pvm.projector(0).T:
+        for _ in range(2):
+            basis = np.array(rows)
+            col = col - basis.T @ (basis.conj() @ col)
+        norm = np.linalg.norm(col)
+        if norm > 1e-6:
+            rows.append(col / norm)
+    return np.array(rows)
+
+
+# Conjugated complete F/G bases, their row labels and the labels' one-hot.
+_PVM_BASES = np.array([
+    _complete_basis(build_F(), build_phi(0), build_phi(1)),
+    _complete_basis(build_G(), build_psi(0), build_psi(1)),
+]).conj()
+_PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
+_LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
+
+# Per measurement path: conjugated (setting, row, 16 amps) vectors and row
+# labels.  The pvm path keeps the -1/+1 rows, so the kernel checks 0 mass.
+_MEASUREMENTS = {
+    "pvm": (_PVM_BASES[:, :2], _PVM_LABELS[:, :2]),
+    "protocol": (
+        np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj(),
+        np.array([local_protocol_for(s).labels for s in ("F", "G")]),
+    ),
+}
+
+
+def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
+                  code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+    """(n, k, k) joint probabilities of each side's k outcome vectors through
+    that trial's rotated setups; ``vectors`` holds them conjugated, by setting.
+
+    With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
+    conj(R_a v_a)^T G conj(R_b v_b).  Alice's bras are the kernel with conj(U_a)
+    on conj(v_a); Bob's conj(R_b) then acts on the contracted rows from the
+    right (the kernel with U_b^dagger), so no rotated copy of both sides is
+    held at once.  Aborts if any trial puts more than ZERO_OUTCOME_TOL mass
+    outside the k x k outcomes (the 0 label), which complete bases include.
+    """
+    rows = apply_fourfold(u_a.conj()[:, None], vectors[code_a]) @ _ETA_GRID
+    rows = apply_fourfold(np.swapaxes(u_b.conj(), 1, 2)[:, None], rows)
+    p = np.abs(rows @ np.swapaxes(vectors[code_b], 1, 2)) ** 2
+    total = p.sum(axis=(1, 2), keepdims=True)
+    worst = float(1.0 - total.min())
+    if worst > ZERO_OUTCOME_TOL:
+        raise RuntimeError(
+            f"outcome 0 acquired probability {worst:.3e} in a sampled trial"
+        )
+    return p / total
 
 
 def conditional(behavior: ExactBehavior,
@@ -355,43 +405,6 @@ class JointStats:
         return merged
 
 
-_ETA_GRID = build_eta().amps.reshape(16, 16)
-
-# Conjugated (setting, outcome, 16 amps) vectors each side projects onto: the
-# -1/+1 states of F and G (pvm path), or the 16 product eigenvectors of the F
-# and G protocols (protocol path), whose strings _PROTOCOL_LABELS classifies.
-_PVM_VECTORS = np.array([
-    [build_phi(0).amps, build_phi(1).amps],
-    [build_psi(0).amps, build_psi(1).amps],
-]).conj()
-_PROTOCOL_VECTORS = np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()
-_PROTOCOL_LABELS = np.array([local_protocol_for(s).labels for s in ("F", "G")])
-
-
-def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                  code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
-    """(n, k, k) joint probabilities of each side's k outcome vectors through
-    that trial's rotated setups; ``vectors`` holds them conjugated, by setting.
-
-    With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
-    conj(R_a v_a)^T G conj(R_b v_b).  Alice's bras are the kernel with conj(U_a)
-    on conj(v_a); Bob's conj(R_b) then acts on the contracted rows from the
-    right (the kernel with U_b^dagger), so no rotated copy of both sides is
-    held at once.  Aborts if any trial puts more than ZERO_OUTCOME_TOL mass
-    outside the k x k outcomes (the 0 label).
-    """
-    rows = apply_fourfold(u_a.conj()[:, None], vectors[code_a]) @ _ETA_GRID
-    rows = apply_fourfold(np.swapaxes(u_b.conj(), 1, 2)[:, None], rows)
-    p = np.abs(rows @ np.swapaxes(vectors[code_b], 1, 2)) ** 2
-    total = p.sum(axis=(1, 2), keepdims=True)
-    worst = float(1.0 - total.min())
-    if worst > ZERO_OUTCOME_TOL:
-        raise RuntimeError(
-            f"outcome 0 acquired probability {worst:.3e} in a sampled trial"
-        )
-    return p / total
-
-
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the first cumulative entry exceeding each row's uniform draw."""
     return np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
@@ -402,15 +415,17 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
                measurement_path: str = "pvm") -> tuple[TrialLog, JointStats]:
     """Run n seeded trials and return the trial log plus aggregated counts.
 
-    measurement_path 'pvm' samples the outcome pair from the two-outcome joint
-    table; 'protocol' samples a 16x16 outcome-string pair from the per-qubit
-    protocol eigenbasis and classifies each side's string.  Both paths draw
-    rotations and outcomes from the same per-trial seed streams.
+    measurement_path 'pvm' samples the outcome pair from the joint table of
+    the -1/+1 states; 'protocol' samples a 16x16 outcome-string pair from the
+    per-qubit protocol eigenbasis and classifies each side's string.  Both
+    paths draw rotations and outcomes from the same per-trial seed streams.
     """
     if n < 1:
         raise ValueError("need at least one trial")
-    if measurement_path not in ("pvm", "protocol"):
+    if measurement_path not in _MEASUREMENTS:
         raise ValueError(f"unknown measurement path {measurement_path!r}")
+    vectors, labels = _MEASUREMENTS[measurement_path]
+    k = labels.shape[1]
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
     fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
@@ -445,18 +460,11 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
 
         draw = (mix64_array(base ^ np.uint64(STREAM_OUTCOME))
                 >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        if measurement_path == "pvm":
-            tables = _tables_batch(_PVM_VECTORS, u_a, u_b, code_a, code_b)
-            cum = np.cumsum(tables.reshape(m, 4), axis=1)
-            pick = _sample_rows(cum, draw * cum[:, -1])
-            out_a = np.where((pick >> 1) == 0, -1, 1).astype(np.int8)
-            out_b = np.where((pick & 1) == 0, -1, 1).astype(np.int8)
-        else:
-            tables = _tables_batch(_PROTOCOL_VECTORS, u_a, u_b, code_a, code_b)
-            cum = np.cumsum(tables.reshape(m, 256), axis=1)
-            pick = _sample_rows(cum, draw * cum[:, -1])
-            out_a = _PROTOCOL_LABELS[code_a, pick >> 4]
-            out_b = _PROTOCOL_LABELS[code_b, pick & 15]
+        tables = _tables_batch(vectors, u_a, u_b, code_a, code_b)
+        cum = np.cumsum(tables.reshape(m, k * k), axis=1)
+        pick = _sample_rows(cum, draw * cum[:, -1])
+        out_a = labels[code_a, pick // k]
+        out_b = labels[code_b, pick % k]
 
         cols["trial"].append(idx)
         cols["sa"].append(code_a.astype(np.int8))

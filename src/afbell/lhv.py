@@ -125,11 +125,6 @@ class FeasibilityCertificate:
     witness: tuple[tuple[Strategy, Fraction], ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
 
-    def witness_dict(self) -> dict[Strategy, Fraction]:
-        if self.witness is None:
-            raise ValueError("certificate carries no witness")
-        return dict(self.witness)
-
 
 def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]
                ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
@@ -204,8 +199,7 @@ def check_feasibility(constraints: list[Constraint],
     return FeasibilityCertificate(feasible=True, outcome_values=values, witness=witness)
 
 
-def max_hardy_fraction(other_constraints: list[Constraint],
-                       strategies: tuple[Strategy, ...] | None = None) -> Fraction:
+def max_hardy_fraction(other_constraints: list[Constraint]) -> Fraction:
     """Largest P(g_a=1 and g_b=1) any local model allows under the constraints.
 
     Supports probability-zero equality constraints (the audit's class); all
@@ -217,15 +211,13 @@ def max_hardy_fraction(other_constraints: list[Constraint],
             raise ValueError(
                 "max_hardy_fraction handles probability-zero equality constraints only"
             )
-    space = strategies if strategies is not None else all_strategies()
-    survivors = [s for s in space
+    survivors = [s for s in all_strategies()
                  if not any(c.event(s) for c in other_constraints)]
     hardy = any(s.g_a == 1 and s.g_b == 1 for s in survivors)
     return Fraction(1) if hardy else Fraction(0)
 
 
-def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint],
-                       strategies: tuple[Strategy, ...] | None = None) -> bool:
+def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint]) -> bool:
     """Independently re-check a certificate with exact arithmetic.
 
     A witness must be a distribution meeting every constraint.  A Farkas
@@ -237,7 +229,7 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint],
     """
     if not isinstance(c, FeasibilityCertificate):
         raise TypeError("not a FeasibilityCertificate")
-    space = strategies if strategies is not None else all_strategies(c.outcome_values)
+    space = all_strategies(c.outcome_values)
     space_set = frozenset(space)
 
     if c.feasible:

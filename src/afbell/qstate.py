@@ -191,7 +191,7 @@ def expand_eta_in(basis_a: str, basis_b: str) -> np.ndarray:
     av = np.array([s.amps for s in _basis_pair(basis_a)])
     bv = np.array([s.amps for s in _basis_pair(basis_b)])
     grid = build_eta().amps.reshape(16, 16)
-    return np.einsum("ai,bj,ij->ab", av.conj(), bv.conj(), grid)
+    return av.conj() @ grid @ bv.conj().T
 
 
 # Closed-form two-sided expansion coefficients of the source state, one table
@@ -207,10 +207,6 @@ ETA_EXPANSION_TABLES: dict[tuple[str, str], np.ndarray] = {
 
 def eta_from_table(basis_a: str, basis_b: str, table: np.ndarray) -> StateVector:
     """Assemble an 8-qubit state as sum_ab table[a,b] |x_a> (x) |y_b>."""
-    av = _basis_pair(basis_a)
-    bv = _basis_pair(basis_b)
-    amps = np.zeros(256, dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            amps += table[a, b] * np.kron(av[a].amps, bv[b].amps)
-    return StateVector(8, amps)
+    av = np.array([s.amps for s in _basis_pair(basis_a)])
+    bv = np.array([s.amps for s in _basis_pair(basis_b)])
+    return StateVector(8, (av.T @ table @ bv).reshape(256))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import PVM
 from .qstate import StateVector
 
 _MASK64 = (1 << 64) - 1
@@ -173,13 +172,3 @@ def apply_pair(p: RotationPair, s: StateVector) -> StateVector:
         raise ValueError("apply_pair expects an 8-qubit state")
     grid = apply_fourfold(p.r_bob.u, s.amps.reshape(16, 16))
     return StateVector(8, apply_fourfold(p.r_alice.u, grid.T).T.reshape(256))
-
-
-def rotate_pvm(r: CollectiveRotation, m: PVM) -> PVM:
-    """Conjugate every projector by the four-fold rotation: P -> R P R^dagger."""
-    if m.dim != 16:
-        raise ValueError("rotation dimension does not match the PVM")
-    return PVM(tuple(
-        (label, apply_fourfold(r.u.conj(), apply_fourfold(r.u, proj.T).T))
-        for label, proj in m.outcomes
-    ))

@@ -2,9 +2,16 @@
 
 States are plain {bit string: amplitude} dicts and all arithmetic is scalar
 Python, so these never share a code path with the library under test.
+``rotate_pvm`` is the dense reference for rotated measurements: it builds the
+full 16x16 four-fold power with np.kron instead of the library's kernel.
 """
 
+import functools
 import math
+
+import numpy as np
+
+from afbell.observables import PVM
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -62,3 +69,9 @@ ETA = dict_scale(
     ),
     1.0 / SQRT7,
 )
+
+
+def rotate_pvm(r, m):
+    """Conjugate every projector of a 16-dim PVM by R = U (x) U (x) U (x) U."""
+    big = functools.reduce(np.kron, [r.u] * 4)
+    return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import rotate_pvm
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -27,7 +28,7 @@ from afbell.experiment import (
 )
 from afbell.observables import build_F, build_G
 from afbell.qstate import build_eta
-from afbell.rotations import rotate_pvm, split_seed
+from afbell.rotations import split_seed
 
 TOL = 1e-12
 
@@ -85,11 +86,13 @@ def test_exact_tables_match_rationals(behavior):
 
 
 def test_exact_tables_are_distributions(behavior):
-    for sa, sb in SETTING_PAIRS:
-        t = behavior.table(sa, sb)
-        assert abs(t.sum() - 1.0) < TOL
-        assert t.min() >= 0.0
-    assert behavior.zero_outcome_mass() < 1e-14
+    rotated = [exact_behavior(SetupRotations.sample(split_seed(271828, k))) for k in range(5)]
+    for b in (behavior, *rotated):
+        for sa, sb in SETTING_PAIRS:
+            t = b.table(sa, sb)
+            assert abs(t.sum() - 1.0) < TOL
+            assert t.min() >= 0.0
+        assert b.zero_outcome_mass() < 1e-14
 
 
 def test_the_four_identities(behavior):
@@ -132,6 +135,22 @@ def test_rotated_behavior_identical(behavior):
         rotated = exact_behavior(SetupRotations.sample(split_seed(314159, k)))
         for sa, sb in SETTING_PAIRS:
             assert np.abs(rotated.table(sa, sb) - behavior.table(sa, sb)).max() < 1e-10
+
+
+def test_exact_behavior_matches_dense_born_rule():
+    # Every cell, the 0 row and column included, against joint_born on
+    # projectors rotated by the dense four-fold power.
+    eta = build_eta()
+    canonical = {Setting.F: build_F(), Setting.G: build_G()}
+    for k in range(5):
+        setup = SetupRotations.sample(split_seed(4242, k))
+        behavior = exact_behavior(setup)
+        for sa, sb in SETTING_PAIRS:
+            probs = joint_born(eta, rotate_pvm(setup.for_side("A", sa), canonical[sa]),
+                               rotate_pvm(setup.for_side("B", sb), canonical[sb]))
+            assert len(probs) == 9
+            for (la, lb), p in probs.items():
+                assert abs(behavior.prob(sa, sb, la, lb) - p) < 1e-14, (k, sa, sb, la, lb)
 
 
 def test_joint_born_agrees_with_sequential_projection():

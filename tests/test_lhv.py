@@ -115,7 +115,7 @@ def test_dropping_one_load_bearing_constraint_is_feasible(dropped):
     cert = check_feasibility(cons)
     assert cert.feasible
     assert verify_certificate(cert, cons)
-    masses = cert.witness_dict()
+    masses = dict(cert.witness)
     assert sum(masses.values()) == 1
     if dropped == "ff_zero":
         # Hardy mass must sit on the all-ones strategy.
@@ -126,7 +126,7 @@ def test_single_half_constraint_equal_mixture():
     cons = [Constraint("half_fa", KIND_EQUALS, Fraction(1, 2), lambda s: s.f_a == 1)]
     cert = check_feasibility(cons)
     assert cert.feasible
-    masses = cert.witness_dict()
+    masses = dict(cert.witness)
     assert len(masses) == 2
     assert set(masses.values()) == {Fraction(1, 2)}
     in_event = [s for s in masses if s.f_a == 1]
@@ -240,7 +240,7 @@ def test_verify_rejects_perturbed_witness():
     cons = [c for c in quantum_constraints() if c.name != "ff_zero"]
     cert = check_feasibility(cons)
     assert cert.feasible and verify_certificate(cert, cons)
-    masses = cert.witness_dict()
+    masses = dict(cert.witness)
     eps = Fraction(1, 112)
     shifted = {s: m for s, m in masses.items()}
     all_ones = Strategy(1, 1, 1, 1)

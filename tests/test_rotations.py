@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rotate_pvm
 from afbell.observables import born_distribution, build_F
 from afbell.qstate import basis_state, build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
@@ -15,7 +16,6 @@ from afbell.rotations import (
     apply_pair,
     mix64,
     mix64_array,
-    rotate_pvm,
     sample_su2,
     sample_su2_batch,
     split_seed,
