@@ -4,13 +4,11 @@ __version__ = "0.1.0"
 
 from .qstate import (
     StateVector,
-    basis_state,
     build_eta,
     build_phi,
     build_psi,
     expand_eta_in,
     inner_product,
-    tensor,
 )
 from .observables import (
     PVM,
@@ -52,8 +50,8 @@ from .lhv import (
 
 __all__ = [
     "__version__",
-    "StateVector", "basis_state", "build_eta", "build_phi", "build_psi",
-    "expand_eta_in", "inner_product", "tensor",
+    "StateVector", "build_eta", "build_phi", "build_psi", "expand_eta_in",
+    "inner_product",
     "PVM", "LocalProtocol", "born_distribution", "build_F", "build_G",
     "coarse_grain", "local_protocol_for",
     "CollectiveRotation", "RotationPair", "apply_collective", "apply_pair",

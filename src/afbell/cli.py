@@ -39,8 +39,9 @@ from .observables import (
     string_distribution,
 )
 from .qstate import (
+    BASIS_CHANGE,
+    ETA_BORN_TABLES,
     ETA_EXPANSION_TABLES,
-    SQRT3,
     StateVector,
     build_eta,
     build_phi,
@@ -55,7 +56,7 @@ from .rotations import CollectiveRotation, RotationPair, apply_collective, apply
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
 
-HARDY = float(lhv.HARDY_VALUE)
+_SUFFIX = {"json": "json", "csv": "csv", "text": "txt"}
 
 # Draws per randomized verify check: span states, rotations, rotation pairs;
 # seeded setups for rotation-robustness.
@@ -167,9 +168,9 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     dev = max(abs(inner_product(phi[0], phi[1])), abs(inner_product(psi[0], psi[1])))
     results.append(CheckResult("state-orthogonality", dev, exact_tol))
 
-    change = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
     got = np.array([[inner_product(phi[i], psi[j]).real for j in (0, 1)] for i in (0, 1)])
-    results.append(CheckResult("basis-change-matrix", float(np.abs(got - change).max()), exact_tol))
+    results.append(CheckResult("basis-change-matrix", float(np.abs(got - BASIS_CHANGE).max()),
+                               exact_tol))
 
     dev = max(distance(psi[j], swap_qubits_2_3(phi[j])) for j in (0, 1))
     results.append(CheckResult("qubit-swap-relation", dev, exact_tol))
@@ -266,14 +267,14 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
         exact_tol))
     results.append(CheckResult(
         "identity-gg-hardy",
-        abs(behavior.prob(Setting.G, Setting.G, 1, 1) - HARDY), exact_tol))
+        abs(behavior.prob(Setting.G, Setting.G, 1, 1) - float(lhv.HARDY_VALUE)), exact_tol))
 
-    # Perfect correlations fix the whole GG table from the Hardy fraction h:
-    # P(-,-) = 1 - 7h, P(-,+) = P(+,-) = 3h, P(+,+) = h.
-    h = lhv.HARDY_VALUE
-    gg_expected = np.array([[1 - 7 * h, 3 * h, 0], [3 * h, h, 0], [0, 0, 0]], dtype=float)
-    dev = float(np.abs(behavior.table(Setting.G, Setting.G) - gg_expected).max())
-    results.append(CheckResult("gg-table-exact", dev, exact_tol))
+    # All 36 cells against the exact Born tables; the 0 row and column are exactly 0.
+    basis = {Setting.F: "phi", Setting.G: "psi"}
+    exact = {(sa, sb): np.pad(ETA_BORN_TABLES[(basis[sa], basis[sb])].astype(float), (0, 1))
+             for sa, sb in SETTING_PAIRS}
+    dev = max(float(np.abs(behavior.table(*k) - t).max()) for k, t in exact.items())
+    results.append(CheckResult("exact-tables", dev, exact_tol))
 
     results.append(CheckResult("zero-outcome-mass", behavior.zero_outcome_mass(), 1e-14))
 
@@ -310,11 +311,6 @@ def _resolve_output_dir(cfg: RunConfig) -> Path | None:
     return Path(env) if env else None
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _prepare(out_dir: Path, name: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
@@ -347,9 +343,9 @@ def _chain_lines(audit) -> list[str]:
     def _fmt(x):
         return "n/a" if x is None else f"{x:.6f}"
 
-    e = audit.exact
+    e, h = audit.exact, lhv.HARDY_VALUE
     lines = [
-        f"both measure G, both obtain 1:        P = {_fmt(e.hardy_fraction)}  (exact {lhv.HARDY_VALUE} = {HARDY:.6f})",
+        f"both measure G, both obtain 1:        P = {_fmt(e.hardy_fraction)}  (exact {h} = {float(h):.6f})",
         f"Bob G=1 makes Alice F=1 certain:      P = {_fmt(e.cond_ab)}",
         f"Alice G=1 makes Bob F=1 certain:      P = {_fmt(e.cond_ba)}",
         f"both measure F, both obtain 1:        P = {_fmt(e.joint_ff)}",
@@ -373,8 +369,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(text, end="")
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
-        suffix = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
-        _write_text(out_dir / f"verify.{suffix}", text)
+        _prepare(out_dir, f"verify.{_SUFFIX[cfg.format]}").write_text(text)
     failing = [r for r in results if not r.passed]
     if failing:
         print(f"first failing check: {failing[0].name}", file=sys.stderr)
@@ -413,14 +408,15 @@ def cmd_sample(cfg: RunConfig) -> int:
 
     out_dir = _resolve_output_dir(cfg) or Path("afbell-out")
     log.to_csv(_prepare(out_dir, "trials.csv"), metadata=report["metadata"])
-    _write_text(out_dir / "stats.json", json.dumps(report, indent=2))
+    _prepare(out_dir, "stats.json").write_text(json.dumps(report, indent=2))
 
     n_gg = stats.total(Setting.G, Setting.G)
     if n_gg:
         p_hat = stats.count(Setting.G, Setting.G, 1, 1) / n_gg
-        sigma3 = 3.0 * math.sqrt(HARDY * (1.0 - HARDY) / n_gg)
+        h = float(lhv.HARDY_VALUE)
+        sigma3 = 3.0 * math.sqrt(h * (1.0 - h) / n_gg)
         print(f"hardy fraction: {p_hat:.6f} +- {sigma3:.6f} (3-sigma), "
-              f"exact {lhv.HARDY_VALUE} = {HARDY:.6f}")
+              f"exact {lhv.HARDY_VALUE} = {h:.6f}")
     else:
         print("hardy fraction: no (G,G) trials under this policy")
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'stats.json'}")
@@ -460,9 +456,9 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
 
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
-        _write_text(out_dir / "certificate.json", json.dumps(payload, indent=2))
+        _prepare(out_dir, "certificate.json").write_text(json.dumps(payload, indent=2))
         meta_lines = "".join(f"# {k}: {v}\n" for k, v in cfg.metadata().items())
-        _write_text(out_dir / "derivation.txt", meta_lines + rendering + "\n")
+        _prepare(out_dir, "derivation.txt").write_text(meta_lines + rendering + "\n")
         if cfg.format != "json":
             print(f"wrote {out_dir / 'certificate.json'} and {out_dir / 'derivation.txt'}")
     return EXIT_OK if valid else EXIT_CHECK_FAILURE
@@ -512,8 +508,7 @@ def cmd_report(cfg: RunConfig) -> int:
     print(text, end="")
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
-        suffix = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
-        _write_text(out_dir / f"report.{suffix}", text)
+        _prepare(out_dir, f"report.{_SUFFIX[cfg.format]}").write_text(text)
     return EXIT_OK
 
 
@@ -578,7 +573,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         output_dir=args.out,
         format=args.format,
         tolerance=getattr(args, "tolerance", None),
-        drop_constraints=tuple(getattr(args, "drop_constraint", [])),
+        drop_constraints=tuple(sorted(set(getattr(args, "drop_constraint", [])))),
         max_hardy=getattr(args, "max_hardy", False),
     )
 

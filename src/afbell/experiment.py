@@ -12,7 +12,6 @@ regardless of execution order or chunk boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,24 +130,6 @@ def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, in
         (la, lb): max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
         for la, pa in pvm_a.outcomes for lb, pb in pvm_b.outcomes
     }
-
-
-def sequential_joint(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, int], float]:
-    """Joint distribution via sequential projection: measure A, project and
-    renormalize (the post-measurement convention), then measure B."""
-    grid = state.amps.reshape(16, 16)
-    probs: dict[tuple[int, int], float] = {}
-    for la, pa in pvm_a.outcomes:
-        collapsed = pa @ grid
-        p_a = float(np.real(np.vdot(collapsed, collapsed)))
-        for lb, pb in pvm_b.outcomes:
-            if p_a <= 0.0:
-                probs[(la, lb)] = 0.0
-                continue
-            post = collapsed / math.sqrt(p_a)
-            p_b = float(np.real(np.vdot(post, post @ pb.T)))
-            probs[(la, lb)] = p_a * max(p_b, 0.0)
-    return probs
 
 
 @dataclass(frozen=True)

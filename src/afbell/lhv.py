@@ -26,10 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .qstate import ETA_BORN_TABLES
+
 OUTCOME_VALUES = (-1, 0, 1)
 TWO_VALUED = (-1, 1)
 
-HARDY_VALUE = Fraction(9, 112)
+# The exact quantum tables, rows Alice's outcome and columns Bob's, index 0
+# for -1 and 1 for +1: F discriminates the phi pair and G the psi pair.
+_FF, _FG, _GF, _GG = (ETA_BORN_TABLES[k] for k in (
+    ("phi", "phi"), ("phi", "psi"), ("psi", "phi"), ("psi", "psi")))
+
+HARDY_VALUE = _GG[1, 1]
 
 KIND_EQUALS = "equals"
 KIND_AT_LEAST = "at_least"
@@ -72,26 +79,27 @@ class Constraint:
 
 
 def quantum_constraints() -> list[Constraint]:
-    """The constraints the quantum behavior imposes on any local model."""
+    """The constraints the quantum behavior imposes on any local model; each
+    value is a cell of the exact Born tables (the 0 mass is 1 - sum FF)."""
     return [
         Constraint(
             name="ff_zero",
             kind=KIND_EQUALS,
-            value=Fraction(0),
+            value=_FF[1, 1],
             event=lambda s: s.f_a == 1 and s.f_b == 1,
             description="both sides never obtain F=1 together",
         ),
         Constraint(
             name="gb_implies_fa",
             kind=KIND_EQUALS,
-            value=Fraction(0),
+            value=_FG[0, 1],
             event=lambda s: s.g_b == 1 and s.f_a != 1,
             description="Bob obtaining G=1 makes Alice's F=1 certain",
         ),
         Constraint(
             name="ga_implies_fb",
             kind=KIND_EQUALS,
-            value=Fraction(0),
+            value=_GF[1, 0],
             event=lambda s: s.g_a == 1 and s.f_b != 1,
             description="Alice obtaining G=1 makes Bob's F=1 certain",
         ),
@@ -105,7 +113,7 @@ def quantum_constraints() -> list[Constraint]:
         Constraint(
             name="no_zero_outcome",
             kind=KIND_EQUALS,
-            value=Fraction(0),
+            value=1 - _FF.sum(),
             event=lambda s: 0 in s,
             description="the third outcome never occurs on either side",
         ),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,12 +58,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of the basis ket labelled by a bit string."""
-        if len(bits) != self.num_qubits:
-            raise ValueError(f"label {bits!r} has wrong length for {self.num_qubits} qubits")
-        return complex(self.amps[basis_index(bits)])
-
 
 def from_terms(num_qubits: int, terms: dict[str, complex]) -> StateVector:
     """Build a state from a {bit string: amplitude} table (no normalization)."""
@@ -72,21 +67,6 @@ def from_terms(num_qubits: int, terms: dict[str, complex]) -> StateVector:
             raise ValueError(f"label {bits!r} has wrong length for {num_qubits} qubits")
         amps[basis_index(bits)] += amp
     return StateVector(num_qubits, amps)
-
-
-def basis_state(num_qubits: int, bits: str) -> StateVector:
-    """Computational basis ket |bits>."""
-    return from_terms(num_qubits, {bits: 1.0})
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; a's qubits become the most significant ones."""
-    n = a.num_qubits + b.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"tensor product would need {n} qubits, above the cap of {MAX_QUBITS}"
-        )
-    return StateVector(n, np.kron(a.amps, b.amps))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -194,14 +174,45 @@ def expand_eta_in(basis_a: str, basis_b: str) -> np.ndarray:
     return av.conj() @ grid @ bv.conj().T
 
 
-# Closed-form two-sided expansion coefficients of the source state, one table
-# per (Alice basis, Bob basis).  expand_eta_in must reproduce these, and
-# reassembling the 8-qubit vector from any table must reproduce build_eta().
+# Matrices over Q(sqrt3) are pairs (rational part, sqrt3 part) of Fraction arrays.
+_rational = np.vectorize(Fraction, otypes=[object])
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return x[0] @ y[0] + 3 * x[1] @ y[1], x[0] @ y[1] + x[1] @ y[0]
+
+
+def _real(x: tuple) -> np.ndarray:
+    return x[0].astype(float) + SQRT3 * x[1].astype(float)
+
+
+# The two facts the source state's numbers follow from: build_eta's (phi, phi)
+# expansion times sqrt7, and the basis change B[i][j] = <phi_i|psi_j>.  B is
+# symmetric, so <psi_i phi_j|eta> = (B E)[i][j] and <phi_i psi_j|eta> = (E B)[i][j].
+_ETA_PHI_PHI = (_rational([[1, 0], [0, 0]]), _rational([[0, 1], [1, 0]]))
+_BASIS_CHANGE = (_rational([[1, 0], [0, -1]]) / 2, _rational([[0, 1], [1, 0]]) / 2)
+_ETA_EXACT = {
+    ("phi", "phi"): _ETA_PHI_PHI,
+    ("phi", "psi"): _mul(_ETA_PHI_PHI, _BASIS_CHANGE),
+    ("psi", "phi"): _mul(_BASIS_CHANGE, _ETA_PHI_PHI),
+    ("psi", "psi"): _mul(_mul(_BASIS_CHANGE, _ETA_PHI_PHI), _BASIS_CHANGE),
+}
+# Every coefficient is purely rational or purely sqrt3 times a rational, so |c|^2 is rational.
+assert all(np.all(a * b == 0) for a, b in _ETA_EXACT.values()), "a coefficient mixes 1 and sqrt3"
+
+BASIS_CHANGE = _real(_BASIS_CHANGE)
+
+# Two-sided expansion coefficients of the source state, one table per (Alice
+# basis, Bob basis).  expand_eta_in must reproduce these, and reassembling the
+# 8-qubit vector from any table must reproduce build_eta().
 ETA_EXPANSION_TABLES: dict[tuple[str, str], np.ndarray] = {
-    ("phi", "phi"): np.array([[1.0, SQRT3], [SQRT3, 0.0]]) / SQRT7,
-    ("phi", "psi"): np.array([[4.0, 0.0], [SQRT3, 3.0]]) / (2.0 * SQRT7),
-    ("psi", "phi"): np.array([[4.0, SQRT3], [0.0, 3.0]]) / (2.0 * SQRT7),
-    ("psi", "psi"): np.array([[7.0, 3.0 * SQRT3], [3.0 * SQRT3, -3.0]]) / (4.0 * SQRT7),
+    k: _real(t) / SQRT7 for k, t in _ETA_EXACT.items()
+}
+
+# Exact Born probabilities |<x_a y_b|eta>|^2 as Fractions, same keys; index 0
+# is the pair member x_0, index 1 is x_1.
+ETA_BORN_TABLES: dict[tuple[str, str], np.ndarray] = {
+    k: (a * a + 3 * b * b) / 7 for k, (a, b) in _ETA_EXACT.items()
 }
 
 

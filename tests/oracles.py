@@ -3,7 +3,9 @@
 States are plain {bit string: amplitude} dicts and all arithmetic is scalar
 Python, so these never share a code path with the library under test.
 ``rotate_pvm`` is the dense reference for rotated measurements: it builds the
-full 16x16 four-fold power with np.kron instead of the library's kernel.
+full 16x16 four-fold power with np.kron instead of the library's kernel, and
+``sequential_joint`` is the Born rule by sequential projection.  ``basis_state``,
+``tensor`` and ``amplitude`` are the register plumbing the tests build with.
 """
 
 import functools
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from afbell.observables import PVM
+from afbell.qstate import StateVector, basis_index, from_terms
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -75,3 +78,39 @@ def rotate_pvm(r, m):
     """Conjugate every projector of a 16-dim PVM by R = U (x) U (x) U (x) U."""
     big = functools.reduce(np.kron, [r.u] * 4)
     return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))
+
+
+def sequential_joint(state, pvm_a, pvm_b):
+    """Joint distribution via sequential projection: measure A, project and
+    renormalize (the post-measurement convention), then measure B."""
+    grid = state.amps.reshape(16, 16)
+    probs = {}
+    for la, pa in pvm_a.outcomes:
+        collapsed = pa @ grid
+        p_a = float(np.real(np.vdot(collapsed, collapsed)))
+        for lb, pb in pvm_b.outcomes:
+            if p_a <= 0.0:
+                probs[(la, lb)] = 0.0
+                continue
+            post = collapsed / math.sqrt(p_a)
+            p_b = float(np.real(np.vdot(post, post @ pb.T)))
+            probs[(la, lb)] = p_a * max(p_b, 0.0)
+    return probs
+
+
+def basis_state(num_qubits, bits):
+    """Computational basis ket |bits>."""
+    return from_terms(num_qubits, {bits: 1.0})
+
+
+def tensor(a, b):
+    """Kronecker product; a's qubits become the most significant ones.
+    StateVector enforces the qubit cap."""
+    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
+
+
+def amplitude(state, bits):
+    """Amplitude of the basis ket labelled by a bit string."""
+    if len(bits) != state.num_qubits:
+        raise ValueError(f"label {bits!r} has wrong length for {state.num_qubits} qubits")
+    return complex(state.amps[basis_index(bits)])

@@ -12,6 +12,8 @@ from afbell.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_seed,
     run_verify_suite,
@@ -46,6 +48,18 @@ def test_config_hash_ignores_presentation_fields(tmp_path):
     c = RunConfig(command="sample", root_seed=6, output_dir=tmp_path / "a")
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+    # Dropped constraints are a set: order and repetition on the command line
+    # do not change what is computed.
+    parser = build_parser()
+
+    def audit_hash(*drops):
+        argv = ["lhv-audit"] + [x for d in drops for x in ("--drop-constraint", d)]
+        return config_from_args(parser.parse_args(argv)).config_hash()
+
+    both = audit_hash("ff_zero", "gg_hardy")
+    assert audit_hash("gg_hardy", "ff_zero") == both
+    assert audit_hash("ff_zero", "gg_hardy", "ff_zero") == both
+    assert audit_hash("ff_zero") != both
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -58,6 +72,7 @@ def test_verify_suite_all_pass():
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert "identity-gg-hardy" in names
+    assert "exact-tables" in names
     assert "rotation-robustness" in names
     assert len(names) == len(set(names))
 

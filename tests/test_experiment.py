@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import rotate_pvm
+from oracles import rotate_pvm, sequential_joint
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -23,11 +23,11 @@ from afbell.experiment import (
     joint_born,
     parse_policy,
     run_trials,
-    sequential_joint,
     stats_report,
 )
+from afbell.lhv import HARDY_VALUE, quantum_constraints
 from afbell.observables import build_F, build_G
-from afbell.qstate import build_eta
+from afbell.qstate import ETA_BORN_TABLES, build_eta
 from afbell.rotations import split_seed
 
 TOL = 1e-12
@@ -83,6 +83,25 @@ def test_exact_tables_match_rationals(behavior):
         for i in range(3):
             for j in range(3):
                 assert table[i, j] == pytest.approx(float(expected[i][j]), abs=TOL)
+
+
+def test_derived_born_tables_and_constraint_values_are_exact():
+    # qstate derives the tables from the (phi, phi) expansion and the basis
+    # change; no tolerance anywhere.
+    basis = {"F": "phi", "G": "psi"}
+    born = {(sa, sb): ETA_BORN_TABLES[(basis[sa], basis[sb])] for sa, sb in EXPECTED}
+    for key, expected in EXPECTED.items():
+        assert born[key].tolist() == [row[:2] for row in expected[:2]], key
+        assert all(type(x) is Fraction for x in born[key].flat)
+    values = {c.name: c.value for c in quantum_constraints()}
+    assert values == {
+        "ff_zero": born[("F", "F")][1, 1],
+        "gb_implies_fa": born[("F", "G")][0, 1],
+        "ga_implies_fb": born[("G", "F")][1, 0],
+        "gg_hardy": born[("G", "G")][1, 1],
+        "no_zero_outcome": 1 - born[("F", "F")].sum(),
+    }
+    assert HARDY_VALUE == born[("G", "G")][1, 1] == Fraction(9, 112)
 
 
 def test_exact_tables_are_distributions(behavior):

@@ -19,7 +19,7 @@ from afbell.observables import (
     local_protocol_for,
     string_distribution,
 )
-from afbell.qstate import StateVector, basis_state, build_phi, build_psi
+from afbell.qstate import StateVector, build_phi, build_psi
 
 TOL = 1e-12
 
@@ -77,13 +77,13 @@ def test_born_outside_the_span():
     # Oracle: |0000> has no overlap with either discriminated state.
     assert oracles.dict_inner({"0000": 1.0}, oracles.PHI0) == 0.0
     assert oracles.dict_inner({"0000": 1.0}, oracles.PHI1) == 0.0
-    dist = born_distribution(basis_state(4, "0000"), build_F())
+    dist = born_distribution(oracles.basis_state(4, "0000"), build_F())
     assert dist == pytest.approx({-1: 0.0, +1: 0.0, 0: 1.0}, abs=TOL)
 
 
 def test_born_validation():
     with pytest.raises(ValueError):
-        born_distribution(basis_state(2, "00"), build_F())
+        born_distribution(oracles.basis_state(2, "00"), build_F())
     unnormalized = StateVector(4, np.ones(16, dtype=complex))
     with pytest.raises(ValueError):
         born_distribution(unnormalized, build_F())

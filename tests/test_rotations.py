@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rotate_pvm
+from oracles import basis_state, rotate_pvm
 from afbell.observables import born_distribution, build_F
-from afbell.qstate import basis_state, build_eta, build_phi, build_psi, distance
+from afbell.qstate import build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
     CollectiveRotation,
     RotationPair,
