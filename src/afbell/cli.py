@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, lhv
 from .experiment import (
+    MEASUREMENT_PATHS,
     SETTING_PAIRS,
     Setting,
     SetupRotations,
@@ -78,6 +79,7 @@ class RunConfig:
     root_seed: int = 0
     setting_policy: str = "uniform_random"
     fixed_rotations: bool = False
+    measurement_path: str = "pvm"
     output_dir: Path | None = None
     format: str = "text"
     tolerance: float | None = None
@@ -99,11 +101,15 @@ class RunConfig:
                                                and self.tolerance > 0):
             raise ValueError("--tolerance must be positive and finite")
         parse_policy(self.setting_policy)
+        if self.measurement_path not in MEASUREMENT_PATHS:
+            raise ValueError(f"unknown measurement path {self.measurement_path!r}")
 
     def config_hash(self) -> str:
-        """Hash of the fields that determine computed content (not where it goes)."""
+        """Hash of the fields that determine computed content (not where it goes).
+        The default pvm measurement path stays out, so older hashes hold."""
         payload = {k: str(v) for k, v in asdict(self).items()
-                   if k not in ("output_dir", "format")}
+                   if k not in ("output_dir", "format")
+                   and not (k == "measurement_path" and v == "pvm")}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
     def metadata(self) -> dict[str, str]:
@@ -379,7 +385,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     log, stats = run_trials(cfg.trials, cfg.root_seed, cfg.setting_policy,
-                            fixed_rotations=cfg.fixed_rotations)
+                            fixed_rotations=cfg.fixed_rotations,
+                            measurement_path=cfg.measurement_path)
     behavior = exact_behavior()
     audit = epr_audit(log, behavior)
     report = {
@@ -387,6 +394,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             "trials": str(cfg.trials),
             "setting_policy": cfg.setting_policy,
             "fixed_rotations": str(cfg.fixed_rotations).lower(),
+            "measurement_path": cfg.measurement_path,
         },
         "stats": stats_report(stats, behavior),
         "audit": {
@@ -550,6 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("--fixed-rotations", action="store_true",
                           help="reuse one rotation 4-tuple instead of fresh draws per trial")
+    p_sample.add_argument("--measurement", choices=MEASUREMENT_PATHS, default="pvm",
+                          help="pvm: sample the -1/+1 projectors directly; protocol: "
+                               "z/x single-qubit measurements plus the 4-vs-12 "
+                               "classifier (default pvm)")
 
     p_audit = sub.add_parser("lhv-audit", help="exact local-model feasibility audit")
     common(p_audit)
@@ -570,6 +582,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         root_seed=args.seed,
         setting_policy=getattr(args, "policy", "uniform_random"),
         fixed_rotations=getattr(args, "fixed_rotations", False),
+        measurement_path=getattr(args, "measurement", "pvm"),
         output_dir=args.out,
         format=args.format,
         tolerance=getattr(args, "tolerance", None),

@@ -1,23 +1,28 @@
 """Exact computation and seeded Monte Carlo sampling of the two-observer behavior.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
-measures F or G, possibly through an independently rotated setup.  One
-batched Born-rule kernel gives the joint table of each side's labelled basis
-rows through rotated setups.  The exact path runs it on complete F/G bases and
-sums the table by label; the sampling path draws fresh Haar rotations per
-trial and samples a row pair from its table.  Every random quantity is a pure
-function of the root seed and the trial index, so results are identical
-regardless of execution order or chunk boundaries.
+measures F or G, possibly through an independently rotated setup.  Two batched
+Born-rule kernels give the joint table of each side's outcome rows through
+rotated setups, and share one closing step (square, mass check, normalize).
+The PVM kernel rotates labelled basis rows with apply_fourfold: the exact path
+runs it on complete F/G bases and sums the table by label, the pvm sampling
+path on the -1/+1 rows.  The protocol kernel builds each side's rotated bras of
+the 16 outcome strings as a Kronecker product of four 2x2 per-qubit factors.
+The sampling paths draw fresh Haar rotations per trial and sample a row pair
+from the table.  Every random quantity is a pure function of the root seed and
+the trial index, so results are identical regardless of execution order or
+chunk boundaries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .observables import PVM, build_F, build_G, local_protocol_for
+from .observables import _AXIS_BASES, PVM, build_F, build_G, local_protocol_for
 from .qstate import StateVector, build_eta, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
@@ -26,6 +31,7 @@ from .rotations import (
     STREAM_SETTINGS,
     CollectiveRotation,
     apply_fourfold,
+    kron_batch,
     mix64,
     mix64_array,
     sample_su2_batch,
@@ -34,7 +40,9 @@ from .rotations import (
 # Index order of the outcome labels in every 3x3 table below.
 LABEL_ORDER = (-1, +1, 0)
 
-# Mass allowed on the never-occurring 0 outcome before a run aborts.
+# How far a trial's table mass may stray from 1, in either direction (mass on
+# the never-occurring 0 outcome, or a setup that is not unitary), before a run
+# aborts.
 ZERO_OUTCOME_TOL = 1e-12
 
 # Below this, an event's probability is numerical dust, not a real event.
@@ -227,39 +235,81 @@ _PVM_BASES = np.array([
 _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
-# Per measurement path: conjugated (setting, row, 16 amps) vectors and row
-# labels.  The pvm path keeps the -1/+1 rows, so the kernel checks 0 mass.
-_MEASUREMENTS = {
-    "pvm": (_PVM_BASES[:, :2], _PVM_LABELS[:, :2]),
-    "protocol": (
-        np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj(),
-        np.array([local_protocol_for(s).labels for s in ("F", "G")]),
-    ),
-}
+
+def _born_close(amps: np.ndarray) -> np.ndarray:
+    """(n, k, k) Born probabilities |amps|^2, normalized per trial in place.
+
+    Aborts if any trial's total mass differs from 1 by more than
+    ZERO_OUTCOME_TOL: a deficit is mass on the 0 label (outside the k x k
+    outcomes), an excess a setup that is not unitary.
+    """
+    p = np.abs(amps)
+    p **= 2
+    total = p.sum(axis=(1, 2), keepdims=True)
+    worst = float(np.abs(1.0 - total).max())
+    if worst > ZERO_OUTCOME_TOL:
+        raise RuntimeError(
+            f"a trial's outcome table has total mass off 1 by {worst:.3e} "
+            "(outcome 0 acquired probability, or a setup is not unitary)"
+        )
+    p /= total
+    return p
 
 
 def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
                   code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
     """(n, k, k) joint probabilities of each side's k outcome vectors through
     that trial's rotated setups; ``vectors`` holds them conjugated, by setting.
+    Serves the pvm path (the -1/+1 rows) and exact_behavior (complete bases).
 
     With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
     conj(R_a v_a)^T G conj(R_b v_b).  Alice's bras are the kernel with conj(U_a)
     on conj(v_a); Bob's conj(R_b) then acts on the contracted rows from the
     right (the kernel with U_b^dagger), so no rotated copy of both sides is
-    held at once.  Aborts if any trial puts more than ZERO_OUTCOME_TOL mass
-    outside the k x k outcomes (the 0 label), which complete bases include.
+    held at once.  _born_close squares, checks the mass and normalizes.
     """
     rows = apply_fourfold(u_a.conj()[:, None], vectors[code_a]) @ _ETA_GRID
     rows = apply_fourfold(np.swapaxes(u_b.conj(), 1, 2)[:, None], rows)
-    p = np.abs(rows @ np.swapaxes(vectors[code_b], 1, 2)) ** 2
-    total = p.sum(axis=(1, 2), keepdims=True)
-    worst = float(1.0 - total.min())
-    if worst > ZERO_OUTCOME_TOL:
-        raise RuntimeError(
-            f"outcome 0 acquired probability {worst:.3e} in a sampled trial"
-        )
-    return p / total
+    return _born_close(rows @ np.swapaxes(vectors[code_b], 1, 2))
+
+
+# Per setting, 1 where the protocol measures a qubit along x, 0 along z.
+_PROTOCOL_ON_X = np.array([[axis == "x" for axis in local_protocol_for(s).axes]
+                           for s in ("F", "G")], dtype=np.intp)
+
+
+def _protocol_bras(u: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """(n, 16, 16) rotated protocol bras: row i is conj(R v_i)^T, v_i the
+    eigenvector of outcome string ALL_STRINGS[i].
+
+    They factor per qubit as K = (x)_q conj(B_q) U^dagger, with B_q the 2x2
+    axis basis, so K is built from four 2x2 factors as (M1 (x) M2) (x)
+    (M3 (x) M4).  Only two factors occur: U^dagger on z axes (B_z = I) and
+    conj(B_x) U^dagger on x axes.
+    """
+    u_dag = np.swapaxes(u.conj(), 1, 2)
+    factors = np.stack([u_dag, _AXIS_BASES["x"].conj() @ u_dag], axis=1)
+    f = factors[np.arange(len(u))[:, None], _PROTOCOL_ON_X[code]]
+    return kron_batch(kron_batch(f[:, 0], f[:, 1]), kron_batch(f[:, 2], f[:, 3]))
+
+
+def _protocol_tables(u_a: np.ndarray, u_b: np.ndarray,
+                     code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+    """(n, 16, 16) outcome-string tables |K_a G K_b^T|^2 of the protocol path.
+    Alice's bras are contracted with G and dropped before Bob's are built."""
+    rows = _protocol_bras(u_a, code_a) @ _ETA_GRID
+    return _born_close(rows @ np.swapaxes(_protocol_bras(u_b, code_b), 1, 2))
+
+
+# Per measurement path: the table kernel (u_a, u_b, code_a, code_b) and the
+# (setting, row) outcome labels.  The pvm path keeps the -1/+1 rows, so its
+# mass check catches any 0 mass.
+_MEASUREMENTS = {
+    "pvm": (functools.partial(_tables_batch, _PVM_BASES[:, :2]), _PVM_LABELS[:, :2]),
+    "protocol": (_protocol_tables,
+                 np.array([local_protocol_for(s).labels for s in ("F", "G")])),
+}
+MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
 
 
 def conditional(behavior: ExactBehavior,
@@ -386,9 +436,11 @@ class JointStats:
         return merged
 
 
-def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the first cumulative entry exceeding each row's uniform draw."""
-    return np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
+def _sample_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick per trial: the index of the first cumulative entry of
+    its flattened table exceeding its uniform draw times the table's total."""
+    cum = np.cumsum(tables.reshape(len(tables), -1), axis=1)
+    return np.minimum((cum < (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
 
 
 def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
@@ -405,7 +457,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         raise ValueError("need at least one trial")
     if measurement_path not in _MEASUREMENTS:
         raise ValueError(f"unknown measurement path {measurement_path!r}")
-    vectors, labels = _MEASUREMENTS[measurement_path]
+    kernel, labels = _MEASUREMENTS[measurement_path]
     k = labels.shape[1]
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
@@ -441,9 +493,8 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
 
         draw = (mix64_array(base ^ np.uint64(STREAM_OUTCOME))
                 >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        tables = _tables_batch(vectors, u_a, u_b, code_a, code_b)
-        cum = np.cumsum(tables.reshape(m, k * k), axis=1)
-        pick = _sample_rows(cum, draw * cum[:, -1])
+        # No table outlives its chunk, so the kernel's peak is the loop's peak.
+        pick = _sample_rows(kernel(u_a, u_b, code_a, code_b), draw)
         out_a = labels[code_a, pick // k]
         out_b = labels[code_b, pick % k]
 

@@ -147,6 +147,13 @@ class RotationPair:
         return cls(CollectiveRotation.sample(seed_alice), CollectiveRotation.sample(seed_bob))
 
 
+def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the leading ones."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
+
+
 def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply U (x) U (x) U (x) U to the last, 16-long axis of x.
 
@@ -154,7 +161,7 @@ def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     4x4 reshape X of each 16-vector (rows: qubits 1-2, columns: qubits 3-4)
     the four-fold power acts as (U (x) U) X (U (x) U)^T.
     """
-    uu = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(*u.shape[:-2], 4, 4)
+    uu = kron_batch(u, u)
     grid = x.reshape(*x.shape[:-1], 4, 4)
     return (uu @ grid @ np.swapaxes(uu, -1, -2)).reshape(x.shape)
 

@@ -2,10 +2,11 @@
 
 States are plain {bit string: amplitude} dicts and all arithmetic is scalar
 Python, so these never share a code path with the library under test.
-``rotate_pvm`` is the dense reference for rotated measurements: it builds the
-full 16x16 four-fold power with np.kron instead of the library's kernel, and
-``sequential_joint`` is the Born rule by sequential projection.  ``basis_state``,
-``tensor`` and ``amplitude`` are the register plumbing the tests build with.
+``rotate_pvm``, ``protocol_bras`` and ``protocol_table`` are the dense
+references for rotated measurements: they build the full 16x16 four-fold
+power with np.kron instead of the library's kernels, and ``sequential_joint``
+is the Born rule by sequential projection.  ``basis_state``, ``tensor`` and
+``amplitude`` are the register plumbing the tests build with.
 """
 
 import functools
@@ -78,6 +79,18 @@ def rotate_pvm(r, m):
     """Conjugate every projector of a 16-dim PVM by R = U (x) U (x) U (x) U."""
     big = functools.reduce(np.kron, [r.u] * 4)
     return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))
+
+
+def protocol_bras(u, protocol):
+    """Rows conj(R v_i)^T of a rotated local protocol, R = U (x) U (x) U (x) U
+    and v_i its eigenvector for outcome string i."""
+    return (functools.reduce(np.kron, [u] * 4) @ protocol.eigenvectors.T).T.conj()
+
+
+def protocol_table(grid, u_a, u_b, protocol_a, protocol_b):
+    """16x16 outcome-string table of two rotated local protocols on an 8-qubit
+    grid G: |K_a G K_b^T|^2 with K the dense protocol_bras of each side."""
+    return np.abs(protocol_bras(u_a, protocol_a) @ grid @ protocol_bras(u_b, protocol_b).T) ** 2
 
 
 def sequential_joint(state, pvm_a, pvm_b):

@@ -18,6 +18,7 @@ from afbell.cli import (
     parse_seed,
     run_verify_suite,
 )
+from afbell.experiment import run_trials
 
 
 def test_parse_seed_formats():
@@ -60,6 +61,44 @@ def test_config_hash_ignores_presentation_fields(tmp_path):
     assert audit_hash("gg_hardy", "ff_zero") == both
     assert audit_hash("ff_zero", "gg_hardy", "ff_zero") == both
     assert audit_hash("ff_zero") != both
+
+
+def test_config_hash_measurement_path():
+    parser = build_parser()
+
+    def sample_hash(*argv):
+        return config_from_args(parser.parse_args(["sample", *argv])).config_hash()
+
+    # Recorded before --measurement existed: the default pvm path leaves every
+    # earlier hash as it was.
+    assert sample_hash() == "c1475cd07c68"
+    assert sample_hash("--measurement", "pvm") == "c1475cd07c68"
+    assert sample_hash("--trials", "20000", "--seed", "5") == "5eb3e526fb6a"
+    assert sample_hash("--measurement", "protocol") != "c1475cd07c68"
+
+
+def test_sample_unknown_measurement_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sample", "--trials", "10", "--measurement", "dense",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "--measurement" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        RunConfig(command="sample", measurement_path="dense").validate()
+
+
+def test_sample_protocol_path(tmp_path, capsys):
+    assert main(["sample", "--trials", "3000", "--seed", "12", "--measurement", "protocol",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "stats.json").read_text())
+    assert payload["metadata"]["measurement_path"] == "protocol"
+    lines = (tmp_path / "trials.csv").read_text().splitlines()
+    assert "# measurement_path: protocol" in lines
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    log, _ = run_trials(3000, 12, "uniform", measurement_path="protocol")
+    assert [int(r.rsplit(",", 2)[1]) for r in rows] == log.outcome_a.tolist()
+    assert [int(r.rsplit(",", 1)[1]) for r in rows] == log.outcome_b.tolist()
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import rotate_pvm, sequential_joint
+from oracles import protocol_bras, protocol_table, rotate_pvm, sequential_joint
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -26,9 +26,9 @@ from afbell.experiment import (
     stats_report,
 )
 from afbell.lhv import HARDY_VALUE, quantum_constraints
-from afbell.observables import build_F, build_G
+from afbell.observables import build_F, build_G, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES, build_eta
-from afbell.rotations import split_seed
+from afbell.rotations import sample_su2, sample_su2_batch, split_seed
 
 TOL = 1e-12
 
@@ -261,6 +261,51 @@ def test_golden_outcome_pins(path, n, root, fixed, digest):
     log, _ = run_trials(n, root, "uniform", fixed_rotations=fixed, measurement_path=path)
     got = hashlib.sha256(log.outcome_a.tobytes() + log.outcome_b.tobytes()).hexdigest()
     assert got == digest
+
+
+def test_protocol_kernel_matches_dense_oracle():
+    grid = build_eta().amps.reshape(16, 16)
+    protocols = [local_protocol_for(s) for s in ("F", "G")]
+    code_a, code_b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+
+    def check(u_a, u_b, expected_for):
+        tables = experiment._protocol_tables(np.array([u_a] * 4), np.array([u_b] * 4),
+                                             code_a, code_b)
+        assert tables.shape == (4, 16, 16)
+        for table, ca, cb in zip(tables, code_a, code_b):
+            assert np.abs(table - expected_for(protocols[ca], protocols[cb])).max() <= 1e-15
+
+    for k in range(8):
+        u_a, u_b = sample_su2(split_seed(0x0FAC7, 2 * k)), sample_su2(split_seed(0x0FAC7, 2 * k + 1))
+        check(u_a, u_b, lambda pa, pb: protocol_table(grid, u_a, u_b, pa, pb))
+        # The halves of the source state are rotation invariant, so the tables
+        # cannot see a wrong rotation; the bras themselves can.
+        for u in (u_a, u_b):
+            bras = experiment._protocol_bras(np.array([u] * 2), np.array([0, 1]))
+            for got, p in zip(bras, protocols):
+                assert np.abs(got - protocol_bras(u, p)).max() <= 1e-15
+    # Unrotated setups: the Born table of the two eigenbases themselves.
+    eye = np.eye(2, dtype=complex)
+    check(eye, eye, lambda pa, pb:
+          np.abs(pa.eigenvectors.conj() @ grid @ pb.eigenvectors.conj().T) ** 2)
+
+
+@pytest.mark.parametrize("path", ["pvm", "protocol", "exact"])
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_mass_off_one_raises_on_each_path(monkeypatch, path, scale):
+    # A non-unitary setup moves a trial's total mass off 1 in either direction.
+    def scaled(seeds):
+        return scale * sample_su2_batch(seeds)
+
+    with pytest.raises(RuntimeError, match="total mass off 1") as excinfo:
+        if path == "exact":
+            u = scaled(np.arange(4, dtype=np.uint64))
+            experiment._tables_batch(experiment._PVM_BASES, u, u,
+                                     np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+        else:
+            monkeypatch.setattr(experiment, "sample_su2_batch", scaled)
+            run_trials(64, 3, "uniform", measurement_path=path)
+    assert excinfo.traceback[-1].name == "_born_close"
 
 
 def test_run_trials_validation():
