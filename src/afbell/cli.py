@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__, lhv
 from .experiment import (
+    LABEL_ORDER,
     MEASUREMENT_PATHS,
     SETTING_PAIRS,
     Setting,
     SetupRotations,
-    conditional,
     epr_audit,
     exact_behavior,
     joint_born,
@@ -72,7 +72,7 @@ EXIT_IO = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated options for one CLI invocation."""
+    """Validated options for one CLI invocation; its defaults are the CLI's."""
 
     command: str
     trials: int = 1_000_000
@@ -85,6 +85,10 @@ class RunConfig:
     tolerance: float | None = None
     drop_constraints: tuple[str, ...] = ()
     max_hardy: bool = False
+
+    def __post_init__(self) -> None:
+        # Dropped constraints are a set: order and repetition change nothing.
+        object.__setattr__(self, "drop_constraints", tuple(sorted(set(self.drop_constraints))))
 
     def validate(self) -> None:
         if self.command not in ("verify", "sample", "lhv-audit", "report"):
@@ -261,19 +265,12 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("heisenberg-schrodinger", worst, exact_tol))
 
     behavior = exact_behavior()
+    chain = epr_audit(None, behavior).exact
+    results.append(CheckResult("identity-ff-zero", chain.joint_ff, exact_tol))
+    results.append(CheckResult("identity-cond-ab", abs(chain.cond_ab - 1.0), exact_tol))
+    results.append(CheckResult("identity-cond-ba", abs(chain.cond_ba - 1.0), exact_tol))
     results.append(CheckResult(
-        "identity-ff-zero", behavior.prob(Setting.F, Setting.F, 1, 1), exact_tol))
-    results.append(CheckResult(
-        "identity-cond-ab",
-        abs(conditional(behavior, ("A", Setting.F, 1), ("B", Setting.G, 1)) - 1.0),
-        exact_tol))
-    results.append(CheckResult(
-        "identity-cond-ba",
-        abs(conditional(behavior, ("B", Setting.F, 1), ("A", Setting.G, 1)) - 1.0),
-        exact_tol))
-    results.append(CheckResult(
-        "identity-gg-hardy",
-        abs(behavior.prob(Setting.G, Setting.G, 1, 1) - float(lhv.HARDY_VALUE)), exact_tol))
+        "identity-gg-hardy", abs(chain.hardy_fraction - float(lhv.HARDY_VALUE)), exact_tol))
 
     # All 36 cells against the exact Born tables; the 0 row and column are exactly 0.
     basis = {Setting.F: "phi", Setting.G: "psi"}
@@ -498,8 +495,8 @@ def cmd_report(cfg: RunConfig) -> int:
         lines = [f"# {k}: {v}" for k, v in cfg.metadata().items()]
         lines.append("setting_pair,outcome_a,outcome_b,probability")
         for pair, table in payload["exact_behavior"]["tables"].items():
-            for i, la in enumerate((-1, 1, 0)):
-                for j, lb in enumerate((-1, 1, 0)):
+            for i, la in enumerate(LABEL_ORDER):
+                for j, lb in enumerate(LABEL_ORDER):
                     lines.append(f"{pair},{la},{lb},{table[i][j]:.15f}")
         text = "\n".join(lines) + "\n"
     else:
@@ -532,63 +529,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=parse_seed, default=0,
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # Options left off the command line stay out of the namespace, so
+        # RunConfig's field defaults apply; each dest is a RunConfig field.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--seed", dest="root_seed", metavar="SEED", type=parse_seed,
                        help="64-bit root seed, decimal or 0x hex (default 0)")
-        p.add_argument("--out", type=Path, default=None,
+        p.add_argument("--out", dest="output_dir", metavar="OUT", type=Path,
                        help=f"output directory (env {ENV_OUTPUT_DIR} overrides the default)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--format", choices=("json", "csv", "text"))
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the exact verification suite")
-    common(p_verify)
-    p_verify.add_argument("--tolerance", type=float, default=None,
+    p_verify = command("verify", "run the exact verification suite")
+    p_verify.add_argument("--tolerance", type=float,
                           help="override the exact-identity tolerance (default 1e-12; "
                                "values below ~1e-15 sit under the floating-point floor "
                                "and are expected to fail)")
 
-    p_sample = sub.add_parser("sample", help="run seeded Monte Carlo trials")
-    common(p_sample)
-    p_sample.add_argument("--trials", type=int, default=1_000_000,
-                          help="number of trials (default 1e6)")
+    p_sample = command("sample", "run seeded Monte Carlo trials")
+    p_sample.add_argument("--trials", type=int, help="number of trials (default 1e6)")
+    # sample's own spelling of the uniform policy; the other commands hash
+    # RunConfig's "uniform_random", so the two defaults stay distinct.
     p_sample.add_argument(
-        "--policy",
+        "--policy", dest="setting_policy",
         choices=("uniform", "fixed:FF", "fixed:FG", "fixed:GF", "fixed:GG", "cycle"),
         default="uniform",
         help="setting selection policy (default uniform)",
     )
     p_sample.add_argument("--fixed-rotations", action="store_true",
                           help="reuse one rotation 4-tuple instead of fresh draws per trial")
-    p_sample.add_argument("--measurement", choices=MEASUREMENT_PATHS, default="pvm",
+    p_sample.add_argument("--measurement", dest="measurement_path", choices=MEASUREMENT_PATHS,
                           help="pvm: sample the -1/+1 projectors directly; protocol: "
                                "z/x single-qubit measurements plus the 4-vs-12 "
                                "classifier (default pvm)")
 
-    p_audit = sub.add_parser("lhv-audit", help="exact local-model feasibility audit")
-    common(p_audit)
-    p_audit.add_argument("--drop-constraint", action="append", default=[],
+    p_audit = command("lhv-audit", "exact local-model feasibility audit")
+    p_audit.add_argument("--drop-constraint", dest="drop_constraints", action="append",
                          metavar="NAME", help="drop a named constraint (repeatable)")
     p_audit.add_argument("--max-hardy", action="store_true",
                          help="also print the local-model ceiling for the both-G fraction")
 
-    p_report = sub.add_parser("report", help="emit the consolidated exact report")
-    common(p_report)
+    command("report", "emit the consolidated exact report")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        trials=getattr(args, "trials", 1_000_000),
-        root_seed=args.seed,
-        setting_policy=getattr(args, "policy", "uniform_random"),
-        fixed_rotations=getattr(args, "fixed_rotations", False),
-        measurement_path=getattr(args, "measurement", "pvm"),
-        output_dir=args.out,
-        format=args.format,
-        tolerance=getattr(args, "tolerance", None),
-        drop_constraints=tuple(sorted(set(getattr(args, "drop_constraint", [])))),
-        max_hardy=getattr(args, "max_hardy", False),
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

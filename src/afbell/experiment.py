@@ -32,9 +32,8 @@ from .rotations import (
     CollectiveRotation,
     apply_fourfold,
     kron_batch,
-    mix64,
-    mix64_array,
     sample_su2_batch,
+    split_seed,
 )
 
 # Index order of the outcome labels in every 3x3 table below.
@@ -111,7 +110,7 @@ class SetupRotations:
     @classmethod
     def sample(cls, seed: int) -> "SetupRotations":
         """Four independently Haar-seeded rotations derived from one seed."""
-        seeds = tuple(mix64(seed ^ tag) for tag in
+        seeds = tuple(split_seed(seed, tag) for tag in
                       (_TAG_ALICE_F, _TAG_ALICE_G, _TAG_BOB_F, _TAG_BOB_G))
         return cls(*(CollectiveRotation.sample(s) for s in seeds), seeds=seeds)
 
@@ -399,21 +398,16 @@ class JointStats:
                 self.counts[pair] = c.copy()
 
     @classmethod
-    def from_arrays(cls, setting_a: np.ndarray, setting_b: np.ndarray,
-                    outcome_a: np.ndarray, outcome_b: np.ndarray) -> "JointStats":
-        ia = (outcome_a == 1).astype(np.int64) + 2 * (outcome_a == 0).astype(np.int64)
-        ib = (outcome_b == 1).astype(np.int64) + 2 * (outcome_b == 0).astype(np.int64)
-        code = ((setting_a.astype(np.int64) * 2 + setting_b) * 3 + ia) * 3 + ib
-        flat = np.bincount(code, minlength=36)
-        stats = cls()
-        for k, (sa, sb) in enumerate(SETTING_PAIRS):
-            stats.counts[(sa, sb)] = flat[k * 9:(k + 1) * 9].reshape(3, 3)
-        return stats
-
-    @classmethod
     def from_records(cls, log: TrialLog) -> "JointStats":
         """Counts of every trial in a log."""
-        return cls.from_arrays(log.setting_a, log.setting_b, log.outcome_a, log.outcome_b)
+        ia = (log.outcome_a == 1).astype(np.int64) + 2 * (log.outcome_a == 0).astype(np.int64)
+        ib = (log.outcome_b == 1).astype(np.int64) + 2 * (log.outcome_b == 0).astype(np.int64)
+        code = ((log.setting_a.astype(np.int64) * 2 + log.setting_b) * 3 + ia) * 3 + ib
+        flat = np.bincount(code, minlength=36)
+        stats = cls()
+        for k, pair in enumerate(SETTING_PAIRS):
+            stats.counts[pair] = flat[k * 9:(k + 1) * 9].reshape(3, 3)
+        return stats
 
     def total(self, setting_a: Setting, setting_b: Setting) -> int:
         return int(self.counts[(setting_a, setting_b)].sum())
@@ -468,10 +462,10 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
         m = len(idx)
-        base = mix64_array(np.uint64(root) ^ idx)
+        base = split_seed(root, idx)
 
         if kind == "uniform":
-            bits = mix64_array(base ^ np.uint64(STREAM_SETTINGS))
+            bits = split_seed(base, STREAM_SETTINGS)
             code_a = (bits & np.uint64(1)).astype(np.int64)
             code_b = ((bits >> np.uint64(1)) & np.uint64(1)).astype(np.int64)
         elif kind == "fixed":
@@ -486,13 +480,12 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
             seed_a = np.where(code_a == 0, sa_f, sa_g)
             seed_b = np.where(code_b == 0, sb_f, sb_g)
         else:
-            seed_a = mix64_array(base ^ np.uint64(STREAM_ALICE))
-            seed_b = mix64_array(base ^ np.uint64(STREAM_BOB))
+            seed_a = split_seed(base, STREAM_ALICE)
+            seed_b = split_seed(base, STREAM_BOB)
         u_a = sample_su2_batch(seed_a)
         u_b = sample_su2_batch(seed_b)
 
-        draw = (mix64_array(base ^ np.uint64(STREAM_OUTCOME))
-                >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        draw = (split_seed(base, STREAM_OUTCOME) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
         # No table outlives its chunk, so the kernel's peak is the loop's peak.
         pick = _sample_rows(kernel(u_a, u_b, code_a, code_b), draw)
         out_a = labels[code_a, pick // k]
@@ -508,9 +501,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
 
     log = TrialLog(*(np.concatenate(cols[key]) for key in
                      ("trial", "sa", "sb", "ka", "kb", "oa", "ob")))
-    stats = JointStats.from_arrays(log.setting_a, log.setting_b,
-                                   log.outcome_a, log.outcome_b)
-    return log, stats
+    return log, JointStats.from_records(log)
 
 
 # ---------------------------------------------------------------------------
@@ -538,38 +529,24 @@ class EprAudit:
     note: str
 
 
-def _exact_chain(behavior: ExactBehavior) -> ChainValues:
-    hardy = behavior.prob(Setting.G, Setting.G, 1, 1)
-    joint_ff = behavior.prob(Setting.F, Setting.F, 1, 1)
-
-    def _cond(target, given):
-        try:
-            return conditional(behavior, target, given)
-        except ValueError:
-            return None
-
-    return ChainValues(
-        hardy_fraction=hardy,
-        cond_ab=_cond(("A", Setting.F, 1), ("B", Setting.G, 1)),
-        cond_ba=_cond(("B", Setting.F, 1), ("A", Setting.G, 1)),
-        joint_ff=joint_ff,
-    )
-
-
-def _empirical_chain(stats: JointStats) -> ChainValues:
-    def _ratio(num, den):
-        return num / den if den else None
-
-    gg = stats.counts[(Setting.G, Setting.G)]
-    ff = stats.counts[(Setting.F, Setting.F)]
-    fg = stats.counts[(Setting.F, Setting.G)]
-    gf = stats.counts[(Setting.G, Setting.F)]
+def _chain(tables: dict[tuple[Setting, Setting], np.ndarray]) -> ChainValues:
+    """The chain read off 3x3 probability tables by setting pair.  A joint
+    value is None when its table is empty (no trials), a conditional when its
+    conditioning probability is at most ZERO_EVENT_TOL."""
     one = _label_index(1)
+
+    def _joint(t):
+        return float(t[one, one]) if t.any() else None
+
+    def _cond(t, given):
+        return float(t[one, one] / given) if given > ZERO_EVENT_TOL else None
+
+    fg, gf = tables[(Setting.F, Setting.G)], tables[(Setting.G, Setting.F)]
     return ChainValues(
-        hardy_fraction=_ratio(gg[one, one], gg.sum()),
-        cond_ab=_ratio(fg[one, one], fg[:, one].sum()),
-        cond_ba=_ratio(gf[one, one], gf[one, :].sum()),
-        joint_ff=_ratio(ff[one, one], ff.sum()),
+        hardy_fraction=_joint(tables[(Setting.G, Setting.G)]),
+        cond_ab=_cond(fg, fg[:, one].sum()),
+        cond_ba=_cond(gf, gf[one, :].sum()),
+        joint_ff=_joint(tables[(Setting.F, Setting.F)]),
     )
 
 
@@ -579,10 +556,11 @@ def epr_audit(trials: TrialLog | None, exact: ExactBehavior, tol: float = 1e-9) 
 
     ``trials`` is a TrialLog, or None for an exact-only audit.
     """
-    chain = _exact_chain(exact)
+    chain = _chain(exact.tables)
     empirical = None
     if trials is not None and len(trials):
-        empirical = _empirical_chain(JointStats.from_records(trials))
+        stats = JointStats.from_records(trials)
+        empirical = _chain({pair: stats.frequency(*pair) for pair in SETTING_PAIRS})
 
     witnessed = (
         chain.hardy_fraction is not None and chain.hardy_fraction > tol

@@ -279,9 +279,8 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
 
 
 def constraints_to_json_dict(constraints: list[Constraint],
-                             strategies: tuple[Strategy, ...] | None = None) -> list[dict]:
+                             strategies: tuple[Strategy, ...]) -> list[dict]:
     """Constraints with their explicit satisfying-strategy lists."""
-    space = strategies if strategies is not None else all_strategies()
     return [
         {
             "index": i,
@@ -289,7 +288,7 @@ def constraints_to_json_dict(constraints: list[Constraint],
             "kind": c.kind,
             "value": str(c.value),
             "description": c.description,
-            "event": sorted([list(s) for s in c.event_set(space)]),
+            "event": sorted([list(s) for s in c.event_set(strategies)]),
         }
         for i, c in enumerate(constraints)
     ]

@@ -23,8 +23,6 @@ from .qstate import StateVector, build_phi, build_psi
 
 PVM_TOL = 1e-12
 
-OUTCOME_LABELS = (-1, +1, 0)
-
 
 @dataclass(frozen=True)
 class PVM:

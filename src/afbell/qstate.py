@@ -19,8 +19,6 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
 
-NORM_TOL = 1e-12
-
 # Dense storage grows as 2^n; the 8-qubit source state is the largest register.
 MAX_QUBITS = 8
 

@@ -7,9 +7,11 @@ applies it.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
 qubits 1-4 index the rows, Bob's qubits 5-8 the columns.
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
-Per-trial seeds derive from a root seed by XOR with the trial index followed
-by a 64-bit mixing permutation (the splitmix64 finalizer), so results do not
-depend on execution order.
+split_seed is the one derivation of a child seed from a parent: the parent XOR
+a key, passed through a 64-bit mixing permutation (the splitmix64 finalizer).
+It gives each trial's base seed (key: the trial index), that trial's four
+substreams (key: a STREAM_* tag) and the four fixed-rotation setup seeds (key:
+a setup tag), so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -22,43 +24,35 @@ import numpy as np
 from .qstate import StateVector
 
 _MASK64 = (1 << 64) - 1
-_MIX_MULT_1 = 0xBF58476D1CE4E5B9
-_MIX_MULT_2 = 0x94D049BB133111EB
+_MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
 _SEQ_INCREMENT = 0x9E3779B97F4A7C15
 
-# Stream tags XORed into a trial's base seed to derive independent substreams.
+# Keys that split a trial's base seed into independent substreams.
 STREAM_ALICE = 0xA5A5A5A5A11CE001
 STREAM_BOB = 0x5A5A5A5A0B0B0002
 STREAM_SETTINGS = 0xC3C3C3C35E770003
 STREAM_OUTCOME = 0x3C3C3C3C00DE0004
 
 
-def mix64(x: int) -> int:
-    """64-bit mixing permutation (splitmix64 finalizer)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX_MULT_1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX_MULT_2) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
+    """64-bit mixing permutation (splitmix64 finalizer) over uint64 values."""
     x = x.astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX_MULT_1)
+        x *= _MIX_MULT_1
         x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX_MULT_2)
+        x *= _MIX_MULT_2
         x ^= x >> np.uint64(31)
     return x
 
 
-def split_seed(root_seed: int, index: int) -> int:
-    """Per-trial seed: root XOR trial index, passed through mix64."""
-    return mix64((root_seed ^ index) & _MASK64)
+def split_seed(parent: int | np.ndarray, key: int | np.ndarray) -> int | np.ndarray:
+    """Child seed: parent XOR key, passed through mix64_array.  A uint64
+    array when either argument is an array, else a Python int."""
+    if isinstance(parent, np.ndarray) or isinstance(key, np.ndarray):
+        return mix64_array(np.asarray(parent, dtype=np.uint64) ^ np.asarray(key, dtype=np.uint64))
+    return int(mix64_array(np.uint64((int(parent) ^ int(key)) & _MASK64)))
 
 
 def _uniforms_batch(seeds: np.ndarray, count: int) -> np.ndarray:

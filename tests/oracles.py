@@ -6,7 +6,9 @@ Python, so these never share a code path with the library under test.
 references for rotated measurements: they build the full 16x16 four-fold
 power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_state``, ``tensor`` and
-``amplitude`` are the register plumbing the tests build with.
+``amplitude`` are the register plumbing the tests build with.  ``mix64`` is
+the splitmix64 finalizer in pure-int arithmetic, the reference for the
+library's uint64 seed derivation.
 """
 
 import functools
@@ -38,6 +40,17 @@ PSI1 = {
     "1010": 1.0 / SQRT3,
     "1100": -0.5 / SQRT3,
 }
+
+
+def mix64(x):
+    """splitmix64 finalizer on a Python int, reduced mod 2^64."""
+    mask = (1 << 64) - 1
+    x &= mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
 
 
 def dict_scale(a, factor):

@@ -13,10 +13,12 @@ from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
     SETTING_PAIRS,
+    ChainValues,
     ExactBehavior,
     JointStats,
     Setting,
     SetupRotations,
+    TrialLog,
     conditional,
     epr_audit,
     exact_behavior,
@@ -28,7 +30,14 @@ from afbell.experiment import (
 from afbell.lhv import HARDY_VALUE, quantum_constraints
 from afbell.observables import build_F, build_G, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES, build_eta
-from afbell.rotations import sample_su2, sample_su2_batch, split_seed
+from afbell.rotations import (
+    STREAM_ALICE,
+    STREAM_BOB,
+    CollectiveRotation,
+    sample_su2,
+    sample_su2_batch,
+    split_seed,
+)
 
 TOL = 1e-12
 
@@ -213,6 +222,29 @@ def test_run_trials_reproducible():
     # Per-trial seeds differ across trials (fresh rotations every trial) and sides.
     assert len(set(log1.seed_a.tolist())) == 4000
     assert not np.any(log1.seed_a == log1.seed_b)
+
+
+def test_run_trials_seed_streams(monkeypatch):
+    # Trial i's rotation seeds are its base seed split_seed(root, i), split
+    # again by the side's stream key; the rule holds across chunk boundaries.
+    monkeypatch.setattr(experiment, "_CHUNK", 97)
+    root = 0xFEEDFACE
+    log, _ = run_trials(300, root, "uniform")
+    bases = [split_seed(root, i) for i in log.trial.tolist()]
+    assert log.seed_a.tolist() == [split_seed(b, STREAM_ALICE) for b in bases]
+    assert log.seed_b.tolist() == [split_seed(b, STREAM_BOB) for b in bases]
+
+
+def test_setup_rotations_seeds_are_split_seeds():
+    tags = (experiment._TAG_ALICE_F, experiment._TAG_ALICE_G,
+            experiment._TAG_BOB_F, experiment._TAG_BOB_G)
+    for seed in (0, 3, 0xFEEDFACE, 2**64 - 1):
+        setup = SetupRotations.sample(seed)
+        assert all(type(s) is int for s in setup.seeds)
+        assert setup.seeds == tuple(split_seed(seed, tag) for tag in tags)
+        rotations = (setup.alice_f, setup.alice_g, setup.bob_f, setup.bob_g)
+        for rot, s in zip(rotations, setup.seeds):
+            assert np.array_equal(rot.u, CollectiveRotation.sample(s).u)
 
 
 def test_run_trials_policies():
@@ -424,6 +456,56 @@ def test_epr_audit_with_samples(behavior):
     assert abs(audit.empirical.hardy_fraction - p) < 3 * math.sqrt(p * (1 - p) / n_gg)
     assert audit.empirical.cond_ab == pytest.approx(1.0)
     assert audit.empirical.joint_ff == 0.0
+
+
+def _counter_chain(log: TrialLog) -> ChainValues:
+    """Pure-Python chain from the log's rows: None where a pair has no
+    trials or a conditioning count is 0."""
+    rows = Counter(zip(log.setting_a.tolist(), log.setting_b.tolist(),
+                       log.outcome_a.tolist(), log.outcome_b.tolist()))
+    f, g = 0, 1
+
+    def count(sa, sb, oa=None, ob=None):
+        return sum(n for (a, b, x, y), n in rows.items() if (a, b) == (sa, sb)
+                   and oa in (None, x) and ob in (None, y))
+
+    def ratio(num, den):
+        return num / den if den else None
+
+    return ChainValues(
+        hardy_fraction=ratio(count(g, g, 1, 1), count(g, g)),
+        cond_ab=ratio(count(f, g, 1, 1), count(f, g, ob=1)),
+        cond_ba=ratio(count(g, f, 1, 1), count(g, f, oa=1)),
+        joint_ff=ratio(count(f, f, 1, 1), count(f, f)),
+    )
+
+
+@pytest.mark.parametrize("policy,path,fixed", [
+    ("fixed:GG", "pvm", False),
+    ("fixed:FG", "protocol", False),
+    ("cycle", "pvm", False),
+    ("cycle", "protocol", True),
+])
+def test_epr_audit_empirical_matches_counter_oracle(behavior, policy, path, fixed):
+    log, _ = run_trials(2000, 17, policy, fixed_rotations=fixed, measurement_path=path)
+    empirical = epr_audit(log, behavior).empirical
+    expected = _counter_chain(log)
+    assert empirical == expected
+    present = {"fixed:GG": ("hardy_fraction",), "fixed:FG": ("cond_ab",)}.get(
+        policy, ("hardy_fraction", "cond_ab", "cond_ba", "joint_ff"))
+    for name, value in vars(empirical).items():
+        assert (value is None) == (name not in present), name
+
+
+def test_epr_audit_empirical_none_on_zero_conditioning_count(behavior):
+    # Both pairs have trials, but neither conditioning outcome (B: G=1 in
+    # FG, A: G=1 in GF) ever occurs.
+    n = 8
+    log = TrialLog(np.arange(n), [0, 1] * 4, [1, 0] * 4, np.zeros(n), np.zeros(n),
+                   [1, -1] * 4, [-1, 1] * 4)
+    empirical = epr_audit(log, behavior).empirical
+    assert empirical == _counter_chain(log)
+    assert empirical == ChainValues(None, None, None, None)
 
 
 def test_stats_report_structure(behavior):

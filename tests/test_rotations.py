@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import basis_state, rotate_pvm
+from oracles import basis_state, mix64, rotate_pvm
 from afbell.observables import born_distribution, build_F
 from afbell.qstate import build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
@@ -14,7 +14,6 @@ from afbell.rotations import (
     apply_collective,
     apply_fourfold,
     apply_pair,
-    mix64,
     mix64_array,
     sample_su2,
     sample_su2_batch,
@@ -25,23 +24,41 @@ INV_TOL = 1e-10
 
 
 def test_mix64_is_deterministic_and_bijective_looking():
-    assert mix64(0) == mix64(0)
-    outs = {mix64(i) for i in range(4096)}
-    assert len(outs) == 4096
-    assert all(0 <= v < 2**64 for v in outs)
+    xs = np.arange(4096, dtype=np.uint64)
+    outs = mix64_array(xs)
+    assert outs.dtype == np.uint64
+    assert np.array_equal(outs, mix64_array(xs))
+    assert len(set(outs.tolist())) == 4096
+    assert np.array_equal(xs, np.arange(4096, dtype=np.uint64))  # input left as it was
 
 
 def test_mix64_array_matches_scalar():
-    xs = np.array([0, 1, 2**63, 2**64 - 1, 123456789], dtype=np.uint64)
-    vec = mix64_array(xs)
-    for x, v in zip(xs, vec):
-        assert mix64(int(x)) == int(v)
+    xs = [0, 1, 2**63, 2**64 - 1, 123456789]
+    vec = mix64_array(np.array(xs, dtype=np.uint64))
+    assert [int(v) for v in vec] == [mix64(x) for x in xs]
 
 
 def test_split_seed_rule():
     root, index = 0xDEADBEEF, 42
     assert split_seed(root, index) == mix64(root ^ index)
     assert split_seed(root, 1) != split_seed(root, 2)
+    # Ints are reduced mod 2^64, as a uint64 seed would be.
+    assert split_seed(-1, 5) == split_seed(2**64 - 1, 5) == mix64((2**64 - 1) ^ 5)
+
+
+def test_split_seed_int_and_array_agree():
+    parents = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]
+    keys = [0, 7, 2**63 + 5, 0xA5A5A5A5A11CE001, 2**64 - 1]
+    scalar = [split_seed(p, k) for p, k in zip(parents, keys)]
+    assert all(type(s) is int for s in scalar)
+    assert scalar == [mix64(p ^ k) for p, k in zip(parents, keys)]
+    p_arr, k_arr = np.array(parents, dtype=np.uint64), np.array(keys, dtype=np.uint64)
+    out = split_seed(p_arr, k_arr)
+    assert out.dtype == np.uint64 and out.tolist() == scalar
+    # One side an array, the other an int: an array out, element by element.
+    assert split_seed(p_arr, keys[3]).tolist() == [split_seed(p, keys[3]) for p in parents]
+    assert split_seed(parents[4], k_arr).tolist() == [split_seed(parents[4], k) for k in keys]
+    assert type(split_seed(np.uint64(parents[2]), keys[2])) is int
 
 
 def test_sample_su2_deterministic():
