@@ -133,6 +133,18 @@ def parse_seed(text: str) -> int:
     return value
 
 
+def parse_trials(text: str) -> int:
+    """Trial count from an integer-valued decimal or scientific string, such
+    as 1000000 or 1e6; RunConfig.validate checks the range."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"trial count {text} is not a whole number")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
@@ -547,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "and are expected to fail)")
 
     p_sample = command("sample", "run seeded Monte Carlo trials")
-    p_sample.add_argument("--trials", type=int, help="number of trials (default 1e6)")
+    p_sample.add_argument("--trials", type=parse_trials, help="number of trials (default 1e6)")
     # sample's own spelling of the uniform policy; the other commands hash
     # RunConfig's "uniform_random", so the two defaults stay distinct.
     p_sample.add_argument(

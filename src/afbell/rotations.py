@@ -3,8 +3,9 @@
 A physical rotation of one observer's apparatus lifts to the same single-qubit
 special unitary on each of that observer's four qubits, i.e. the four-fold
 Kronecker power U (x) U (x) U (x) U; apply_fourfold is the one kernel that
-applies it.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
-qubits 1-4 index the rows, Bob's qubits 5-8 the columns.
+applies it, to each 16-long row of a (..., k, 16) stack.  An 8-qubit state is
+handled as its 16x16 amplitude grid: Alice's qubits 1-4 index the rows, Bob's
+qubits 5-8 the columns.
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
 split_seed is the one derivation of a child seed from a parent: the parent XOR
@@ -148,23 +149,30 @@ def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
-def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply U (x) U (x) U (x) U to the last, 16-long axis of x.
+def apply_fourfold(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Apply U (x) U (x) U (x) U to each 16-long row of rows (..., k, 16).
 
-    u has shape (..., 2, 2) and broadcasts against x's leading axes.  On the
-    4x4 reshape X of each 16-vector (rows: qubits 1-2, columns: qubits 3-4)
-    the four-fold power acts as (U (x) U) X (U (x) U)^T.
+    u has shape (..., 2, 2) and broadcasts against the leading axes of rows.
+    On the 4x4 reshape X of each row (rows: qubits 1-2, columns: qubits 3-4)
+    the four-fold power acts as (U (x) U) X (U (x) U)^T.  All k grids go
+    through two batched products: the 4k stacked grid rows times (U (x) U)^T,
+    then U (x) U times the k results laid side by side as a 4 x 4k block.
     """
     uu = kron_batch(u, u)
-    grid = x.reshape(*x.shape[:-1], 4, 4)
-    return (uu @ grid @ np.swapaxes(uu, -1, -2)).reshape(x.shape)
+    k = rows.shape[-2]
+    y = rows.reshape(*rows.shape[:-2], 4 * k, 4) @ np.swapaxes(uu, -1, -2)
+    lead = y.shape[:-2]
+    # Reassigning y keeps at most two row-sized arrays alive at once.
+    y = y.reshape(*lead, k, 4, 4).swapaxes(-3, -2).reshape(*lead, 4, 4 * k)
+    y = uu @ y
+    return y.reshape(*lead, 4, k, 4).swapaxes(-3, -2).reshape(*lead, k, 16)
 
 
 def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
     """Rotate a 4-qubit state by the four-fold power of r's single-qubit unitary."""
     if s.num_qubits != 4:
         raise ValueError("apply_collective expects a 4-qubit state")
-    return StateVector(4, apply_fourfold(r.u, s.amps))
+    return StateVector(4, apply_fourfold(r.u, s.amps[None])[0])
 
 
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:

@@ -8,7 +8,8 @@ power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_state``, ``tensor`` and
 ``amplitude`` are the register plumbing the tests build with.  ``mix64`` is
 the splitmix64 finalizer in pure-int arithmetic, the reference for the
-library's uint64 seed derivation.
+library's uint64 seed derivation.  ``trials_csv`` formats a trial log one row
+at a time from Python ints, the reference for the chunked CSV writer.
 """
 
 import functools
@@ -122,6 +123,23 @@ def sequential_joint(state, pvm_a, pvm_b):
             p_b = float(np.real(np.vdot(post, post @ pb.T)))
             probs[(la, lb)] = p_a * max(p_b, 0.0)
     return probs
+
+
+def trials_csv(log, metadata):
+    """The text of a trial log's CSV file, built row by row from Python ints."""
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append("trial,setting_a,setting_b,seed_a,seed_b,outcome_a,outcome_b")
+    for i in range(len(log)):
+        lines.append(",".join([
+            str(int(log.trial[i])),
+            "FG"[int(log.setting_a[i])],
+            "FG"[int(log.setting_b[i])],
+            str(int(log.seed_a[i])),
+            str(int(log.seed_b[i])),
+            str(int(log.outcome_a[i])),
+            str(int(log.outcome_b[i])),
+        ]))
+    return "".join(line + "\n" for line in lines)
 
 
 def basis_state(num_qubits, bits):

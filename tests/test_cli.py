@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, determinism, formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from afbell.cli import (
     config_from_args,
     main,
     parse_seed,
+    parse_trials,
     run_verify_suite,
 )
 from afbell.experiment import run_trials
@@ -29,6 +31,50 @@ def test_parse_seed_formats():
         parse_seed(str(2**64))
     with pytest.raises(ValueError):
         parse_seed("-1")
+
+
+def test_parse_trials_formats():
+    assert parse_trials("1000000") == parse_trials("1e6") == parse_trials("1E6") == 10**6
+    assert parse_trials("2.5e3") == parse_trials("2500.0") == 2500
+    for text in ("1.5", "nan", "inf", "-inf", "1e", "many"):
+        with pytest.raises(ValueError):
+            parse_trials(text)
+
+
+def test_sample_trials_notation(tmp_path, capsys):
+    parser = build_parser()
+
+    def sample_hash(trials):
+        args = parser.parse_args(["sample", "--trials", trials, "--seed", "5"])
+        return config_from_args(args).config_hash()
+
+    assert sample_hash("1e6") == sample_hash("1000000")
+    assert sample_hash("2e4") == "5eb3e526fb6a"
+    assert main(["sample", "--trials", "1e3", "--out", str(tmp_path)]) == EXIT_OK
+    pairs = json.loads((tmp_path / "stats.json").read_text())["stats"]["setting_pairs"]
+    assert sum(pair["trials"] for pair in pairs.values()) == 1000
+    for bad in ("1.5", "nan", "inf", "0", "-1e3"):
+        assert main(["sample", "--trials", bad, "--out", str(tmp_path)]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+# sha256 of the trials.csv data rows (every line after the '#' metadata
+# block) of `sample --trials 20000 --seed 5` on each measurement path.
+GOLDEN_CSV_ROWS = {
+    "pvm": "9cf3c306a9ae973306738ba1f29d4bb63b83f150c59c353611ecfa7b10d77dc7",
+    "protocol": "97d9b7048694b977784a4aac62450d74ffd588313e47b91dbb3058c6b456d301",
+}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_CSV_ROWS))
+def test_sample_golden_csv_rows(tmp_path, capsys, path):
+    argv = ["sample", "--trials", "20000", "--seed", "5", "--measurement", path,
+            "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    lines = (tmp_path / "trials.csv").read_bytes().splitlines(keepends=True)
+    rows = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert hashlib.sha256(rows).hexdigest() == GOLDEN_CSV_ROWS[path]
 
 
 def test_runconfig_validation():

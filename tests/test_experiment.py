@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import protocol_bras, protocol_table, rotate_pvm, sequential_joint
+from oracles import protocol_bras, protocol_table, rotate_pvm, sequential_joint, trials_csv
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -295,6 +296,25 @@ def test_golden_outcome_pins(path, n, root, fixed, digest):
     assert got == digest
 
 
+def test_pvm_kernel_memory_peak():
+    # One chunk's kernel keeps at most two row-sized arrays alive at once and
+    # traces 14.5 MiB (numpy 2.4); an apply_fourfold intermediate that
+    # outlives its next product raises that to 18.5 MiB.
+    n = experiment._CHUNK
+    u_a = sample_su2_batch(np.arange(n, dtype=np.uint64))
+    u_b = sample_su2_batch(np.arange(n, 2 * n, dtype=np.uint64))
+    code_a, code_b = np.arange(n) % 2, np.arange(n) // 2 % 2
+    kernel, _ = experiment._MEASUREMENTS["pvm"]
+    kernel(u_a, u_b, code_a, code_b)
+    tracemalloc.start()
+    try:
+        kernel(u_a, u_b, code_a, code_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_protocol_kernel_matches_dense_oracle():
     grid = build_eta().amps.reshape(16, 16)
     protocols = [local_protocol_for(s) for s in ("F", "G")]
@@ -363,6 +383,25 @@ def test_fixed_rotations_mode():
     if n > 200:
         bound = 4 * math.sqrt(0.5 / n)
         assert np.abs(freq[:2, :2] - behavior.table(Setting.G, Setting.G)[:2, :2]).max() < bound
+
+
+def test_to_csv_matches_row_oracle(tmp_path, monkeypatch):
+    # 250 rows span three 97-row chunks, the last one partial; seeds and
+    # trial indices reach past 2^63 up to 2^64 - 1.
+    monkeypatch.setattr(experiment, "_CHUNK", 97)
+    n = 250
+    idx = np.arange(n, dtype=np.uint64)
+    seed_a = split_seed(0xABCDEF, idx)
+    seed_b = split_seed(0x123456, idx)
+    seed_a[:3] = [2**63, 2**64 - 1, 0]
+    trial = idx.copy()
+    trial[-1] = 2**64 - 1
+    assert (seed_a >= 2**63).sum() > 50 and (seed_b >= 2**63).sum() > 50
+    log = TrialLog(trial, idx % 2, idx // 2 % 2, seed_a, seed_b,
+                   np.where(idx % 3 == 0, -1, 1), np.where(idx % 5 == 0, 1, -1))
+    metadata = {"version": "x", "root_seed": "5"}
+    log.to_csv(tmp_path / "trials.csv", metadata=metadata)
+    assert (tmp_path / "trials.csv").read_text() == trials_csv(log, metadata)
 
 
 def test_jointstats_paths_agree():

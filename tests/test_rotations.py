@@ -1,5 +1,6 @@
 """Seed splitting, Haar sampling, and collective-rotation invariance."""
 
+import functools
 import math
 
 import numpy as np
@@ -188,13 +189,35 @@ def test_collective_rotation_matrix_expansion():
     manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
     assert np.abs(big - manual).max() < 1e-15
     assert np.abs(big @ big.conj().T - np.eye(16)).max() < 1e-12
-    # A (n, 1, 2, 2) stack of unitaries rotates each trial's (k, 16) vectors.
+    # A (n, 2, 2) stack of unitaries rotates each trial's (k, 16) rows.
     us = sample_su2_batch(np.arange(3, dtype=np.uint64))
     vecs = np.random.default_rng(1).standard_normal((3, 5, 16)) + 0j
-    batch = apply_fourfold(us[:, None], vecs)
+    batch = apply_fourfold(us, vecs)
     for n, u in enumerate(us):
         expanded = np.kron(np.kron(u, u), np.kron(u, u))
         assert np.abs(batch[n] - vecs[n] @ expanded.T).max() < 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+def test_apply_fourfold_rows_contract(k):
+    # Each 16-long row of rows (..., k, 16) is rotated by the dense U (x) U (x)
+    # U (x) U, with u (..., 2, 2) broadcast against the leading axes of rows.
+    n = 3
+    rng = np.random.default_rng(k)
+    us = sample_su2_batch(np.arange(100, 100 + n, dtype=np.uint64))
+    rows = rng.standard_normal((n, k, 16)) + 1j * rng.standard_normal((n, k, 16))
+    dense = [functools.reduce(np.kron, [u] * 4) for u in us]
+
+    single = apply_fourfold(us[0], rows[0])
+    assert single.shape == (k, 16)
+    assert np.abs(single - rows[0] @ dense[0].T).max() < 1e-14
+
+    shared = apply_fourfold(us[0], rows)
+    per_trial = apply_fourfold(us, rows)
+    assert shared.shape == per_trial.shape == (n, k, 16)
+    for i in range(n):
+        assert np.abs(shared[i] - rows[i] @ dense[0].T).max() < 1e-14
+        assert np.abs(per_trial[i] - rows[i] @ dense[i].T).max() < 1e-14
 
 
 def test_rotation_json_export():
