@@ -24,7 +24,6 @@ from .rotations import (
     RotationPair,
     apply_collective,
     apply_pair,
-    sample_su2,
     split_seed,
 )
 from .experiment import (
@@ -55,7 +54,7 @@ __all__ = [
     "PVM", "LocalProtocol", "born_distribution", "build_F", "build_G",
     "coarse_grain", "local_protocol_for",
     "CollectiveRotation", "RotationPair", "apply_collective", "apply_pair",
-    "sample_su2", "split_seed",
+    "split_seed",
     "ExactBehavior", "JointStats", "Setting", "SetupRotations", "TrialLog",
     "conditional", "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",

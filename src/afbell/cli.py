@@ -53,7 +53,7 @@ from .qstate import (
     inner_product,
     swap_qubits_2_3,
 )
-from .rotations import CollectiveRotation, RotationPair, apply_collective, apply_pair, split_seed
+from .rotations import apply_fourfold, rotate_grids, sample_su2_batch, split_seed
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
 
@@ -162,13 +162,6 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def _random_span_state(rng: np.random.Generator, v0: StateVector, v1: StateVector) -> StateVector:
-    c = rng.standard_normal(4)
-    z0, z1 = c[0] + 1j * c[1], c[2] + 1j * c[3]
-    amps = z0 * v0.amps + z1 * v1.amps
-    return StateVector(4, amps / np.linalg.norm(amps))
-
-
 def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every check; ``tolerance`` overrides the 1e-12 exact-class default.
 
@@ -234,8 +227,9 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     for tag, v0, v1, pvm in (("F", phi[0], phi[1], build_F()), ("G", psi[0], psi[1], build_G())):
         p = proto[tag]
         coarse_pvm = coarse_grain(p)
-        for _ in range(INVARIANCE_SAMPLES):
-            state = _random_span_state(rng, v0, v1)
+        for c in rng.standard_normal((INVARIANCE_SAMPLES, 4)):
+            amps = (c[0] + 1j * c[1]) * v0.amps + (c[2] + 1j * c[3]) * v1.amps
+            state = StateVector(4, amps / np.linalg.norm(amps))
             fine = classified_distribution(state, p)
             coarse = born_distribution(state, coarse_pvm)
             exact = born_distribution(state, pvm)
@@ -246,18 +240,19 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("protocol-pvm-agreement", worst, exact_tol,
                                detail=f"{INVARIANCE_SAMPLES} random span states per setting"))
 
-    worst = 0.0
-    for k in range(INVARIANCE_SAMPLES):
-        rot = CollectiveRotation.sample(split_seed(seed, 2 * k))
-        for s in (*phi, *psi):
-            worst = max(worst, distance(apply_collective(rot, s), s))
+    # Each check draws its rotations in one batch; deviations stay per-row
+    # 1-D norms, which an axis= norm would round differently.
+    keys = np.arange(INVARIANCE_SAMPLES)
+    rows = np.stack([s.amps for s in (*phi, *psi)])
+    moved = apply_fourfold(sample_su2_batch(split_seed(seed, 2 * keys)), rows)
+    worst = max(float(np.linalg.norm(d)) for d in (moved - rows).reshape(-1, 16))
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} collective rotations x 4 states"))
 
-    worst = 0.0
-    for k in range(INVARIANCE_SAMPLES):
-        pair = RotationPair.sample(split_seed(seed, 3 * k + 1), split_seed(seed, 5 * k + 2))
-        worst = max(worst, distance(apply_pair(pair, eta), eta))
+    grid = eta.amps.reshape(16, 16)
+    moved = rotate_grids(sample_su2_batch(split_seed(seed, 3 * keys + 1)),
+                         sample_su2_batch(split_seed(seed, 5 * keys + 2)), grid)
+    worst = max(float(np.linalg.norm(d)) for d in (moved - grid).reshape(-1, 256))
     results.append(CheckResult("invariance-eta-pairs", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))
 
@@ -266,12 +261,9 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     canonical = {Setting.F: build_F(), Setting.G: build_G()}
     worst = 0.0
     for sa, sb in SETTING_PAIRS:
-        inverse = RotationPair(
-            CollectiveRotation(setup.for_side("A", sa).u.conj().T),
-            CollectiveRotation(setup.for_side("B", sb).u.conj().T),
-        )
-        moved = apply_pair(inverse, eta)
-        probs = joint_born(moved, canonical[sa], canonical[sb])
+        moved = rotate_grids(setup.for_side("A", sa).u.conj().T,
+                             setup.for_side("B", sb).u.conj().T, grid)
+        probs = joint_born(StateVector(8, moved.reshape(256)), canonical[sa], canonical[sb])
         for (la, lb), p in probs.items():
             worst = max(worst, abs(p - rotated.prob(sa, sb, la, lb)))
     results.append(CheckResult("heisenberg-schrodinger", worst, exact_tol))

@@ -51,11 +51,10 @@ ZERO_EVENT_TOL = 1e-14
 _CHUNK = 8192
 
 # Tags for deriving one rotation seed per (side, setting) in fixed-rotation
-# mode; arbitrary fixed 64-bit constants.
-_TAG_ALICE_F = 0x11111111A11CE00F
-_TAG_ALICE_G = 0x22222222A11CE00A
-_TAG_BOB_F = 0x33333333B0B0000F
-_TAG_BOB_G = 0x44444444B0B0000A
+# mode, in SetupRotations field order (Alice F, Alice G, Bob F, Bob G);
+# arbitrary fixed 64-bit constants.
+_SETUP_TAGS = np.array([0x11111111A11CE00F, 0x22222222A11CE00A,
+                        0x33333333B0B0000F, 0x44444444B0B0000A], dtype=np.uint64)
 
 
 class Setting(Enum):
@@ -111,9 +110,8 @@ class SetupRotations:
     @classmethod
     def sample(cls, seed: int) -> "SetupRotations":
         """Four independently Haar-seeded rotations derived from one seed."""
-        seeds = tuple(split_seed(seed, tag) for tag in
-                      (_TAG_ALICE_F, _TAG_ALICE_G, _TAG_BOB_F, _TAG_BOB_G))
-        return cls(*(CollectiveRotation.sample(s) for s in seeds), seeds=seeds)
+        seeds = split_seed(seed, _SETUP_TAGS)
+        return cls(*map(CollectiveRotation, sample_su2_batch(seeds)), seeds=tuple(seeds.tolist()))
 
     @classmethod
     def identity(cls) -> "SetupRotations":

@@ -11,8 +11,10 @@ Determinism contract: every random draw is a pure function of a 64-bit seed.
 split_seed is the one derivation of a child seed from a parent: the parent XOR
 a key, passed through a 64-bit mixing permutation (the splitmix64 finalizer).
 It gives each trial's base seed (key: the trial index), that trial's four
-substreams (key: a STREAM_* tag) and the four fixed-rotation setup seeds (key:
-a setup tag), so results do not depend on execution order.
+substreams (key: a STREAM_* tag), the four fixed-rotation setup seeds (key:
+a setup tag) and verify's rotation seeds, so results do not depend on
+execution order.  sample_su2_batch is the one Haar sampler; sampling runs and
+verify alike draw a whole array of seeds in one call.
 """
 
 from __future__ import annotations
@@ -48,12 +50,18 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _as_uint64(x: int | np.ndarray) -> np.ndarray | np.uint64:
+    """x as uint64; a Python int is reduced mod 2^64 first."""
+    return x.astype(np.uint64) if isinstance(x, np.ndarray) else np.uint64(int(x) & _MASK64)
+
+
 def split_seed(parent: int | np.ndarray, key: int | np.ndarray) -> int | np.ndarray:
     """Child seed: parent XOR key, passed through mix64_array.  A uint64
     array when either argument is an array, else a Python int."""
+    child = mix64_array(_as_uint64(parent) ^ _as_uint64(key))
     if isinstance(parent, np.ndarray) or isinstance(key, np.ndarray):
-        return mix64_array(np.asarray(parent, dtype=np.uint64) ^ np.asarray(key, dtype=np.uint64))
-    return int(mix64_array(np.uint64((int(parent) ^ int(key)) & _MASK64)))
+        return child
+    return int(child)
 
 
 def _uniforms_batch(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -76,18 +84,14 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_su2(rng_seed: int) -> np.ndarray:
-    """Haar-distributed SU(2) matrix, a deterministic function of the seed.
+def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) Haar SU(2) matrices, one a deterministic function of each seed.
 
     Four seed-derived standard normals form a quaternion that is normalized
     onto the unit 3-sphere; the uniform measure there is the Haar measure.
-    Delegates to the batch sampler so scalar and batch draws agree bit for bit.
+    Each row depends on its own seed only, so a draw does not depend on the
+    batch it is made in.
     """
-    return sample_su2_batch(np.array([rng_seed & _MASK64], dtype=np.uint64))[0]
-
-
-def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) Haar SU(2) samples, matching sample_su2 seed-for-seed."""
     u = _uniforms_batch(np.asarray(seeds, dtype=np.uint64), 4)
     q = _normals_from_uniforms(u)
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
@@ -123,7 +127,7 @@ class CollectiveRotation:
 
     @classmethod
     def sample(cls, rng_seed: int) -> "CollectiveRotation":
-        return cls(sample_su2(rng_seed))
+        return cls(sample_su2_batch(np.array([_as_uint64(rng_seed)]))[0])
 
     def to_json(self) -> list[list[list[float]]]:
         """2x2 matrix as [[re, im], ...] rows for report emission."""
@@ -175,9 +179,15 @@ def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
     return StateVector(4, apply_fourfold(r.u, s.amps[None])[0])
 
 
+def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """Rotate (..., 16, 16) amplitude grids: the four-fold power of u_a on the
+    rows (Alice's qubits 1-4), that of u_b on the columns (Bob's qubits 5-8).
+    u_a and u_b have shape (..., 2, 2) and broadcast as in apply_fourfold."""
+    return apply_fourfold(u_a, apply_fourfold(u_b, grids).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:
     """Apply p.r_alice to qubits 1-4 (grid rows) and p.r_bob to qubits 5-8 (columns)."""
     if s.num_qubits != 8:
         raise ValueError("apply_pair expects an 8-qubit state")
-    grid = apply_fourfold(p.r_bob.u, s.amps.reshape(16, 16))
-    return StateVector(8, apply_fourfold(p.r_alice.u, grid.T).T.reshape(256))
+    return StateVector(8, rotate_grids(p.r_alice.u, p.r_bob.u, s.amps.reshape(16, 16)).reshape(256))

@@ -35,7 +35,6 @@ from afbell.rotations import (
     STREAM_ALICE,
     STREAM_BOB,
     CollectiveRotation,
-    sample_su2,
     sample_su2_batch,
     split_seed,
 )
@@ -237,8 +236,7 @@ def test_run_trials_seed_streams(monkeypatch):
 
 
 def test_setup_rotations_seeds_are_split_seeds():
-    tags = (experiment._TAG_ALICE_F, experiment._TAG_ALICE_G,
-            experiment._TAG_BOB_F, experiment._TAG_BOB_G)
+    tags = experiment._SETUP_TAGS.tolist()
     for seed in (0, 3, 0xFEEDFACE, 2**64 - 1):
         setup = SetupRotations.sample(seed)
         assert all(type(s) is int for s in setup.seeds)
@@ -328,7 +326,8 @@ def test_protocol_kernel_matches_dense_oracle():
             assert np.abs(table - expected_for(protocols[ca], protocols[cb])).max() <= 1e-15
 
     for k in range(8):
-        u_a, u_b = sample_su2(split_seed(0x0FAC7, 2 * k)), sample_su2(split_seed(0x0FAC7, 2 * k + 1))
+        u_a = CollectiveRotation.sample(split_seed(0x0FAC7, 2 * k)).u
+        u_b = CollectiveRotation.sample(split_seed(0x0FAC7, 2 * k + 1)).u
         check(u_a, u_b, lambda pa, pb: protocol_table(grid, u_a, u_b, pa, pb))
         # The halves of the source state are rotation invariant, so the tables
         # cannot see a wrong rotation; the bras themselves can.

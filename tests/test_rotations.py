@@ -16,7 +16,6 @@ from afbell.rotations import (
     apply_fourfold,
     apply_pair,
     mix64_array,
-    sample_su2,
     sample_su2_batch,
     split_seed,
 )
@@ -60,18 +59,22 @@ def test_split_seed_int_and_array_agree():
     assert split_seed(p_arr, keys[3]).tolist() == [split_seed(p, keys[3]) for p in parents]
     assert split_seed(parents[4], k_arr).tolist() == [split_seed(parents[4], k) for k in keys]
     assert type(split_seed(np.uint64(parents[2]), keys[2])) is int
+    # A Python int beside an array is reduced mod 2^64 too, not an overflow.
+    idx = np.arange(3)
+    assert split_seed(-1, idx).tolist() == [split_seed(2**64 - 1, k) for k in range(3)]
+    assert split_seed(2**64 + 5, idx).tolist() == [split_seed(5, k) for k in range(3)]
 
 
 def test_sample_su2_deterministic():
-    a = sample_su2(987654321)
-    b = sample_su2(987654321)
+    a = CollectiveRotation.sample(987654321).u
+    b = CollectiveRotation.sample(987654321).u
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_su2(987654322))
+    assert not np.array_equal(a, CollectiveRotation.sample(987654322).u)
 
 
 def test_sample_su2_special_unitary():
     for seed in range(200):
-        u = sample_su2(split_seed(31337, seed))
+        u = CollectiveRotation.sample(split_seed(31337, seed)).u
         assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
@@ -80,7 +83,7 @@ def test_sample_su2_batch_matches_scalar():
     seeds = np.array([split_seed(7, k) for k in range(50)], dtype=np.uint64)
     batch = sample_su2_batch(seeds)
     for k, seed in enumerate(seeds):
-        assert np.array_equal(batch[k], sample_su2(int(seed)))
+        assert np.array_equal(batch[k], CollectiveRotation.sample(int(seed)).u)
 
 
 def test_haar_trace_moment():
@@ -165,7 +168,7 @@ def test_general_unitary_picks_up_global_phase_only():
     # U = e^{i theta} V with V special: the fourfold power multiplies the
     # invariant states by e^{4 i theta}; probabilities are unchanged.
     theta = 0.3721
-    v = sample_su2(991)
+    v = CollectiveRotation.sample(991).u
     u = np.exp(1j * theta) * v
     rot = CollectiveRotation(u)
     for s in (build_phi(0), build_phi(1)):
