@@ -1,6 +1,6 @@
 """Alignment-free Bell test: exact verification, Monte Carlo sampling, LHV audit."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .qstate import (
     StateVector,

@@ -8,13 +8,11 @@ handled as its 16x16 amplitude grid: Alice's qubits 1-4 index the rows, Bob's
 qubits 5-8 the columns.
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
-split_seed is the one derivation of a child seed from a parent: the parent XOR
-a key, passed through a 64-bit mixing permutation (the splitmix64 finalizer).
+split_seed is the one derivation of a child seed from a parent; it mixes the
+parent before adding the key, so the children of nearby parents stay apart.
 It gives each trial's base seed (key: the trial index), that trial's four
-substreams (key: a STREAM_* tag), the four fixed-rotation setup seeds (key:
-a setup tag) and verify's rotation seeds, so results do not depend on
-execution order.  sample_su2_batch is the one Haar sampler; sampling runs and
-verify alike draw a whole array of seeds in one call.
+substreams (key: a STREAM_* tag), the four fixed-rotation setup seeds (key: a
+setup tag) and verify's seeds, so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -56,9 +54,12 @@ def _as_uint64(x: int | np.ndarray) -> np.ndarray | np.uint64:
 
 
 def split_seed(parent: int | np.ndarray, key: int | np.ndarray) -> int | np.ndarray:
-    """Child seed: parent XOR key, passed through mix64_array.  A uint64
-    array when either argument is an array, else a Python int."""
-    child = mix64_array(_as_uint64(parent) ^ _as_uint64(key))
+    """Child seed mix64(mix64(parent) + key * _SEQ_INCREMENT) mod 2^64, the
+    splittable scheme of Steele, Lea & Flood (OOPSLA 2014).  A uint64 array
+    when either argument is an array, else a Python int."""
+    with np.errstate(over="ignore"):
+        mixed = mix64_array(_as_uint64(parent)) + _as_uint64(key) * np.uint64(_SEQ_INCREMENT)
+    child = mix64_array(mixed)
     if isinstance(parent, np.ndarray) or isinstance(key, np.ndarray):
         return child
     return int(child)
@@ -85,12 +86,10 @@ def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
 
 
 def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) Haar SU(2) matrices, one a deterministic function of each seed.
+    """(n, 2, 2) Haar SU(2) matrices, each a function of its own seed only.
 
     Four seed-derived standard normals form a quaternion that is normalized
     onto the unit 3-sphere; the uniform measure there is the Haar measure.
-    Each row depends on its own seed only, so a draw does not depend on the
-    batch it is made in.
     """
     u = _uniforms_batch(np.asarray(seeds, dtype=np.uint64), 4)
     q = _normals_from_uniforms(u)
@@ -180,9 +179,8 @@ def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
 
 
 def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
-    """Rotate (..., 16, 16) amplitude grids: the four-fold power of u_a on the
-    rows (Alice's qubits 1-4), that of u_b on the columns (Bob's qubits 5-8).
-    u_a and u_b have shape (..., 2, 2) and broadcast as in apply_fourfold."""
+    """Rotate (..., 16, 16) amplitude grids by u_a's four-fold power on the rows
+    (qubits 1-4) and u_b's on the columns (qubits 5-8), broadcast as in apply_fourfold."""
     return apply_fourfold(u_a, apply_fourfold(u_b, grids).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 

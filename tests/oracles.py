@@ -7,9 +7,10 @@ references for rotated measurements: they build the full 16x16 four-fold
 power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_state``, ``tensor`` and
 ``amplitude`` are the register plumbing the tests build with.  ``mix64`` is
-the splitmix64 finalizer in pure-int arithmetic, the reference for the
-library's uint64 seed derivation.  ``trials_csv`` formats a trial log one row
-at a time from Python ints, the reference for the chunked CSV writer.
+the splitmix64 finalizer in pure-int arithmetic and ``split`` the seed-split
+rule built from it, the references for the library's uint64 seed derivation.
+``trials_csv`` formats a trial log one row at a time from Python ints, the
+reference for the chunked CSV writer.
 """
 
 import functools
@@ -52,6 +53,12 @@ def mix64(x):
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & mask
     return x ^ (x >> 31)
+
+
+def split(parent, key):
+    """Child seed mix64(mix64(parent) + key * gamma) mod 2^64, gamma the
+    golden-ratio increment of splitmix64."""
+    return mix64(mix64(parent) + key * 0x9E3779B97F4A7C15)
 
 
 def dict_scale(a, factor):

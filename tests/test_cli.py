@@ -61,8 +61,8 @@ def test_sample_trials_notation(tmp_path, capsys):
 # sha256 of the trials.csv data rows (every line after the '#' metadata
 # block) of `sample --trials 20000 --seed 5` on each measurement path.
 GOLDEN_CSV_ROWS = {
-    "pvm": "9cf3c306a9ae973306738ba1f29d4bb63b83f150c59c353611ecfa7b10d77dc7",
-    "protocol": "97d9b7048694b977784a4aac62450d74ffd588313e47b91dbb3058c6b456d301",
+    "pvm": "ed716b8faeae4cc2ffd8bfc4e2ba2f7ded37ac8b67b3026bfe1c4458719aa324",
+    "protocol": "7f7a01a4e2712953723079bc469358f454525d04f19a27656b1444fa550ad58e",
 }
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import basis_state, mix64, rotate_pvm
+from oracles import basis_state, mix64, rotate_pvm, split
 from afbell.observables import born_distribution, build_F
 from afbell.qstate import build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
@@ -40,10 +40,10 @@ def test_mix64_array_matches_scalar():
 
 def test_split_seed_rule():
     root, index = 0xDEADBEEF, 42
-    assert split_seed(root, index) == mix64(root ^ index)
+    assert split_seed(root, index) == split(root, index)
     assert split_seed(root, 1) != split_seed(root, 2)
     # Ints are reduced mod 2^64, as a uint64 seed would be.
-    assert split_seed(-1, 5) == split_seed(2**64 - 1, 5) == mix64((2**64 - 1) ^ 5)
+    assert split_seed(-1, 5) == split_seed(2**64 - 1, 5) == split(2**64 - 1, 5)
 
 
 def test_split_seed_int_and_array_agree():
@@ -51,7 +51,7 @@ def test_split_seed_int_and_array_agree():
     keys = [0, 7, 2**63 + 5, 0xA5A5A5A5A11CE001, 2**64 - 1]
     scalar = [split_seed(p, k) for p, k in zip(parents, keys)]
     assert all(type(s) is int for s in scalar)
-    assert scalar == [mix64(p ^ k) for p, k in zip(parents, keys)]
+    assert scalar == [split(p, k) for p, k in zip(parents, keys)]
     p_arr, k_arr = np.array(parents, dtype=np.uint64), np.array(keys, dtype=np.uint64)
     out = split_seed(p_arr, k_arr)
     assert out.dtype == np.uint64 and out.tolist() == scalar
