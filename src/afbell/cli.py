@@ -240,19 +240,20 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("protocol-pvm-agreement", worst, exact_tol,
                                detail=f"{INVARIANCE_SAMPLES} random span states per setting"))
 
-    # Each check draws its rotations in one batch; deviations stay per-row
-    # 1-D norms, which an axis= norm would round differently.
+    # Each check draws its rotations in one batch, the trial axis last;
+    # deviations stay per-state 1-D norms, which an axis= norm would round
+    # differently.
     keys = np.arange(INVARIANCE_SAMPLES)
-    rows = np.stack([s.amps for s in (*phi, *psi)])
+    rows = np.stack([s.amps for s in (*phi, *psi)], axis=1)[..., None]
     moved = apply_fourfold(sample_su2_batch(split_seed(seed, 2 * keys)), rows)
-    worst = max(float(np.linalg.norm(d)) for d in (moved - rows).reshape(-1, 16))
+    worst = max(float(np.linalg.norm(d)) for d in (moved - rows).reshape(16, -1).T)
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} collective rotations x 4 states"))
 
     grid = eta.amps.reshape(16, 16)
     moved = rotate_grids(sample_su2_batch(split_seed(seed, 3 * keys + 1)),
-                         sample_su2_batch(split_seed(seed, 5 * keys + 2)), grid)
-    worst = max(float(np.linalg.norm(d)) for d in (moved - grid).reshape(-1, 256))
+                         sample_su2_batch(split_seed(seed, 5 * keys + 2)), grid[..., None])
+    worst = max(float(np.linalg.norm(d)) for d in (moved - grid[..., None]).reshape(256, -1).T)
     results.append(CheckResult("invariance-eta-pairs", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))
 

@@ -4,11 +4,13 @@ Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  Two batched
 Born-rule kernels give the joint table of each side's outcome rows through
 rotated setups, and share one closing step (square, mass check, normalize).
-The PVM kernel rotates each trial's labelled basis rows with one apply_fourfold
-call per side: the exact path runs it on complete F/G bases and sums the table
-by label, the pvm sampling path on the -1/+1 rows.  The protocol kernel builds
-each side's rotated bras of the 16 outcome strings as a Kronecker product of
-four 2x2 per-qubit factors.
+The PVM kernel holds every trial's rows as one (16, k, n) array, state axis
+first and trials last, rotates them with one apply_fourfold call per side, and
+contracts with the source grid and the closing bras in two matrix products
+over all trials at once: the exact path runs it on complete F/G bases and sums
+the table by label, the pvm sampling path on the -1/+1 rows.
+The protocol kernel builds each side's rotated bras of the 16 outcome strings
+as a Kronecker product of four 2x2 per-qubit factors.
 The sampling paths draw fresh Haar rotations per trial and sample a row pair
 from the table.  Every random quantity is a pure function of the root seed and
 the trial index, so results are identical regardless of execution order or
@@ -257,19 +259,29 @@ def _born_close(amps: np.ndarray) -> np.ndarray:
 def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
                   code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
     """(n, k, k) joint probabilities of each side's k outcome vectors through
-    that trial's rotated setups; ``vectors`` holds them conjugated, by setting.
-    Serves the pvm path (the -1/+1 rows) and exact_behavior (complete bases).
+    that trial's rotated setups; ``vectors`` (2, k, 16) holds them conjugated,
+    by setting.  Serves the pvm path (the -1/+1 rows) and exact_behavior
+    (complete bases).
 
     With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
-    conj(R_a v_a)^T G conj(R_b v_b).  Alice's bras are apply_fourfold with
-    conj(U_a) on the k rows conj(v_a) of each trial; Bob's conj(R_b) then acts
-    on the k contracted rows from the right (apply_fourfold with U_b^dagger),
-    so no rotated copy of both sides is held at once.  _born_close squares,
-    checks the mass and normalizes.
+    conj(R_a v_a)^T G conj(R_b v_b).  The rows run state axis first, trials
+    last, as (16, k, n): each trial's conj(v_a) is picked with one np.where,
+    turned into Alice's bras by apply_fourfold with conj(U_a), and contracted
+    with G in one (16 x 16) (16 x kn) product.  Bob's conj(R_b) then acts on
+    the contracted rows (apply_fourfold with U_b^dagger), and one (2k x 16)
+    (16 x kn) product against both settings' bras closes every trial, which
+    keeps its own setting's block.  Each step replaces the rows of the one
+    before, so no rotated copy of both sides is held at once.  _born_close
+    squares, checks the mass and normalizes.
     """
-    rows = apply_fourfold(u_a.conj(), vectors[code_a]) @ _ETA_GRID
-    rows = apply_fourfold(np.swapaxes(u_b.conj(), 1, 2), rows)
-    return _born_close(rows @ np.swapaxes(vectors[code_b], 1, 2))
+    k, n = vectors.shape[1], len(code_a)
+    # C-ordered (2, 16, k, 1), so the picked rows are C-ordered (16, k, n) too.
+    bras = np.ascontiguousarray(vectors.transpose(0, 2, 1))[..., None]
+    rows = apply_fourfold(u_a.conj(), np.where(code_a == 0, bras[0], bras[1]))
+    rows = (_ETA_GRID.T @ rows.reshape(16, -1)).reshape(16, k, n)
+    rows = apply_fourfold(np.swapaxes(u_b.conj(), -1, -2), rows)
+    close = (vectors.reshape(2 * k, 16) @ rows.reshape(16, -1)).reshape(2, k, k, n)
+    return _born_close(np.where(code_b == 0, close[0], close[1]).T)
 
 
 # Per setting, 1 where the protocol measures a qubit along x, 0 along z.

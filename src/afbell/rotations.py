@@ -3,9 +3,9 @@
 A physical rotation of one observer's apparatus lifts to the same single-qubit
 special unitary on each of that observer's four qubits, i.e. the four-fold
 Kronecker power U (x) U (x) U (x) U; apply_fourfold is the one kernel that
-applies it, to each 16-long row of a (..., k, 16) stack.  An 8-qubit state is
-handled as its 16x16 amplitude grid: Alice's qubits 1-4 index the rows, Bob's
-qubits 5-8 the columns.
+applies it, along axis 0 of a (16, ...) array whose trailing axes are the
+trials.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
+qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the columns).
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
 split_seed is the one derivation of a child seed from a parent; it mixes the
@@ -152,36 +152,55 @@ def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
-def apply_fourfold(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Apply U (x) U (x) U (x) U to each 16-long row of rows (..., k, 16).
+def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...); batch axes last.
 
-    u has shape (..., 2, 2) and broadcasts against the leading axes of rows.
-    On the 4x4 reshape X of each row (rows: qubits 1-2, columns: qubits 3-4)
-    the four-fold power acts as (U (x) U) X (U (x) U)^T.  All k grids go
-    through two batched products: the 4k stacked grid rows times (U (x) U)^T,
-    then U (x) U times the k results laid side by side as a 4 x 4k block.
+    u has shape (..., 2, 2) and broadcasts against the trailing axes of x, so
+    one unitary per trial multiplies that trial's columns.  The four-fold
+    power is four mode products, one per qubit (Kolda & Bader, SIAM Rev. 51,
+    455, 2009): on the view (2^q, 2, 2^(3-q), ...) of the state axis, qubit q
+    mixes as out[:, i] = u[i, 0] x[:, 0] + u[i, 1] x[:, 1], a few ufunc calls
+    over all trials at once.  The products write the two halves of one block
+    in turn, and each spent source half is the next product's scratch, so no
+    other row-sized array is made.  One block rather than two arrays lets
+    glibc's allocator reuse its pages from call to call instead of faulting in
+    fresh ones.
     """
-    uu = kron_batch(u, u)
-    k = rows.shape[-2]
-    y = rows.reshape(*rows.shape[:-2], 4 * k, 4) @ np.swapaxes(uu, -1, -2)
-    lead = y.shape[:-2]
-    # Reassigning y keeps at most two row-sized arrays alive at once.
-    y = y.reshape(*lead, k, 4, 4).swapaxes(-3, -2).reshape(*lead, 4, 4 * k)
-    y = uu @ y
-    return y.reshape(*lead, 4, k, 4).swapaxes(-3, -2).reshape(*lead, k, 16)
+    nb = max(x.ndim - 1, u.ndim - 2)
+    x = x.reshape(16, *(1,) * (nb + 1 - x.ndim), *x.shape[1:])
+    # u[i, j] is entry (i, j) with u's batch axes aligned to the trailing
+    # axes of x; a column u[:, j] broadcasts over the 2^(3-q) axis of a view.
+    u = u.reshape(-1, 4).T.reshape(2, 2, 1, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])
+    col0, col1, u01, u11 = u[:, 0], u[:, 1], u[0, 1], u[1, 1]
+    batch = np.broadcast(x[0], u01[0]).shape
+    block = np.empty((2, 16, *batch), np.result_type(u, x))
+    for q in range(4):
+        view = (2**q, 2, 2 ** (3 - q))
+        src = x.reshape(*view, *x.shape[1:])
+        dst = block[q % 2].reshape(*view, *batch)
+        np.multiply(src[:, :1], col0, out=dst)
+        if q:  # src is the other half of the block, spent after this product
+            np.multiply(src[:, 1], u01, out=src[:, 0])
+            src[:, 1] *= u11
+            dst += src
+        else:  # src is the caller's; the second half is free until q = 1
+            dst += np.multiply(src[:, 1:], col1, out=block[1].reshape(dst.shape))
+        x = block[q % 2]
+    return x
 
 
 def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
     """Rotate a 4-qubit state by the four-fold power of r's single-qubit unitary."""
     if s.num_qubits != 4:
         raise ValueError("apply_collective expects a 4-qubit state")
-    return StateVector(4, apply_fourfold(r.u, s.amps[None])[0])
+    return StateVector(4, apply_fourfold(r.u, s.amps))
 
 
 def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
-    """Rotate (..., 16, 16) amplitude grids by u_a's four-fold power on the rows
-    (qubits 1-4) and u_b's on the columns (qubits 5-8), broadcast as in apply_fourfold."""
-    return apply_fourfold(u_a, apply_fourfold(u_b, grids).swapaxes(-1, -2)).swapaxes(-1, -2)
+    """Rotate (16, 16, ...) amplitude grids by u_a's four-fold power on axis 0
+    (qubits 1-4) and u_b's on axis 1 (qubits 5-8).  u_a and u_b broadcast
+    against the batch axes 2.. of grids, as in apply_fourfold."""
+    return apply_fourfold(u_a, apply_fourfold(u_b, grids.swapaxes(0, 1)).swapaxes(0, 1))
 
 
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:

@@ -81,9 +81,20 @@ GOLDEN_OUTCOMES = [
 ]
 
 
+# sha256 of the four exact tables' float64 bytes, in SETTING_PAIRS order.
+# report and lhv-audit print these floats, so a kernel change that moves
+# any bit of them changes those outputs and must be reported.
+EXACT_TABLES_SHA256 = "38ef4fe41880586406cd35f1959f681ae7490b3d88ea118adc83cca877c897e2"
+
+
 @pytest.fixture(scope="module")
 def behavior():
     return exact_behavior()
+
+
+def test_exact_tables_bytes_pinned(behavior):
+    tables = np.stack([behavior.table(*pair) for pair in SETTING_PAIRS])
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == EXACT_TABLES_SHA256
 
 
 def test_exact_tables_match_rationals(behavior):
@@ -308,9 +319,10 @@ def test_golden_outcome_pins(path, n, root, fixed, digest):
 
 
 def test_pvm_kernel_memory_peak():
-    # One chunk's kernel keeps at most two row-sized arrays alive at once and
-    # traces 14.5 MiB (numpy 2.4); an apply_fourfold intermediate that
-    # outlives its next product raises that to 18.5 MiB.
+    # One chunk's kernel keeps at most three row-sized arrays (4 MiB each)
+    # alive at once: one step's input or output and apply_fourfold's two-row
+    # block.  It traces 12.5 MiB (numpy 2.4); keeping Alice's rotated rows
+    # alive through Bob's kernel raises that to 20.5 MiB.
     n = experiment._CHUNK
     u_a = sample_su2_batch(np.arange(n, dtype=np.uint64))
     u_b = sample_su2_batch(np.arange(n, 2 * n, dtype=np.uint64))

@@ -1,0 +1,73 @@
+"""Property-based checks: chunking, batch-of-one sampling and count merging."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afbell import experiment
+from afbell.experiment import MEASUREMENT_PATHS, JointStats, TrialLog, run_trials
+from afbell.rotations import sample_su2_batch
+
+LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
+
+# Bounded example counts and no per-example deadline: a run_trials example
+# with a chunk of 1 makes hundreds of kernel calls, and timing here is noisy.
+PROPERTY = settings(max_examples=25, deadline=None)
+
+uint64s = st.integers(0, 2**64 - 1)
+
+
+@PROPERTY
+@given(root=uint64s, n=st.integers(1, 300), chunk=st.integers(1, 300),
+       prefix=st.integers(1, 300), path=st.sampled_from(MEASUREMENT_PATHS),
+       fixed=st.booleans())
+def test_log_invariant_under_chunk_and_prefix(root, n, chunk, prefix, path, fixed):
+    # Each trial is a function of (root, trial index) alone, so no chunk size
+    # and no shorter run can change any trial of the log.
+    reference, _ = run_trials(n, root, fixed_rotations=fixed, measurement_path=path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "_CHUNK", chunk)
+        chunked, _ = run_trials(n, root, fixed_rotations=fixed, measurement_path=path)
+    head, _ = run_trials(min(prefix, n), root, fixed_rotations=fixed, measurement_path=path)
+    for col in LOG_COLUMNS:
+        assert np.array_equal(getattr(chunked, col), getattr(reference, col)), col
+        assert np.array_equal(getattr(head, col), getattr(reference, col)[:prefix]), col
+
+
+@PROPERTY
+@given(seeds=st.lists(uint64s, min_size=1, max_size=64))
+def test_su2_batch_row_is_its_batch_of_one(seeds):
+    batch = sample_su2_batch(np.array(seeds, dtype=np.uint64))
+    for row, seed in zip(batch, seeds):
+        assert np.array_equal(row, sample_su2_batch(np.array([seed], dtype=np.uint64))[0])
+
+
+def _log(rows: list[tuple[int, int, int, int]]) -> TrialLog:
+    """A log of (setting_a, setting_b, outcome_a, outcome_b) rows; the trial
+    indices and seeds do not enter the counts."""
+    setting_a, setting_b, outcome_a, outcome_b = np.array(rows, dtype=int).reshape(-1, 4).T
+    zeros = np.zeros(len(rows))
+    return TrialLog(np.arange(len(rows)), setting_a, setting_b, zeros, zeros, outcome_a, outcome_b)
+
+
+trial_logs = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1, 1]),
+              st.sampled_from([-1, 1])),
+    max_size=40,
+).map(_log)
+
+
+def _concat(logs: list[TrialLog]) -> TrialLog:
+    return TrialLog(*(np.concatenate([getattr(log, col) for log in logs]) for col in LOG_COLUMNS))
+
+
+@PROPERTY
+@given(logs=st.lists(trial_logs, min_size=3, max_size=3))
+def test_merge_is_associative_and_counts_the_concatenated_log(logs):
+    a, b, c = map(JointStats.from_records, logs)
+    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
+    whole = JointStats.from_records(_concat(logs))
+    for pair, counts in whole.counts.items():
+        assert np.array_equal(left.counts[pair], counts)
+        assert np.array_equal(right.counts[pair], counts)

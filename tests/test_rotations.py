@@ -188,39 +188,43 @@ def test_collective_rotation_validation():
 
 def test_collective_rotation_matrix_expansion():
     rot = CollectiveRotation.sample(4321)
-    big = apply_fourfold(rot.u, np.eye(16)).T
+    # Column j of the output is the four-fold power applied to basis state j.
+    big = apply_fourfold(rot.u, np.eye(16))
     manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
     assert np.abs(big - manual).max() < 1e-15
     assert np.abs(big @ big.conj().T - np.eye(16)).max() < 1e-12
-    # A (n, 2, 2) stack of unitaries rotates each trial's (k, 16) rows.
+    # A (n, 2, 2) stack of unitaries rotates each trial's (16, k) columns.
     us = sample_su2_batch(np.arange(3, dtype=np.uint64))
-    vecs = np.random.default_rng(1).standard_normal((3, 5, 16)) + 0j
+    vecs = np.random.default_rng(1).standard_normal((16, 5, 3)) + 0j
     batch = apply_fourfold(us, vecs)
     for n, u in enumerate(us):
         expanded = np.kron(np.kron(u, u), np.kron(u, u))
-        assert np.abs(batch[n] - vecs[n] @ expanded.T).max() < 1e-14
+        assert np.abs(batch[..., n] - expanded @ vecs[..., n]).max() < 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 def test_apply_fourfold_rows_contract(k):
-    # Each 16-long row of rows (..., k, 16) is rotated by the dense U (x) U (x)
-    # U (x) U, with u (..., 2, 2) broadcast against the leading axes of rows.
+    # Axis 0 of rows (16, k, n) is rotated by the dense U (x) U (x) U (x) U,
+    # with u (..., 2, 2) broadcast against the trailing (trial) axes of rows.
     n = 3
     rng = np.random.default_rng(k)
     us = sample_su2_batch(np.arange(100, 100 + n, dtype=np.uint64))
-    rows = rng.standard_normal((n, k, 16)) + 1j * rng.standard_normal((n, k, 16))
+    rows = rng.standard_normal((16, k, n)) + 1j * rng.standard_normal((16, k, n))
     dense = [functools.reduce(np.kron, [u] * 4) for u in us]
 
-    single = apply_fourfold(us[0], rows[0])
-    assert single.shape == (k, 16)
-    assert np.abs(single - rows[0] @ dense[0].T).max() < 1e-14
+    single = apply_fourfold(us[0], rows[..., 0])
+    assert single.shape == (16, k)
+    assert np.abs(single - dense[0] @ rows[..., 0]).max() < 1e-14
 
     shared = apply_fourfold(us[0], rows)
     per_trial = apply_fourfold(us, rows)
-    assert shared.shape == per_trial.shape == (n, k, 16)
+    # One set of rows (16, k, 1) against every trial's unitary.
+    spread = apply_fourfold(us, rows[..., :1])
+    assert shared.shape == per_trial.shape == spread.shape == (16, k, n)
     for i in range(n):
-        assert np.abs(shared[i] - rows[i] @ dense[0].T).max() < 1e-14
-        assert np.abs(per_trial[i] - rows[i] @ dense[i].T).max() < 1e-14
+        assert np.abs(shared[..., i] - dense[0] @ rows[..., i]).max() < 1e-14
+        assert np.abs(per_trial[..., i] - dense[i] @ rows[..., i]).max() < 1e-14
+        assert np.abs(spread[..., i] - dense[i] @ rows[..., 0]).max() < 1e-14
 
 
 def test_rotation_json_export():
