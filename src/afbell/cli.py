@@ -43,6 +43,7 @@ from .qstate import (
     BASIS_CHANGE,
     ETA_BORN_TABLES,
     ETA_EXPANSION_TABLES,
+    INTEGER_KETS,
     StateVector,
     build_eta,
     build_phi,
@@ -239,6 +240,15 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
             worst = max(worst, abs(exact[0]))
     results.append(CheckResult("protocol-pvm-agreement", worst, exact_tol,
                                detail=f"{INVARIANCE_SAMPLES} random span states per setting"))
+
+    # su(2) is spanned by the totals over qubits 2S_z, S+ and S-, and SU(2) is
+    # connected, so kets all three annihilate are fixed by every U(x)U(x)U(x)U.
+    kets = np.concatenate([INTEGER_KETS["phi"], INTEGER_KETS["psi"]]).reshape(4, 2, 2, 2, 2)
+    dev = max(int(np.abs(sum(np.moveaxis(np.tensordot(op, kets, (1, q)), 0, q)
+                             for q in range(1, 5))).max())
+              for op in ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))
+    results.append(CheckResult("invariance-generators", float(dev), 0.0,
+                               detail="exact 2S_z, S+, S- on the integer kets of phi, psi"))
 
     # Each check draws its rotations in one batch, the trial axis last;
     # deviations stay per-state 1-D norms, which an axis= norm would round

@@ -444,9 +444,11 @@ class JointStats:
         return merged
 
 
-def _sample_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF pick per trial: the index of the first cumulative entry of
-    its flattened table exceeding its uniform draw times the table's total."""
+def _sample_rows(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick per trial at u = (bits + 1)/2^53 in (0, 1], bits its 53-bit
+    draw: the first flattened cell whose cumulative sum reaches u times the
+    table's total.  A u of 0 would pick cell 0 even at probability 0."""
+    u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
     cum = np.cumsum(tables.reshape(len(tables), -1), axis=1)
     return np.minimum((cum < (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
 
@@ -499,7 +501,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         u_a = sample_su2_batch(seed_a)
         u_b = sample_su2_batch(seed_b)
 
-        draw = (split_seed(base, STREAM_OUTCOME) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        draw = split_seed(base, STREAM_OUTCOME) >> np.uint64(11)
         # No table outlives its chunk, so the kernel's peak is the loop's peak.
         pick = _sample_rows(kernel(u_a, u_b, code_a, code_b), draw)
         out_a = labels[code_a, pick // k]

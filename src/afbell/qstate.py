@@ -2,10 +2,10 @@
 
 Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
-All amplitudes are stored as complex128; exact values such as 1/(2*sqrt(3))
-are built from closed-form expressions so that 1e-12 tolerances stay
-meaningful.  States are immutable after construction and hold at most
-MAX_QUBITS = 8 qubits, the size of the source state.
+All amplitudes are stored as complex128.  The invariant states are stated once,
+as integer kets with one scale 1/sqrt(n) each, and their float amplitudes and
+exact basis change are derived from those integers.  States are immutable after
+construction and hold at most MAX_QUBITS = 8 qubits, the size of the source state.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def from_terms(num_qubits: int, terms: dict[str, complex]) -> StateVector:
-    """Build a state from a {bit string: amplitude} table (no normalization)."""
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    for bits, amp in terms.items():
-        if len(bits) != num_qubits:
-            raise ValueError(f"label {bits!r} has wrong length for {num_qubits} qubits")
-        amps[basis_index(bits)] += amp
-    return StateVector(num_qubits, amps)
-
-
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.num_qubits != b.num_qubits:
@@ -99,50 +89,45 @@ def swap_qubits_2_3(state: StateVector) -> StateVector:
     return permute_qubits(state, (1, 3, 2, 4))
 
 
-# Amplitude tables of the four invariant 4-qubit states.  Each is a total-spin
-# zero combination: the pair (phi0, phi1) spans the two-dimensional singlet
-# sector reachable by fixed local measurements, and (psi0, psi1) is the same
-# pair with qubits 2 and 3 exchanged.
-_HALF = 0.5
-_SIXTH = 1.0 / (2.0 * SQRT3)
+# The invariant pair, the one statement of the four states' amplitudes: phi_j
+# is an integer vector over the kets times 1/sqrt(n_j), so phi0 is 1/2 and phi1
+# 1/(2 sqrt3) times its integers (sqrt(12) rounds to exactly 2 sqrt(3)).  Both
+# have total spin zero and together span the singlet sector reachable by fixed
+# local measurements; (psi0, psi1) is the pair with qubits 2 and 3 exchanged.
+_PHI_KETS: tuple[tuple[int, dict[str, int]], ...] = (
+    (4, {"0101": 1, "0110": -1, "1001": -1, "1010": 1}),
+    (12, {"0011": 2, "0101": -1, "0110": -1, "1001": -1, "1010": -1, "1100": 2}),
+)
+_phi = np.array([[terms.get(format(i, "04b"), 0) for i in range(16)] for _, terms in _PHI_KETS])
+# Read-only (2, 16) integer vectors per basis, row j for pair member j.
+INTEGER_KETS: dict[str, np.ndarray] = {
+    "phi": _phi, "psi": _phi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 16)}
+for _ints in INTEGER_KETS.values():
+    _ints.setflags(write=False)
+_SCALES = np.array([1.0 / math.sqrt(n) for n, _ in _PHI_KETS])[:, None]
 
-_PHI_TERMS: dict[int, dict[str, float]] = {
-    0: {"0101": _HALF, "0110": -_HALF, "1001": -_HALF, "1010": _HALF},
-    1: {
-        "0011": 2 * _SIXTH,
-        "0101": -_SIXTH,
-        "0110": -_SIXTH,
-        "1001": -_SIXTH,
-        "1010": -_SIXTH,
-        "1100": 2 * _SIXTH,
-    },
-}
 
-_PSI_TERMS: dict[int, dict[str, float]] = {
-    0: {"0011": _HALF, "0110": -_HALF, "1001": -_HALF, "1100": _HALF},
-    1: {
-        "0011": -_SIXTH,
-        "0101": 2 * _SIXTH,
-        "0110": -_SIXTH,
-        "1001": -_SIXTH,
-        "1010": 2 * _SIXTH,
-        "1100": -_SIXTH,
-    },
-}
+def _pair(basis: str) -> np.ndarray:
+    """(2, 16) complex amplitudes of the 'phi' or 'psi' pair, row j for member j."""
+    if basis not in INTEGER_KETS:
+        raise ValueError(f"unknown basis {basis!r} (expected 'phi' or 'psi')")
+    return INTEGER_KETS[basis] * _SCALES + 0j
+
+
+def _build(basis: str, j: int) -> StateVector:
+    if j not in (0, 1):
+        raise ValueError(f"j must be 0 or 1, got {j}")
+    return StateVector(4, _pair(basis)[j])
 
 
 def build_phi(j: int) -> StateVector:
     """The j-th collectively invariant 4-qubit state (j in {0, 1})."""
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    return from_terms(4, _PHI_TERMS[j])
+    return _build("phi", j)
 
 
 def build_psi(j: int) -> StateVector:
     """build_phi(j) with qubits 2 and 3 exchanged (j in {0, 1})."""
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    return from_terms(4, _PSI_TERMS[j])
+    return _build("psi", j)
 
 
 def build_eta() -> StateVector:
@@ -156,18 +141,9 @@ def build_eta() -> StateVector:
     return StateVector(8, amps)
 
 
-def _basis_pair(name: str) -> tuple[StateVector, StateVector]:
-    if name == "phi":
-        return build_phi(0), build_phi(1)
-    if name == "psi":
-        return build_psi(0), build_psi(1)
-    raise ValueError(f"unknown basis {name!r} (expected 'phi' or 'psi')")
-
-
 def expand_eta_in(basis_a: str, basis_b: str) -> np.ndarray:
     """2x2 table of <x_a y_b|eta> for the chosen per-side bases ('phi' or 'psi')."""
-    av = np.array([s.amps for s in _basis_pair(basis_a)])
-    bv = np.array([s.amps for s in _basis_pair(basis_b)])
+    av, bv = _pair(basis_a), _pair(basis_b)
     grid = build_eta().amps.reshape(16, 16)
     return av.conj() @ grid @ bv.conj().T
 
@@ -184,11 +160,22 @@ def _real(x: tuple) -> np.ndarray:
     return x[0].astype(float) + SQRT3 * x[1].astype(float)
 
 
-# The two facts the source state's numbers follow from: build_eta's (phi, phi)
-# expansion times sqrt7, and the basis change B[i][j] = <phi_i|psi_j>.  B is
-# symmetric, so <psi_i phi_j|eta> = (B E)[i][j] and <phi_i psi_j|eta> = (E B)[i][j].
+def _inv_sqrt(n: int) -> tuple[Fraction, Fraction]:
+    """1/sqrt(n) over Q(sqrt3): 1/m for n = m^2, sqrt3/k for n = k^2/3."""
+    m, k = math.isqrt(n), math.isqrt(3 * n)
+    assert n == m * m or 3 * n == k * k, f"1/sqrt({n}) is not in Q(sqrt3)"
+    return (Fraction(1, m), Fraction(0)) if n == m * m else (Fraction(0), Fraction(1, k))
+
+
+# The source state's numbers follow from the invariant pair and one stated
+# fact, build_eta's (phi, phi) expansion E times sqrt7.  The basis change
+# B[i][j] = <phi_i|psi_j> is the pair's integer Gram matrix [[2, 6], [6, -6]]
+# times the two scales.  B is symmetric, so <psi_i phi_j|eta> = (B E)[i][j] and
+# <phi_i psi_j|eta> = (E B)[i][j].
 _ETA_PHI_PHI = (_rational([[1, 0], [0, 0]]), _rational([[0, 1], [1, 0]]))
-_BASIS_CHANGE = (_rational([[1, 0], [0, -1]]) / 2, _rational([[0, 1], [1, 0]]) / 2)
+_GRAM = INTEGER_KETS["phi"] @ INTEGER_KETS["psi"].T
+_scale = [np.array(p, dtype=object)[:, None] for p in zip(*(_inv_sqrt(n) for n, _ in _PHI_KETS))]
+_BASIS_CHANGE = tuple(_GRAM * part for part in _mul(_scale, [part.T for part in _scale]))
 _ETA_EXACT = {
     ("phi", "phi"): _ETA_PHI_PHI,
     ("phi", "psi"): _mul(_ETA_PHI_PHI, _BASIS_CHANGE),
@@ -216,6 +203,5 @@ ETA_BORN_TABLES: dict[tuple[str, str], np.ndarray] = {
 
 def eta_from_table(basis_a: str, basis_b: str, table: np.ndarray) -> StateVector:
     """Assemble an 8-qubit state as sum_ab table[a,b] |x_a> (x) |y_b>."""
-    av = np.array([s.amps for s in _basis_pair(basis_a)])
-    bv = np.array([s.amps for s in _basis_pair(basis_b)])
+    av, bv = _pair(basis_a), _pair(basis_b)
     return StateVector(8, (av.T @ table @ bv).reshape(256))

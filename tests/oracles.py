@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from afbell.observables import PVM
-from afbell.qstate import StateVector, basis_index, from_terms
+from afbell.qstate import StateVector, basis_index
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -151,7 +151,9 @@ def trials_csv(log, metadata):
 
 def basis_state(num_qubits, bits):
     """Computational basis ket |bits>."""
-    return from_terms(num_qubits, {bits: 1.0})
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[basis_index(bits)] = 1.0
+    return StateVector(num_qubits, amps)
 
 
 def tensor(a, b):

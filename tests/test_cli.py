@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from afbell import __version__
+from afbell import __version__, cli
 from afbell.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO,
@@ -159,7 +159,21 @@ def test_verify_suite_all_pass():
     assert "identity-gg-hardy" in names
     assert "exact-tables" in names
     assert "rotation-robustness" in names
+    assert "invariance-generators" in names
     assert len(names) == len(set(names))
+
+
+def test_invariance_generators_row_is_exact(monkeypatch):
+    # The su(2) check is integer arithmetic: exactly 0 against tolerance 0,
+    # whatever --tolerance says.
+    row = {r.name: r for r in run_verify_suite(tolerance=1e-16)}["invariance-generators"]
+    assert (row.deviation, row.tolerance, row.passed) == (0.0, 0.0, True)
+    # One flipped sign of phi1 leaves the spin-zero sector.
+    kets = {name: ints.copy() for name, ints in cli.INTEGER_KETS.items()}
+    kets["phi"][1, int(np.flatnonzero(kets["phi"][1])[0])] *= -1
+    monkeypatch.setattr(cli, "INTEGER_KETS", kets)
+    row = {r.name: r for r in run_verify_suite()}["invariance-generators"]
+    assert row.deviation == 4.0 and not row.passed
 
 
 def test_verify_command_exit_zero(capsys):

@@ -106,8 +106,8 @@ def test_exact_tables_match_rationals(behavior):
 
 
 def test_derived_born_tables_and_constraint_values_are_exact():
-    # qstate derives the tables from the (phi, phi) expansion and the basis
-    # change; no tolerance anywhere.
+    # qstate derives the tables from the invariant pair's integer kets and
+    # eta's (phi, phi) expansion; no tolerance anywhere.
     basis = {"F": "phi", "G": "psi"}
     born = {(sa, sb): ETA_BORN_TABLES[(basis[sa], basis[sb])] for sa, sb in EXPECTED}
     for key, expected in EXPECTED.items():
@@ -292,6 +292,19 @@ def test_run_trials_outcome_zero_never_occurs():
     for pair in SETTING_PAIRS:
         c = stats.counts[pair]
         assert c[2, :].sum() == 0 and c[:, 2].sum() == 0
+
+
+def test_sample_rows_draw_ends_pick_nonzero_cells():
+    # The 53-bit draws 0 and 2^53 - 1 are u = 2^-53 and u = 1, the ends of
+    # (0, 1].  Cell 0 of the canonical protocol FF table, the string pair
+    # (0000, 0000), has probability exactly 0 and both-F labels (+1, +1), so
+    # a draw mapped to u = 0 would record the forbidden event.
+    eye = np.eye(2, dtype=complex)[None]
+    table = experiment._protocol_tables(eye, eye, np.array([0]), np.array([0]))
+    assert table[0, 0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
+    bits = np.array([0, 2**53 - 1], dtype=np.uint64)
+    picks = experiment._sample_rows(np.repeat(table, 2, axis=0), bits)
+    assert np.all(table.reshape(-1)[picks] > 0.0), picks
 
 
 @pytest.mark.parametrize("path", ["pvm", "protocol"])

@@ -1,11 +1,16 @@
 """State construction, expansion tables, and register plumbing."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import amplitude, basis_state, tensor
+from afbell import qstate
 from afbell.qstate import (
+    BASIS_CHANGE,
     ETA_EXPANSION_TABLES,
     SQRT3,
     SQRT7,
@@ -17,13 +22,18 @@ from afbell.qstate import (
     distance,
     eta_from_table,
     expand_eta_in,
-    from_terms,
     inner_product,
     permute_qubits,
     swap_qubits_2_3,
 )
 
 TOL = 1e-12
+
+# sha256 of the complex128 bytes of phi0, phi1, psi0, psi1 in that order, and
+# of BASIS_CHANGE's float64 bytes, recorded when the four states were still
+# hand-typed float tables.  Every float amplitude the package uses starts here.
+STATE_AMPS_SHA256 = "17586c54acc2cbaa17112e58efaa9f5da1e763e93879cc170d261cba56d9caac"
+BASIS_CHANGE_SHA256 = "b4a715125d2c5165145c9d6d1050f0affcf217fea784af59a07174d40932462f"
 
 
 def test_basis_index_convention():
@@ -50,6 +60,12 @@ def test_phi_amplitudes():
         for bits in (format(i, "04b") for i in range(16)):
             assert amplitude(state, bits).real == pytest.approx(table.get(bits, 0.0), abs=TOL)
             assert amplitude(state, bits).imag == 0.0
+
+
+def test_derived_amplitudes_bytes_pinned():
+    amps = b"".join(build(j).amps.tobytes() for build in (build_phi, build_psi) for j in (0, 1))
+    assert hashlib.sha256(amps).hexdigest() == STATE_AMPS_SHA256
+    assert hashlib.sha256(BASIS_CHANGE.tobytes()).hexdigest() == BASIS_CHANGE_SHA256
 
 
 def test_phi_unit_norm_and_orthogonal():
@@ -100,6 +116,12 @@ def test_change_of_basis_matrix():
     expected = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
     got = np.array([[inner_product(phi[i], psi[j]) for j in (0, 1)] for i in (0, 1)])
     assert np.abs(got - expected).max() < TOL
+    # Exactly, as qstate derives it from the integer kets: (rational, sqrt3) parts.
+    rational, sqrt3 = qstate._BASIS_CHANGE
+    half = Fraction(1, 2)
+    assert rational.tolist() == [[half, 0], [0, -half]]
+    assert sqrt3.tolist() == [[0, half], [half, 0]]
+    assert all(type(x) is Fraction for x in (*rational.flat, *sqrt3.flat))
     # Symmetric orthogonal: its own inverse.
     assert np.abs(expected @ expected - np.eye(2)).max() < TOL
 
@@ -232,12 +254,3 @@ def test_permute_qubits_roundtrip():
     assert np.array_equal(ident.amps, eta.amps)
     with pytest.raises(ValueError):
         permute_qubits(eta, (1, 1, 3, 4, 5, 6, 7, 8))
-
-
-def test_from_terms_accumulates():
-    s = from_terms(1, {"0": 0.5})
-    t = from_terms(1, {"0": 0.25, "1": 0.25})
-    assert amplitude(s, "0") == 0.5
-    assert amplitude(t, "1") == 0.25
-    with pytest.raises(ValueError):
-        from_terms(2, {"0": 1.0})
