@@ -1,16 +1,16 @@
 """Exact computation and seeded Monte Carlo sampling of the two-observer behavior.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
-measures F or G, possibly through an independently rotated setup.  Two batched
-Born-rule kernels give the joint table of each side's outcome rows through
-rotated setups, and share one closing step (square, mass check, normalize).
-The PVM kernel holds every trial's rows as one (16, k, n) array, state axis
-first and trials last, rotates them with one apply_fourfold call per side, and
-contracts with the source grid and the closing bras in two matrix products
-over all trials at once: the exact path runs it on complete F/G bases and sums
-the table by label, the pvm sampling path on the -1/+1 rows.
-The protocol kernel builds each side's rotated bras of the 16 outcome strings
-as a Kronecker product of four 2x2 per-qubit factors.
+measures F or G, possibly through an independently rotated setup.  One batched
+Born-rule kernel gives the joint table of each side's outcome rows through
+every trial's own rotated setups, trials last.  The source grid has rank 2,
+G = PHI^T C PHI with PHI the invariant pair and C eta's stated (phi, phi)
+expansion, so each side rotates just two 16-vectors per trial and contracts
+them with its rows; a per-trial rank-2 product and one closing step (square,
+mass check, normalize) give the table.  The three uses differ only in their
+rows: the exact path passes complete F/G bases and sums the table by label,
+the pvm sampling path the -1/+1 rows, and the protocol path the 16 product
+eigenvectors per setting, in chunks of 2048 trials rather than 8192.
 The sampling paths draw fresh Haar rotations per trial and sample a row pair
 from the table.  Every random quantity is a pure function of the root seed and
 the trial index, so results are identical regardless of execution order or
@@ -19,14 +19,13 @@ chunk boundaries.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .observables import _AXIS_BASES, PVM, build_F, build_G, local_protocol_for
-from .qstate import StateVector, build_eta, build_phi, build_psi
+from .observables import PVM, build_F, build_G, local_protocol_for
+from .qstate import ETA_EXPANSION_TABLES, StateVector, _pair, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -34,7 +33,6 @@ from .rotations import (
     STREAM_SETTINGS,
     CollectiveRotation,
     apply_fourfold,
-    kron_batch,
     sample_su2_batch,
     split_seed,
 )
@@ -50,6 +48,8 @@ ZERO_OUTCOME_TOL = 1e-12
 # Below this, an event's probability is numerical dust, not a real event.
 ZERO_EVENT_TOL = 1e-14
 
+# Trials per chunk: the pvm path's, and the most any path's chunk holds (see
+# _MEASUREMENTS); also the rows per write of the CSV writer.
 _CHUNK = 8192
 
 # Tags for deriving one rotation seed per (side, setting) in fixed-rotation
@@ -206,11 +206,9 @@ def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:
     setup = rotations if rotations is not None else SetupRotations.identity()
     u_a = np.array([setup.for_side("A", sa).u for sa, _ in SETTING_PAIRS])
     u_b = np.array([setup.for_side("B", sb).u for _, sb in SETTING_PAIRS])
-    fine = _tables_batch(_PVM_BASES, u_a, u_b, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+    fine = _born_tables(_PVM_BASES, u_a, u_b, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+    fine = np.moveaxis(fine, -1, 0)
     return ExactBehavior(dict(zip(SETTING_PAIRS, _LABEL_ONE_HOT.T @ fine @ _LABEL_ONE_HOT)))
-
-
-_ETA_GRID = build_eta().amps.reshape(16, 16)
 
 
 def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarray:
@@ -235,9 +233,15 @@ _PVM_BASES = np.array([
 _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
+# The source grid has rank 2: G = PHI^T C PHI, row p of _PHI the invariant
+# state phi_p and _ETA_C eta's stated (phi, phi) expansion.
+_PHI = _pair("phi")
+_ETA_C = ETA_EXPANSION_TABLES[("phi", "phi")]
+
 
 def _born_close(amps: np.ndarray) -> np.ndarray:
-    """(n, k, k) Born probabilities |amps|^2, normalized per trial in place.
+    """(k, k, n) Born probabilities |amps|^2, trials last, normalized per
+    trial in place.
 
     Aborts if any trial's total mass differs from 1 by more than
     ZERO_OUTCOME_TOL: a deficit is mass on the 0 label (outside the k x k
@@ -245,7 +249,7 @@ def _born_close(amps: np.ndarray) -> np.ndarray:
     """
     p = np.abs(amps)
     p **= 2
-    total = p.sum(axis=(1, 2), keepdims=True)
+    total = p.sum(axis=(0, 1))
     worst = float(np.abs(1.0 - total).max())
     if worst > ZERO_OUTCOME_TOL:
         raise RuntimeError(
@@ -256,69 +260,46 @@ def _born_close(amps: np.ndarray) -> np.ndarray:
     return p
 
 
-def _tables_batch(vectors: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                  code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
-    """(n, k, k) joint probabilities of each side's k outcome vectors through
-    that trial's rotated setups; ``vectors`` (2, k, 16) holds them conjugated,
-    by setting.  Serves the pvm path (the -1/+1 rows) and exact_behavior
-    (complete bases).
+def _born_tables(rows: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
+                 code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+    """(k, k, n) joint probabilities, trials last, of each side's k outcome
+    vectors through that trial's rotated setups; ``rows`` (2, k, 16) holds
+    them conjugated, by setting.  The one table kernel: exact_behavior passes
+    the complete F/G bases, the pvm path their -1/+1 rows and the protocol
+    path the conjugated product eigenbases.
 
-    With R = U (x) U (x) U (x) U, pair (a, b) has amplitude
-    conj(R_a v_a)^T G conj(R_b v_b).  The rows run state axis first, trials
-    last, as (16, k, n): each trial's conj(v_a) is picked with one np.where,
-    turned into Alice's bras by apply_fourfold with conj(U_a), and contracted
-    with G in one (16 x 16) (16 x kn) product.  Bob's conj(R_b) then acts on
-    the contracted rows (apply_fourfold with U_b^dagger), and one (2k x 16)
-    (16 x kn) product against both settings' bras closes every trial, which
-    keeps its own setting's block.  Each step replaces the rows of the one
-    before, so no rotated copy of both sides is held at once.  _born_close
-    squares, checks the mass and normalizes.
+    With R = U (x) U (x) U (x) U, pair (v, w) has amplitude
+    conj(R_a v)^T G conj(R_b w).  G = PHI^T (C PHI) has rank 2, so that is
+    sum_p y_a[p] y_b[p] with y_a[p] = conj(v)^T R_a^dagger phi_p and y_b[p] =
+    conj(w)^T R_b^dagger (C PHI)_p.  Each side rotates its two vectors by
+    every trial's own U^dagger in one apply_fourfold call, (16, 2, n), and
+    contracts them with both settings' rows in one (2k x 16) (16 x 2n)
+    product; one np.where keeps each trial's setting, (k, 2, n).  One einsum
+    over all trials gives the (k, k, n) amplitudes, and _born_close squares,
+    checks the mass and normalizes.  The phi_p are rotation invariant, so
+    R^dagger phi_p = phi_p; the rotation is applied all the same, because the
+    sampled tables are the Monte Carlo test of that invariance.
     """
-    k, n = vectors.shape[1], len(code_a)
-    # C-ordered (2, 16, k, 1), so the picked rows are C-ordered (16, k, n) too.
-    bras = np.ascontiguousarray(vectors.transpose(0, 2, 1))[..., None]
-    rows = apply_fourfold(u_a.conj(), np.where(code_a == 0, bras[0], bras[1]))
-    rows = (_ETA_GRID.T @ rows.reshape(16, -1)).reshape(16, k, n)
-    rows = apply_fourfold(np.swapaxes(u_b.conj(), -1, -2), rows)
-    close = (vectors.reshape(2 * k, 16) @ rows.reshape(16, -1)).reshape(2, k, k, n)
-    return _born_close(np.where(code_b == 0, close[0], close[1]).T)
+    k = rows.shape[1]
+
+    def side(u, code, pair):
+        rotated = apply_fourfold(np.swapaxes(u.conj(), -1, -2), pair.T[..., None])
+        y = (rows.reshape(2 * k, 16) @ rotated.reshape(16, -1)).reshape(2, k, 2, len(code))
+        return np.where(code == 0, y[0], y[1])
+
+    y_a, y_b = side(u_a, code_a, _PHI), side(u_b, code_b, _ETA_C @ _PHI)
+    return _born_close(np.einsum("ipn,jpn->ijn", y_a, y_b))
 
 
-# Per setting, 1 where the protocol measures a qubit along x, 0 along z.
-_PROTOCOL_ON_X = np.array([[axis == "x" for axis in local_protocol_for(s).axes]
-                           for s in ("F", "G")], dtype=np.intp)
-
-
-def _protocol_bras(u: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) rotated protocol bras: row i is conj(R v_i)^T, v_i the
-    eigenvector of outcome string ALL_STRINGS[i].
-
-    They factor per qubit as K = (x)_q conj(B_q) U^dagger, with B_q the 2x2
-    axis basis, so K is built from four 2x2 factors as (M1 (x) M2) (x)
-    (M3 (x) M4).  Only two factors occur: U^dagger on z axes (B_z = I) and
-    conj(B_x) U^dagger on x axes.
-    """
-    u_dag = np.swapaxes(u.conj(), 1, 2)
-    factors = np.stack([u_dag, _AXIS_BASES["x"].conj() @ u_dag], axis=1)
-    f = factors[np.arange(len(u))[:, None], _PROTOCOL_ON_X[code]]
-    return kron_batch(kron_batch(f[:, 0], f[:, 1]), kron_batch(f[:, 2], f[:, 3]))
-
-
-def _protocol_tables(u_a: np.ndarray, u_b: np.ndarray,
-                     code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) outcome-string tables |K_a G K_b^T|^2 of the protocol path.
-    Alice's bras are contracted with G and dropped before Bob's are built."""
-    rows = _protocol_bras(u_a, code_a) @ _ETA_GRID
-    return _born_close(rows @ np.swapaxes(_protocol_bras(u_b, code_b), 1, 2))
-
-
-# Per measurement path: the table kernel (u_a, u_b, code_a, code_b) and the
-# (setting, row) outcome labels.  The pvm path keeps the -1/+1 rows, so its
-# mass check catches any 0 mass.
+# Per measurement path: the conjugated outcome rows and their labels, both by
+# (setting, row), and the trials per chunk.  The pvm path keeps the -1/+1
+# rows, so its mass check catches any 0 mass.  The protocol path's (16, 16, n)
+# complex amplitudes would take 32 MiB at 8192 trials; its 2048-trial chunks
+# keep them at 8 MiB.
 _MEASUREMENTS = {
-    "pvm": (functools.partial(_tables_batch, _PVM_BASES[:, :2]), _PVM_LABELS[:, :2]),
-    "protocol": (_protocol_tables,
-                 np.array([local_protocol_for(s).labels for s in ("F", "G")])),
+    "pvm": (_PVM_BASES[:, :2], _PVM_LABELS[:, :2], _CHUNK),
+    "protocol": (np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj(),
+                 np.array([local_protocol_for(s).labels for s in ("F", "G")]), 2048),
 }
 MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
 
@@ -445,12 +426,17 @@ class JointStats:
 
 
 def _sample_rows(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Inverse-CDF pick per trial at u = (bits + 1)/2^53 in (0, 1], bits its 53-bit
-    draw: the first flattened cell whose cumulative sum reaches u times the
-    table's total.  A u of 0 would pick cell 0 even at probability 0."""
+    """Inverse-CDF pick per trial of (k, k, n) tables, trials last, at
+    u = (bits + 1)/2^53 in (0, 1], bits its 53-bit draw: the first flattened
+    cell whose cumulative sum reaches u times the table's total.  A u of 0
+    would pick cell 0 even at probability 0."""
     u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
-    cum = np.cumsum(tables.reshape(len(tables), -1), axis=1)
-    return np.minimum((cum < (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
+    cum = tables.reshape(-1, tables.shape[-1]).copy()
+    # Cell by cell over all trials at once; np.cumsum along axis 0 walks each
+    # trial's column at a large stride and is several times slower.
+    for cell in range(1, len(cum)):
+        cum[cell] += cum[cell - 1]
+    return np.minimum((cum < u * cum[-1]).sum(axis=0), len(cum) - 1)
 
 
 def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
@@ -467,16 +453,16 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         raise ValueError("need at least one trial")
     if measurement_path not in _MEASUREMENTS:
         raise ValueError(f"unknown measurement path {measurement_path!r}")
-    kernel, labels = _MEASUREMENTS[measurement_path]
-    k = labels.shape[1]
+    rows, labels, chunk = _MEASUREMENTS[measurement_path]
+    chunk, k = min(chunk, _CHUNK), labels.shape[1]
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
     fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
 
     cols: dict[str, list[np.ndarray]] = {key: [] for key in
                                          ("trial", "sa", "sb", "ka", "kb", "oa", "ob")}
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n), dtype=np.uint64)
         m = len(idx)
         base = split_seed(root, idx)
 
@@ -503,7 +489,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
 
         draw = split_seed(base, STREAM_OUTCOME) >> np.uint64(11)
         # No table outlives its chunk, so the kernel's peak is the loop's peak.
-        pick = _sample_rows(kernel(u_a, u_b, code_a, code_b), draw)
+        pick = _sample_rows(_born_tables(rows, u_a, u_b, code_a, code_b), draw)
         out_a = labels[code_a, pick // k]
         out_b = labels[code_b, pick % k]
 

@@ -23,13 +23,6 @@ SQRT7 = math.sqrt(7.0)
 MAX_QUBITS = 8
 
 
-def basis_index(bits: str) -> int:
-    """Index of the computational basis ket written as a bit string."""
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Immutable dense amplitude vector over an n-qubit register."""

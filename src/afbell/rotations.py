@@ -145,13 +145,6 @@ class RotationPair:
         return cls(CollectiveRotation.sample(seed_alice), CollectiveRotation.sample(seed_bob))
 
 
-def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the last two axes, broadcast over the leading ones."""
-    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], m * p, n * q)
-
-
 def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...); batch axes last.
 

@@ -2,13 +2,14 @@
 
 States are plain {bit string: amplitude} dicts and all arithmetic is scalar
 Python, so these never share a code path with the library under test.
-``rotate_pvm``, ``protocol_bras`` and ``protocol_table`` are the dense
+``rotate_pvm``, ``rotated_bras`` and ``born_table`` are the dense
 references for rotated measurements: they build the full 16x16 four-fold
 power with np.kron instead of the library's kernels, and ``sequential_joint``
-is the Born rule by sequential projection.  ``basis_state``, ``tensor`` and
-``amplitude`` are the register plumbing the tests build with.  ``mix64`` is
-the splitmix64 finalizer in pure-int arithmetic and ``split`` the seed-split
-rule built from it, the references for the library's uint64 seed derivation.
+is the Born rule by sequential projection.  ``basis_index``, ``basis_state``,
+``tensor`` and ``amplitude`` are the register plumbing the tests build with.
+``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
+seed-split rule built from it, the references for the library's uint64 seed
+derivation.
 ``trials_csv`` formats a trial log one row at a time from Python ints, the
 reference for the chunked CSV writer.
 """
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from afbell.observables import PVM
-from afbell.qstate import StateVector, basis_index
+from afbell.qstate import StateVector
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -102,16 +103,21 @@ def rotate_pvm(r, m):
     return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))
 
 
-def protocol_bras(u, protocol):
-    """Rows conj(R v_i)^T of a rotated local protocol, R = U (x) U (x) U (x) U
-    and v_i its eigenvector for outcome string i."""
-    return (functools.reduce(np.kron, [u] * 4) @ protocol.eigenvectors.T).T.conj()
+def rotated_bras(u, vectors):
+    """Rows conj(R v_i)^T for the rows v_i of ``vectors``, outcome vectors
+    measured through a setup rotated by R = U (x) U (x) U (x) U."""
+    return (functools.reduce(np.kron, [u] * 4) @ vectors.T).T.conj()
 
 
-def protocol_table(grid, u_a, u_b, protocol_a, protocol_b):
-    """16x16 outcome-string table of two rotated local protocols on an 8-qubit
-    grid G: |K_a G K_b^T|^2 with K the dense protocol_bras of each side."""
-    return np.abs(protocol_bras(u_a, protocol_a) @ grid @ protocol_bras(u_b, protocol_b).T) ** 2
+def born_table(grid, u_a, u_b, vectors_a, vectors_b):
+    """Joint outcome table of two rotated measurements on an 8-qubit grid G:
+    |K_a G K_b^T|^2 with K the dense rotated_bras of each side's vectors.
+    Computed in np.clongdouble (80-bit on x86-64), so its own rounding stays
+    well below a float64 kernel's."""
+    grid, u_a, u_b, vectors_a, vectors_b = (
+        np.asarray(x, dtype=np.clongdouble) for x in (grid, u_a, u_b, vectors_a, vectors_b))
+    amps = rotated_bras(u_a, vectors_a) @ grid @ rotated_bras(u_b, vectors_b).T
+    return (amps.real**2 + amps.imag**2).astype(float)
 
 
 def sequential_joint(state, pvm_a, pvm_b):
@@ -147,6 +153,14 @@ def trials_csv(log, metadata):
             str(int(log.outcome_b[i])),
         ]))
     return "".join(line + "\n" for line in lines)
+
+
+def basis_index(bits):
+    """Index of the computational basis ket written as a bit string; qubit 1
+    is the most significant bit."""
+    if not bits or any(b not in "01" for b in bits):
+        raise ValueError(f"not a bit string: {bits!r}")
+    return int(bits, 2)
 
 
 def basis_state(num_qubits, bits):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import protocol_bras, protocol_table, rotate_pvm, sequential_joint, trials_csv
+from oracles import born_table, rotate_pvm, sequential_joint, trials_csv
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -83,8 +83,11 @@ GOLDEN_OUTCOMES = [
 
 # sha256 of the four exact tables' float64 bytes, in SETTING_PAIRS order.
 # report and lhv-audit print these floats, so a kernel change that moves
-# any bit of them changes those outputs and must be reported.
-EXACT_TABLES_SHA256 = "38ef4fe41880586406cd35f1959f681ae7490b3d88ea118adc83cca877c897e2"
+# any bit of them changes those outputs and must be reported.  Recorded for
+# the rank-2 kernel: against the dense-grid kernel before it, the 13 nonzero
+# cells kept every bit and 23 zero cells moved within rounding dust (below
+# 1.5e-32).
+EXACT_TABLES_SHA256 = "ab021e35a14cf17bc087c35d99af624572bf5d91b8533485ef7a55ca64666e45"
 
 
 @pytest.fixture(scope="module")
@@ -300,10 +303,11 @@ def test_sample_rows_draw_ends_pick_nonzero_cells():
     # (0000, 0000), has probability exactly 0 and both-F labels (+1, +1), so
     # a draw mapped to u = 0 would record the forbidden event.
     eye = np.eye(2, dtype=complex)[None]
-    table = experiment._protocol_tables(eye, eye, np.array([0]), np.array([0]))
+    rows = experiment._MEASUREMENTS["protocol"][0]
+    table = experiment._born_tables(rows, eye, eye, np.array([0]), np.array([0]))
     assert table[0, 0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
     bits = np.array([0, 2**53 - 1], dtype=np.uint64)
-    picks = experiment._sample_rows(np.repeat(table, 2, axis=0), bits)
+    picks = experiment._sample_rows(np.repeat(table, 2, axis=-1), bits)
     assert np.all(table.reshape(-1)[picks] > 0.0), picks
 
 
@@ -312,9 +316,14 @@ def test_sample_rows_draw_ends_pick_nonzero_cells():
 def test_run_trials_independent_of_chunking(monkeypatch, path, fixed):
     reference, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                               measurement_path=path)
+    # _CHUNK caps every path's chunk, so patching it splits both paths.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
+    sizes, kernel = [], experiment._born_tables
+    monkeypatch.setattr(experiment, "_born_tables",
+                        lambda *args: sizes.append(len(args[-1])) or kernel(*args))
     chunked, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                             measurement_path=path)
+    assert sizes == [97] * 10 + [30]
     prefix, _ = run_trials(333, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                            measurement_path=path)
     for col in LOG_COLUMNS:
@@ -331,52 +340,103 @@ def test_golden_outcome_pins(path, n, root, fixed, digest):
     assert got == digest
 
 
-def test_pvm_kernel_memory_peak():
-    # One chunk's kernel keeps at most three row-sized arrays (4 MiB each)
-    # alive at once: one step's input or output and apply_fourfold's two-row
-    # block.  It traces 12.5 MiB (numpy 2.4); keeping Alice's rotated rows
-    # alive through Bob's kernel raises that to 20.5 MiB.
-    n = experiment._CHUNK
+def _chunk_kernel_peak(path):
+    """tracemalloc peak of one full chunk of the table kernel on a path."""
+    rows, _, chunk = experiment._MEASUREMENTS[path]
+    n = min(chunk, experiment._CHUNK)
     u_a = sample_su2_batch(np.arange(n, dtype=np.uint64))
     u_b = sample_su2_batch(np.arange(n, 2 * n, dtype=np.uint64))
     code_a, code_b = np.arange(n) % 2, np.arange(n) // 2 % 2
-    kernel, _ = experiment._MEASUREMENTS["pvm"]
-    kernel(u_a, u_b, code_a, code_b)
+    experiment._born_tables(rows, u_a, u_b, code_a, code_b)
     tracemalloc.start()
     try:
-        kernel(u_a, u_b, code_a, code_b)
-        peak = tracemalloc.get_traced_memory()[1]
+        experiment._born_tables(rows, u_a, u_b, code_a, code_b)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
 
 
-def test_protocol_kernel_matches_dense_oracle():
-    grid = build_eta().amps.reshape(16, 16)
-    protocols = [local_protocol_for(s) for s in ("F", "G")]
+def test_pvm_kernel_memory_peak():
+    # At 8192 trials each side's apply_fourfold block (8 MiB) is the largest
+    # array, and one side's is freed before the other's is made.  It traces
+    # 10.0 MiB (numpy 2.4); the dense-grid kernel before it traced 12.5 MiB.
+    assert _chunk_kernel_peak("pvm") <= 16 * 2**20
+
+
+def test_protocol_kernel_memory_peak():
+    # At 2048 trials the (16, 16, n) complex amplitudes (8 MiB) and their
+    # squares (4 MiB) are the largest arrays.  It traces 14.1 MiB (numpy
+    # 2.4); the kernel that built dense 16x16 bras per trial traced 96 MiB
+    # at its 8192-trial chunk.
+    assert _chunk_kernel_peak("protocol") <= 24 * 2**20
+
+
+# Kernel against the extended-precision dense oracle.  Over 200 random seeds
+# the largest cell error was 1.3e-15 on the F/G rows and 1.9e-16 on the
+# protocol rows, the same as the two kernels this one replaced.
+KERNEL_TOL = 2e-15
+
+
+def _kernel_against_oracle(row_sets, grid, seed):
+    """Run the table kernel on each row set for four trials, one per setting
+    pair, each with its own random setups, and compare every trial's table
+    with the dense oracle's for the same rows, setups and grid."""
     code_a, code_b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    u = sample_su2_batch(split_seed(seed, np.arange(8, dtype=np.uint64)))
+    u_a, u_b = u[:4], u[4:]
+    tables = {}
+    for name, rows in row_sets.items():
+        got = experiment._born_tables(rows, u_a, u_b, code_a, code_b)
+        k = rows.shape[1]
+        assert got.shape == (k, k, 4), name
+        for t in range(4):
+            expected = born_table(grid, u_a[t], u_b[t], rows[code_a[t]].conj(),
+                                  rows[code_b[t]].conj())
+            assert np.abs(got[..., t] - expected).max() <= KERNEL_TOL, (name, seed, t)
+        tables[name] = got
+    return tables
 
-    def check(u_a, u_b, expected_for):
-        tables = experiment._protocol_tables(np.array([u_a] * 4), np.array([u_b] * 4),
-                                             code_a, code_b)
-        assert tables.shape == (4, 16, 16)
-        for table, ca, cb in zip(tables, code_a, code_b):
-            assert np.abs(table - expected_for(protocols[ca], protocols[cb])).max() <= 1e-15
 
+def test_table_kernel_matches_dense_oracle():
+    # One kernel serves all three uses, which differ only in their rows:
+    # the complete F/G bases (exact), their -1/+1 rows (pvm) and the
+    # protocols' product eigenbases.  Unrotated setups first: the Born table
+    # of the rows themselves.
+    row_sets = {"exact": experiment._PVM_BASES,
+                **{path: rows for path, (rows, _, _) in experiment._MEASUREMENTS.items()}}
+    grid = build_eta().amps.reshape(16, 16)
+    code = np.array([0, 1])
+    eye = np.array([np.eye(2, dtype=complex)] * 2)
+    for rows in row_sets.values():
+        got = experiment._born_tables(rows, eye, eye, code, code)
+        for t in range(2):
+            expected = np.abs(rows[code[t]] @ grid @ rows[code[t]].T) ** 2
+            assert np.abs(got[..., t] - expected).max() <= KERNEL_TOL
     for k in range(8):
-        u_a = CollectiveRotation.sample(split_seed(0x0FAC7, 2 * k)).u
-        u_b = CollectiveRotation.sample(split_seed(0x0FAC7, 2 * k + 1)).u
-        check(u_a, u_b, lambda pa, pb: protocol_table(grid, u_a, u_b, pa, pb))
-        # The halves of the source state are rotation invariant, so the tables
-        # cannot see a wrong rotation; the bras themselves can.
-        for u in (u_a, u_b):
-            bras = experiment._protocol_bras(np.array([u] * 2), np.array([0, 1]))
-            for got, p in zip(bras, protocols):
-                assert np.abs(got - protocol_bras(u, p)).max() <= 1e-15
-    # Unrotated setups: the Born table of the two eigenbases themselves.
-    eye = np.eye(2, dtype=complex)
-    check(eye, eye, lambda pa, pb:
-          np.abs(pa.eigenvectors.conj() @ grid @ pb.eigenvectors.conj().T) ** 2)
+        _kernel_against_oracle(row_sets, grid, split_seed(0x0FAC7, k))
+
+
+def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
+    # The source's two Schmidt vectors are rotation invariant, so its tables
+    # cannot show whether the kernel rotates them.  Put |0000> and |1111> in
+    # their place with an asymmetric C: that source is not invariant, and a
+    # rotation that is skipped, applied to the wrong side or not taken as its
+    # adjoint moves the tables off the oracle's.  C is complex because with
+    # real rows, pair and C, U^T in place of U^dagger only conjugates every
+    # amplitude.  Only complete row sets keep all of the mass, so the pvm
+    # rows are left out.
+    pair = np.zeros((2, 16), dtype=complex)
+    pair[0, 0] = pair[1, 15] = 1.0
+    c = np.array([[0.6, 0.0], [0.48j, 0.64]])
+    monkeypatch.setattr(experiment, "_PHI", pair)
+    monkeypatch.setattr(experiment, "_ETA_C", c)
+    row_sets = {"exact": experiment._PVM_BASES,
+                "protocol": experiment._MEASUREMENTS["protocol"][0]}
+    grid = pair.T @ c @ pair
+    first = _kernel_against_oracle(row_sets, grid, 0xA5)
+    second = _kernel_against_oracle(row_sets, grid, 0x5A)
+    for name in row_sets:
+        assert np.abs(first[name] - second[name]).max() > 0.05, name
 
 
 @pytest.mark.parametrize("path", ["pvm", "protocol", "exact"])
@@ -389,8 +449,8 @@ def test_mass_off_one_raises_on_each_path(monkeypatch, path, scale):
     with pytest.raises(RuntimeError, match="total mass off 1") as excinfo:
         if path == "exact":
             u = scaled(np.arange(4, dtype=np.uint64))
-            experiment._tables_batch(experiment._PVM_BASES, u, u,
-                                     np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+            experiment._born_tables(experiment._PVM_BASES, u, u,
+                                    np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
         else:
             monkeypatch.setattr(experiment, "sample_su2_batch", scaled)
             run_trials(64, 3, "uniform", measurement_path=path)

@@ -24,7 +24,8 @@ uint64s = st.integers(0, 2**64 - 1)
        fixed=st.booleans())
 def test_log_invariant_under_chunk_and_prefix(root, n, chunk, prefix, path, fixed):
     # Each trial is a function of (root, trial index) alone, so no chunk size
-    # and no shorter run can change any trial of the log.
+    # and no shorter run can change any trial of the log.  _CHUNK caps every
+    # path's chunk, so the patch splits the protocol path's 2048 too.
     reference, _ = run_trials(n, root, fixed_rotations=fixed, measurement_path=path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "_CHUNK", chunk)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import amplitude, basis_state, tensor
+from oracles import amplitude, basis_index, basis_state, tensor
 from afbell import qstate
 from afbell.qstate import (
     BASIS_CHANGE,
@@ -15,7 +15,6 @@ from afbell.qstate import (
     SQRT3,
     SQRT7,
     StateVector,
-    basis_index,
     build_eta,
     build_phi,
     build_psi,
