@@ -234,9 +234,10 @@ _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
 # The source grid has rank 2: G = PHI^T C PHI, row p of _PHI the invariant
-# state phi_p and _ETA_C eta's stated (phi, phi) expansion.
+# state phi_p and C eta's stated (phi, phi) expansion; _C_PHI is C PHI, the
+# pair Bob's side rotates.
 _PHI = _pair("phi")
-_ETA_C = ETA_EXPANSION_TABLES[("phi", "phi")]
+_C_PHI = ETA_EXPANSION_TABLES[("phi", "phi")] @ _PHI
 
 
 def _born_close(amps: np.ndarray) -> np.ndarray:
@@ -287,7 +288,7 @@ def _born_tables(rows: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
         y = (rows.reshape(2 * k, 16) @ rotated.reshape(16, -1)).reshape(2, k, 2, len(code))
         return np.where(code == 0, y[0], y[1])
 
-    y_a, y_b = side(u_a, code_a, _PHI), side(u_b, code_b, _ETA_C @ _PHI)
+    y_a, y_b = side(u_a, code_a, _PHI), side(u_b, code_b, _C_PHI)
     return _born_close(np.einsum("ipn,jpn->ijn", y_a, y_b))
 
 
@@ -330,24 +331,26 @@ def conditional(behavior: ExactBehavior,
 
 
 class TrialLog:
-    """Columnar trial log, one array per field (cheap at millions of trials)."""
+    """Columnar trial log, one array per field (cheap at millions of trials).
+
+    Settings are 0 (F) or 1 (G) and outcomes -1 or +1; any other code is
+    rejected, since the CSV writer prints codes by byte arithmetic.
+    """
 
     def __init__(self, trial: np.ndarray, setting_a: np.ndarray, setting_b: np.ndarray,
                  seed_a: np.ndarray, seed_b: np.ndarray,
                  outcome_a: np.ndarray, outcome_b: np.ndarray) -> None:
         self.trial = np.asarray(trial, dtype=np.uint64)
-        self.setting_a = np.asarray(setting_a, dtype=np.int8)
-        self.setting_b = np.asarray(setting_b, dtype=np.int8)
+        self.setting_a = _codes(setting_a, (0, 1), "setting")
+        self.setting_b = _codes(setting_b, (0, 1), "setting")
         self.seed_a = np.asarray(seed_a, dtype=np.uint64)
         self.seed_b = np.asarray(seed_b, dtype=np.uint64)
-        self.outcome_a = np.asarray(outcome_a, dtype=np.int8)
-        self.outcome_b = np.asarray(outcome_b, dtype=np.int8)
+        self.outcome_a = _codes(outcome_a, (-1, 1), "outcome")
+        self.outcome_b = _codes(outcome_b, (-1, 1), "outcome")
         n = len(self.trial)
         if any(len(col) != n for col in (self.setting_a, self.setting_b, self.seed_a,
                                          self.seed_b, self.outcome_a, self.outcome_b)):
             raise ValueError("column length mismatch")
-        if np.any(self.outcome_a == 0) or np.any(self.outcome_b == 0):
-            raise ValueError("outcome 0 must never appear in a trial log")
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -356,26 +359,78 @@ class TrialLog:
 
     def to_csv(self, path, metadata: dict[str, str] | None = None) -> None:
         """Write the trial log as CSV, preceded by '# key: value' metadata lines.
-        Each chunk is formatted from Python ints and strs (.tolist() columns),
-        which is several times faster than formatting numpy scalars."""
-        with open(path, "w", newline="") as f:
-            for key, value in (metadata or {}).items():
-                f.write(f"# {key}: {value}\n")
-            f.write(self.CSV_HEADER + "\n")
-            letters = np.array(["F", "G"])
+
+        Rows are rendered by numpy array operations into one byte array per
+        _CHUNK rows, one write each (see _csv_rows).  Each row's bytes equal
+        f"{trial},{F or G},{F or G},{seed_a},{seed_b},{outcome_a},{outcome_b}\\n".
+        """
+        head = "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
+        cols = (self.trial, self.setting_a, self.setting_b, self.seed_a, self.seed_b,
+                self.outcome_a, self.outcome_b)
+        rows = np.tile(_CSV_ROW, (min(len(self), _CHUNK), 1))
+        keep = np.ones(rows.shape, bool)
+        with open(path, "wb") as f:
+            f.write((head + self.CSV_HEADER + "\n").encode())
             for start in range(0, len(self), _CHUNK):
-                stop = min(start + _CHUNK, len(self))
-                rows = zip(
-                    self.trial[start:stop].tolist(),
-                    letters[self.setting_a[start:stop]].tolist(),
-                    letters[self.setting_b[start:stop]].tolist(),
-                    self.seed_a[start:stop].tolist(),
-                    self.seed_b[start:stop].tolist(),
-                    self.outcome_a[start:stop].tolist(),
-                    self.outcome_b[start:stop].tolist(),
-                )
-                f.write("".join(f"{t},{sa},{sb},{ka},{kb},{oa},{ob}\n"
-                                for t, sa, sb, ka, kb, oa, ob in rows))
+                f.write(_csv_rows(rows, keep, *(col[start:start + _CHUNK] for col in cols)))
+
+
+def _codes(values, allowed: tuple[int, int], what: str) -> np.ndarray:
+    """int8 column of codes, rejecting any value outside ``allowed``."""
+    values = np.asarray(values)
+    if not np.isin(values, allowed).all():
+        raise ValueError(f"a trial log's {what} codes must be in {allowed}")
+    return values.astype(np.int8, copy=False)
+
+
+# The CSV row template: trial, seed_a and seed_b as 20 digits each (2^64 - 1
+# has 20), both setting letters F and both outcomes -1; the byte offsets of
+# the three numbers, the two letters and the two signs.
+_CSV_ROW = np.frombuffer(b"%s,F,F,%s,%s,-1,-1\n" % ((b"0" * 20,) * 3), np.uint8)
+_CSV_NUMBERS = (0, 25, 46)
+_CSV_SETTINGS = (21, 23)
+_CSV_SIGNS = (67, 70)
+# Each base-10^4 group 0..9999 as its four ASCII digits in one uint32, built
+# by array arithmetic: a Python loop over the 10^4 groups would add to the
+# import time of every CLI call.
+_DIGIT_GROUPS = ((np.arange(10**4, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]))
+                 % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+# np.searchsorted(_POWERS_OF_TEN, x, "right") is x's digit count (0 for 0);
+# row d of _KEEP_DIGITS keeps the last max(d, 1) of 20 digits, so 0 prints as
+# 0.  Viewed as 5 uint32 per row, so one gather copies a row's 20 flags.
+_POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+_KEEP_DIGITS = (np.arange(20) >= 20 - np.maximum(np.arange(21), 1)[:, None]).view(np.uint32)
+
+
+def _csv_rows(rows: np.ndarray, keep: np.ndarray, trial, setting_a, setting_b,
+              seed_a, seed_b, outcome_a, outcome_b) -> np.ndarray:
+    """The CSV bytes of up to len(rows) trials, as one uint8 array.
+
+    ``rows`` (n, 73) holds _CSV_ROW in every row and ``keep`` (n, 73) is
+    True wherever this function does not write, so their fixed bytes are set
+    once per file.  Each number is split into five base-10^4 groups by
+    uint64 division and looked up in _DIGIT_GROUPS; its keep flags drop the
+    leading zeros.  A setting letter is 'F' + code, and an outcome's '-' is
+    kept only for -1.
+    """
+    m = len(trial)
+    rows, keep = rows[:m], keep[:m]
+    groups = np.empty((m, 5), np.uint64)
+    for first, number in zip(_CSV_NUMBERS, (trial, seed_a, seed_b)):
+        x = number
+        for g in range(4, 0, -1):
+            rest = x // np.uint64(10**4)
+            np.subtract(x, rest * np.uint64(10**4), out=groups[:, g])
+            x = rest
+        groups[:, 0] = x
+        rows[:, first:first + 20] = _DIGIT_GROUPS[groups].view(np.uint8)
+        digits = np.searchsorted(_POWERS_OF_TEN, number, "right")
+        keep[:, first:first + 20] = _KEEP_DIGITS[digits].view(bool)
+    for col, setting in zip(_CSV_SETTINGS, (setting_a, setting_b)):
+        rows[:, col] = setting + ord("F")
+    for col, outcome in zip(_CSV_SIGNS, (outcome_a, outcome_b)):
+        np.less(outcome, 0, out=keep[:, col])
+    return rows.ravel()[keep.ravel()]
 
 
 class JointStats:

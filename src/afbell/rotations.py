@@ -163,7 +163,9 @@ def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = x.reshape(16, *(1,) * (nb + 1 - x.ndim), *x.shape[1:])
     # u[i, j] is entry (i, j) with u's batch axes aligned to the trailing
     # axes of x; a column u[:, j] broadcasts over the 2^(3-q) axis of a view.
-    u = u.reshape(-1, 4).T.reshape(2, 2, 1, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])
+    # Contiguous, so each product reads an entry's trials at unit stride.
+    entries = np.ascontiguousarray(u.reshape(-1, 4).T)
+    u = entries.reshape(2, 2, 1, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])
     col0, col1, u01, u11 = u[:, 0], u[:, 1], u[0, 1], u[1, 1]
     batch = np.broadcast(x[0], u01[0]).shape
     block = np.empty((2, 16, *batch), np.result_type(u, x))

@@ -429,7 +429,7 @@ def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
     pair[0, 0] = pair[1, 15] = 1.0
     c = np.array([[0.6, 0.0], [0.48j, 0.64]])
     monkeypatch.setattr(experiment, "_PHI", pair)
-    monkeypatch.setattr(experiment, "_ETA_C", c)
+    monkeypatch.setattr(experiment, "_C_PHI", c @ pair)
     row_sets = {"exact": experiment._PVM_BASES,
                 "protocol": experiment._MEASUREMENTS["protocol"][0]}
     grid = pair.T @ c @ pair
@@ -482,9 +482,15 @@ def test_fixed_rotations_mode():
         assert np.abs(freq[:2, :2] - behavior.table(Setting.G, Setting.G)[:2, :2]).max() < bound
 
 
+# Every digit-count and base-10^4 group boundary of a uint64, up to 2^64 - 1.
+CSV_EDGE_VALUES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16,
+                   10**19 - 1, 10**19, 2**64 - 1]
+
+
 def test_to_csv_matches_row_oracle(tmp_path, monkeypatch):
     # 250 rows span three 97-row chunks, the last one partial; seeds and
-    # trial indices reach past 2^63 up to 2^64 - 1.
+    # trial indices reach past 2^63 up to 2^64 - 1.  Each number column also
+    # holds every CSV_EDGE_VALUES entry, in a different chunk per column.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
     n = 250
     idx = np.arange(n, dtype=np.uint64)
@@ -493,12 +499,63 @@ def test_to_csv_matches_row_oracle(tmp_path, monkeypatch):
     seed_a[:3] = [2**63, 2**64 - 1, 0]
     trial = idx.copy()
     trial[-1] = 2**64 - 1
+    edges = len(CSV_EDGE_VALUES)
+    trial[100:100 + edges] = CSV_EDGE_VALUES
+    seed_a[200:200 + edges] = CSV_EDGE_VALUES
+    seed_b[3:3 + edges] = CSV_EDGE_VALUES
+    seed_b[3 + edges:3 + 2 * edges] = CSV_EDGE_VALUES[::-1]
     assert (seed_a >= 2**63).sum() > 50 and (seed_b >= 2**63).sum() > 50
     log = TrialLog(trial, idx % 2, idx // 2 % 2, seed_a, seed_b,
                    np.where(idx % 3 == 0, -1, 1), np.where(idx % 5 == 0, 1, -1))
     metadata = {"version": "x", "root_seed": "5"}
     log.to_csv(tmp_path / "trials.csv", metadata=metadata)
     assert (tmp_path / "trials.csv").read_text() == trials_csv(log, metadata)
+
+
+def test_to_csv_of_an_empty_log_is_its_header(tmp_path):
+    log = TrialLog(*([] for _ in range(7)))
+    log.to_csv(tmp_path / "trials.csv", metadata={"trials": "0"})
+    text = (tmp_path / "trials.csv").read_text()
+    assert text == trials_csv(log, {"trials": "0"}) == f"# trials: 0\n{TrialLog.CSV_HEADER}\n"
+
+
+@pytest.mark.parametrize("column, value", [
+    ("setting_a", 2), ("setting_b", -1), ("setting_a", 256),
+    ("outcome_a", 0), ("outcome_b", 2), ("outcome_a", -2), ("outcome_b", 257),
+])
+def test_trial_log_rejects_codes_the_csv_cannot_print(column, value):
+    # The writer prints a setting as 'F' + code and an outcome's sign from
+    # its code, so a setting of 2 would print as H and an outcome of 2 as 1.
+    # 256 and 257 would wrap to valid int8 codes if cast before the check.
+    cols = {"trial": [0, 1], "setting_a": [0, 1], "setting_b": [1, 0], "seed_a": [0, 0],
+            "seed_b": [0, 0], "outcome_a": [1, -1], "outcome_b": [-1, 1]}
+    cols[column] = np.array([cols[column][0], value])
+    with pytest.raises(ValueError, match="codes must be in"):
+        TrialLog(**cols)
+
+
+def _to_csv_peak(n, path):
+    """tracemalloc peak of writing an n-trial log, above the log itself."""
+    idx = np.arange(n, dtype=np.uint64)
+    log = TrialLog(idx, idx % 2, idx // 2 % 2, split_seed(1, idx), split_seed(2, idx),
+                   np.where(idx % 3 == 0, -1, 1), np.where(idx % 5 == 0, 1, -1))
+    tracemalloc.start()
+    try:
+        log.to_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_csv_memory_is_per_chunk(tmp_path):
+    # Only one chunk's rows, keep flags and bytes are alive at a time: 2.0
+    # MiB at 8192 rows (numpy 2.4), the same at 50k and 400k trials.  The
+    # f-string writer before it traced 2.3 MiB.  np.compress in place of the
+    # boolean index builds an int64 index of every kept byte and traced 5.6.
+    small = _to_csv_peak(50_000, tmp_path / "small.csv")
+    large = _to_csv_peak(400_000, tmp_path / "large.csv")
+    assert large <= 8 * 2**20
+    assert abs(large - small) <= 2**19
 
 
 def test_jointstats_paths_agree():

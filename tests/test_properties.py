@@ -1,10 +1,12 @@
-"""Property-based checks: chunking, batch-of-one sampling and count merging."""
+"""Property-based checks: chunking, batch-of-one sampling, count merging and
+the CSV writer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import trials_csv
 from afbell import experiment
 from afbell.experiment import MEASUREMENT_PATHS, JointStats, TrialLog, run_trials
 from afbell.rotations import sample_su2_batch
@@ -72,3 +74,18 @@ def test_merge_is_associative_and_counts_the_concatenated_log(logs):
     for pair, counts in whole.counts.items():
         assert np.array_equal(left.counts[pair], counts)
         assert np.array_equal(right.counts[pair], counts)
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(uint64s, st.integers(0, 1), st.integers(0, 1), uint64s, uint64s,
+                               st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+                     max_size=400),
+       chunk=st.integers(1, 300))
+def test_csv_bytes_match_the_row_oracle(tmp_path_factory, rows, chunk):
+    # Rows in LOG_COLUMNS order; trial and seeds span the whole uint64 range.
+    log = TrialLog(*(list(zip(*rows)) or [()] * len(LOG_COLUMNS)))
+    path = tmp_path_factory.mktemp("csv") / "trials.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "_CHUNK", chunk)
+        log.to_csv(path, metadata={"root_seed": "0"})
+    assert path.read_bytes() == trials_csv(log, {"root_seed": "0"}).encode()
