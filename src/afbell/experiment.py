@@ -340,11 +340,11 @@ class TrialLog:
     def __init__(self, trial: np.ndarray, setting_a: np.ndarray, setting_b: np.ndarray,
                  seed_a: np.ndarray, seed_b: np.ndarray,
                  outcome_a: np.ndarray, outcome_b: np.ndarray) -> None:
-        self.trial = np.asarray(trial, dtype=np.uint64)
+        self.trial = _ids(trial, "trial")
         self.setting_a = _codes(setting_a, (0, 1), "setting")
         self.setting_b = _codes(setting_b, (0, 1), "setting")
-        self.seed_a = np.asarray(seed_a, dtype=np.uint64)
-        self.seed_b = np.asarray(seed_b, dtype=np.uint64)
+        self.seed_a = _ids(seed_a, "seed")
+        self.seed_b = _ids(seed_b, "seed")
         self.outcome_a = _codes(outcome_a, (-1, 1), "outcome")
         self.outcome_b = _codes(outcome_b, (-1, 1), "outcome")
         n = len(self.trial)
@@ -373,6 +373,17 @@ class TrialLog:
             f.write((head + self.CSV_HEADER + "\n").encode())
             for start in range(0, len(self), _CHUNK):
                 f.write(_csv_rows(rows, keep, *(col[start:start + _CHUNK] for col in cols)))
+
+
+def _ids(values, what: str) -> np.ndarray:
+    """uint64 column, rejecting any value the cast would change: a negative,
+    fractional or non-finite one, or one of 2^64 or more.  Python numbers are
+    checked as objects, since numpy reads [0, 2**64 - 1] as float64."""
+    values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if values.dtype.kind not in "bu" and not (((values >= 0) & (values < 2**64)).all()
+                                              and (values % 1 == 0).all()):
+        raise ValueError(f"a trial log's {what} values must be integers in [0, 2^64)")
+    return values.astype(np.uint64, copy=False)
 
 
 def _codes(values, allowed: tuple[int, int], what: str) -> np.ndarray:
@@ -450,8 +461,8 @@ class JointStats:
     @classmethod
     def from_records(cls, log: TrialLog) -> "JointStats":
         """Counts of every trial in a log."""
-        ia = (log.outcome_a == 1).astype(np.int64) + 2 * (log.outcome_a == 0).astype(np.int64)
-        ib = (log.outcome_b == 1).astype(np.int64) + 2 * (log.outcome_b == 0).astype(np.int64)
+        ia = (log.outcome_a == 1).astype(np.int64)
+        ib = (log.outcome_b == 1).astype(np.int64)
         code = ((log.setting_a.astype(np.int64) * 2 + log.setting_b) * 3 + ia) * 3 + ib
         flat = np.bincount(code, minlength=36)
         stats = cls()

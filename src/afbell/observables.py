@@ -6,7 +6,7 @@ label 0, which has probability zero on any state in the invariant span but is
 represented explicitly so that Born distributions are total on arbitrary
 states.  The same discrimination can be done with fixed single-qubit
 measurements: two qubits along z, two along x, and a parity classifier over
-the 16 outcome strings.
+the 16 outcome strings, with integer axis bases so `verify` can prove it exactly.
 """
 
 from __future__ import annotations
@@ -118,13 +118,12 @@ def born_distribution(state: StateVector, m: PVM) -> dict[int, float]:
 # Local single-qubit protocol
 # ---------------------------------------------------------------------------
 
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-# Per-axis eigenbases, one row per recorded bit: the +1 eigenvector of
-# sigma_x is bit 0, the -1 eigenvector is bit 1 (mirroring the z-basis
-# convention).
-_AXIS_BASES: dict[str, np.ndarray] = {
-    "z": np.eye(2, dtype=complex),
-    "x": np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex),
+# Per-axis eigenbases as (squared norm n, integer rows), each row 1/sqrt(n)
+# times its integers, one row per recorded bit: the +1 eigenvector of sigma_x
+# is bit 0, the -1 eigenvector is bit 1 (mirroring the z-basis convention).
+_AXIS_BASES: dict[str, tuple[int, np.ndarray]] = {
+    "z": (1, np.eye(2, dtype=int)),
+    "x": (2, np.array([[1, 1], [1, -1]])),
 }
 
 ALL_STRINGS = tuple(format(i, "04b") for i in range(16))
@@ -136,12 +135,14 @@ class LocalProtocol:
 
     Construction also fixes the protocol's read-only product eigenbasis,
     ``eigenvectors`` (row i is the eigenvector of outcome string
-    ALL_STRINGS[i]), and ``labels`` (int8, labels[i] = classify(ALL_STRINGS[i])).
+    ALL_STRINGS[i]), its integer rows ``integer_eigenvectors`` (twice
+    eigenvectors), and ``labels`` (int8, labels[i] = classify(ALL_STRINGS[i])).
     """
 
     axes: tuple[str, str, str, str]
     classifier: Mapping[str, int]
     eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
+    integer_eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
     labels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -151,9 +152,13 @@ class LocalProtocol:
             raise ValueError("classifier must be total on all 16 outcome strings")
         if any(v not in (-1, +1) for v in self.classifier.values()):
             raise ValueError("classifier labels must be -1 or +1")
-        vecs = functools.reduce(np.kron, (_AXIS_BASES[a] for a in self.axes))
+        bases = [_AXIS_BASES[a] for a in self.axes]
+        # Scaled in complex before the kron, which fixes the signed zeros.
+        vecs = functools.reduce(np.kron, (rows * (1.0 / math.sqrt(n)) + 0j for n, rows in bases))
+        ints = functools.reduce(np.kron, (rows for _, rows in bases))
         labels = np.array([self.classifier[s] for s in ALL_STRINGS], dtype=np.int8)
-        for name, arr in (("eigenvectors", vecs), ("labels", labels)):
+        for name, arr in zip(("eigenvectors", "integer_eigenvectors", "labels"),
+                             (vecs, ints, labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -21,6 +21,7 @@ from afbell.cli import (
     run_verify_suite,
 )
 from afbell.experiment import run_trials
+from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 
 
 def test_parse_seed_formats():
@@ -160,6 +161,7 @@ def test_verify_suite_all_pass():
     assert "exact-tables" in names
     assert "rotation-robustness" in names
     assert "invariance-generators" in names
+    assert {"protocol-partition", "protocol-string-probs", "protocol-pvm-agreement"} <= set(names)
     assert len(names) == len(set(names))
 
 
@@ -174,6 +176,26 @@ def test_invariance_generators_row_is_exact(monkeypatch):
     monkeypatch.setattr(cli, "INTEGER_KETS", kets)
     row = {r.name: r for r in run_verify_suite()}["invariance-generators"]
     assert row.deviation == 4.0 and not row.passed
+
+
+def test_protocol_rows_are_exact(monkeypatch):
+    # The protocol's integer eigenbasis against the integer kets: exactly 0
+    # against tolerance 0, whatever --tolerance says.
+    rows = {r.name: r for r in run_verify_suite(tolerance=1e-16)}
+    for name in ("protocol-partition", "protocol-pvm-agreement"):
+        assert (rows[name].deviation, rows[name].tolerance, rows[name].passed) == (0.0, 0.0, True)
+    f = cli.local_protocol_for("F")
+    minus, plus = (ALL_STRINGS[int(np.flatnonzero(f.labels == label)[0])] for label in (-1, +1))
+    swapped = dict(f.classifier, **{minus: +1, plus: -1})
+    for mutant, pvm_deviation in ((LocalProtocol(f.axes, swapped), 4.0),
+                                  (LocalProtocol(("z", "x", "z", "x"), f.classifier), 20.0)):
+        monkeypatch.setattr(cli, "local_protocol_for",
+                            lambda s, m=mutant: m if s == "F" else local_protocol_for(s))
+        rows = {r.name: r for r in run_verify_suite()}
+        assert rows["protocol-pvm-agreement"].deviation == pvm_deviation
+        assert not rows["protocol-pvm-agreement"].passed
+        # Both keep 4 strings on -1, so the partition row cannot see them.
+        assert rows["protocol-partition"].passed
 
 
 def test_verify_command_exit_zero(capsys):
@@ -203,9 +225,9 @@ def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
 def test_verify_uses_seed(tmp_path, capsys):
     # Every randomized check draws from the seed, so each one's deviation moves
     # with it.  A deviation is a max of rounding errors a few ulps wide, so two
-    # seeds can tie (protocol-pvm-agreement reads 9.992e-16 at both 1 and 0x2A);
-    # a check that ignores the seed reads the same at all three.
-    randomized = ("protocol-pvm-agreement", "invariance-phi-psi", "invariance-eta-pairs",
+    # seeds can tie; a check that ignores the seed reads the same at all three.
+    # protocol-pvm-agreement draws nothing: it is an exact integer identity.
+    randomized = ("invariance-phi-psi", "invariance-eta-pairs",
                   "heisenberg-schrodinger", "rotation-robustness")
     seeds = ("1", "0x2A", "7")
     deviations = {}
@@ -215,10 +237,11 @@ def test_verify_uses_seed(tmp_path, capsys):
         payload = json.loads((out / "verify.json").read_text())
         assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
         checks = {row["name"]: row["deviation"] for row in payload["checks"]}
-        deviations[seed] = {name: checks[name] for name in randomized}
+        deviations[seed] = {name: checks[name] for name in (*randomized, "protocol-pvm-agreement")}
     capsys.readouterr()
     for name in randomized:
         assert len({deviations[seed][name] for seed in seeds}) > 1, name
+    assert {deviations[seed]["protocol-pvm-agreement"] for seed in seeds} == {0.0}
 
 
 def test_verify_json_format(tmp_path, capsys):

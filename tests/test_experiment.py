@@ -519,6 +519,11 @@ def test_to_csv_of_an_empty_log_is_its_header(tmp_path):
     assert text == trials_csv(log, {"trials": "0"}) == f"# trials: 0\n{TrialLog.CSV_HEADER}\n"
 
 
+# A valid two-trial log, column by column.
+TWO_TRIALS = {"trial": [0, 1], "setting_a": [0, 1], "setting_b": [1, 0], "seed_a": [0, 0],
+              "seed_b": [0, 0], "outcome_a": [1, -1], "outcome_b": [-1, 1]}
+
+
 @pytest.mark.parametrize("column, value", [
     ("setting_a", 2), ("setting_b", -1), ("setting_a", 256),
     ("outcome_a", 0), ("outcome_b", 2), ("outcome_a", -2), ("outcome_b", 257),
@@ -527,11 +532,30 @@ def test_trial_log_rejects_codes_the_csv_cannot_print(column, value):
     # The writer prints a setting as 'F' + code and an outcome's sign from
     # its code, so a setting of 2 would print as H and an outcome of 2 as 1.
     # 256 and 257 would wrap to valid int8 codes if cast before the check.
-    cols = {"trial": [0, 1], "setting_a": [0, 1], "setting_b": [1, 0], "seed_a": [0, 0],
-            "seed_b": [0, 0], "outcome_a": [1, -1], "outcome_b": [-1, 1]}
+    cols = dict(TWO_TRIALS)
     cols[column] = np.array([cols[column][0], value])
     with pytest.raises(ValueError, match="codes must be in"):
         TrialLog(**cols)
+
+
+@pytest.mark.parametrize("column, values", [
+    ("trial", np.array([0, -1])), ("seed_a", [0, -5]), ("seed_b", np.array([0, 2.7])),
+    ("seed_a", [0, 2**64]), ("trial", np.array([0, 2.0**64])),
+])
+def test_trial_log_rejects_ids_the_uint64_cast_would_change(column, values):
+    # Cast unchecked, -1 would be stored as 2^64 - 1, -5 as 2^64 - 5 and 2.7 as 2.
+    with pytest.raises(ValueError, match="integers in"):
+        TrialLog(**dict(TWO_TRIALS, **{column: values}))
+
+
+def test_trial_log_keeps_every_uint64_id():
+    top = 2**64 - 1
+    # A Python list, a uint64 array and float zeros.
+    log = TrialLog(**dict(TWO_TRIALS, trial=[0, top], seed_a=np.array([top, 0], np.uint64),
+                          seed_b=np.zeros(2)))
+    assert (log.trial.tolist(), log.seed_a.tolist(), log.seed_b.tolist()) == (
+        [0, top], [top, 0], [0, 0])
+    assert {col.dtype for col in (log.trial, log.seed_a, log.seed_b)} == {np.dtype(np.uint64)}
 
 
 def _to_csv_peak(n, path):

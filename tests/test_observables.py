@@ -1,5 +1,6 @@
 """PVM structure, Born distributions, and the single-qubit protocol."""
 
+import hashlib
 import json
 import math
 
@@ -154,12 +155,31 @@ def test_protocol_eigenbasis_oracle():
             assert np.array_equal(proto.eigenvectors[i], row), (tag, bits)
             assert proto.labels[i] == proto.classify(bits), (tag, bits)
         assert proto.labels.dtype == np.int8
-        for arr in (proto.eigenvectors, proto.labels):
+        for arr in (proto.eigenvectors, proto.integer_eigenvectors, proto.labels):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
     assert local_protocol_for("F") is local_protocol_for("F")
     assert local_protocol_for("G") is local_protocol_for("G")
+
+
+# sha256 of each protocol's complex128 eigenvector bytes, the rows the
+# protocol sampler reads, recorded when the axes were float constants:
+# stating them as integers must not move a bit of the sampled outcomes.
+EIGENVECTOR_SHA256 = {
+    "F": "f73564079c395b89ae112db8d32a277edbb76c64500a760d0572a172ca924401",
+    "G": "31a418b625c42c6bb71ff1834cdc27c33f6c81b0e5246d81d6882958d1b275ee",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(EIGENVECTOR_SHA256))
+def test_protocol_eigenvectors_pinned(tag):
+    proto = local_protocol_for(tag)
+    assert hashlib.sha256(proto.eigenvectors.tobytes()).hexdigest() == EIGENVECTOR_SHA256[tag]
+    # Two x axes make every integer row twice its unit eigenvector.
+    ints = proto.integer_eigenvectors
+    assert ints.dtype.kind == "i" and set(np.unique(ints)) == {-1, 0, 1}
+    assert np.abs(ints - 2 * proto.eigenvectors).max() < TOL
 
 
 def test_string_probabilities_on_discriminated_states():
