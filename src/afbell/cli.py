@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, lhv
 from .experiment import (
+    EXACT_BEHAVIOR,
     LABEL_ORDER,
     MEASUREMENT_PATHS,
     SETTING_PAIRS,
@@ -33,7 +34,6 @@ from .experiment import (
 from .observables import build_F, build_G, local_protocol_for, string_distribution
 from .qstate import (
     BASIS_CHANGE,
-    ETA_BORN_TABLES,
     ETA_EXPANSION_TABLES,
     INTEGER_KETS,
     StateVector,
@@ -182,7 +182,8 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
                                exact_tol))
 
     dev = max(distance(psi[j], swap_qubits_2_3(phi[j])) for j in (0, 1))
-    results.append(CheckResult("qubit-swap-relation", dev, exact_tol))
+    results.append(CheckResult("qubit-swap-relation", dev, exact_tol,
+                               detail="swap_qubits_2_3 spells psi's ket permutation"))
 
     dev = max(
         float(np.abs(expand_eta_in(a, b) - ETA_EXPANSION_TABLES[(a, b)]).max())
@@ -262,20 +263,17 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
             worst = max(worst, abs(p - rotated.prob(sa, sb, la, lb)))
     results.append(CheckResult("heisenberg-schrodinger", worst, exact_tol))
 
+    # The kernel's 36 cells against the exact rationals, compared once; each
+    # identity row reads its own cells, indexed by LABEL_ORDER (-1, +1, 0).
     behavior = exact_behavior()
-    chain = epr_audit(None, behavior).exact
-    results.append(CheckResult("identity-ff-zero", chain.joint_ff, exact_tol))
-    results.append(CheckResult("identity-cond-ab", abs(chain.cond_ab - 1.0), exact_tol))
-    results.append(CheckResult("identity-cond-ba", abs(chain.cond_ba - 1.0), exact_tol))
-    results.append(CheckResult(
-        "identity-gg-hardy", abs(chain.hardy_fraction - float(lhv.HARDY_VALUE)), exact_tol))
-
-    # All 36 cells against the exact Born tables; the 0 row and column are exactly 0.
-    basis = {Setting.F: "phi", Setting.G: "psi"}
-    exact = {(sa, sb): np.pad(ETA_BORN_TABLES[(basis[sa], basis[sb])].astype(float), (0, 1))
-             for sa, sb in SETTING_PAIRS}
-    dev = max(float(np.abs(behavior.table(*k) - t).max()) for k, t in exact.items())
-    results.append(CheckResult("exact-tables", dev, exact_tol))
+    gap = {k: np.abs(behavior.table(*k) - EXACT_BEHAVIOR.table(*k)) for k in SETTING_PAIRS}
+    f, g = Setting.F, Setting.G
+    for name, cells in (("identity-ff-zero", gap[f, f][1, 1]),
+                        ("identity-cond-ab", gap[f, g][[0, 2], 1]),
+                        ("identity-cond-ba", gap[g, f][1, [0, 2]]),
+                        ("identity-gg-hardy", gap[g, g][1, 1]),
+                        ("exact-tables", list(gap.values()))):
+        results.append(CheckResult(name, float(np.max(cells)), exact_tol))
 
     results.append(CheckResult("zero-outcome-mass", behavior.zero_outcome_mass(), 1e-14))
 
@@ -287,13 +285,8 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("rotation-robustness", worst, 1e-10,
                                detail=f"{ROBUSTNESS_SAMPLES} independently seeded rotation 4-tuples"))
 
-    worst = 0.0
-    for b in (behavior, rotated):
-        for own in (Setting.F, Setting.G):
-            for side in ("A", "B"):
-                m1 = b.marginal(side, own, Setting.F)
-                m2 = b.marginal(side, own, Setting.G)
-                worst = max(worst, float(np.abs(m1 - m2).max()))
+    worst = max(float(np.abs(b.marginal(side, own, f) - b.marginal(side, own, g)).max())
+                for b in (behavior, rotated) for own in (f, g) for side in "AB")
     results.append(CheckResult("no-signaling", worst, exact_tol,
                                detail="canonical and rotated setups"))
 
@@ -382,8 +375,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     log, stats = run_trials(cfg.trials, cfg.root_seed, cfg.setting_policy,
                             fixed_rotations=cfg.fixed_rotations,
                             measurement_path=cfg.measurement_path)
-    behavior = exact_behavior()
-    audit = epr_audit(log, behavior)
+    audit = epr_audit(log, EXACT_BEHAVIOR)
     report = {
         "metadata": cfg.metadata() | {
             "trials": str(cfg.trials),
@@ -391,7 +383,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             "fixed_rotations": str(cfg.fixed_rotations).lower(),
             "measurement_path": cfg.measurement_path,
         },
-        "stats": stats_report(stats, behavior),
+        "stats": stats_report(stats, EXACT_BEHAVIOR),
         "audit": {
             "exact": vars(audit.exact),
             "empirical": vars(audit.empirical) if audit.empirical else None,
@@ -468,14 +460,13 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    behavior = exact_behavior()
-    audit = epr_audit(None, behavior)
+    audit = epr_audit(None, EXACT_BEHAVIOR)
     constraints = lhv.quantum_constraints()
     cert = lhv.check_feasibility(constraints)
     zeros = [c for c in constraints if c.value == 0]
     payload = {
         "metadata": cfg.metadata(),
-        "exact_behavior": behavior.to_json_dict(),
+        "exact_behavior": EXACT_BEHAVIOR.to_json_dict(),
         "inference_chain": vars(audit.exact),
         "contradiction_witnessed": audit.contradiction_witnessed,
         "classifiers": {

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .observables import PVM, build_F, build_G, local_protocol_for
-from .qstate import ETA_EXPANSION_TABLES, StateVector, _pair, build_phi, build_psi
+from .qstate import ETA_BORN_TABLES, ETA_EXPANSION_TABLES, StateVector, _pair, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -194,6 +194,15 @@ class ExactBehavior:
                 for sa, sb in SETTING_PAIRS
             },
         }
+
+
+# The exact tables that report and sample print: each cell the float of its
+# Fraction in qstate.ETA_BORN_TABLES (F reads phi, G reads psi), the 0 row and
+# column exactly 0.  verify checks the kernel, exact_behavior(), against it.
+_BASIS = {Setting.F: "phi", Setting.G: "psi"}
+EXACT_BEHAVIOR = ExactBehavior({
+    (sa, sb): np.pad(ETA_BORN_TABLES[(_BASIS[sa], _BASIS[sb])].astype(float), (0, 1))
+    for sa, sb in SETTING_PAIRS})
 
 
 def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from afbell import __version__, cli
+from afbell import __version__, cli, experiment
 from afbell.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO,
@@ -20,8 +21,9 @@ from afbell.cli import (
     parse_trials,
     run_verify_suite,
 )
-from afbell.experiment import run_trials
+from afbell.experiment import SETTING_PAIRS, ExactBehavior, Setting, run_trials
 from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
+from afbell.qstate import ETA_BORN_TABLES
 
 
 def test_parse_seed_formats():
@@ -153,16 +155,96 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+VERIFY_ROWS = (
+    "state-norms", "state-orthogonality", "basis-change-matrix", "qubit-swap-relation",
+    "expansion-tables", "expansion-reconstruction", "pvm-invariants", "protocol-partition",
+    "protocol-string-probs", "protocol-pvm-agreement", "invariance-generators",
+    "invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger",
+    "identity-ff-zero", "identity-cond-ab", "identity-cond-ba", "identity-gg-hardy",
+    "exact-tables", "zero-outcome-mass", "rotation-robustness", "no-signaling",
+)
+
+
 def test_verify_suite_all_pass():
     results = run_verify_suite()
     assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert "identity-gg-hardy" in names
-    assert "exact-tables" in names
-    assert "rotation-robustness" in names
-    assert "invariance-generators" in names
-    assert {"protocol-partition", "protocol-string-probs", "protocol-pvm-agreement"} <= set(names)
-    assert len(names) == len(set(names))
+    assert tuple(r.name for r in results) == VERIFY_ROWS
+
+
+def test_qubit_swap_row_checks_the_permutation(monkeypatch):
+    # psi's integer kets are phi's under qstate's index permutation, so the
+    # row reads 0 by construction: it checks that swap_qubits_2_3 spells the
+    # same permutation, and fails once the two part.
+    row = {r.name: r for r in run_verify_suite()}["qubit-swap-relation"]
+    assert (row.deviation, row.passed) == (0.0, True) and "permutation" in row.detail
+    # Flip one sign of psi1 where psi0 is 0, so psi stays an orthonormal pair
+    # and G a PVM: an amplitude 2/sqrt(12) moves by twice itself.
+    psi = cli.INTEGER_KETS["psi"].copy()
+    psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
+    monkeypatch.setitem(cli.INTEGER_KETS, "psi", psi)
+    row = {r.name: r for r in run_verify_suite()}["qubit-swap-relation"]
+    assert row.deviation == pytest.approx(2 / np.sqrt(3)) and not row.passed
+
+
+def test_verify_identity_rows_read_the_kernel(tmp_path, capsys, monkeypatch):
+    # verify compares the canonical kernel tables with the exact rationals
+    # once, and each identity row reads its own cells of that comparison;
+    # report prints the rationals and never calls the kernel.
+    assert main(["report", "--format", "json", "--out", str(tmp_path / "before")]) == EXIT_OK
+    kernel = experiment.exact_behavior
+    f, g = Setting.F, Setting.G
+    # Move 1e-9 of mass from the pair's (-1, -1) cell into one of its 0 cells.
+    for pair, cell, row in (((f, f), (1, 1), "identity-ff-zero"),
+                            ((f, g), (0, 1), "identity-cond-ab")):
+        def mutant(rotations=None, pair=pair, cell=cell):
+            behavior = kernel(rotations)
+            if rotations is not None:
+                return behavior
+            tables = {k: behavior.table(*k).copy() for k in SETTING_PAIRS}
+            tables[pair][0, 0] -= 1e-9
+            tables[pair][cell] += 1e-9
+            return ExactBehavior(tables)
+
+        monkeypatch.setattr(cli, "exact_behavior", mutant)
+        monkeypatch.setattr(experiment, "exact_behavior", mutant)
+        rows = {r.name: r for r in run_verify_suite()}
+        failing = {name for name, r in rows.items() if not r.passed}
+        # The mutant also leaks into the marginals and off the rotated tables.
+        assert failing == {row, "exact-tables", "no-signaling", "rotation-robustness"}, row
+        assert rows[row].deviation == pytest.approx(1e-9)
+        assert rows["exact-tables"].deviation == pytest.approx(1e-9)
+        out = tmp_path / row
+        assert main(["report", "--format", "json", "--out", str(out)]) == EXIT_OK
+        assert (out / "report.json").read_bytes() == (tmp_path / "before" / "report.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_printed_exact_cells_are_floats_of_the_rationals(tmp_path, capsys):
+    # Every exact cell that report and sample print is the float of its
+    # Fraction, bit for bit, and the 23 cells that are exactly 0 read 0.0.
+    basis = {"F": "phi", "G": "psi"}
+
+    def exact(pair, i, j):
+        return float(ETA_BORN_TABLES[basis[pair[0]], basis[pair[1]]][i, j]) if max(i, j) < 2 else 0.0
+
+    assert main(["report", "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["sample", "--trials", "2000", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    tables, pairs = report["exact_behavior"]["tables"], stats["stats"]["setting_pairs"]
+    assert set(tables) == set(pairs) == {"FF", "FG", "GF", "GG"}
+    cells = [(pair, i, j) for pair in tables for i in range(3) for j in range(3)]
+    assert sum(exact(*cell) == 0.0 for cell in cells) == 23
+    for pair, i, j in cells:
+        want = exact(pair, i, j)
+        # repr tells every bit apart, -0.0 from 0.0 included.
+        assert repr(tables[pair][i][j]) == repr(pairs[pair]["exact"][i][j]) == repr(want)
+        deviation = abs(pairs[pair]["empirical"][i][j] - want)
+        assert repr(pairs[pair]["abs_deviation"][i][j]) == repr(deviation)
+    chain = {"hardy_fraction": float(Fraction(9, 112)), "cond_ab": 1.0, "cond_ba": 1.0,
+             "joint_ff": 0.0}
+    assert report["inference_chain"] == stats["audit"]["exact"] == chain
 
 
 def test_invariance_generators_row_is_exact(monkeypatch):

@@ -81,12 +81,13 @@ GOLDEN_OUTCOMES = [
 ]
 
 
-# sha256 of the four exact tables' float64 bytes, in SETTING_PAIRS order.
-# report and lhv-audit print these floats, so a kernel change that moves
-# any bit of them changes those outputs and must be reported.  Recorded for
-# the rank-2 kernel: against the dense-grid kernel before it, the 13 nonzero
-# cells kept every bit and 23 zero cells moved within rounding dust (below
-# 1.5e-32).
+# sha256 of the kernel's four exact tables' float64 bytes, in SETTING_PAIRS
+# order.  No output prints these floats (report and sample print
+# EXACT_BEHAVIOR, the floats of the rationals); only verify's deviations read
+# them, so a kernel change that moves any bit moves those deviations and this
+# pin, and must be reported.  Recorded for the rank-2 kernel: against the
+# dense-grid kernel before it, the 13 nonzero cells kept every bit and 23
+# zero cells moved within rounding dust (below 1.5e-32).
 EXACT_TABLES_SHA256 = "ab021e35a14cf17bc087c35d99af624572bf5d91b8533485ef7a55ca64666e45"
 
 
