@@ -2,19 +2,22 @@
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  One batched
-Born-rule kernel gives the joint table of each side's outcome rows through
+Born-rule kernel gives each side's amplitudes for its outcome rows through
 every trial's own rotated setups, trials last.  The source grid has rank 2,
 G = PHI^T C PHI with PHI the invariant pair and C eta's stated (phi, phi)
-expansion, so each side rotates just two 16-vectors per trial and contracts
-them with its rows; a per-trial rank-2 product and one closing step (square,
-mass check, normalize) give the table.  The three uses differ only in their
-rows: the exact path passes complete F/G bases and sums the table by label,
-the pvm sampling path the -1/+1 rows, and the protocol path the 16 product
-eigenvectors per setting, in chunks of 2048 trials rather than 8192.
-The sampling paths draw fresh Haar rotations per trial and sample a row pair
-from the table.  Every random quantity is a pure function of the root seed and
-the trial index, so results are identical regardless of execution order or
-chunk boundaries.
+expansion, so each side needs its rows against two rotated 16-vectors per
+trial.  With the same U on all four qubits those are degree-4 polynomials in
+U^dagger's four entries: per side, one product of coefficients built at import
+with each trial's 35 monomials.  The three uses differ only in their rows: the
+exact path passes complete F/G bases and forms, squares and sums the full
+table by label, the pvm sampling path the -1/+1 rows, and the protocol path
+the 16 product eigenvectors per setting, in chunks of 2048 trials rather than
+8192, since its amplitudes and the monomials grow with the chunk.  The
+sampling paths draw fresh Haar rotations per trial and pick a row pair in two
+stages, Alice's row by its mass and then the cell within it, so no table is
+formed.  Every random quantity is a pure function of the root seed and the
+trial index, so results are identical regardless of execution order or chunk
+boundaries.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .rotations import (
     STREAM_OUTCOME,
     STREAM_SETTINGS,
     CollectiveRotation,
-    apply_fourfold,
     sample_su2_batch,
     split_seed,
 )
@@ -213,11 +215,19 @@ def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:
     choice.  The 0 cells are Born masses on the 0 rows, not differences.
     """
     setup = rotations if rotations is not None else SetupRotations.identity()
-    u_a = np.array([setup.for_side("A", sa).u for sa, _ in SETTING_PAIRS])
-    u_b = np.array([setup.for_side("B", sb).u for _, sb in SETTING_PAIRS])
-    fine = _born_tables(_PVM_BASES, u_a, u_b, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
-    fine = np.moveaxis(fine, -1, 0)
-    return ExactBehavior(dict(zip(SETTING_PAIRS, _LABEL_ONE_HOT.T @ fine @ _LABEL_ONE_HOT)))
+    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables([setup])[0])))
+
+
+def _setup_tables(setups: list[SetupRotations]) -> np.ndarray:
+    """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS: one kernel
+    call on the complete F/G bases over all 4m (setup, setting pair) trials,
+    each 16x16 table summed by label."""
+    u_a = np.array([[s.for_side("A", sa).u for sa, _ in SETTING_PAIRS] for s in setups])
+    u_b = np.array([[s.for_side("B", sb).u for _, sb in SETTING_PAIRS] for s in setups])
+    m = len(setups)
+    fine = _born_tables(_EXACT_KERNEL, u_a.reshape(-1, 2, 2), u_b.reshape(-1, 2, 2),
+                        np.tile([0, 0, 1, 1], m), np.tile([0, 1, 0, 1], m))
+    return (_LABEL_ONE_HOT.T @ np.moveaxis(fine, -1, 0) @ _LABEL_ONE_HOT).reshape(m, 4, 3, 3)
 
 
 def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarray:
@@ -248,67 +258,159 @@ _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float
 _PHI = _pair("phi")
 _C_PHI = ETA_EXPANSION_TABLES[("phi", "phi")] @ _PHI
 
+# U^dagger's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds
+# the 10 index pairs a <= b and _MONOMIALS the 35 sorted 4-tuples
+# (a, b, c, d), both in lexicographic order; tuple (a, b, c, d) is pair (a, b)
+# times pair (c, d), and the pairs with c >= b run from _FIRST_PAIR[b] to the
+# end.
+_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
+_FIRST_PAIR = [_PAIRS.index((b, b)) for b in range(4)]
+_MONOMIALS = [(a, b, c, d) for a, b in _PAIRS for c, d in _PAIRS[_FIRST_PAIR[b]:]]
 
-def _born_close(amps: np.ndarray) -> np.ndarray:
-    """(k, k, n) Born probabilities |amps|^2, trials last, normalized per
-    trial in place.
+# Entry (I, J) of (U^dagger)^(x)4 is the product over qubits q of
+# e[2 i_q + j_q], so it depends only on the multiset of those entry indices;
+# _WORD_MONOMIAL[I, J] is that multiset's index in _MONOMIALS, matched by the
+# sum of 5^index.  Built by array arithmetic, like _DIGIT_GROUPS, to keep a
+# Python loop over the 256 entries out of import time.
+_WORD_BITS = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+_WORD_MONOMIAL = np.argmax((5 ** (2 * _WORD_BITS[:, :4] + _WORD_BITS[:, 4:])).sum(axis=1)[:, None]
+                           == (5 ** np.array(_MONOMIALS)).sum(axis=1), axis=1).reshape(16, 16)
+del _WORD_BITS
 
-    Aborts if any trial's total mass differs from 1 by more than
-    ZERO_OUTCOME_TOL: a deficit is mass on the 0 label (outside the k x k
-    outcomes), an excess a setup that is not unitary.
+
+def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's (2k*2, 35) coefficient matrices for conjugated rows
+    (2, k, 16) by setting.
+
+    Side pair P (PHI for Alice, C PHI for Bob) gives amplitudes y[s, r, p] =
+    rows[s, r] (U^dagger)^(x)4 P[p], the sum over (I, J) of rows[s, r, I]
+    P[p, J] times monomial _WORD_MONOMIAL[I, J].  So P's entries are summed
+    by (I, monomial), and one product with the rows sums over I.  It never
+    uses that P is rotation invariant, so every trial's amplitudes still come
+    from that trial's own U.
     """
-    p = np.abs(amps)
-    p **= 2
-    total = p.sum(axis=(0, 1))
+    def side(pair):
+        by_monomial = np.zeros((16, 2, 35), complex)
+        np.add.at(by_monomial, (np.arange(16)[:, None, None], np.arange(2)[:, None],
+                                _WORD_MONOMIAL[:, None]), pair)
+        return (rows.reshape(-1, 16) @ by_monomial.reshape(16, 70)).reshape(-1, 35)
+
+    return side(_PHI), side(_C_PHI)
+
+
+def _monomials(u: np.ndarray) -> np.ndarray:
+    """(35, n) degree-4 monomials of each trial's U^dagger entries, in the
+    order of _MONOMIALS: the 10 pair products, then each monomial as a pair
+    times a pair.  Any 2x2 u goes through the same formula."""
+    e = np.ascontiguousarray(u.conj().swapaxes(-1, -2).reshape(-1, 4).T)
+    pairs = np.empty((10, len(u)), complex)
+    for a in range(4):
+        np.multiply(e[a:], e[a], out=pairs[_FIRST_PAIR[a]:_FIRST_PAIR[a] + 4 - a])
+    mono = np.empty((35, len(u)), complex)
+    lo = 0
+    for i, (_, b) in enumerate(_PAIRS):
+        hi = lo + 10 - _FIRST_PAIR[b]
+        np.multiply(pairs[_FIRST_PAIR[b]:], pairs[i], out=mono[lo:hi])
+        lo = hi
+    return mono
+
+
+def _amplitudes(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.ndarray,
+                code_a: np.ndarray, code_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's (k, 2, n) amplitudes y[r, p], trials last, through
+    every trial's own setups: per side one (2k*2 x 35) (35 x n) product of
+    the kernel's coefficients with the trials' monomials, then one np.where
+    keeps each trial's setting.
+
+    With R = U (x) U (x) U (x) U, row pair (v, w) has amplitude
+    conj(R_a v)^T G conj(R_b w), and G = PHI^T (C PHI) has rank 2, so that is
+    sum_p y_a[v, p] y_b[w, p].  The phi_p are rotation invariant; the
+    rotation is applied all the same, because the sampled tables are the
+    Monte Carlo test of that invariance.
+    """
+    def side(coef, u, code):
+        y = (coef @ _monomials(u)).reshape(2, -1, 2, len(code))
+        return np.where(code == 0, y[0], y[1])
+
+    return side(kernel[0], u_a, code_a), side(kernel[1], u_b, code_b)
+
+
+def _born_close(total: np.ndarray) -> np.ndarray:
+    """The mass check of every Born table: returns each trial's total mass,
+    or aborts if any differs from 1 by more than ZERO_OUTCOME_TOL.  A deficit
+    is mass on the 0 label (outside the k x k outcomes), an excess a setup
+    that is not unitary."""
     worst = float(np.abs(1.0 - total).max())
     if worst > ZERO_OUTCOME_TOL:
         raise RuntimeError(
             f"a trial's outcome table has total mass off 1 by {worst:.3e} "
             "(outcome 0 acquired probability, or a setup is not unitary)"
         )
-    p /= total
+    return total
+
+
+def _born_tables(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.ndarray,
+                 code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+    """(k, k, n) joint probabilities, trials last, of each side's k outcome
+    rows through that trial's rotated setups: the rank-2 products of the
+    _amplitudes, squared, mass-checked and normalized per trial.  The exact
+    path's kernel.  The sampling paths pick from the same amplitudes with
+    _pick and never form this table, so the amplitudes and the monomials, not
+    a (k, k, n) array, set what a chunk holds."""
+    y_a, y_b = _amplitudes(kernel, u_a, u_b, code_a, code_b)
+    p = np.abs(np.einsum("ipn,jpn->ijn", y_a, y_b))
+    p **= 2
+    p /= _born_close(p.sum(axis=(0, 1)))
     return p
 
 
-def _born_tables(rows: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                 code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
-    """(k, k, n) joint probabilities, trials last, of each side's k outcome
-    vectors through that trial's rotated setups; ``rows`` (2, k, 16) holds
-    them conjugated, by setting.  The one table kernel: exact_behavior passes
-    the complete F/G bases, the pvm path their -1/+1 rows and the protocol
-    path the conjugated product eigenbases.
+def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF pick of a row pair (a, b) per trial from the (k, k) table
+    |sum_p y_a[a, p] y_b[b, p]|^2 of (k, 2, n) amplitudes, walked row-major, at
+    u = (bits + 1)/2^53 in (0, 1], bits its 53-bit draw: the first cell whose
+    cumulative mass reaches u times the total.  A u of 0 would pick cell 0
+    even at probability 0.
 
-    With R = U (x) U (x) U (x) U, pair (v, w) has amplitude
-    conj(R_a v)^T G conj(R_b w).  G = PHI^T (C PHI) has rank 2, so that is
-    sum_p y_a[p] y_b[p] with y_a[p] = conj(v)^T R_a^dagger phi_p and y_b[p] =
-    conj(w)^T R_b^dagger (C PHI)_p.  Each side rotates its two vectors by
-    every trial's own U^dagger in one apply_fourfold call, (16, 2, n), and
-    contracts them with both settings' rows in one (2k x 16) (16 x 2n)
-    product; one np.where keeps each trial's setting, (k, 2, n).  One einsum
-    over all trials gives the (k, k, n) amplitudes, and _born_close squares,
-    checks the mass and normalizes.  The phi_p are rotation invariant, so
-    R^dagger phi_p = phi_p; the rotation is applied all the same, because the
-    sampled tables are the Monte Carlo test of that invariance.
+    Two stages, so the table is never formed.  Row a's mass is
+    P(a) = y_a[a] M y_a[a]^H with the 2x2 matrix M[p, q] =
+    sum_b y_b[b, p] conj(y_b[b, q]); their running sum, whose end _born_close
+    checks, picks a.  Then only row a's k cells are walked, from the mass
+    before row a, toward u times the total capped at the row's own end, so
+    rounding between P(a) and the row's cells cannot carry the pick past the
+    row's last nonzero cell.
     """
-    k = rows.shape[1]
+    u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
+    trial = np.arange(len(u))
+    a0, a1 = y_a[:, 0], y_a[:, 1]
+    b0, b1 = y_b[:, 0], y_b[:, 1]
+    m00, m11 = (np.abs(b0) ** 2).sum(axis=0), (np.abs(b1) ** 2).sum(axis=0)
+    m01 = (b0 * b1.conj()).sum(axis=0)
+    # A zero row's quadratic form can round below 0; the running sum must not.
+    cum = np.maximum(np.abs(a0) ** 2 * m00 + np.abs(a1) ** 2 * m11
+                     + 2.0 * (a0 * a1.conj() * m01).real, 0.0)
+    # Row by row over all trials at once; np.cumsum along axis 0 walks each
+    # trial's column at a large stride.
+    for a in range(1, len(cum)):
+        cum[a] += cum[a - 1]
+    target = u * _born_close(cum[-1])
+    row = (cum < target).sum(axis=0)
+    cells = np.abs(b0 * a0[row, trial] + b1 * a1[row, trial])
+    cells **= 2
+    cells[0] += np.where(row > 0, cum[row - 1, trial], 0.0)
+    for b in range(1, len(cells)):
+        cells[b] += cells[b - 1]
+    return row, (cells < np.minimum(target, cells[-1])).sum(axis=0)
 
-    def side(u, code, pair):
-        rotated = apply_fourfold(np.swapaxes(u.conj(), -1, -2), pair.T[..., None])
-        y = (rows.reshape(2 * k, 16) @ rotated.reshape(16, -1)).reshape(2, k, 2, len(code))
-        return np.where(code == 0, y[0], y[1])
 
-    y_a, y_b = side(u_a, code_a, _PHI), side(u_b, code_b, _C_PHI)
-    return _born_close(np.einsum("ipn,jpn->ijn", y_a, y_b))
-
-
-# Per measurement path: the conjugated outcome rows and their labels, both by
-# (setting, row), and the trials per chunk.  The pvm path keeps the -1/+1
-# rows, so its mass check catches any 0 mass.  The protocol path's (16, 16, n)
-# complex amplitudes would take 32 MiB at 8192 trials; its 2048-trial chunks
-# keep them at 8 MiB.
+# Per measurement path: the kernel of its conjugated outcome rows, their
+# labels by (setting, row), and the trials per chunk.  The pvm path keeps the
+# -1/+1 rows, so its mass check catches any 0 mass.  On the protocol path
+# each side's (2, 16, 2, n) amplitudes and the (35, n) monomials grow with the
+# chunk; at 2048 trials they keep its peak below the pvm path's.
+_EXACT_KERNEL = _kernel(_PVM_BASES)
 _MEASUREMENTS = {
-    "pvm": (_PVM_BASES[:, :2], _PVM_LABELS[:, :2], _CHUNK),
-    "protocol": (np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj(),
+    "pvm": (_kernel(_PVM_BASES[:, :2]), _PVM_LABELS[:, :2], _CHUNK),
+    "protocol": (_kernel(np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()),
                  np.array([local_protocol_for(s).labels for s in ("F", "G")]), 2048),
 }
 MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
@@ -500,20 +602,6 @@ class JointStats:
         return merged
 
 
-def _sample_rows(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Inverse-CDF pick per trial of (k, k, n) tables, trials last, at
-    u = (bits + 1)/2^53 in (0, 1], bits its 53-bit draw: the first flattened
-    cell whose cumulative sum reaches u times the table's total.  A u of 0
-    would pick cell 0 even at probability 0."""
-    u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
-    cum = tables.reshape(-1, tables.shape[-1]).copy()
-    # Cell by cell over all trials at once; np.cumsum along axis 0 walks each
-    # trial's column at a large stride and is several times slower.
-    for cell in range(1, len(cum)):
-        cum[cell] += cum[cell - 1]
-    return np.minimum((cum < u * cum[-1]).sum(axis=0), len(cum) - 1)
-
-
 def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
                fixed_rotations: bool = False,
                measurement_path: str = "pvm") -> tuple[TrialLog, JointStats]:
@@ -528,8 +616,8 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         raise ValueError("need at least one trial")
     if measurement_path not in _MEASUREMENTS:
         raise ValueError(f"unknown measurement path {measurement_path!r}")
-    rows, labels, chunk = _MEASUREMENTS[measurement_path]
-    chunk, k = min(chunk, _CHUNK), labels.shape[1]
+    kernel, labels, chunk = _MEASUREMENTS[measurement_path]
+    chunk = min(chunk, _CHUNK)
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
     fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
@@ -563,10 +651,10 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         u_b = sample_su2_batch(seed_b)
 
         draw = split_seed(base, STREAM_OUTCOME) >> np.uint64(11)
-        # No table outlives its chunk, so the kernel's peak is the loop's peak.
-        pick = _sample_rows(_born_tables(rows, u_a, u_b, code_a, code_b), draw)
-        out_a = labels[code_a, pick // k]
-        out_b = labels[code_b, pick % k]
+        # No amplitude outlives its chunk, so the kernel's peak is the loop's peak.
+        row_a, row_b = _pick(*_amplitudes(kernel, u_a, u_b, code_a, code_b), draw)
+        out_a = labels[code_a, row_a]
+        out_b = labels[code_b, row_b]
 
         cols["trial"].append(idx)
         cols["sa"].append(code_a.astype(np.int8))

@@ -2,10 +2,12 @@
 
 A physical rotation of one observer's apparatus lifts to the same single-qubit
 special unitary on each of that observer's four qubits, i.e. the four-fold
-Kronecker power U (x) U (x) U (x) U; apply_fourfold is the one kernel that
-applies it, along axis 0 of a (16, ...) array whose trailing axes are the
-trials.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
-qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the columns).
+Kronecker power U (x) U (x) U (x) U; apply_fourfold applies it to states,
+along axis 0 of a (16, ...) array whose trailing axes are the trials.  (The
+table kernel in experiment evaluates the same power as a polynomial in U's
+entries instead.)  An 8-qubit state is handled as its 16x16 amplitude grid:
+Alice's qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the
+columns).
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
 split_seed is the one derivation of a child seed from a parent; it mixes the
@@ -149,38 +151,44 @@ def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...); batch axes last.
 
     u has shape (..., 2, 2) and broadcasts against the trailing axes of x, so
-    one unitary per trial multiplies that trial's columns.  The four-fold
-    power is four mode products, one per qubit (Kolda & Bader, SIAM Rev. 51,
-    455, 2009): on the view (2^q, 2, 2^(3-q), ...) of the state axis, qubit q
-    mixes as out[:, i] = u[i, 0] x[:, 0] + u[i, 1] x[:, 1], a few ufunc calls
-    over all trials at once.  The products write the two halves of one block
-    in turn, and each spent source half is the next product's scratch, so no
-    other row-sized array is made.  One block rather than two arrays lets
-    glibc's allocator reuse its pages from call to call instead of faulting in
-    fresh ones.
+    one unitary per trial multiplies that trial's columns.  Returns a new
+    array that owns its memory: x broadcast to the batch, rotated in place
+    by _fourfold_in_place.
     """
     nb = max(x.ndim - 1, u.ndim - 2)
     x = x.reshape(16, *(1,) * (nb + 1 - x.ndim), *x.shape[1:])
+    out = np.empty(np.broadcast_shapes(x.shape, (16, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])),
+                   np.result_type(u, x))
+    out[...] = x
+    return _fourfold_in_place(u, out)
+
+
+def _fourfold_in_place(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...) in place; u
+    (..., 2, 2) broadcasts against the trailing axes of x without growing it.
+
+    The four-fold power is four mode products, one per qubit (Kolda & Bader,
+    SIAM Rev. 51, 455, 2009): on the view (2^q, 2, 2^(3-q), ...) of the state
+    axis, qubit q mixes as x[:, i] <- u[i, 0] x[:, 0] + u[i, 1] x[:, 1], a few
+    ufunc calls over all trials at once, through two half-size scratch arrays.
+    """
+    batch = x.shape[1:]
     # u[i, j] is entry (i, j) with u's batch axes aligned to the trailing
-    # axes of x; a column u[:, j] broadcasts over the 2^(3-q) axis of a view.
+    # axes of x; it broadcasts over the 2^(3-q) axis of a view's half.
     # Contiguous, so each product reads an entry's trials at unit stride.
     entries = np.ascontiguousarray(u.reshape(-1, 4).T)
-    u = entries.reshape(2, 2, 1, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])
-    col0, col1, u01, u11 = u[:, 0], u[:, 1], u[0, 1], u[1, 1]
-    batch = np.broadcast(x[0], u01[0]).shape
-    block = np.empty((2, 16, *batch), np.result_type(u, x))
+    u = entries.reshape(2, 2, *(1,) * (len(batch) + 2 - u.ndim), *u.shape[:-2])
+    scratch = np.empty((2, 8, *batch), x.dtype)
     for q in range(4):
-        view = (2**q, 2, 2 ** (3 - q))
-        src = x.reshape(*view, *x.shape[1:])
-        dst = block[q % 2].reshape(*view, *batch)
-        np.multiply(src[:, :1], col0, out=dst)
-        if q:  # src is the other half of the block, spent after this product
-            np.multiply(src[:, 1], u01, out=src[:, 0])
-            src[:, 1] *= u11
-            dst += src
-        else:  # src is the caller's; the second half is free until q = 1
-            dst += np.multiply(src[:, 1:], col1, out=block[1].reshape(dst.shape))
-        x = block[q % 2]
+        # Splitting axis 0 is always a view, so the products write into x
+        # even when x is a transposed view.
+        view = x.reshape(2**q, 2, 2 ** (3 - q), *batch)
+        x0_u10, x1_u01 = scratch.reshape(2, 2**q, 2 ** (3 - q), *batch)
+        np.multiply(view[:, 0], u[1, 0], out=x0_u10)
+        view[:, 0] *= u[0, 0]
+        view[:, 0] += np.multiply(view[:, 1], u[0, 1], out=x1_u01)
+        view[:, 1] *= u[1, 1]
+        view[:, 1] += x0_u10
     return x
 
 
@@ -194,8 +202,12 @@ def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
 def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Rotate (16, 16, ...) amplitude grids by u_a's four-fold power on axis 0
     (qubits 1-4) and u_b's on axis 1 (qubits 5-8).  u_a and u_b broadcast
-    against the batch axes 2.. of grids, as in apply_fourfold."""
-    return apply_fourfold(u_a, apply_fourfold(u_b, grids.swapaxes(0, 1)).swapaxes(0, 1))
+    against the batch axes 2.. of grids, as in apply_fourfold.  Bob's side is
+    rotated into a new array and Alice's in place in it, so no third grid
+    array is made."""
+    full = np.broadcast_shapes(grids.shape, (16, 16, *u_a.shape[:-2]), (16, 16, *u_b.shape[:-2]))
+    rotated = apply_fourfold(u_b, np.broadcast_to(grids, full).swapaxes(0, 1))
+    return _fourfold_in_place(u_a, rotated.swapaxes(0, 1))
 
 
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:

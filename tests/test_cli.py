@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +22,10 @@ from afbell.cli import (
     parse_trials,
     run_verify_suite,
 )
-from afbell.experiment import SETTING_PAIRS, ExactBehavior, Setting, run_trials
+from afbell.experiment import SETTING_PAIRS, ExactBehavior, Setting, SetupRotations, run_trials
 from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
+from afbell.rotations import split_seed
 
 
 def test_parse_seed_formats():
@@ -171,6 +173,23 @@ def test_verify_suite_all_pass():
     assert tuple(r.name for r in results) == VERIFY_ROWS
 
 
+def test_verify_suite_memory_peak():
+    # invariance-eta-pairs sets the peak: rotate_grids on 100 rotation pairs
+    # holds one (16, 16, 100) complex grid (400 KiB), which both sides are
+    # rotated in, and two half-size scratch arrays (400 KiB).  It traces
+    # 1316 KiB (numpy 2.4); when apply_fourfold returned a view into a block
+    # twice its size and rotate_grids made a second block, it traced
+    # 2087 KiB.
+    run_verify_suite()
+    tracemalloc.start()
+    try:
+        run_verify_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 def test_qubit_swap_row_checks_the_permutation(monkeypatch):
     # psi's integer kets are phi's under qstate's index permutation, so the
     # row reads 0 by construction: it checks that swap_qubits_2_3 spells the
@@ -304,22 +323,31 @@ def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
     assert "checks passed" not in captured.out
 
 
-def test_verify_uses_seed(tmp_path, capsys):
+def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
     # Every randomized check draws from the seed, so each one's deviation moves
     # with it.  A deviation is a max of rounding errors a few ulps wide, so two
     # seeds can tie; a check that ignores the seed reads the same at all three.
     # protocol-pvm-agreement draws nothing: it is an exact integer identity.
-    randomized = ("invariance-phi-psi", "invariance-eta-pairs",
-                  "heisenberg-schrodinger", "rotation-robustness")
+    # rotation-robustness's max over 720 cells sits at 2 ulps of 1/2 for
+    # most seeds, so its setups are checked instead: the 20 it tables are
+    # drawn from split_seed(seed, 1000 + k).
+    randomized = ("invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger")
+    tabled, setup_tables = [], cli._setup_tables
+    monkeypatch.setattr(cli, "_setup_tables",
+                        lambda setups: tabled.append([s.seeds for s in setups])
+                        or setup_tables(setups))
     seeds = ("1", "0x2A", "7")
     deviations = {}
     for seed in seeds:
+        tabled.clear()
         out = tmp_path / seed
         assert main(["verify", "--seed", seed, "--format", "json", "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "verify.json").read_text())
         assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
         checks = {row["name"]: row["deviation"] for row in payload["checks"]}
         deviations[seed] = {name: checks[name] for name in (*randomized, "protocol-pvm-agreement")}
+        assert tabled == [[SetupRotations.sample(split_seed(parse_seed(seed), 1000 + k)).seeds
+                           for k in range(cli.ROBUSTNESS_SAMPLES)]]
     capsys.readouterr()
     for name in randomized:
         assert len({deviations[seed][name] for seed in seeds}) > 1, name

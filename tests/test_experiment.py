@@ -35,6 +35,7 @@ from afbell.rotations import (
     STREAM_ALICE,
     STREAM_BOB,
     CollectiveRotation,
+    apply_fourfold,
     sample_su2_batch,
     split_seed,
 )
@@ -87,7 +88,8 @@ GOLDEN_OUTCOMES = [
 # them, so a kernel change that moves any bit moves those deviations and this
 # pin, and must be reported.  Recorded for the rank-2 kernel: against the
 # dense-grid kernel before it, the 13 nonzero cells kept every bit and 23
-# zero cells moved within rounding dust (below 1.5e-32).
+# zero cells moved within rounding dust (below 1.5e-32).  The 35-monomial
+# kernel that replaced its mode products kept every bit of these tables.
 EXACT_TABLES_SHA256 = "ab021e35a14cf17bc087c35d99af624572bf5d91b8533485ef7a55ca64666e45"
 
 
@@ -298,18 +300,51 @@ def test_run_trials_outcome_zero_never_occurs():
         assert c[2, :].sum() == 0 and c[:, 2].sum() == 0
 
 
-def test_sample_rows_draw_ends_pick_nonzero_cells():
+# The protocol's conjugated outcome rows by setting, as the kernel takes them.
+PROTOCOL_ROWS = np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()
+
+
+def test_pick_draw_ends_pick_nonzero_cells():
     # The 53-bit draws 0 and 2^53 - 1 are u = 2^-53 and u = 1, the ends of
     # (0, 1].  Cell 0 of the canonical protocol FF table, the string pair
     # (0000, 0000), has probability exactly 0 and both-F labels (+1, +1), so
     # a draw mapped to u = 0 would record the forbidden event.
     eye = np.eye(2, dtype=complex)[None]
-    rows = experiment._MEASUREMENTS["protocol"][0]
-    table = experiment._born_tables(rows, eye, eye, np.array([0]), np.array([0]))
-    assert table[0, 0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
-    bits = np.array([0, 2**53 - 1], dtype=np.uint64)
-    picks = experiment._sample_rows(np.repeat(table, 2, axis=-1), bits)
-    assert np.all(table.reshape(-1)[picks] > 0.0), picks
+    kernel, code = experiment._MEASUREMENTS["protocol"][0], np.array([0])
+    table = experiment._born_tables(kernel, eye, eye, code, code)[..., 0]
+    assert table[0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
+    y_a, y_b = (np.repeat(y, 2, axis=-1) for y in experiment._amplitudes(kernel, eye, eye, code, code))
+    row_a, row_b = experiment._pick(y_a, y_b, np.array([0, 2**53 - 1], dtype=np.uint64))
+    assert np.all(table[row_a, row_b] > 0.0), (row_a, row_b)
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_two_stage_pick_matches_full_table_inverse_cdf(k):
+    # Random rank-2 amplitudes with zero rows and columns, scaled to unit
+    # mass, against the inverse CDF walked over each trial's whole table
+    # row-major.  The picks agree except where u times the total lies within
+    # rounding of a cell boundary, and no pick lands on a zero cell.
+    rng = np.random.default_rng(20240611)
+    n = 20_000
+    y_a, y_b = rng.standard_normal((2, k, 2, n)) + 1j * rng.standard_normal((2, k, 2, n))
+    # Row 1 of y_a and row 0 of y_b stay, so no trial's table is all zero.
+    y_a *= (rng.random((k, 1, n)) >= 0.3) | (np.arange(k) == 1)[:, None, None]
+    y_b *= (rng.random((k, 1, n)) >= 0.3) | (np.arange(k) == 0)[:, None, None]
+    y_a[0, :, : n // 4] = y_b[-1, :, : n // 2] = 0.0
+    table = np.abs(np.einsum("ipn,jpn->ijn", y_a, y_b)) ** 2
+    y_a /= np.sqrt(table.sum(axis=(0, 1)))
+    table = np.abs(np.einsum("ipn,jpn->ijn", y_a, y_b)) ** 2
+    bits = rng.integers(0, 2**53, n, dtype=np.uint64)
+    bits[:4] = 0, 2**53 - 1, 0, 2**53 - 1
+    u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
+    cum = np.cumsum(table.reshape(k * k, n), axis=0)
+    want = (cum < u * cum[-1]).sum(axis=0)
+
+    row_a, row_b = experiment._pick(y_a, y_b, bits)
+    assert np.all(table[row_a, row_b, np.arange(n)] > 0.0)
+    moved = np.flatnonzero(row_a * k + row_b != want)
+    gap = np.abs(cum[:, moved] - u[moved] * cum[-1, moved]).min(axis=0)
+    assert np.all(gap <= 1e-14), (moved, gap)
 
 
 @pytest.mark.parametrize("path", ["pvm", "protocol"])
@@ -319,9 +354,9 @@ def test_run_trials_independent_of_chunking(monkeypatch, path, fixed):
                               measurement_path=path)
     # _CHUNK caps every path's chunk, so patching it splits both paths.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
-    sizes, kernel = [], experiment._born_tables
-    monkeypatch.setattr(experiment, "_born_tables",
-                        lambda *args: sizes.append(len(args[-1])) or kernel(*args))
+    sizes, pick = [], experiment._pick
+    monkeypatch.setattr(experiment, "_pick",
+                        lambda *args: sizes.append(len(args[-1])) or pick(*args))
     chunked, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                             measurement_path=path)
     assert sizes == [97] * 10 + [30]
@@ -342,33 +377,40 @@ def test_golden_outcome_pins(path, n, root, fixed, digest):
 
 
 def _chunk_kernel_peak(path):
-    """tracemalloc peak of one full chunk of the table kernel on a path."""
-    rows, _, chunk = experiment._MEASUREMENTS[path]
+    """tracemalloc peak of one full chunk of the sampling kernel on a path:
+    both sides' amplitudes and the two-stage pick."""
+    kernel, _, chunk = experiment._MEASUREMENTS[path]
     n = min(chunk, experiment._CHUNK)
     u_a = sample_su2_batch(np.arange(n, dtype=np.uint64))
     u_b = sample_su2_batch(np.arange(n, 2 * n, dtype=np.uint64))
     code_a, code_b = np.arange(n) % 2, np.arange(n) // 2 % 2
-    experiment._born_tables(rows, u_a, u_b, code_a, code_b)
+    bits = split_seed(0, np.arange(n, dtype=np.uint64)) >> np.uint64(11)
+
+    def chunk_pick():
+        return experiment._pick(*experiment._amplitudes(kernel, u_a, u_b, code_a, code_b), bits)
+
+    chunk_pick()
     tracemalloc.start()
     try:
-        experiment._born_tables(rows, u_a, u_b, code_a, code_b)
+        chunk_pick()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_pvm_kernel_memory_peak():
-    # At 8192 trials each side's apply_fourfold block (8 MiB) is the largest
-    # array, and one side's is freed before the other's is made.  It traces
-    # 10.0 MiB (numpy 2.4); the dense-grid kernel before it traced 12.5 MiB.
+    # At 8192 trials the (35, n) monomials (4.4 MiB) are the largest array,
+    # and one side's are freed before the other's are made.  It traces
+    # 6.6 MiB (numpy 2.4); the mode-product kernel before it traced 10.0 MiB.
     assert _chunk_kernel_peak("pvm") <= 16 * 2**20
 
 
 def test_protocol_kernel_memory_peak():
-    # At 2048 trials the (16, 16, n) complex amplitudes (8 MiB) and their
-    # squares (4 MiB) are the largest arrays.  It traces 14.1 MiB (numpy
-    # 2.4); the kernel that built dense 16x16 bras per trial traced 96 MiB
-    # at its 8192-trial chunk.
+    # At 2048 trials each side's (16 x 2 x 2, n) amplitudes before the
+    # setting is kept (2 MiB) are the largest arrays; no (16, 16, n) table is
+    # formed.  It traces 4.1 MiB (numpy 2.4); the full-table kernel before it
+    # traced 14.1 MiB, and the one that built dense 16x16 bras per trial
+    # 96 MiB at its 8192-trial chunk.
     assert _chunk_kernel_peak("protocol") <= 24 * 2**20
 
 
@@ -377,17 +419,27 @@ def test_protocol_kernel_memory_peak():
 # protocol rows, the same as the two kernels this one replaced.
 KERNEL_TOL = 2e-15
 
+# Each use's outcome rows by setting, conjugated, and the stored kernel of
+# them: the complete F/G bases (exact), their -1/+1 rows (pvm) and the
+# protocols' product eigenbases.
+ROW_SETS = {"exact": experiment._PVM_BASES, "pvm": experiment._PVM_BASES[:, :2],
+            "protocol": PROTOCOL_ROWS}
+KERNELS = {"exact": experiment._EXACT_KERNEL,
+           **{path: kernel for path, (kernel, _, _) in experiment._MEASUREMENTS.items()}}
 
-def _kernel_against_oracle(row_sets, grid, seed):
-    """Run the table kernel on each row set for four trials, one per setting
-    pair, each with its own random setups, and compare every trial's table
-    with the dense oracle's for the same rows, setups and grid."""
+
+def _kernel_against_oracle(kernels, grid, seed):
+    """Run the table kernel on each (name: kernel) for four trials, one per
+    setting pair, each with its own random setups, and compare every trial's
+    table with the dense oracle's for that name's rows, the same setups and
+    grid."""
     code_a, code_b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     u = sample_su2_batch(split_seed(seed, np.arange(8, dtype=np.uint64)))
     u_a, u_b = u[:4], u[4:]
     tables = {}
-    for name, rows in row_sets.items():
-        got = experiment._born_tables(rows, u_a, u_b, code_a, code_b)
+    for name, kernel in kernels.items():
+        rows = ROW_SETS[name]
+        got = experiment._born_tables(kernel, u_a, u_b, code_a, code_b)
         k = rows.shape[1]
         assert got.shape == (k, k, 4), name
         for t in range(4):
@@ -399,44 +451,63 @@ def _kernel_against_oracle(row_sets, grid, seed):
 
 
 def test_table_kernel_matches_dense_oracle():
-    # One kernel serves all three uses, which differ only in their rows:
-    # the complete F/G bases (exact), their -1/+1 rows (pvm) and the
-    # protocols' product eigenbases.  Unrotated setups first: the Born table
-    # of the rows themselves.
-    row_sets = {"exact": experiment._PVM_BASES,
-                **{path: rows for path, (rows, _, _) in experiment._MEASUREMENTS.items()}}
+    # One kernel serves all three uses, which differ only in their rows.
+    # Unrotated setups first: the Born table of the rows themselves.
     grid = build_eta().amps.reshape(16, 16)
     code = np.array([0, 1])
     eye = np.array([np.eye(2, dtype=complex)] * 2)
-    for rows in row_sets.values():
-        got = experiment._born_tables(rows, eye, eye, code, code)
+    for name, kernel in KERNELS.items():
+        rows = ROW_SETS[name]
+        got = experiment._born_tables(kernel, eye, eye, code, code)
         for t in range(2):
             expected = np.abs(rows[code[t]] @ grid @ rows[code[t]].T) ** 2
             assert np.abs(got[..., t] - expected).max() <= KERNEL_TOL
     for k in range(8):
-        _kernel_against_oracle(row_sets, grid, split_seed(0x0FAC7, k))
+        _kernel_against_oracle(KERNELS, grid, split_seed(0x0FAC7, k))
+
+
+def _some_unitaries(seed):
+    """Haar SU(2) matrices, the same times a phase (U(2)) and scaled by 1.01."""
+    u = sample_su2_batch(split_seed(seed, np.arange(12, dtype=np.uint64)))
+    phase = np.exp(2j * np.pi * np.linspace(0.05, 0.95, 12))[:, None, None]
+    return {"haar": u, "phase": phase * u, "scaled": 1.01 * u}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SETS))
+def test_monomial_amplitudes_match_the_fourfold_rotation(name):
+    # Each side's amplitudes rows . (U^dagger)^(x)4 . pair through the 35
+    # monomials, against apply_fourfold's mode products, for any 2x2 u.
+    rows = ROW_SETS[name]
+    code = np.arange(12) % 2
+    for kind, u in _some_unitaries(0xB0B).items():
+        u_dag = np.swapaxes(u.conj(), -1, -2)
+        y = experiment._amplitudes(KERNELS[name], u, u, code, code)
+        for side, pair in zip(y, (experiment._PHI, experiment._C_PHI)):
+            rotated = apply_fourfold(u_dag, pair.T[..., None])
+            want = np.einsum("nki,ipn->kpn", rows[code], rotated)
+            assert np.abs(side - want).max() <= 1e-15, (name, kind)
 
 
 def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
     # The source's two Schmidt vectors are rotation invariant, so its tables
     # cannot show whether the kernel rotates them.  Put |0000> and |1111> in
-    # their place with an asymmetric C: that source is not invariant, and a
-    # rotation that is skipped, applied to the wrong side or not taken as its
-    # adjoint moves the tables off the oracle's.  C is complex because with
-    # real rows, pair and C, U^T in place of U^dagger only conjugates every
-    # amplitude.  Only complete row sets keep all of the mass, so the pvm
-    # rows are left out.
+    # their place with an asymmetric C and build the kernels from them: that
+    # source is not invariant, and a rotation that is skipped, applied to the
+    # wrong side, not taken as its adjoint or read through a wrong
+    # word-to-monomial map moves the tables off the oracle's.  C is complex
+    # because with real rows, pair and C, U^T in place of U^dagger only
+    # conjugates every amplitude.  Only complete row sets keep all of the
+    # mass, so the pvm rows are left out.
     pair = np.zeros((2, 16), dtype=complex)
     pair[0, 0] = pair[1, 15] = 1.0
     c = np.array([[0.6, 0.0], [0.48j, 0.64]])
     monkeypatch.setattr(experiment, "_PHI", pair)
     monkeypatch.setattr(experiment, "_C_PHI", c @ pair)
-    row_sets = {"exact": experiment._PVM_BASES,
-                "protocol": experiment._MEASUREMENTS["protocol"][0]}
+    kernels = {name: experiment._kernel(ROW_SETS[name]) for name in ("exact", "protocol")}
     grid = pair.T @ c @ pair
-    first = _kernel_against_oracle(row_sets, grid, 0xA5)
-    second = _kernel_against_oracle(row_sets, grid, 0x5A)
-    for name in row_sets:
+    first = _kernel_against_oracle(kernels, grid, 0xA5)
+    second = _kernel_against_oracle(kernels, grid, 0x5A)
+    for name in kernels:
         assert np.abs(first[name] - second[name]).max() > 0.05, name
 
 
@@ -450,7 +521,7 @@ def test_mass_off_one_raises_on_each_path(monkeypatch, path, scale):
     with pytest.raises(RuntimeError, match="total mass off 1") as excinfo:
         if path == "exact":
             u = scaled(np.arange(4, dtype=np.uint64))
-            experiment._born_tables(experiment._PVM_BASES, u, u,
+            experiment._born_tables(experiment._EXACT_KERNEL, u, u,
                                     np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
         else:
             monkeypatch.setattr(experiment, "sample_su2_batch", scaled)

@@ -221,6 +221,8 @@ def test_apply_fourfold_rows_contract(k):
     # One set of rows (16, k, 1) against every trial's unitary.
     spread = apply_fourfold(us, rows[..., :1])
     assert shared.shape == per_trial.shape == spread.shape == (16, k, n)
+    # Each result owns its memory, so holding it keeps no scratch alive.
+    assert all(r.base is None for r in (single, shared, per_trial, spread))
     for i in range(n):
         assert np.abs(shared[..., i] - dense[0] @ rows[..., i]).max() < 1e-14
         assert np.abs(per_trial[..., i] - dense[i] @ rows[..., i]).max() < 1e-14
