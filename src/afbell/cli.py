@@ -30,6 +30,7 @@ from .experiment import (
     parse_policy,
     run_trials,
     stats_report,
+    _SETUP_TAGS,
     _setup_tables,
 )
 from .observables import build_F, build_G, local_protocol_for, string_distribution
@@ -279,7 +280,11 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("zero-outcome-mass", behavior.zero_outcome_mass(), 1e-14))
 
     # All setups' tables from one kernel call, so its fixed cost is paid once.
-    setups = [SetupRotations.sample(split_seed(seed, 1000 + k)) for k in range(ROBUSTNESS_SAMPLES)]
+    # Setup k's seeds are SetupRotations.sample's: split_seed(seed, 1000 + k)
+    # split by each setup tag; all 4 * ROBUSTNESS_SAMPLES drawn in one batch.
+    setup_seeds = split_seed(split_seed(seed, 1000 + np.arange(ROBUSTNESS_SAMPLES))[:, None],
+                             _SETUP_TAGS)
+    setups = sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
     canonical_tables = np.array([behavior.table(*pair) for pair in SETTING_PAIRS])
     worst = float(np.abs(_setup_tables(setups) - canonical_tables).max())
     results.append(CheckResult("rotation-robustness", worst, 1e-10,

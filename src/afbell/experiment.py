@@ -12,12 +12,14 @@ with each trial's 35 monomials.  The three uses differ only in their rows: the
 exact path passes complete F/G bases and forms, squares and sums the full
 table by label, the pvm sampling path the -1/+1 rows, and the protocol path
 the 16 product eigenvectors per setting, in chunks of 2048 trials rather than
-8192, since its amplitudes and the monomials grow with the chunk.  The
+4096, since its amplitudes and the monomials grow with the chunk.  The
 sampling paths draw fresh Haar rotations per trial and pick a row pair in two
 stages, Alice's row by its mass and then the cell within it, so no table is
 formed.  Every random quantity is a pure function of the root seed and the
 trial index, so results are identical regardless of execution order or chunk
-boundaries.
+boundaries.  Each chunk writes its slice of the trial log, allocated once,
+and the log is counted and checked a chunk at a time, so a run holds the
+log's 28 bytes per trial plus one chunk's arrays.
 """
 
 from __future__ import annotations
@@ -51,14 +53,18 @@ ZERO_OUTCOME_TOL = 1e-12
 ZERO_EVENT_TOL = 1e-14
 
 # Trials per chunk: the pvm path's, and the most any path's chunk holds (see
-# _MEASUREMENTS); also the rows per write of the CSV writer.
-_CHUNK = 8192
+# _MEASUREMENTS); also the rows per write of the CSV writer, and the trials
+# counted or code-checked at a time.
+_CHUNK = 4096
 
-# Tags for deriving one rotation seed per (side, setting) in fixed-rotation
-# mode, in SetupRotations field order (Alice F, Alice G, Bob F, Bob G);
-# arbitrary fixed 64-bit constants.
+# Tags for deriving one rotation seed per (side, setting) of a SetupRotations
+# (fixed-rotation mode, verify's setups), in its field order (Alice F,
+# Alice G, Bob F, Bob G); arbitrary fixed 64-bit constants.
 _SETUP_TAGS = np.array([0x11111111A11CE00F, 0x22222222A11CE00A,
                         0x33333333B0B0000F, 0x44444444B0B0000A], dtype=np.uint64)
+
+# A trial's four substream keys, in the order run_trials unpacks them.
+_STREAMS = np.array([STREAM_SETTINGS, STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME], dtype=np.uint64)
 
 
 class Setting(Enum):
@@ -215,17 +221,18 @@ def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:
     choice.  The 0 cells are Born masses on the 0 rows, not differences.
     """
     setup = rotations if rotations is not None else SetupRotations.identity()
-    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables([setup])[0])))
+    u = np.array([r.u for r in (setup.alice_f, setup.alice_g, setup.bob_f, setup.bob_g)])
+    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables(u[None])[0])))
 
 
-def _setup_tables(setups: list[SetupRotations]) -> np.ndarray:
-    """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS: one kernel
-    call on the complete F/G bases over all 4m (setup, setting pair) trials,
-    each 16x16 table summed by label."""
-    u_a = np.array([[s.for_side("A", sa).u for sa, _ in SETTING_PAIRS] for s in setups])
-    u_b = np.array([[s.for_side("B", sb).u for _, sb in SETTING_PAIRS] for s in setups])
-    m = len(setups)
-    fine = _born_tables(_EXACT_KERNEL, u_a.reshape(-1, 2, 2), u_b.reshape(-1, 2, 2),
+def _setup_tables(u: np.ndarray) -> np.ndarray:
+    """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS, from their
+    (m, 4, 2, 2) unitaries in SetupRotations field order (Alice F, Alice G,
+    Bob F, Bob G): one kernel call on the complete F/G bases over all 4m
+    (setup, setting pair) trials, each 16x16 table summed by label."""
+    m = len(u)
+    fine = _born_tables(_EXACT_KERNEL, u[:, [0, 0, 1, 1]].reshape(-1, 2, 2),
+                        u[:, [2, 3, 2, 3]].reshape(-1, 2, 2),
                         np.tile([0, 0, 1, 1], m), np.tile([0, 1, 0, 1], m))
     return (_LABEL_ONE_HOT.T @ np.moveaxis(fine, -1, 0) @ _LABEL_ONE_HOT).reshape(m, 4, 3, 3)
 
@@ -404,9 +411,10 @@ def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray) -> tuple[np.ndarra
 
 # Per measurement path: the kernel of its conjugated outcome rows, their
 # labels by (setting, row), and the trials per chunk.  The pvm path keeps the
-# -1/+1 rows, so its mass check catches any 0 mass.  On the protocol path
-# each side's (2, 16, 2, n) amplitudes and the (35, n) monomials grow with the
-# chunk; at 2048 trials they keep its peak below the pvm path's.
+# -1/+1 rows, so its mass check catches any 0 mass.  The (35, n) monomials
+# set the pvm path's chunk peak; on the protocol path each side's
+# (2, 16, 2, n) amplitudes grow with the chunk too, and at 2048 trials its
+# peak is about the pvm path's at 4096.
 _EXACT_KERNEL = _kernel(_PVM_BASES)
 _MEASUREMENTS = {
     "pvm": (_kernel(_PVM_BASES[:, :2]), _PVM_LABELS[:, :2], _CHUNK),
@@ -498,9 +506,13 @@ def _ids(values, what: str) -> np.ndarray:
 
 
 def _codes(values, allowed: tuple[int, int], what: str) -> np.ndarray:
-    """int8 column of codes, rejecting any value outside ``allowed``."""
+    """int8 column of codes, rejecting any value outside ``allowed``.  The
+    check runs _CHUNK values at a time, so no temporary grows with the
+    column (np.isin's table method forms an intp array of every value)."""
     values = np.asarray(values)
-    if not np.isin(values, allowed).all():
+    lo, hi = allowed
+    if not all(((block == lo) | (block == hi)).all()
+               for block in (values[i:i + _CHUNK] for i in range(0, len(values), _CHUNK))):
         raise ValueError(f"a trial log's {what} codes must be in {allowed}")
     return values.astype(np.int8, copy=False)
 
@@ -572,10 +584,13 @@ class JointStats:
     @classmethod
     def from_records(cls, log: TrialLog) -> "JointStats":
         """Counts of every trial in a log."""
-        ia = (log.outcome_a == 1).astype(np.int64)
-        ib = (log.outcome_b == 1).astype(np.int64)
-        code = ((log.setting_a.astype(np.int64) * 2 + log.setting_b) * 3 + ia) * 3 + ib
-        flat = np.bincount(code, minlength=36)
+        flat = np.zeros(36, np.int64)
+        # _CHUNK trials at a time, so no temporary grows with the log.
+        for start in range(0, len(log), _CHUNK):
+            sa, sb, oa, ob = (col[start:start + _CHUNK] for col in (
+                log.setting_a, log.setting_b, log.outcome_a, log.outcome_b))
+            code = ((sa.astype(np.int64) * 2 + sb) * 3 + (oa == 1)) * 3 + (ob == 1)
+            flat += np.bincount(code, minlength=36)
         stats = cls()
         for k, pair in enumerate(SETTING_PAIRS):
             stats.counts[pair] = flat[k * 9:(k + 1) * 9].reshape(3, 3)
@@ -622,50 +637,41 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     root = root_seed & ((1 << 64) - 1)
     fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
 
-    cols: dict[str, list[np.ndarray]] = {key: [] for key in
-                                         ("trial", "sa", "sb", "ka", "kb", "oa", "ob")}
+    # The log's columns, allocated once; each chunk fills its own slice.
+    trial = np.arange(n, dtype=np.uint64)
+    setting_a, setting_b, outcome_a, outcome_b = np.empty((4, n), np.int8)
+    seed_a, seed_b = seeds = np.empty((2, n), np.uint64)
     for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n), dtype=np.uint64)
-        m = len(idx)
-        base = split_seed(root, idx)
+        sl = slice(start, min(start + chunk, n))
+        idx = trial[sl]
+        code_a, code_b = setting_a[sl], setting_b[sl]
+        # All four substreams in one call, so the base seeds are mixed once.
+        bits, seed_a[sl], seed_b[sl], draw = split_seed(split_seed(root, idx), _STREAMS[:, None])
 
         if kind == "uniform":
-            bits = split_seed(base, STREAM_SETTINGS)
-            code_a = (bits & np.uint64(1)).astype(np.int64)
-            code_b = ((bits >> np.uint64(1)) & np.uint64(1)).astype(np.int64)
+            code_a[:] = bits & np.uint64(1)
+            code_b[:] = (bits >> np.uint64(1)) & np.uint64(1)
         elif kind == "fixed":
-            code_a = np.full(m, 0 if fixed_pair[0] is Setting.F else 1, dtype=np.int64)
-            code_b = np.full(m, 0 if fixed_pair[1] is Setting.F else 1, dtype=np.int64)
+            code_a[:] = 0 if fixed_pair[0] is Setting.F else 1
+            code_b[:] = 0 if fixed_pair[1] is Setting.F else 1
         else:  # cycle through FF, FG, GF, GG by trial index
-            cyc = (idx % np.uint64(4)).astype(np.int64)
-            code_a, code_b = cyc >> 1, cyc & 1
+            cyc = idx % np.uint64(4)
+            code_a[:], code_b[:] = cyc >> np.uint64(1), cyc & np.uint64(1)
 
         if fixed_setup is not None:
             sa_f, sa_g, sb_f, sb_g = (np.uint64(s) for s in fixed_setup.seeds)
-            seed_a = np.where(code_a == 0, sa_f, sa_g)
-            seed_b = np.where(code_b == 0, sb_f, sb_g)
-        else:
-            seed_a = split_seed(base, STREAM_ALICE)
-            seed_b = split_seed(base, STREAM_BOB)
-        u_a = sample_su2_batch(seed_a)
-        u_b = sample_su2_batch(seed_b)
+            seed_a[sl] = np.where(code_a == 0, sa_f, sa_g)
+            seed_b[sl] = np.where(code_b == 0, sb_f, sb_g)
+        # Both sides' rotations in one draw; each seed still gives its own U.
+        u_a, u_b = sample_su2_batch(seeds[:, sl].ravel()).reshape(2, -1, 2, 2)
 
-        draw = split_seed(base, STREAM_OUTCOME) >> np.uint64(11)
         # No amplitude outlives its chunk, so the kernel's peak is the loop's peak.
-        row_a, row_b = _pick(*_amplitudes(kernel, u_a, u_b, code_a, code_b), draw)
-        out_a = labels[code_a, row_a]
-        out_b = labels[code_b, row_b]
+        row_a, row_b = _pick(*_amplitudes(kernel, u_a, u_b, code_a, code_b),
+                             draw >> np.uint64(11))
+        outcome_a[sl] = labels[code_a, row_a]
+        outcome_b[sl] = labels[code_b, row_b]
 
-        cols["trial"].append(idx)
-        cols["sa"].append(code_a.astype(np.int8))
-        cols["sb"].append(code_b.astype(np.int8))
-        cols["ka"].append(seed_a)
-        cols["kb"].append(seed_b)
-        cols["oa"].append(out_a)
-        cols["ob"].append(out_b)
-
-    log = TrialLog(*(np.concatenate(cols[key]) for key in
-                     ("trial", "sa", "sb", "ka", "kb", "oa", "ob")))
+    log = TrialLog(trial, setting_a, setting_b, seed_a, seed_b, outcome_a, outcome_b)
     return log, JointStats.from_records(log)
 
 

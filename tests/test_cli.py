@@ -82,6 +82,32 @@ def test_sample_golden_csv_rows(tmp_path, capsys, path):
     assert hashlib.sha256(rows).hexdigest() == GOLDEN_CSV_ROWS[path]
 
 
+def _sample_peak_above_log(n, out):
+    """tracemalloc peak of `afbell sample` over n trials, less the bytes of
+    its n-trial log."""
+    argv = ["sample", "--trials", str(n), "--seed", "11", "--out", str(out)]
+    per_trial = sum(col.itemsize for col in vars(run_trials(1, 0)[0]).values())
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1] - n * per_trial
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_is_the_log_plus_a_constant(tmp_path, capsys):
+    # Beyond its 28-byte-per-trial log, sample holds one chunk's kernel
+    # arrays, CSV rows and counts at a time: 4.2 MiB at 50k and at 400k
+    # trials (numpy 2.4).  When run_trials concatenated per-chunk lists and
+    # the counts and code check made n-long temporaries, the rest traced
+    # 8.1 MiB at 50k and 21.2 MiB at 400k.
+    small = _sample_peak_above_log(50_000, tmp_path / "small")
+    large = _sample_peak_above_log(400_000, tmp_path / "large")
+    capsys.readouterr()
+    assert large <= 6 * 2**20
+    assert abs(large - small) <= 2**19
+
+
 def test_runconfig_validation():
     RunConfig(command="verify").validate()
     with pytest.raises(ValueError):
@@ -333,9 +359,7 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
     # drawn from split_seed(seed, 1000 + k).
     randomized = ("invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger")
     tabled, setup_tables = [], cli._setup_tables
-    monkeypatch.setattr(cli, "_setup_tables",
-                        lambda setups: tabled.append([s.seeds for s in setups])
-                        or setup_tables(setups))
+    monkeypatch.setattr(cli, "_setup_tables", lambda u: tabled.append(u) or setup_tables(u))
     seeds = ("1", "0x2A", "7")
     deviations = {}
     for seed in seeds:
@@ -346,8 +370,10 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
         assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
         checks = {row["name"]: row["deviation"] for row in payload["checks"]}
         deviations[seed] = {name: checks[name] for name in (*randomized, "protocol-pvm-agreement")}
-        assert tabled == [[SetupRotations.sample(split_seed(parse_seed(seed), 1000 + k)).seeds
-                           for k in range(cli.ROBUSTNESS_SAMPLES)]]
+        setups = [SetupRotations.sample(split_seed(parse_seed(seed), 1000 + k))
+                  for k in range(cli.ROBUSTNESS_SAMPLES)]
+        assert len(tabled) == 1 and np.array_equal(tabled[0], [
+            [r.u for r in (s.alice_f, s.alice_g, s.bob_f, s.bob_g)] for s in setups])
     capsys.readouterr()
     for name in randomized:
         assert len({deviations[seed][name] for seed in seeds}) > 1, name

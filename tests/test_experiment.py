@@ -34,6 +34,8 @@ from afbell.qstate import ETA_BORN_TABLES, build_eta
 from afbell.rotations import (
     STREAM_ALICE,
     STREAM_BOB,
+    STREAM_OUTCOME,
+    STREAM_SETTINGS,
     CollectiveRotation,
     apply_fourfold,
     sample_su2_batch,
@@ -253,14 +255,36 @@ def test_nearby_roots_share_no_trials():
 
 
 def test_run_trials_seed_streams(monkeypatch):
-    # Trial i's rotation seeds are its base seed split_seed(root, i), split
-    # again by the side's stream key; the rule holds across chunk boundaries.
+    # Trial i's base seed is split_seed(root, i), split again by each
+    # STREAM_* key: the setting bits, each side's rotation seed, whose Haar U
+    # the kernel gets, and the outcome draw.  The rule holds across chunk
+    # boundaries.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
+    seen = {"u_a": [], "u_b": [], "draw": []}
+    amplitudes, pick = experiment._amplitudes, experiment._pick
+
+    def spy_amplitudes(kernel, u_a, u_b, *codes):
+        seen["u_a"].append(u_a.copy())
+        seen["u_b"].append(u_b.copy())
+        return amplitudes(kernel, u_a, u_b, *codes)
+
+    monkeypatch.setattr(experiment, "_amplitudes", spy_amplitudes)
+    monkeypatch.setattr(experiment, "_pick",
+                        lambda y_a, y_b, bits: seen["draw"].append(bits) or pick(y_a, y_b, bits))
     root = 0xFEEDFACE
     log, _ = run_trials(300, root, "uniform")
-    bases = [split_seed(root, i) for i in log.trial.tolist()]
+    assert [len(d) for d in seen["draw"]] == [97, 97, 97, 9]
+    bases = [split_seed(root, i) for i in range(300)]
+    settings = [split_seed(b, STREAM_SETTINGS) for b in bases]
+    assert log.setting_a.tolist() == [s & 1 for s in settings]
+    assert log.setting_b.tolist() == [s >> 1 & 1 for s in settings]
     assert log.seed_a.tolist() == [split_seed(b, STREAM_ALICE) for b in bases]
     assert log.seed_b.tolist() == [split_seed(b, STREAM_BOB) for b in bases]
+    assert np.concatenate(seen["draw"]).tolist() == [split_seed(b, STREAM_OUTCOME) >> 11
+                                                     for b in bases]
+    for side, seeds in (("u_a", log.seed_a), ("u_b", log.seed_b)):
+        assert np.array_equal(np.concatenate(seen[side]),
+                              [CollectiveRotation.sample(s).u for s in seeds.tolist()])
 
 
 def test_setup_rotations_seeds_are_split_seeds():
@@ -399,9 +423,10 @@ def _chunk_kernel_peak(path):
 
 
 def test_pvm_kernel_memory_peak():
-    # At 8192 trials the (35, n) monomials (4.4 MiB) are the largest array,
+    # At 4096 trials the (35, n) monomials (2.2 MiB) are the largest array,
     # and one side's are freed before the other's are made.  It traces
-    # 6.6 MiB (numpy 2.4); the mode-product kernel before it traced 10.0 MiB.
+    # 3.4 MiB (numpy 2.4), and 6.6 MiB at the 8192-trial chunk before; the
+    # mode-product kernel before that traced 10.0 MiB at 8192.
     assert _chunk_kernel_peak("pvm") <= 16 * 2**20
 
 
@@ -600,12 +625,17 @@ TWO_TRIALS = {"trial": [0, 1], "setting_a": [0, 1], "setting_b": [1, 0], "seed_a
     ("setting_a", 2), ("setting_b", -1), ("setting_a", 256),
     ("outcome_a", 0), ("outcome_b", 2), ("outcome_a", -2), ("outcome_b", 257),
 ])
-def test_trial_log_rejects_codes_the_csv_cannot_print(column, value):
+def test_trial_log_rejects_codes_the_csv_cannot_print(monkeypatch, column, value):
     # The writer prints a setting as 'F' + code and an outcome's sign from
     # its code, so a setting of 2 would print as H and an outcome of 2 as 1.
     # 256 and 257 would wrap to valid int8 codes if cast before the check.
+    # Codes are checked _CHUNK at a time; with a chunk of 1 the bad code is
+    # in the second chunk.
     cols = dict(TWO_TRIALS)
     cols[column] = np.array([cols[column][0], value])
+    with pytest.raises(ValueError, match="codes must be in"):
+        TrialLog(**cols)
+    monkeypatch.setattr(experiment, "_CHUNK", 1)
     with pytest.raises(ValueError, match="codes must be in"):
         TrialLog(**cols)
 
@@ -644,10 +674,11 @@ def _to_csv_peak(n, path):
 
 
 def test_to_csv_memory_is_per_chunk(tmp_path):
-    # Only one chunk's rows, keep flags and bytes are alive at a time: 2.0
-    # MiB at 8192 rows (numpy 2.4), the same at 50k and 400k trials.  The
-    # f-string writer before it traced 2.3 MiB.  np.compress in place of the
-    # boolean index builds an int64 index of every kept byte and traced 5.6.
+    # Only one chunk's rows, keep flags and bytes are alive at a time: 1.0
+    # MiB at 4096 rows (numpy 2.4), the same at 50k and 400k trials, and 2.0
+    # MiB at 8192 rows.  The f-string writer before it traced 2.3 MiB.
+    # np.compress in place of the boolean index builds an int64 index of
+    # every kept byte and traced 5.6 at 8192 rows.
     small = _to_csv_peak(50_000, tmp_path / "small.csv")
     large = _to_csv_peak(400_000, tmp_path / "large.csv")
     assert large <= 8 * 2**20

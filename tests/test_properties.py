@@ -1,5 +1,7 @@
-"""Property-based checks: chunking, batch-of-one sampling, count merging and
-the CSV writer."""
+"""Property-based checks: chunking, batch-of-one sampling, counting and
+merging counts, and the CSV writer."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import trials_csv
 from afbell import experiment
-from afbell.experiment import MEASUREMENT_PATHS, JointStats, TrialLog, run_trials
+from afbell.experiment import (
+    LABEL_ORDER,
+    MEASUREMENT_PATHS,
+    JointStats,
+    Setting,
+    TrialLog,
+    run_trials,
+)
 from afbell.rotations import sample_su2_batch
 
 LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
@@ -54,11 +63,9 @@ def _log(rows: list[tuple[int, int, int, int]]) -> TrialLog:
     return TrialLog(np.arange(len(rows)), setting_a, setting_b, zeros, zeros, outcome_a, outcome_b)
 
 
-trial_logs = st.lists(
-    st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1, 1]),
-              st.sampled_from([-1, 1])),
-    max_size=40,
-).map(_log)
+count_rows = st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1, 1]),
+                       st.sampled_from([-1, 1]))
+trial_logs = st.lists(count_rows, max_size=40).map(_log)
 
 
 def _concat(logs: list[TrialLog]) -> TrialLog:
@@ -74,6 +81,21 @@ def test_merge_is_associative_and_counts_the_concatenated_log(logs):
     for pair, counts in whole.counts.items():
         assert np.array_equal(left.counts[pair], counts)
         assert np.array_equal(right.counts[pair], counts)
+
+
+@PROPERTY
+@given(rows=st.lists(count_rows, max_size=400), chunk=st.integers(1, 300))
+def test_counts_are_independent_of_chunking(rows, chunk):
+    # from_records counts _CHUNK trials at a time; any chunk size gives the
+    # counts of a Counter over the rows.
+    codes = {Setting.F: 0, Setting.G: 1}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "_CHUNK", chunk)
+        stats = JointStats.from_records(_log(rows))
+    want = Counter(rows)
+    for (sa, sb), counts in stats.counts.items():
+        assert counts.tolist() == [[want[(codes[sa], codes[sb], la, lb)] for lb in LABEL_ORDER]
+                                   for la in LABEL_ORDER]
 
 
 @PROPERTY
