@@ -90,6 +90,11 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.trials < 1:
             raise ValueError("--trials must be at least 1")
+        # The log keeps both seed columns in one (2, n) uint64 array of 16n
+        # bytes; numpy sizes no array past 2^63 - 1 bytes and raises
+        # ValueError, not MemoryError, from n = 2^59.
+        if self.trials >= 2**59:
+            raise ValueError("--trials must be below 2^59")
         if not 0 <= self.root_seed < 2**64:
             raise ValueError("--seed must fit in 64 bits")
         if self.format not in ("json", "csv", "text"):

@@ -36,7 +36,9 @@ from .rotations import (
     STREAM_BOB,
     STREAM_OUTCOME,
     STREAM_SETTINGS,
+    _WORD_MONOMIAL,
     CollectiveRotation,
+    _monomials,
     sample_su2_batch,
     split_seed,
 )
@@ -265,26 +267,6 @@ _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float
 _PHI = _pair("phi")
 _C_PHI = ETA_EXPANSION_TABLES[("phi", "phi")] @ _PHI
 
-# U^dagger's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds
-# the 10 index pairs a <= b and _MONOMIALS the 35 sorted 4-tuples
-# (a, b, c, d), both in lexicographic order; tuple (a, b, c, d) is pair (a, b)
-# times pair (c, d), and the pairs with c >= b run from _FIRST_PAIR[b] to the
-# end.
-_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
-_FIRST_PAIR = [_PAIRS.index((b, b)) for b in range(4)]
-_MONOMIALS = [(a, b, c, d) for a, b in _PAIRS for c, d in _PAIRS[_FIRST_PAIR[b]:]]
-
-# Entry (I, J) of (U^dagger)^(x)4 is the product over qubits q of
-# e[2 i_q + j_q], so it depends only on the multiset of those entry indices;
-# _WORD_MONOMIAL[I, J] is that multiset's index in _MONOMIALS, matched by the
-# sum of 5^index.  Built by array arithmetic, like _DIGIT_GROUPS, to keep a
-# Python loop over the 256 entries out of import time.
-_WORD_BITS = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
-_WORD_MONOMIAL = np.argmax((5 ** (2 * _WORD_BITS[:, :4] + _WORD_BITS[:, 4:])).sum(axis=1)[:, None]
-                           == (5 ** np.array(_MONOMIALS)).sum(axis=1), axis=1).reshape(16, 16)
-del _WORD_BITS
-
-
 def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's (2k*2, 35) coefficient matrices for conjugated rows
     (2, k, 16) by setting.
@@ -305,23 +287,6 @@ def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return side(_PHI), side(_C_PHI)
 
 
-def _monomials(u: np.ndarray) -> np.ndarray:
-    """(35, n) degree-4 monomials of each trial's U^dagger entries, in the
-    order of _MONOMIALS: the 10 pair products, then each monomial as a pair
-    times a pair.  Any 2x2 u goes through the same formula."""
-    e = np.ascontiguousarray(u.conj().swapaxes(-1, -2).reshape(-1, 4).T)
-    pairs = np.empty((10, len(u)), complex)
-    for a in range(4):
-        np.multiply(e[a:], e[a], out=pairs[_FIRST_PAIR[a]:_FIRST_PAIR[a] + 4 - a])
-    mono = np.empty((35, len(u)), complex)
-    lo = 0
-    for i, (_, b) in enumerate(_PAIRS):
-        hi = lo + 10 - _FIRST_PAIR[b]
-        np.multiply(pairs[_FIRST_PAIR[b]:], pairs[i], out=mono[lo:hi])
-        lo = hi
-    return mono
-
-
 def _amplitudes(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.ndarray,
                 code_a: np.ndarray, code_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's (k, 2, n) amplitudes y[r, p], trials last, through
@@ -336,7 +301,8 @@ def _amplitudes(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.
     Monte Carlo test of that invariance.
     """
     def side(coef, u, code):
-        y = (coef @ _monomials(u)).reshape(2, -1, 2, len(code))
+        y = coef @ _monomials(np.ascontiguousarray(u.conj().swapaxes(-1, -2).reshape(-1, 4).T))
+        y = y.reshape(2, -1, 2, len(code))
         return np.where(code == 0, y[0], y[1])
 
     return side(kernel[0], u_a, code_a), side(kernel[1], u_b, code_b)

@@ -2,10 +2,13 @@
 
 A physical rotation of one observer's apparatus lifts to the same single-qubit
 special unitary on each of that observer's four qubits, i.e. the four-fold
-Kronecker power U (x) U (x) U (x) U; apply_fourfold applies it to states,
-along axis 0 of a (16, ...) array whose trailing axes are the trials.  (The
-table kernel in experiment evaluates the same power as a polynomial in U's
-entries instead.)  An 8-qubit state is handled as its 16x16 amplitude grid:
+Kronecker power U (x) U (x) U (x) U.  All four qubits carry the same U, so
+each entry of the power is a degree-4 monomial in U's four entries, one of 35;
+_monomials forms them, and it is the one evaluation of the power in the
+package.  apply_fourfold reads each trial's 16x16 power off them and applies
+it along axis 0 of a (16, ...) array whose trailing axes are the trials; the
+table kernel in experiment expands its amplitudes in the same monomials of
+U^dagger.  An 8-qubit state is handled as its 16x16 amplitude grid:
 Alice's qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the
 columns).
 
@@ -147,49 +150,68 @@ class RotationPair:
         return cls(CollectiveRotation.sample(seed_alice), CollectiveRotation.sample(seed_bob))
 
 
+# A matrix's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds
+# the 10 index pairs a <= b and _MONOMIALS the 35 sorted 4-tuples
+# (a, b, c, d), both in lexicographic order; tuple (a, b, c, d) is pair (a, b)
+# times pair (c, d), and the pairs with c >= b run from _FIRST_PAIR[b] to the
+# end.
+_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
+_FIRST_PAIR = [_PAIRS.index((b, b)) for b in range(4)]
+_MONOMIALS = [(a, b, c, d) for a, b in _PAIRS for c, d in _PAIRS[_FIRST_PAIR[b]:]]
+
+# Entry (I, J) of the four-fold power is the product over qubits q of
+# e[2 i_q + j_q], so it depends only on the multiset of those entry indices;
+# _WORD_MONOMIAL[I, J] is that multiset's index in _MONOMIALS, matched by the
+# sum of 5^index.  Built by array arithmetic to keep a Python loop over the
+# 256 entries out of import time.
+_WORD_BITS = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+_WORD_MONOMIAL = np.argmax((5 ** (2 * _WORD_BITS[:, :4] + _WORD_BITS[:, 4:])).sum(axis=1)[:, None]
+                           == (5 ** np.array(_MONOMIALS)).sum(axis=1), axis=1).reshape(16, 16)
+del _WORD_BITS
+
+
+def _monomials(e: np.ndarray) -> np.ndarray:
+    """(35, n) degree-4 monomials of n 2x2 matrices' entries e (4, n), rows
+    e00, e01, e10, e11, in the order of _MONOMIALS: the 10 pair products,
+    then each monomial as a pair times a pair.  Any 2x2 matrices go through
+    the same formula.  Callers pass e contiguous, so each product reads an
+    entry's trials at unit stride, and make it in one expression, so no
+    other copy of the matrices (such as U's conjugate) is alive here."""
+    pairs = np.empty((10, e.shape[1]), e.dtype)
+    for a in range(4):
+        np.multiply(e[a:], e[a], out=pairs[_FIRST_PAIR[a]:_FIRST_PAIR[a] + 4 - a])
+    mono = np.empty((35, e.shape[1]), e.dtype)
+    lo = 0
+    for i, (_, b) in enumerate(_PAIRS):
+        hi = lo + 10 - _FIRST_PAIR[b]
+        np.multiply(pairs[_FIRST_PAIR[b]:], pairs[i], out=mono[lo:hi])
+        lo = hi
+    return mono
+
+
 def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...); batch axes last.
 
     u has shape (..., 2, 2) and broadcasts against the trailing axes of x, so
-    one unitary per trial multiplies that trial's columns.  Returns a new
-    array that owns its memory: x broadcast to the batch, rotated in place
-    by _fourfold_in_place.
+    one unitary per trial multiplies that trial's columns.  Each trial's
+    16x16 power is read off its 35 monomials through _WORD_MONOMIAL and
+    applied by one batched matmul, trials first, into a new array that owns
+    its memory.
     """
-    nb = max(x.ndim - 1, u.ndim - 2)
+    nb = u.ndim - 2
     x = x.reshape(16, *(1,) * (nb + 1 - x.ndim), *x.shape[1:])
-    out = np.empty(np.broadcast_shapes(x.shape, (16, *(1,) * (nb + 2 - u.ndim), *u.shape[:-2])),
-                   np.result_type(u, x))
-    out[...] = x
-    return _fourfold_in_place(u, out)
+    split = x.ndim - nb  # x.shape[1:split] are columns, x.shape[split:] trials
+    batch = np.broadcast_shapes(x.shape[split:], u.shape[:-2])
+    mono = _monomials(np.ascontiguousarray(u.reshape(-1, 4).T))
+    power = mono.T[:, _WORD_MONOMIAL].reshape(*u.shape[:-2], 16, 16)
+    out = np.empty((16, *x.shape[1:split], *batch), np.result_type(power, x))
 
+    def stacked(a):
+        """a as matmul takes it: trial axes first, then (16, columns)."""
+        return np.moveaxis(a.reshape(16, -1, *a.shape[split:]), (0, 1), (-2, -1))
 
-def _fourfold_in_place(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...) in place; u
-    (..., 2, 2) broadcasts against the trailing axes of x without growing it.
-
-    The four-fold power is four mode products, one per qubit (Kolda & Bader,
-    SIAM Rev. 51, 455, 2009): on the view (2^q, 2, 2^(3-q), ...) of the state
-    axis, qubit q mixes as x[:, i] <- u[i, 0] x[:, 0] + u[i, 1] x[:, 1], a few
-    ufunc calls over all trials at once, through two half-size scratch arrays.
-    """
-    batch = x.shape[1:]
-    # u[i, j] is entry (i, j) with u's batch axes aligned to the trailing
-    # axes of x; it broadcasts over the 2^(3-q) axis of a view's half.
-    # Contiguous, so each product reads an entry's trials at unit stride.
-    entries = np.ascontiguousarray(u.reshape(-1, 4).T)
-    u = entries.reshape(2, 2, *(1,) * (len(batch) + 2 - u.ndim), *u.shape[:-2])
-    scratch = np.empty((2, 8, *batch), x.dtype)
-    for q in range(4):
-        # Splitting axis 0 is always a view, so the products write into x
-        # even when x is a transposed view.
-        view = x.reshape(2**q, 2, 2 ** (3 - q), *batch)
-        x0_u10, x1_u01 = scratch.reshape(2, 2**q, 2 ** (3 - q), *batch)
-        np.multiply(view[:, 0], u[1, 0], out=x0_u10)
-        view[:, 0] *= u[0, 0]
-        view[:, 0] += np.multiply(view[:, 1], u[0, 1], out=x1_u01)
-        view[:, 1] *= u[1, 1]
-        view[:, 1] += x0_u10
-    return x
+    np.matmul(power, stacked(x), out=stacked(out))
+    return out
 
 
 def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
@@ -202,12 +224,9 @@ def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
 def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Rotate (16, 16, ...) amplitude grids by u_a's four-fold power on axis 0
     (qubits 1-4) and u_b's on axis 1 (qubits 5-8).  u_a and u_b broadcast
-    against the batch axes 2.. of grids, as in apply_fourfold.  Bob's side is
-    rotated into a new array and Alice's in place in it, so no third grid
-    array is made."""
-    full = np.broadcast_shapes(grids.shape, (16, 16, *u_a.shape[:-2]), (16, 16, *u_b.shape[:-2]))
-    rotated = apply_fourfold(u_b, np.broadcast_to(grids, full).swapaxes(0, 1))
-    return _fourfold_in_place(u_a, rotated.swapaxes(0, 1))
+    against the batch axes 2.. of grids, as in apply_fourfold."""
+    bob = apply_fourfold(u_b, grids.swapaxes(0, 1)).swapaxes(0, 1)
+    return apply_fourfold(u_a, bob)
 
 
 def apply_pair(p: RotationPair, s: StateVector) -> StateVector:

@@ -58,7 +58,8 @@ def test_sample_trials_notation(tmp_path, capsys):
     assert main(["sample", "--trials", "1e3", "--out", str(tmp_path)]) == EXIT_OK
     pairs = json.loads((tmp_path / "stats.json").read_text())["stats"]["setting_pairs"]
     assert sum(pair["trials"] for pair in pairs.values()) == 1000
-    for bad in ("1.5", "nan", "inf", "0", "-1e3"):
+    # 2^59 and more trials are rejected before run_trials allocates anything.
+    for bad in ("1.5", "nan", "inf", "0", "-1e3", str(2**59), "1e19", "1e20"):
         assert main(["sample", "--trials", bad, "--out", str(tmp_path)]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -114,6 +115,7 @@ def test_runconfig_validation():
         RunConfig(command="explode").validate()
     with pytest.raises(ValueError):
         RunConfig(command="sample", trials=0).validate()
+    RunConfig(command="sample", trials=2**59 - 1).validate()
     with pytest.raises(ValueError):
         RunConfig(command="sample", setting_policy="weird").validate()
     with pytest.raises(ValueError):
@@ -201,11 +203,11 @@ def test_verify_suite_all_pass():
 
 def test_verify_suite_memory_peak():
     # invariance-eta-pairs sets the peak: rotate_grids on 100 rotation pairs
-    # holds one (16, 16, 100) complex grid (400 KiB), which both sides are
-    # rotated in, and two half-size scratch arrays (400 KiB).  It traces
-    # 1316 KiB (numpy 2.4); when apply_fourfold returned a view into a block
-    # twice its size and rotate_grids made a second block, it traced
-    # 2087 KiB.
+    # holds Bob's rotated (16, 16, 100) complex grid, Alice's 100 16x16
+    # powers and the output grid, 400 KiB each, over the suite's 128 KiB.
+    # It traces 1330 KiB (numpy 2.4); when apply_fourfold returned a view
+    # into a block twice its size and rotate_grids made a second block, it
+    # traced 2087 KiB.
     run_verify_suite()
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 """Exact behavior tables, conditionals, and the seeded Monte Carlo engine."""
 
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -37,7 +38,6 @@ from afbell.rotations import (
     STREAM_OUTCOME,
     STREAM_SETTINGS,
     CollectiveRotation,
-    apply_fourfold,
     sample_su2_batch,
     split_seed,
 )
@@ -501,16 +501,17 @@ def _some_unitaries(seed):
 @pytest.mark.parametrize("name", sorted(ROW_SETS))
 def test_monomial_amplitudes_match_the_fourfold_rotation(name):
     # Each side's amplitudes rows . (U^dagger)^(x)4 . pair through the 35
-    # monomials, against apply_fourfold's mode products, for any 2x2 u.
+    # monomials, against the dense Kronecker power, for any 2x2 u.
+    # apply_fourfold runs the same monomials, so it is no reference here.
     rows = ROW_SETS[name]
     code = np.arange(12) % 2
     for kind, u in _some_unitaries(0xB0B).items():
-        u_dag = np.swapaxes(u.conj(), -1, -2)
         y = experiment._amplitudes(KERNELS[name], u, u, code, code)
         for side, pair in zip(y, (experiment._PHI, experiment._C_PHI)):
-            rotated = apply_fourfold(u_dag, pair.T[..., None])
-            want = np.einsum("nki,ipn->kpn", rows[code], rotated)
-            assert np.abs(side - want).max() <= 1e-15, (name, kind)
+            for n, un in enumerate(u):
+                dense = functools.reduce(np.kron, [un.conj().T] * 4)
+                want = rows[code[n]] @ dense @ pair.T
+                assert np.abs(side[..., n] - want).max() <= 1e-15, (name, kind, n)
 
 
 def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):

@@ -1,6 +1,7 @@
-"""Property-based checks: chunking, batch-of-one sampling, counting and
-merging counts, and the CSV writer."""
+"""Property-based checks: chunking, batch-of-one sampling, the four-fold
+rotation, counting and merging counts, and the CSV writer."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from afbell.experiment import (
     TrialLog,
     run_trials,
 )
-from afbell.rotations import sample_su2_batch
+from afbell.rotations import apply_fourfold, sample_su2_batch
 
 LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
 
@@ -53,6 +54,46 @@ def test_su2_batch_row_is_its_batch_of_one(seeds):
     batch = sample_su2_batch(np.array(seeds, dtype=np.uint64))
     for row, seed in zip(batch, seeds):
         assert np.array_equal(row, sample_su2_batch(np.array([seed], dtype=np.uint64))[0])
+
+
+@st.composite
+def two_by_twos(draw, n):
+    """(n, 2, 2) complex matrices of one kind: Haar SU(2), SU(2) times a
+    phase, or any entries."""
+    kind = draw(st.sampled_from(["unitary", "phase", "any"]))
+    if kind == "any":
+        parts = draw(st.lists(st.floats(-2, 2), min_size=8 * n, max_size=8 * n))
+        return np.array(parts).view(complex).reshape(n, 2, 2)
+    u = sample_su2_batch(np.array(draw(st.lists(uint64s, min_size=n, max_size=n)), np.uint64))
+    if kind == "phase":
+        angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=n, max_size=n))
+        u = u * np.exp(1j * np.array(angles))[:, None, None]
+    return u
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 5), batched=st.booleans(),
+       x_shape=st.sampled_from(["16", "16k", "16kn", "16k1"]), x_seed=uint64s)
+def test_apply_fourfold_is_the_dense_kronecker_power(data, n, k, batched, x_shape, x_seed):
+    # u is one matrix or n of them; x's trailing axes broadcast against u's
+    # batch, so with n matrices a (16, k) x has k = n trial columns.
+    us = data.draw(two_by_twos(n))
+    u = us if batched else us[0]
+    shape = {"16": (16,), "16k": (16, n if batched else k), "16kn": (16, k, n),
+             "16k1": (16, k, 1)}[x_shape]
+    rng = np.random.default_rng(x_seed)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = apply_fourfold(u, x)
+    assert out.shape == (16, *np.broadcast_shapes(shape[1:], u.shape[:-2]))
+    assert out.base is None
+    # Sixteen products of four entries and one x per output entry, each off
+    # by a few roundings in either form.
+    tol = 256 * np.finfo(float).eps * max(1.0, np.abs(us).max()) ** 4 * np.abs(x).max()
+    columns = np.broadcast_to(x.reshape(16, *(1,) * (out.ndim - x.ndim), *shape[1:]), out.shape)
+    for idx in np.ndindex(out.shape[1:]):
+        dense = functools.reduce(np.kron, [us[idx[-1]] if batched else u] * 4)
+        want = dense @ columns[(slice(None), *idx)]
+        assert np.abs(out[(slice(None), *idx)] - want).max() <= tol, idx
 
 
 def _log(rows: list[tuple[int, int, int, int]]) -> TrialLog:
