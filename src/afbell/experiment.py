@@ -122,20 +122,20 @@ class SetupRotations:
     @classmethod
     def sample(cls, seed: int) -> "SetupRotations":
         """Four independently Haar-seeded rotations derived from one seed."""
-        seeds = split_seed(seed, _SETUP_TAGS)
-        return cls(*map(CollectiveRotation, sample_su2_batch(seeds)), seeds=tuple(seeds.tolist()))
+        seeds, u = _draw_setups(np.array([seed % 2**64], np.uint64))
+        return cls(*map(CollectiveRotation, u[0]), seeds=tuple(seeds[0].tolist()))
 
     @classmethod
     def identity(cls) -> "SetupRotations":
         ident = CollectiveRotation.identity()
         return cls(ident, ident, ident, ident)
 
-    def for_side(self, side: str, setting: Setting) -> CollectiveRotation:
-        if side == "A":
-            return self.alice_f if setting is Setting.F else self.alice_g
-        if side == "B":
-            return self.bob_f if setting is Setting.F else self.bob_g
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+def _draw_setups(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 4) rotation seeds and (m, 4, 2, 2) unitaries, in SetupRotations
+    field order, of the setups drawn from m uint64 seeds: each split by _SETUP_TAGS."""
+    setup_seeds = split_seed(seeds[:, None], _SETUP_TAGS)
+    return setup_seeds, sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
 
 
 def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, int], float]:
@@ -189,13 +189,6 @@ class ExactBehavior:
             return self.table(remote_setting, own_setting).sum(axis=0)
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
-    def zero_outcome_mass(self) -> float:
-        """Largest total probability any setting pair gives the 0 label."""
-        worst = 0.0
-        for t in self.tables.values():
-            worst = max(worst, float(t[2, :].sum() + t[:, 2].sum() - t[2, 2]))
-        return worst
-
     def to_json_dict(self) -> dict:
         return {
             "outcome_order": list(LABEL_ORDER),
@@ -208,7 +201,7 @@ class ExactBehavior:
 
 # The exact tables that report and sample print: each cell the float of its
 # Fraction in qstate.ETA_BORN_TABLES (F reads phi, G reads psi), the 0 row and
-# column exactly 0.  verify checks the kernel, exact_behavior(), against it.
+# column exactly 0.  verify checks the kernel's tables against it.
 _BASIS = {Setting.F: "phi", Setting.G: "psi"}
 EXACT_BEHAVIOR = ExactBehavior({
     (sa, sb): np.pad(ETA_BORN_TABLES[(_BASIS[sa], _BASIS[sb])].astype(float), (0, 1))

@@ -66,22 +66,6 @@ def distance(a: StateVector, b: StateVector) -> float:
     return float(np.linalg.norm(a.amps - b.amps))
 
 
-def permute_qubits(state: StateVector, order: tuple[int, ...]) -> StateVector:
-    """Reorder qubits; order[k] is the 1-based source qubit for target slot k+1."""
-    n = state.num_qubits
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
-    cube = state.amps.reshape((2,) * n)
-    return StateVector(n, cube.transpose([q - 1 for q in order]).reshape(-1))
-
-
-def swap_qubits_2_3(state: StateVector) -> StateVector:
-    """Exchange qubits 2 and 3 of a 4-qubit state."""
-    if state.num_qubits != 4:
-        raise ValueError("swap_qubits_2_3 expects a 4-qubit state")
-    return permute_qubits(state, (1, 3, 2, 4))
-
-
 # The invariant pair, the one statement of the four states' amplitudes: phi_j
 # is an integer vector over the kets times 1/sqrt(n_j), so phi0 is 1/2 and phi1
 # 1/(2 sqrt3) times its integers (sqrt(12) rounds to exactly 2 sqrt(3)).  Both

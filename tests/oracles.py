@@ -6,7 +6,8 @@ Python, so these never share a code path with the library under test.
 references for rotated measurements: they build the full 16x16 four-fold
 power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_index``, ``basis_state``,
-``tensor`` and ``amplitude`` are the register plumbing the tests build with.
+``tensor`` and ``amplitude`` are the register plumbing the tests build with,
+and ``swap_qubits`` exchanges two qubits one ket at a time.
 ``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
 seed-split rule built from it, the references for the library's uint64 seed
 derivation.
@@ -181,3 +182,15 @@ def amplitude(state, bits):
     if len(bits) != state.num_qubits:
         raise ValueError(f"label {bits!r} has wrong length for {state.num_qubits} qubits")
     return complex(state.amps[basis_index(bits)])
+
+
+def swap_qubits(state, i, j):
+    """The state with qubits i and j (1-based) exchanged: each ket's amplitude
+    moves to the bit string with its characters i and j swapped."""
+    n = state.num_qubits
+    amps = np.zeros(2**n, dtype=complex)
+    for index, amp in enumerate(state.amps):
+        bits = list(format(index, f"0{n}b"))
+        bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
+        amps[basis_index("".join(bits))] = amp
+    return StateVector(n, amps)

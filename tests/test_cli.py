@@ -22,7 +22,7 @@ from afbell.cli import (
     parse_trials,
     run_verify_suite,
 )
-from afbell.experiment import SETTING_PAIRS, ExactBehavior, Setting, SetupRotations, run_trials
+from afbell.experiment import SetupRotations, run_trials
 from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import split_seed
@@ -62,6 +62,18 @@ def test_sample_trials_notation(tmp_path, capsys):
     for bad in ("1.5", "nan", "inf", "0", "-1e3", str(2**59), "1e19", "1e20"):
         assert main(["sample", "--trials", bad, "--out", str(tmp_path)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", [str(2**58), "1e17"])
+def test_sample_unallocatable_trials_is_usage_error(tmp_path, capsys, trials):
+    # Below 2^59, but the log's first column alone is past any address
+    # space, so the first allocation fails at once.
+    out = tmp_path / "run"
+    assert main(["sample", "--trials", trials, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --trials") and "28 bytes per trial" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 # sha256 of the trials.csv data rows (every line after the '#' metadata
@@ -186,8 +198,8 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 VERIFY_ROWS = (
-    "state-norms", "state-orthogonality", "basis-change-matrix", "qubit-swap-relation",
-    "expansion-tables", "expansion-reconstruction", "pvm-invariants", "protocol-partition",
+    "state-norms", "state-orthogonality", "basis-change-matrix", "expansion-tables",
+    "expansion-reconstruction", "pvm-invariants", "protocol-partition",
     "protocol-string-probs", "protocol-pvm-agreement", "invariance-generators",
     "invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger",
     "identity-ff-zero", "identity-cond-ab", "identity-cond-ba", "identity-gg-hardy",
@@ -201,11 +213,36 @@ def test_verify_suite_all_pass():
     assert tuple(r.name for r in results) == VERIFY_ROWS
 
 
+def test_verify_suite_makes_one_kernel_call(monkeypatch):
+    # Every setup verify tables (the identity, setup 77 and the robustness
+    # setups) goes through one batched kernel call, 4 setting pairs each.
+    calls, born_tables = [], experiment._born_tables
+    monkeypatch.setattr(experiment, "_born_tables",
+                        lambda kernel, u_a, *rest: calls.append(len(u_a))
+                        or born_tables(kernel, u_a, *rest))
+    assert all(r.passed for r in run_verify_suite())
+    assert calls == [4 * (2 + cli.ROBUSTNESS_SAMPLES)]
+    # Each row reads its own setups of that batch: move 1e-9 of FF mass in
+    # setup 77 (index 1) or in the last robustness setup.
+    setup_tables = cli._setup_tables
+    for setup, rows in ((1, {"heisenberg-schrodinger", "no-signaling"}),
+                        (-1, {"rotation-robustness"})):
+        def mutant(u, setup=setup):
+            tables = setup_tables(u)
+            tables[setup, 0, 0, 0] -= 1e-9
+            tables[setup, 0, 1, 0] += 1e-9
+            return tables
+
+        monkeypatch.setattr(cli, "_setup_tables", mutant)
+        assert {r.name for r in run_verify_suite() if not r.passed} == rows, setup
+
+
 def test_verify_suite_memory_peak():
     # invariance-eta-pairs sets the peak: rotate_grids on 100 rotation pairs
     # holds Bob's rotated (16, 16, 100) complex grid, Alice's 100 16x16
     # powers and the output grid, 400 KiB each, over the suite's 128 KiB.
-    # It traces 1330 KiB (numpy 2.4); when apply_fourfold returned a view
+    # It traces 1385 KiB (numpy 2.4), whether the setups are tabled in one
+    # kernel call or in three; when apply_fourfold returned a view
     # into a block twice its size and rotate_grids made a second block, it
     # traced 2087 KiB.
     run_verify_suite()
@@ -218,19 +255,19 @@ def test_verify_suite_memory_peak():
     assert peak <= 1.5 * 2**20
 
 
-def test_qubit_swap_row_checks_the_permutation(monkeypatch):
-    # psi's integer kets are phi's under qstate's index permutation, so the
-    # row reads 0 by construction: it checks that swap_qubits_2_3 spells the
-    # same permutation, and fails once the two part.
-    row = {r.name: r for r in run_verify_suite()}["qubit-swap-relation"]
-    assert (row.deviation, row.passed) == (0.0, True) and "permutation" in row.detail
-    # Flip one sign of psi1 where psi0 is 0, so psi stays an orthonormal pair
-    # and G a PVM: an amplitude 2/sqrt(12) moves by twice itself.
+def test_psi_sign_flip_fails_the_exact_rows(monkeypatch):
+    # psi's integer kets are phi's under qstate's 2<->3 transpose.  Flip one
+    # sign of psi1 where psi0 is 0, so psi stays an orthonormal pair and G a
+    # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The flipped ket
+    # leaves the spin-zero sector, and its overlaps with phi leave the basis
+    # change.
     psi = cli.INTEGER_KETS["psi"].copy()
     psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
     monkeypatch.setitem(cli.INTEGER_KETS, "psi", psi)
-    row = {r.name: r for r in run_verify_suite()}["qubit-swap-relation"]
-    assert row.deviation == pytest.approx(2 / np.sqrt(3)) and not row.passed
+    rows = {r.name: r for r in run_verify_suite()}
+    assert rows["invariance-generators"].deviation == 4.0
+    assert rows["basis-change-matrix"].deviation == pytest.approx(1 / np.sqrt(3))
+    assert not rows["invariance-generators"].passed and not rows["basis-change-matrix"].passed
 
 
 def test_verify_identity_rows_read_the_kernel(tmp_path, capsys, monkeypatch):
@@ -238,22 +275,20 @@ def test_verify_identity_rows_read_the_kernel(tmp_path, capsys, monkeypatch):
     # once, and each identity row reads its own cells of that comparison;
     # report prints the rationals and never calls the kernel.
     assert main(["report", "--format", "json", "--out", str(tmp_path / "before")]) == EXIT_OK
-    kernel = experiment.exact_behavior
-    f, g = Setting.F, Setting.G
-    # Move 1e-9 of mass from the pair's (-1, -1) cell into one of its 0 cells.
-    for pair, cell, row in (((f, f), (1, 1), "identity-ff-zero"),
-                            ((f, g), (0, 1), "identity-cond-ab")):
-        def mutant(rotations=None, pair=pair, cell=cell):
-            behavior = kernel(rotations)
-            if rotations is not None:
-                return behavior
-            tables = {k: behavior.table(*k).copy() for k in SETTING_PAIRS}
-            tables[pair][0, 0] -= 1e-9
-            tables[pair][cell] += 1e-9
-            return ExactBehavior(tables)
+    kernel = experiment._setup_tables
+    # In the identity setup's tables only, move 1e-9 of mass from the pair's
+    # (-1, -1) cell into one of its zero cells; (0, 2) is on the 0 label.
+    for k, cell, row in ((0, (1, 1), "identity-ff-zero"), (1, (0, 1), "identity-cond-ab"),
+                         (0, (0, 2), "zero-outcome-mass")):
+        def mutant(u, k=k, cell=cell):
+            tables = kernel(u)
+            identity = (u == np.eye(2)).all(axis=(1, 2, 3))
+            tables[identity, k, 0, 0] -= 1e-9
+            tables[identity, k, cell[0], cell[1]] += 1e-9
+            return tables
 
-        monkeypatch.setattr(cli, "exact_behavior", mutant)
-        monkeypatch.setattr(experiment, "exact_behavior", mutant)
+        monkeypatch.setattr(cli, "_setup_tables", mutant)
+        monkeypatch.setattr(experiment, "_setup_tables", mutant)
         rows = {r.name: r for r in run_verify_suite()}
         failing = {name for name, r in rows.items() if not r.passed}
         # The mutant also leaks into the marginals and off the rotated tables.
@@ -313,6 +348,7 @@ def test_protocol_rows_are_exact(monkeypatch):
     rows = {r.name: r for r in run_verify_suite(tolerance=1e-16)}
     for name in ("protocol-partition", "protocol-pvm-agreement"):
         assert (rows[name].deviation, rows[name].tolerance, rows[name].passed) == (0.0, 0.0, True)
+    assert rows["protocol-partition"].detail == "4 strings map to -1, 12 to +1, per setting"
     f = cli.local_protocol_for("F")
     minus, plus = (ALL_STRINGS[int(np.flatnonzero(f.labels == label)[0])] for label in (-1, +1))
     swapped = dict(f.classifier, **{minus: +1, plus: -1})
@@ -357,8 +393,9 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
     # seeds can tie; a check that ignores the seed reads the same at all three.
     # protocol-pvm-agreement draws nothing: it is an exact integer identity.
     # rotation-robustness's max over 720 cells sits at 2 ulps of 1/2 for
-    # most seeds, so its setups are checked instead: the 20 it tables are
-    # drawn from split_seed(seed, 1000 + k).
+    # most seeds, so the setups are checked instead: the one kernel call
+    # tables the identity, then SetupRotations.sample's setups at
+    # split_seed(seed, 77) and at split_seed(seed, 1000 + k).
     randomized = ("invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger")
     tabled, setup_tables = [], cli._setup_tables
     monkeypatch.setattr(cli, "_setup_tables", lambda u: tabled.append(u) or setup_tables(u))
@@ -372,8 +409,9 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
         assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
         checks = {row["name"]: row["deviation"] for row in payload["checks"]}
         deviations[seed] = {name: checks[name] for name in (*randomized, "protocol-pvm-agreement")}
-        setups = [SetupRotations.sample(split_seed(parse_seed(seed), 1000 + k))
-                  for k in range(cli.ROBUSTNESS_SAMPLES)]
+        setups = [SetupRotations.identity()] + [
+            SetupRotations.sample(split_seed(parse_seed(seed), key))
+            for key in (77, *range(1000, 1000 + cli.ROBUSTNESS_SAMPLES))]
         assert len(tabled) == 1 and np.array_equal(tabled[0], [
             [r.u for r in (s.alice_f, s.alice_g, s.bob_f, s.bob_g)] for s in setups])
     capsys.readouterr()
