@@ -13,26 +13,17 @@ from .qstate import (
 from .observables import (
     PVM,
     LocalProtocol,
-    born_distribution,
     build_F,
     build_G,
-    coarse_grain,
     local_protocol_for,
 )
-from .rotations import (
-    CollectiveRotation,
-    RotationPair,
-    apply_collective,
-    apply_pair,
-    split_seed,
-)
+from .rotations import CollectiveRotation, split_seed
 from .experiment import (
     ExactBehavior,
     JointStats,
     Setting,
     SetupRotations,
     TrialLog,
-    conditional,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -51,12 +42,10 @@ __all__ = [
     "__version__",
     "StateVector", "build_eta", "build_phi", "build_psi", "expand_eta_in",
     "inner_product",
-    "PVM", "LocalProtocol", "born_distribution", "build_F", "build_G",
-    "coarse_grain", "local_protocol_for",
-    "CollectiveRotation", "RotationPair", "apply_collective", "apply_pair",
-    "split_seed",
+    "PVM", "LocalProtocol", "build_F", "build_G", "local_protocol_for",
+    "CollectiveRotation", "split_seed",
     "ExactBehavior", "JointStats", "Setting", "SetupRotations", "TrialLog",
-    "conditional", "epr_audit", "exact_behavior", "run_trials",
+    "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",
     "max_hardy_fraction", "quantum_constraints", "verify_certificate",
 ]

@@ -260,7 +260,11 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     tables = _setup_tables(np.concatenate([np.broadcast_to(np.eye(2), (1, 4, 2, 2)), drawn]))
 
     # Setup 77's pair (a, b) against the dense Born rule on the grid rotated
-    # by U^dagger, Alice's U drawn[0, a] and Bob's drawn[0, 2 + b].
+    # by U^dagger, Alice's U drawn[0, a] and Bob's drawn[0, 2 + b].  This
+    # checks the kernel at one seeded setup, not which U rotates which side:
+    # F, G and their 0 projectors commute with every U(x)U(x)U(x)U, so a label
+    # table is the same for every setup, whatever the source.  The side wiring
+    # is checked on fine tables by test_table_kernel_rotates_a_non_invariant_source.
     canonical = (build_F(), build_G())
     worst = 0.0
     for (a, b), table in zip(np.ndindex(2, 2), tables[1]):

@@ -181,14 +181,6 @@ class ExactBehavior:
             self.table(setting_a, setting_b)[_label_index(outcome_a), _label_index(outcome_b)]
         )
 
-    def marginal(self, side: str, own_setting: Setting, remote_setting: Setting) -> np.ndarray:
-        """One side's outcome distribution, by LABEL_ORDER."""
-        if side == "A":
-            return self.table(own_setting, remote_setting).sum(axis=1)
-        if side == "B":
-            return self.table(remote_setting, own_setting).sum(axis=0)
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-
     def to_json_dict(self) -> dict:
         return {
             "outcome_order": list(LABEL_ORDER),
@@ -383,26 +375,6 @@ _MEASUREMENTS = {
 MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
 
 
-def conditional(behavior: ExactBehavior,
-                target: tuple[str, Setting, int],
-                given: tuple[str, Setting, int]) -> float:
-    """P(target outcome | given outcome) for opposite sides of one setting pair."""
-    t_side, t_setting, t_outcome = target
-    g_side, g_setting, g_outcome = given
-    if {t_side, g_side} != {"A", "B"}:
-        raise ValueError("target and given must be on opposite sides")
-    if t_side == "A":
-        table = behavior.table(t_setting, g_setting)
-        joint = table[_label_index(t_outcome), _label_index(g_outcome)]
-    else:
-        table = behavior.table(g_setting, t_setting)
-        joint = table[_label_index(g_outcome), _label_index(t_outcome)]
-    p_given = behavior.marginal(g_side, g_setting, t_setting)[_label_index(g_outcome)]
-    if p_given <= ZERO_EVENT_TOL:
-        raise ValueError("conditioning on a zero-probability event")
-    return float(joint / p_given)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo trials
 # ---------------------------------------------------------------------------
@@ -529,16 +501,8 @@ def _csv_rows(rows: np.ndarray, keep: np.ndarray, trial, setting_a, setting_b,
 class JointStats:
     """Outcome-pair counts per setting pair; merging is commutative and associative."""
 
-    def __init__(self, counts: dict[tuple[Setting, Setting], np.ndarray] | None = None) -> None:
-        self.counts = {
-            pair: np.zeros((3, 3), dtype=np.int64) for pair in SETTING_PAIRS
-        }
-        if counts:
-            for pair, c in counts.items():
-                c = np.asarray(c, dtype=np.int64)
-                if c.shape != (3, 3) or c.min() < 0:
-                    raise ValueError("counts must be nonnegative 3x3 tables")
-                self.counts[pair] = c.copy()
+    def __init__(self) -> None:
+        self.counts = {pair: np.zeros((3, 3), dtype=np.int64) for pair in SETTING_PAIRS}
 
     @classmethod
     def from_records(cls, log: TrialLog) -> "JointStats":

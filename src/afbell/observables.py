@@ -95,25 +95,6 @@ def build_G() -> PVM:
     return _two_state_pvm(build_psi(0), build_psi(1))
 
 
-def born_distribution(state: StateVector, m: PVM) -> dict[int, float]:
-    """Born-rule outcome distribution of a PVM on a unit-norm state."""
-    if 2**state.num_qubits != m.dim:
-        raise ValueError(
-            f"dimension mismatch: state has {2**state.num_qubits} amplitudes, "
-            f"PVM acts on dimension {m.dim}"
-        )
-    if abs(state.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be unit-norm")
-    probs = {}
-    for label, proj in m.outcomes:
-        p = float(np.real(np.vdot(state.amps, proj @ state.amps)))
-        probs[label] = max(p, 0.0)
-    total = sum(probs.values())
-    if abs(total - 1.0) > PVM_TOL * 10:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return probs
-
-
 # ---------------------------------------------------------------------------
 # Local single-qubit protocol
 # ---------------------------------------------------------------------------
@@ -136,7 +117,7 @@ class LocalProtocol:
     Construction also fixes the protocol's read-only product eigenbasis,
     ``eigenvectors`` (row i is the eigenvector of outcome string
     ALL_STRINGS[i]), its integer rows ``integer_eigenvectors`` (twice
-    eigenvectors), and ``labels`` (int8, labels[i] = classify(ALL_STRINGS[i])).
+    eigenvectors), and ``labels`` (int8, labels[i] = classifier[ALL_STRINGS[i]]).
     """
 
     axes: tuple[str, str, str, str]
@@ -161,9 +142,6 @@ class LocalProtocol:
                              (vecs, ints, labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def classify(self, bits: str) -> int:
-        return self.classifier[bits]
 
     def classifier_json(self) -> str:
         """Classifier table as JSON (outcome string -> label), sorted by string."""
@@ -190,26 +168,9 @@ def local_protocol_for(setting: str) -> LocalProtocol:
     return _PROTOCOLS[setting]
 
 
-def coarse_grain(p: LocalProtocol) -> PVM:
-    """Two-outcome PVM: per classifier label, the projector onto its eigenvectors."""
-    outcomes = []
-    for label in (-1, +1):
-        vecs = p.eigenvectors[p.labels == label]
-        outcomes.append((label, vecs.T @ vecs.conj()))
-    return PVM(tuple(outcomes))
-
-
 def string_distribution(state: StateVector, p: LocalProtocol) -> dict[str, float]:
     """Probability of each 4-bit outcome string when measuring the protocol."""
     if state.num_qubits != 4:
         raise ValueError("protocol measurements act on 4-qubit states")
     amps = p.eigenvectors.conj() @ state.amps
     return {bits: float(abs(a) ** 2) for bits, a in zip(ALL_STRINGS, amps)}
-
-
-def classified_distribution(state: StateVector, p: LocalProtocol) -> dict[int, float]:
-    """Distribution over {-1, +1} after classifying the measured string."""
-    out = {-1: 0.0, +1: 0.0}
-    for bits, prob in string_distribution(state, p).items():
-        out[p.classify(bits)] += prob
-    return out

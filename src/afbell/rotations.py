@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector
-
 _MASK64 = (1 << 64) - 1
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
@@ -129,25 +127,9 @@ class CollectiveRotation:
     def identity(cls) -> "CollectiveRotation":
         return cls(np.eye(2, dtype=complex))
 
-    @classmethod
-    def sample(cls, rng_seed: int) -> "CollectiveRotation":
-        return cls(sample_su2_batch(np.array([_as_uint64(rng_seed)]))[0])
-
     def to_json(self) -> list[list[list[float]]]:
         """2x2 matrix as [[re, im], ...] rows for report emission."""
         return [[[c.real, c.imag] for c in row] for row in np.asarray(self.u)]
-
-
-@dataclass(frozen=True)
-class RotationPair:
-    """Independent collective rotations for Alice's and Bob's four qubits."""
-
-    r_alice: CollectiveRotation
-    r_bob: CollectiveRotation
-
-    @classmethod
-    def sample(cls, seed_alice: int, seed_bob: int) -> "RotationPair":
-        return cls(CollectiveRotation.sample(seed_alice), CollectiveRotation.sample(seed_bob))
 
 
 # A matrix's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds
@@ -214,23 +196,9 @@ def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_collective(r: CollectiveRotation, s: StateVector) -> StateVector:
-    """Rotate a 4-qubit state by the four-fold power of r's single-qubit unitary."""
-    if s.num_qubits != 4:
-        raise ValueError("apply_collective expects a 4-qubit state")
-    return StateVector(4, apply_fourfold(r.u, s.amps))
-
-
 def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Rotate (16, 16, ...) amplitude grids by u_a's four-fold power on axis 0
     (qubits 1-4) and u_b's on axis 1 (qubits 5-8).  u_a and u_b broadcast
     against the batch axes 2.. of grids, as in apply_fourfold."""
     bob = apply_fourfold(u_b, grids.swapaxes(0, 1)).swapaxes(0, 1)
     return apply_fourfold(u_a, bob)
-
-
-def apply_pair(p: RotationPair, s: StateVector) -> StateVector:
-    """Apply p.r_alice to qubits 1-4 (grid rows) and p.r_bob to qubits 5-8 (columns)."""
-    if s.num_qubits != 8:
-        raise ValueError("apply_pair expects an 8-qubit state")
-    return StateVector(8, rotate_grids(p.r_alice.u, p.r_bob.u, s.amps.reshape(16, 16)).reshape(256))

@@ -8,9 +8,12 @@ power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_index``, ``basis_state``,
 ``tensor`` and ``amplitude`` are the register plumbing the tests build with,
 and ``swap_qubits`` exchanges two qubits one ket at a time.
+``born`` is the Born rule <s|P|s> read off a PVM's projectors, and
+``classified`` and ``coarse_grained`` are a protocol's two-outcome
+distribution and PVM, built from its eigenvectors and classifier.
 ``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
 seed-split rule built from it, the references for the library's uint64 seed
-derivation.
+derivation; ``su2`` is the Haar draw from one seed in scalar ``math``.
 ``trials_csv`` formats a trial log one row at a time from Python ints, the
 reference for the chunked CSV writer.
 """
@@ -61,6 +64,20 @@ def split(parent, key):
     """Child seed mix64(mix64(parent) + key * gamma) mod 2^64, gamma the
     golden-ratio increment of splitmix64."""
     return mix64(mix64(parent) + key * 0x9E3779B97F4A7C15)
+
+
+def su2(seed):
+    """Haar SU(2) matrix of one seed: four uniforms in (0, 1] from
+    mix64(seed + k * gamma), k = 1..4, two Box-Muller pairs of normals, and
+    the unit quaternion (w, x, y, z) as w*I - i(x*sx + y*sy + z*sz)."""
+    u = [((mix64(seed + k * 0x9E3779B97F4A7C15) >> 11) + 1) * 2.0**-53 for k in range(1, 5)]
+    q = []
+    for radial, angle in ((u[0], u[1]), (u[2], u[3])):
+        r, t = math.sqrt(-2.0 * math.log(radial)), 2.0 * math.pi * angle
+        q += [r * math.cos(t), r * math.sin(t)]
+    norm = math.sqrt(sum(c * c for c in q))
+    w, x, y, z = (c / norm for c in q)
+    return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
 
 
 def dict_scale(a, factor):
@@ -119,6 +136,30 @@ def born_table(grid, u_a, u_b, vectors_a, vectors_b):
         np.asarray(x, dtype=np.clongdouble) for x in (grid, u_a, u_b, vectors_a, vectors_b))
     amps = rotated_bras(u_a, vectors_a) @ grid @ rotated_bras(u_b, vectors_b).T
     return (amps.real**2 + amps.imag**2).astype(float)
+
+
+def born(state, pvm):
+    """Born distribution {label: <s|P|s>} of a PVM on a state."""
+    return {label: float(np.vdot(state.amps, proj @ state.amps).real)
+            for label, proj in pvm.outcomes}
+
+
+def classified(state, protocol):
+    """{-1, +1} distribution of a protocol: each outcome string's |<e_i|s>|^2,
+    e_i its eigenvector, added to the label the classifier gives it."""
+    out = {-1: 0.0, +1: 0.0}
+    for i, vec in enumerate(protocol.eigenvectors):
+        out[protocol.classifier[format(i, "04b")]] += abs(np.vdot(vec, state.amps)) ** 2
+    return out
+
+
+def coarse_grained(protocol):
+    """Two-outcome PVM of a protocol: per label, the sum of |e_i><e_i| over
+    the eigenvectors of the strings the classifier gives that label."""
+    proj = {-1: np.zeros((16, 16), complex), +1: np.zeros((16, 16), complex)}
+    for i, vec in enumerate(protocol.eigenvectors):
+        proj[protocol.classifier[format(i, "04b")]] += np.outer(vec, vec.conj())
+    return PVM(tuple(proj.items()))
 
 
 def sequential_joint(state, pvm_a, pvm_b):

@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 
+import oracles
 from afbell.cli import main as cli_main
 from afbell.experiment import (
     Setting,
     SetupRotations,
-    conditional,
+    epr_audit,
     exact_behavior,
     run_trials,
 )
@@ -25,15 +26,7 @@ from afbell.lhv import (
     quantum_constraints,
     verify_certificate,
 )
-from afbell.observables import (
-    born_distribution,
-    build_F,
-    build_G,
-    classified_distribution,
-    coarse_grain,
-    local_protocol_for,
-    string_distribution,
-)
+from afbell.observables import build_F, build_G, local_protocol_for, string_distribution
 from afbell.qstate import (
     ETA_EXPANSION_TABLES,
     StateVector,
@@ -43,13 +36,7 @@ from afbell.qstate import (
     distance,
     eta_from_table,
 )
-from afbell.rotations import (
-    CollectiveRotation,
-    RotationPair,
-    apply_collective,
-    apply_pair,
-    split_seed,
-)
+from afbell.rotations import apply_fourfold, rotate_grids, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
 
@@ -62,8 +49,9 @@ def test_criterion_1_exact_identity_suite():
     t0 = time.perf_counter()
     behavior = exact_behavior()
     dev_ff = behavior.prob(Setting.F, Setting.F, 1, 1)
-    dev_ab = abs(conditional(behavior, ("A", Setting.F, 1), ("B", Setting.G, 1)) - 1.0)
-    dev_ba = abs(conditional(behavior, ("B", Setting.F, 1), ("A", Setting.G, 1)) - 1.0)
+    chain = epr_audit(None, behavior).exact
+    dev_ab = abs(chain.cond_ab - 1.0)
+    dev_ba = abs(chain.cond_ba - 1.0)
     dev_gg = abs(behavior.prob(Setting.G, Setting.G, 1, 1) - HARDY)
     elapsed = time.perf_counter() - t0
     assert dev_ff < 1e-12
@@ -80,11 +68,10 @@ def test_criterion_2_rotation_robustness():
     worst = 0.0
     for k in range(20):
         b = exact_behavior(SetupRotations.sample(split_seed(20260810, k)))
+        chain = epr_audit(None, b).exact
         worst = max(worst, b.prob(Setting.F, Setting.F, 1, 1))
-        worst = max(worst, abs(
-            conditional(b, ("A", Setting.F, 1), ("B", Setting.G, 1)) - 1.0))
-        worst = max(worst, abs(
-            conditional(b, ("B", Setting.F, 1), ("A", Setting.G, 1)) - 1.0))
+        worst = max(worst, abs(chain.cond_ab - 1.0))
+        worst = max(worst, abs(chain.cond_ba - 1.0))
         worst = max(worst, abs(b.prob(Setting.G, Setting.G, 1, 1) - HARDY))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
@@ -95,15 +82,18 @@ def test_criterion_2_rotation_robustness():
 
 def test_criterion_3_state_invariance():
     eta = build_eta()
+    grid = eta.amps.reshape(16, 16)
     states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
+    pairs = sample_su2_batch(split_seed(11, np.arange(200)))
+    singles = sample_su2_batch(split_seed(13, np.arange(100)))
     worst_pair = 0.0
     worst_single = 0.0
     for k in range(100):
-        pair = RotationPair.sample(split_seed(11, 2 * k), split_seed(11, 2 * k + 1))
-        worst_pair = max(worst_pair, distance(apply_pair(pair, eta), eta))
-        rot = CollectiveRotation.sample(split_seed(13, k))
+        moved = rotate_grids(pairs[2 * k], pairs[2 * k + 1], grid).reshape(256)
+        worst_pair = max(worst_pair, distance(StateVector(8, moved), eta))
         for s in states:
-            worst_single = max(worst_single, distance(apply_collective(rot, s), s))
+            moved = StateVector(4, apply_fourfold(singles[k], s.amps))
+            worst_single = max(worst_single, distance(moved, s))
     assert worst_pair < 1e-10
     assert worst_single < 1e-10
     _report("3 state-invariance",
@@ -135,14 +125,14 @@ def test_criterion_5_local_protocol_equivalence():
         ("G", build_psi(0), build_psi(1)),
     ):
         proto = local_protocol_for(tag)
-        minus_strings = [s for s in proto.classifier if proto.classify(s) == -1]
+        minus_strings = [s for s in proto.classifier if proto.classifier[s] == -1]
         assert len(minus_strings) == 4
         assert len(proto.classifier) - len(minus_strings) == 12
         for bits, prob in string_distribution(minus_state, proto).items():
-            target = 0.25 if proto.classify(bits) == -1 else 0.0
+            target = 0.25 if proto.classifier[bits] == -1 else 0.0
             worst_string = max(worst_string, abs(prob - target))
         for bits, prob in string_distribution(plus_state, proto).items():
-            target = 1.0 / 12.0 if proto.classify(bits) == +1 else 0.0
+            target = 1.0 / 12.0 if proto.classifier[bits] == +1 else 0.0
             worst_string = max(worst_string, abs(prob - target))
     assert worst_string < 1e-12
 
@@ -153,14 +143,14 @@ def test_criterion_5_local_protocol_equivalence():
         ("G", build_psi(0), build_psi(1), build_G()),
     ):
         proto = local_protocol_for(tag)
-        coarse = coarse_grain(proto)
+        coarse = oracles.coarse_grained(proto)
         for _ in range(100):
             c = rng.standard_normal(4)
             amps = (c[0] + 1j * c[1]) * v0.amps + (c[2] + 1j * c[3]) * v1.amps
             state = StateVector(4, amps / np.linalg.norm(amps))
-            exact = born_distribution(state, pvm)
-            fine = classified_distribution(state, proto)
-            via_coarse = born_distribution(state, coarse)
+            exact = oracles.born(state, pvm)
+            fine = oracles.classified(state, proto)
+            via_coarse = oracles.born(state, coarse)
             for label in (-1, +1):
                 worst_dist = max(worst_dist, abs(fine[label] - exact[label]))
                 worst_dist = max(worst_dist, abs(via_coarse[label] - exact[label]))
@@ -217,10 +207,11 @@ def test_criterion_8_no_signaling():
     worst = 0.0
     for behavior in (exact_behavior(),
                      exact_behavior(SetupRotations.sample(split_seed(88, 1)))):
-        for side in ("A", "B"):
-            for own in (Setting.F, Setting.G):
-                m_f = behavior.marginal(side, own, Setting.F)
-                m_g = behavior.marginal(side, own, Setting.G)
+        for own in (Setting.F, Setting.G):
+            # Alice's marginal under Bob's two settings, and Bob's under Alice's.
+            alice = [behavior.table(own, remote).sum(axis=1) for remote in Setting]
+            bob = [behavior.table(remote, own).sum(axis=0) for remote in Setting]
+            for m_f, m_g in (alice, bob):
                 worst = max(worst, float(np.abs(m_f - m_g).max()))
     assert worst < 1e-12
     _report("8 no-signaling", f"canonical and rotated, max deviation {worst:.2e}")

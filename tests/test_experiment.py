@@ -1,4 +1,4 @@
-"""Exact behavior tables, conditionals, and the seeded Monte Carlo engine."""
+"""Exact behavior tables, the inference chain, and the seeded Monte Carlo engine."""
 
 import functools
 import hashlib
@@ -21,7 +21,6 @@ from afbell.experiment import (
     Setting,
     SetupRotations,
     TrialLog,
-    conditional,
     epr_audit,
     exact_behavior,
     joint_born,
@@ -37,7 +36,6 @@ from afbell.rotations import (
     STREAM_BOB,
     STREAM_OUTCOME,
     STREAM_SETTINGS,
-    CollectiveRotation,
     sample_su2_batch,
     split_seed,
 )
@@ -144,38 +142,26 @@ def test_exact_tables_are_distributions(behavior):
 
 
 def test_the_four_identities(behavior):
+    chain = epr_audit(None, behavior).exact
     assert behavior.prob(Setting.F, Setting.F, 1, 1) < TOL
-    assert conditional(behavior, ("A", Setting.F, 1), ("B", Setting.G, 1)) == pytest.approx(
-        1.0, abs=TOL)
-    assert conditional(behavior, ("B", Setting.F, 1), ("A", Setting.G, 1)) == pytest.approx(
-        1.0, abs=TOL)
+    assert chain.cond_ab == pytest.approx(1.0, abs=TOL)
+    assert chain.cond_ba == pytest.approx(1.0, abs=TOL)
     assert behavior.prob(Setting.G, Setting.G, 1, 1) == pytest.approx(
         float(Fraction(9, 112)), abs=TOL)
 
 
-def test_conditional_derived_value(behavior):
-    # P(A: G=1 | B: G=1) = (9/112) / (36/112) = 1/4.
-    got = conditional(behavior, ("A", Setting.G, 1), ("B", Setting.G, 1))
-    assert got == pytest.approx(0.25, abs=TOL)
-
-
-def test_conditional_validation(behavior):
-    with pytest.raises(ValueError):
-        conditional(behavior, ("A", Setting.F, 1), ("A", Setting.G, 1))
-    with pytest.raises(ValueError):
-        # P(B: F=0) = 0: conditioning on the never-occurring outcome.
-        conditional(behavior, ("A", Setting.F, 1), ("B", Setting.F, 0))
-
-
 def test_marginals_and_no_signaling(behavior):
-    for side in ("A", "B"):
-        for own in (Setting.F, Setting.G):
-            m_f = behavior.marginal(side, own, Setting.F)
-            m_g = behavior.marginal(side, own, Setting.G)
+    # Alice's marginals are row sums and Bob's column sums of the tables.
+    for own in (Setting.F, Setting.G):
+        alice = [behavior.table(own, remote).sum(axis=1) for remote in Setting]
+        bob = [behavior.table(remote, own).sum(axis=0) for remote in Setting]
+        for m_f, m_g in (alice, bob):
             assert np.abs(m_f - m_g).max() < TOL
     # Known marginal values.
-    assert behavior.marginal("A", Setting.F, Setting.F)[1] == pytest.approx(3.0 / 7.0, abs=TOL)
-    assert behavior.marginal("B", Setting.G, Setting.F)[1] == pytest.approx(9.0 / 28.0, abs=TOL)
+    assert behavior.table(Setting.F, Setting.F).sum(axis=1)[1] == pytest.approx(
+        3.0 / 7.0, abs=TOL)
+    assert behavior.table(Setting.F, Setting.G).sum(axis=0)[1] == pytest.approx(
+        9.0 / 28.0, abs=TOL)
 
 
 def test_rotated_behavior_identical(behavior):
@@ -287,7 +273,7 @@ def test_run_trials_seed_streams(monkeypatch):
                                                      for b in bases]
     for side, seeds in (("u_a", log.seed_a), ("u_b", log.seed_b)):
         assert np.array_equal(np.concatenate(seen[side]),
-                              [CollectiveRotation.sample(s).u for s in seeds.tolist()])
+                              [sample_su2_batch(np.array([s]))[0] for s in seeds])
 
 
 def test_setup_rotations_seeds_are_split_seeds():
@@ -299,7 +285,7 @@ def test_setup_rotations_seeds_are_split_seeds():
         assert setup.seeds == tuple(split_seed(seed, tag) for tag in tags)
         rotations = (setup.alice_f, setup.alice_g, setup.bob_f, setup.bob_g)
         for rot, s in zip(rotations, setup.seeds):
-            assert np.array_equal(rot.u, CollectiveRotation.sample(s).u)
+            assert np.array_equal(rot.u, sample_su2_batch(np.array([s], np.uint64))[0])
 
 
 def test_run_trials_policies():
@@ -712,6 +698,17 @@ def test_jointstats_merge_commutative():
     for pair in SETTING_PAIRS:
         assert np.array_equal(ab.counts[pair], ba.counts[pair])
         assert ab.counts[pair].sum() == s1.counts[pair].sum() + s2.counts[pair].sum()
+
+
+def test_jointstats_starts_from_zero_counts():
+    # Counts come only from a log (from_records) or a merge; a table passed in
+    # could hold a stray key or fractional counts.
+    empty = JointStats()
+    assert sorted(empty.counts, key=SETTING_PAIRS.index) == list(SETTING_PAIRS)
+    for pair in SETTING_PAIRS:
+        assert empty.counts[pair].dtype == np.int64 and not empty.counts[pair].any()
+    with pytest.raises(TypeError):
+        JointStats({(Setting.F, Setting.F): np.ones((3, 3))})
 
 
 def test_sampled_frequencies_match_exact():

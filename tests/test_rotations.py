@@ -6,21 +6,34 @@ import math
 import numpy as np
 import pytest
 
-from oracles import basis_state, mix64, rotate_pvm, split
-from afbell.observables import born_distribution, build_F
-from afbell.qstate import build_eta, build_phi, build_psi, distance
+from oracles import basis_state, born, mix64, rotate_pvm, split, su2
+from afbell.observables import build_F
+from afbell.qstate import StateVector, build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
     CollectiveRotation,
-    RotationPair,
-    apply_collective,
     apply_fourfold,
-    apply_pair,
     mix64_array,
+    rotate_grids,
     sample_su2_batch,
     split_seed,
 )
 
 INV_TOL = 1e-10
+
+
+def _draw(seed):
+    """The Haar SU(2) matrix of one seed, as a batch of one."""
+    return sample_su2_batch(np.array([seed], dtype=np.uint64))[0]
+
+
+def _rotate(u, s):
+    """A 4-qubit state rotated by u's four-fold power."""
+    return StateVector(4, apply_fourfold(u, s.amps))
+
+
+def _rotate_pair(u_a, u_b, s):
+    """An 8-qubit state rotated by u_a on qubits 1-4 and u_b on qubits 5-8."""
+    return StateVector(8, rotate_grids(u_a, u_b, s.amps.reshape(16, 16)).reshape(256))
 
 
 def test_mix64_is_deterministic_and_bijective_looking():
@@ -66,24 +79,26 @@ def test_split_seed_int_and_array_agree():
 
 
 def test_sample_su2_deterministic():
-    a = CollectiveRotation.sample(987654321).u
-    b = CollectiveRotation.sample(987654321).u
+    a = _draw(987654321)
+    b = _draw(987654321)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, CollectiveRotation.sample(987654322).u)
+    assert not np.array_equal(a, _draw(987654322))
 
 
 def test_sample_su2_special_unitary():
-    for seed in range(200):
-        u = CollectiveRotation.sample(split_seed(31337, seed)).u
+    for u in sample_su2_batch(split_seed(31337, np.arange(200))):
         assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
 
 def test_sample_su2_batch_matches_scalar():
-    seeds = np.array([split_seed(7, k) for k in range(50)], dtype=np.uint64)
-    batch = sample_su2_batch(seeds)
-    for k, seed in enumerate(seeds):
-        assert np.array_equal(batch[k], CollectiveRotation.sample(int(seed)).u)
+    # Against the scalar reference on 2000 split seeds plus both ends of the
+    # uint64 range: at most 5.6e-17 apart, 1999 of the 2002 draws bit-equal.
+    # test_su2_batch_row_is_its_batch_of_one compares rows with batches of one.
+    seeds = [split(7, k) for k in range(2000)] + [0, 2**64 - 1]
+    batch = sample_su2_batch(np.array(seeds, dtype=np.uint64))
+    worst = max(float(np.abs(u - su2(seed)).max()) for u, seed in zip(batch, seeds))
+    assert worst <= 1e-15
 
 
 def test_haar_trace_moment():
@@ -101,52 +116,44 @@ def test_axis_angle_x_pi_flips_all_bits():
     # An x-axis pi rotation is -i X per qubit; the fourth tensor power has
     # phase (-i)^4 = 1, so |0011> maps exactly to |1100>.
     u = np.array([[0, -1j], [-1j, 0]])
-    rot = CollectiveRotation(u)
-    out = apply_collective(rot, basis_state(4, "0011"))
+    out = _rotate(u, basis_state(4, "0011"))
     assert distance(out, basis_state(4, "1100")) < 1e-14
 
 
-def test_apply_collective_identity_and_norm():
+def test_apply_fourfold_identity_and_norm():
     s = build_phi(1)
-    assert distance(apply_collective(CollectiveRotation.identity(), s), s) == 0.0
-    rot = CollectiveRotation.sample(1234)
-    out = apply_collective(rot, s)
+    assert distance(_rotate(CollectiveRotation.identity().u, s), s) == 0.0
+    out = _rotate(_draw(1234), s)
     assert abs(out.norm() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        apply_collective(rot, build_eta())
 
 
 def test_invariance_of_all_four_states():
     states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
     worst = 0.0
-    for k in range(100):
-        rot = CollectiveRotation.sample(split_seed(404, k))
+    for u in sample_su2_batch(split_seed(404, np.arange(100))):
         for s in states:
-            worst = max(worst, distance(apply_collective(rot, s), s))
+            worst = max(worst, distance(_rotate(u, s), s))
     assert worst < INV_TOL
 
 
 def test_pair_invariance_of_eta():
     eta = build_eta()
-    ident = CollectiveRotation.identity()
-    assert distance(apply_pair(RotationPair(ident, ident), eta), eta) == 0.0
+    ident = CollectiveRotation.identity().u
+    assert distance(_rotate_pair(ident, ident, eta), eta) == 0.0
     worst = 0.0
+    us = sample_su2_batch(split_seed(808, np.arange(200)))
     for k in range(100):
-        pair = RotationPair.sample(split_seed(808, 2 * k), split_seed(808, 2 * k + 1))
-        worst = max(worst, distance(apply_pair(pair, eta), eta))
+        worst = max(worst, distance(_rotate_pair(us[2 * k], us[2 * k + 1], eta), eta))
     assert worst < INV_TOL
 
 
 def test_pair_changes_non_invariant_state():
     # A y-axis pi/2 rotation.
     u = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    pair = RotationPair(CollectiveRotation(u), CollectiveRotation(u))
     zeros = basis_state(8, "0" * 8)
-    moved = apply_pair(pair, zeros)
+    moved = _rotate_pair(u, u, zeros)
     fidelity = abs(np.vdot(zeros.amps, moved.amps)) ** 2
     assert fidelity < 0.999
-    with pytest.raises(ValueError):
-        apply_pair(pair, build_phi(0))
 
 
 def test_rotate_pvm_leaves_F_unchanged():
@@ -155,12 +162,12 @@ def test_rotate_pvm_leaves_F_unchanged():
     for (_, p), (_, q) in zip(f.outcomes, ident.outcomes):
         assert np.abs(p - q).max() == 0.0
     for k in range(10):
-        rot = CollectiveRotation.sample(split_seed(55, k))
+        rot = CollectiveRotation(_draw(split_seed(55, k)))
         rotated = rotate_pvm(rot, f)
         rotated.validate()
         for (_, p), (_, q) in zip(f.outcomes, rotated.outcomes):
             assert np.abs(p - q).max() < INV_TOL
-        dist = born_distribution(build_phi(0), rotated)
+        dist = born(build_phi(0), rotated)
         assert dist[-1] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -168,15 +175,13 @@ def test_general_unitary_picks_up_global_phase_only():
     # U = e^{i theta} V with V special: the fourfold power multiplies the
     # invariant states by e^{4 i theta}; probabilities are unchanged.
     theta = 0.3721
-    v = CollectiveRotation.sample(991).u
-    u = np.exp(1j * theta) * v
-    rot = CollectiveRotation(u)
+    u = np.exp(1j * theta) * _draw(991)
     for s in (build_phi(0), build_phi(1)):
-        out = apply_collective(rot, s)
+        out = _rotate(u, s)
         expected = np.exp(4j * theta) * s.amps
         assert np.abs(out.amps - expected).max() < INV_TOL
-        dist = born_distribution(out, build_F())
-        assert dist == pytest.approx(born_distribution(s, build_F()), abs=1e-10)
+        dist = born(out, build_F())
+        assert dist == pytest.approx(born(s, build_F()), abs=1e-10)
 
 
 def test_collective_rotation_validation():
@@ -187,7 +192,7 @@ def test_collective_rotation_validation():
 
 
 def test_collective_rotation_matrix_expansion():
-    rot = CollectiveRotation.sample(4321)
+    rot = CollectiveRotation(_draw(4321))
     # Column j of the output is the four-fold power applied to basis state j.
     big = apply_fourfold(rot.u, np.eye(16))
     manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
