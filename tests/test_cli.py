@@ -492,6 +492,33 @@ def test_lhv_audit_default(tmp_path, capsys):
         ["step", "1"], ["step", "2"], ["step", "3"]]
 
 
+# sha256 of the files the exact commands write.  They hold rationals, floats
+# of rationals and deterministic metadata only, so the digests hold on every
+# platform; verify.json is left out, as its float deviations are not exact.
+GOLDEN_EXACT_FILES = {
+    ("lhv-audit", "--max-hardy"): {
+        "certificate.json": "379c16fe22222d4073d52414f8875b481f04f6dd082c47a081d73e550e27b9e6",
+        "derivation.txt": "444245d18ef2e68479effb0405d6e3c682b1d0c852bf5bad3b280f87c2f0c224",
+    },
+    ("lhv-audit", "--drop-constraint", "ff_zero"): {
+        "certificate.json": "121e9a348b2d8b83f355148b2ea014db7d31c13b8f6e14d5feb5f8f956a264a6",
+        "derivation.txt": "6a2ede45f82fd33a2d1b10cad5c3796daabd5de5f05e1d895855db59d9032eef",
+    },
+    ("report", "--format", "json"): {
+        "report.json": "a69a692fdac246bc387e01825bd1345f753d05009c72ff58ec6c4b4a383c4ecc",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_EXACT_FILES), ids=" ".join)
+def test_exact_outputs_golden(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == GOLDEN_EXACT_FILES[argv]
+
+
 def test_lhv_audit_json_format(tmp_path, capsys):
     assert main(["lhv-audit", "--max-hardy", "--format", "json",
                  "--out", str(tmp_path)]) == EXIT_OK
