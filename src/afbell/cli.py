@@ -449,7 +449,7 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
     payload["metadata"] = cfg.metadata()
     payload["verified"] = valid
     if cfg.max_hardy:
-        zeros = [c for c in kept if c.value == 0 and c.kind == lhv.KIND_EQUALS]
+        zeros = [c for c in kept if c.value == 0]
         payload["max_hardy_fraction"] = str(lhv.max_hardy_fraction(zeros))
 
     if cfg.format == "json":
@@ -475,7 +475,7 @@ def cmd_report(cfg: RunConfig) -> int:
     audit = epr_audit(None, EXACT_BEHAVIOR)
     constraints = lhv.quantum_constraints()
     cert = lhv.check_feasibility(constraints)
-    zeros = [c for c in constraints if c.value == 0 and c.kind == lhv.KIND_EQUALS]
+    zeros = [c for c in constraints if c.value == 0]
     payload = {
         "metadata": cfg.metadata(),
         "exact_behavior": EXACT_BEHAVIOR.to_json_dict(),

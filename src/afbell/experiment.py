@@ -54,6 +54,10 @@ ZERO_OUTCOME_TOL = 1e-12
 # Below this, an event's probability is numerical dust, not a real event.
 ZERO_EVENT_TOL = 1e-14
 
+# How far the exact chain's values may sit from 0 and 1 for epr_audit to call
+# the contradiction witnessed.
+CHAIN_TOL = 1e-9
+
 # Trials per chunk: the pvm path's, and the most any path's chunk holds (see
 # _MEASUREMENTS); also the rows per write of the CSV writer, and the trials
 # counted or code-checked at a time.
@@ -644,7 +648,7 @@ def _chain(tables: dict[tuple[Setting, Setting], np.ndarray]) -> ChainValues:
     )
 
 
-def epr_audit(trials: TrialLog | None, exact: ExactBehavior, tol: float = 1e-9) -> EprAudit:
+def epr_audit(trials: TrialLog | None, exact: ExactBehavior) -> EprAudit:
     """Report the inference chain: a nonzero both-G fraction, two perfect
     conditionals, and a forbidden both-F event.
 
@@ -657,10 +661,10 @@ def epr_audit(trials: TrialLog | None, exact: ExactBehavior, tol: float = 1e-9) 
         empirical = _chain({pair: stats.frequency(*pair) for pair in SETTING_PAIRS})
 
     witnessed = (
-        chain.hardy_fraction is not None and chain.hardy_fraction > tol
-        and chain.joint_ff is not None and chain.joint_ff <= tol
-        and chain.cond_ab is not None and abs(chain.cond_ab - 1.0) <= tol
-        and chain.cond_ba is not None and abs(chain.cond_ba - 1.0) <= tol
+        chain.hardy_fraction is not None and chain.hardy_fraction > CHAIN_TOL
+        and chain.joint_ff is not None and chain.joint_ff <= CHAIN_TOL
+        and chain.cond_ab is not None and abs(chain.cond_ab - 1.0) <= CHAIN_TOL
+        and chain.cond_ba is not None and abs(chain.cond_ba - 1.0) <= CHAIN_TOL
     )
     if witnessed:
         note = (

@@ -3,8 +3,8 @@
 A local hidden-variable model is a probability distribution over deterministic
 strategies, each assigning one outcome to every (side, setting) pair in
 advance.  This module decides, in exact rational arithmetic with no floating
-point anywhere, whether any such distribution satisfies a list of behavioral
-constraints, and emits a machine-checkable certificate either way.
+point anywhere, whether any such distribution gives a list of events their
+exact probabilities, and emits a machine-checkable certificate either way.
 
 The decision is one linear program over the strategy space: a column per
 distinct event-membership pattern, a row per constraint plus normalization,
@@ -14,9 +14,9 @@ phase-1 dual as a Farkas vector: one weight per constraint and one for
 normalization, turning the constraints into an inequality every strategy
 satisfies and the constraint values violate.  For the quantum constraints it
 is Hardy's argument (Hardy, PRL 71, 1665, 1993): P(both G=1) <= P(both F=1)
-+ P(G_B=1, F_A!=1) + P(G_A=1, F_B!=1), with 9/112 on the left and 0 on the
-right.  ``verify_certificate`` checks either kind over the full product space
-without calling the solver.
++ P(G_B=1, F_A!=1) + P(G_A=1, F_B!=1), with ``HARDY_VALUE`` on the left and 0
+on the right.  ``verify_certificate`` checks either verdict over all 81
+strategies without calling the solver.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple
 from .qstate import ETA_BORN_TABLES
 
 OUTCOME_VALUES = (-1, 0, 1)
-TWO_VALUED = (-1, 1)
 
 # The exact quantum tables, rows Alice's outcome and columns Bob's, index 0
 # for -1 and 1 for +1: F discriminates the phi pair and G the psi pair.
@@ -37,9 +36,6 @@ _FF, _FG, _GF, _GG = (ETA_BORN_TABLES[k] for k in (
     ("phi", "phi"), ("phi", "psi"), ("psi", "phi"), ("psi", "psi")))
 
 HARDY_VALUE = _GG[1, 1]
-
-KIND_EQUALS = "equals"
-KIND_AT_LEAST = "at_least"
 
 
 class Strategy(NamedTuple):
@@ -51,31 +47,28 @@ class Strategy(NamedTuple):
     g_b: int
 
 
-def all_strategies(values: tuple[int, ...] = OUTCOME_VALUES) -> tuple[Strategy, ...]:
-    """The full product strategy space, in lexicographic enumeration order."""
-    return tuple(Strategy(*t) for t in itertools.product(values, repeat=4))
+def all_strategies() -> tuple[Strategy, ...]:
+    """The 81 strategies over OUTCOME_VALUES, in lexicographic enumeration order."""
+    return tuple(Strategy(*t) for t in itertools.product(OUTCOME_VALUES, repeat=4))
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """A required probability for an event over strategies."""
+    """The exact probability an event over strategies must have."""
 
     name: str
-    kind: str
     value: Fraction
     event: Callable[[Strategy], bool]
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_EQUALS, KIND_AT_LEAST):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
         value = Fraction(self.value)
         if not 0 <= value <= 1:
             raise ValueError(f"constraint value {value} outside [0, 1]")
         object.__setattr__(self, "value", value)
 
-    def event_set(self, strategies: tuple[Strategy, ...]) -> frozenset[Strategy]:
-        return frozenset(s for s in strategies if self.event(s))
+    def event_set(self) -> frozenset[Strategy]:
+        return frozenset(s for s in all_strategies() if self.event(s))
 
 
 def quantum_constraints() -> list[Constraint]:
@@ -84,35 +77,30 @@ def quantum_constraints() -> list[Constraint]:
     return [
         Constraint(
             name="ff_zero",
-            kind=KIND_EQUALS,
             value=_FF[1, 1],
             event=lambda s: s.f_a == 1 and s.f_b == 1,
             description="both sides never obtain F=1 together",
         ),
         Constraint(
             name="gb_implies_fa",
-            kind=KIND_EQUALS,
             value=_FG[0, 1],
             event=lambda s: s.g_b == 1 and s.f_a != 1,
             description="Bob obtaining G=1 makes Alice's F=1 certain",
         ),
         Constraint(
             name="ga_implies_fb",
-            kind=KIND_EQUALS,
             value=_GF[1, 0],
             event=lambda s: s.g_a == 1 and s.f_b != 1,
             description="Alice obtaining G=1 makes Bob's F=1 certain",
         ),
         Constraint(
             name="gg_hardy",
-            kind=KIND_EQUALS,
             value=HARDY_VALUE,
             event=lambda s: s.g_a == 1 and s.g_b == 1,
             description=f"both sides obtain G=1 in exactly {HARDY_VALUE} of the runs",
         ),
         Constraint(
             name="no_zero_outcome",
-            kind=KIND_EQUALS,
             value=1 - _FF.sum(),
             event=lambda s: 0 in s,
             description="the third outcome never occurs on either side",
@@ -129,7 +117,6 @@ class FeasibilityCertificate:
     """
 
     feasible: bool
-    outcome_values: tuple[int, ...]
     witness: tuple[tuple[Strategy, Fraction], ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
 
@@ -173,52 +160,37 @@ def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]
     return solution, None
 
 
-def check_feasibility(constraints: list[Constraint],
-                      strategies: tuple[Strategy, ...] | None = None
-                      ) -> FeasibilityCertificate:
-    """Exact decision: does any strategy distribution satisfy all constraints?
+def check_feasibility(constraints: list[Constraint]) -> FeasibilityCertificate:
+    """Exact decision: can a distribution over the 81 strategies meet every constraint?
 
     One linear program in exact rationals: a column per distinct
     event-membership pattern (its first strategy stands for the rest), a row
-    per constraint plus normalization, a -1 slack per ``at_least`` row.
-
-    ``strategies`` defaults to the full 81-element space; a custom space
-    should be a full product over an outcome alphabet (as from
-    ``all_strategies``) so the certificate re-verifies against the same space.
+    per constraint plus normalization.
     """
-    space = strategies if strategies is not None else all_strategies()
-    values = tuple(sorted({v for s in space for v in s})) or OUTCOME_VALUES
     patterns: dict[tuple[bool, ...], Strategy] = {}
-    for s in space:
+    for s in all_strategies():
         patterns.setdefault(tuple(c.event(s) for c in constraints), s)
     reps = list(patterns.items())
-    slacks = [i for i, c in enumerate(constraints) if c.kind == KIND_AT_LEAST]
-    matrix = [[Fraction(int(p[i])) for p, _ in reps]
-              + [Fraction(-1 if k == i else 0) for k in slacks]
-              for i in range(len(constraints))]
-    matrix.append([Fraction(1)] * len(reps) + [Fraction(0)] * len(slacks))
+    matrix = [[Fraction(int(p[i])) for p, _ in reps] for i in range(len(constraints))]
+    matrix.append([Fraction(1)] * len(reps))
     rhs = [c.value for c in constraints] + [Fraction(1)]
 
     solution, dual = _phase_one(matrix, rhs)
     if dual is not None:
-        return FeasibilityCertificate(feasible=False, outcome_values=values,
-                                      farkas=tuple(dual))
+        return FeasibilityCertificate(feasible=False, farkas=tuple(dual))
     witness = tuple(sorted((s, m) for (_, s), m in zip(reps, solution) if m > 0))
-    return FeasibilityCertificate(feasible=True, outcome_values=values, witness=witness)
+    return FeasibilityCertificate(feasible=True, witness=witness)
 
 
 def max_hardy_fraction(other_constraints: list[Constraint]) -> Fraction:
     """Largest P(g_a=1 and g_b=1) any local model allows under the constraints.
 
-    Supports probability-zero equality constraints (the audit's class); all
-    mass may be piled on a single surviving strategy, so the maximum is 1 if
-    any survivor lies in the event and 0 otherwise.
+    Supports probability-zero constraints (the audit's class); all mass may
+    be piled on a single surviving strategy, so the maximum is 1 if any
+    survivor lies in the event and 0 otherwise.
     """
-    for c in other_constraints:
-        if not (c.kind == KIND_EQUALS and c.value == 0):
-            raise ValueError(
-                "max_hardy_fraction handles probability-zero equality constraints only"
-            )
+    if any(c.value != 0 for c in other_constraints):
+        raise ValueError("max_hardy_fraction handles probability-zero constraints only")
     survivors = [s for s in all_strategies()
                  if not any(c.event(s) for c in other_constraints)]
     hardy = any(s.g_a == 1 and s.g_b == 1 for s in survivors)
@@ -228,17 +200,16 @@ def max_hardy_fraction(other_constraints: list[Constraint]) -> Fraction:
 def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint]) -> bool:
     """Independently re-check a certificate with exact arithmetic.
 
-    A witness must be a distribution meeting every constraint.  A Farkas
-    vector y (weights y_i per constraint, y_norm for normalization) proves
-    infeasibility when every strategy s has sum_i y_i [s in E_i] + y_norm <= 0,
-    every ``at_least`` weight is >= 0, and sum_i y_i value_i + y_norm > 0:
+    A witness must be a distribution over the 81 strategies giving every
+    event its value.  A Farkas vector y (weights y_i per constraint, y_norm for
+    normalization) proves infeasibility when every strategy s has
+    sum_i y_i [s in E_i] + y_norm <= 0 and sum_i y_i value_i + y_norm > 0:
     averaging the first inequality over any model satisfying the constraints
     would give the opposite of the last.  No solver is consulted.
     """
     if not isinstance(c, FeasibilityCertificate):
         raise TypeError("not a FeasibilityCertificate")
-    space = all_strategies(c.outcome_values)
-    space_set = frozenset(space)
+    space = all_strategies()
 
     if c.feasible:
         if c.witness is None:
@@ -246,15 +217,13 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
         masses = dict(c.witness)
         if any(not isinstance(m, Fraction) for m in masses.values()):
             raise ValueError("malformed certificate: witness masses must be Fractions")
-        if any(s not in space_set for s in masses):
+        if any(s not in space for s in masses):
             return False
         if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
             return False
         for constraint in constraints:
             p = sum((m for s, m in masses.items() if constraint.event(s)), Fraction(0))
-            if constraint.kind == KIND_EQUALS and p != constraint.value:
-                return False
-            if constraint.kind == KIND_AT_LEAST and p < constraint.value:
+            if p != constraint.value:
                 return False
         return True
 
@@ -265,8 +234,6 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
     if len(c.farkas) != len(constraints) + 1:
         return False
     *weights, y_norm = c.farkas
-    if any(w < 0 for w, con in zip(weights, constraints) if con.kind == KIND_AT_LEAST):
-        return False
     for s in space:
         if sum(w for w, con in zip(weights, constraints) if con.event(s)) + y_norm > 0:
             return False
@@ -278,17 +245,16 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
 # ---------------------------------------------------------------------------
 
 
-def constraints_to_json_dict(constraints: list[Constraint],
-                             strategies: tuple[Strategy, ...]) -> list[dict]:
-    """Constraints with their explicit satisfying-strategy lists."""
+def constraints_to_json_dict(constraints: list[Constraint]) -> list[dict]:
+    """Constraints, all of kind "equals", with their satisfying-strategy lists."""
     return [
         {
             "index": i,
             "name": c.name,
-            "kind": c.kind,
+            "kind": "equals",
             "value": str(c.value),
             "description": c.description,
-            "event": sorted([list(s) for s in c.event_set(strategies)]),
+            "event": sorted([list(s) for s in c.event_set()]),
         }
         for i, c in enumerate(constraints)
     ]
@@ -297,11 +263,10 @@ def constraints_to_json_dict(constraints: list[Constraint],
 def certificate_to_json_dict(c: FeasibilityCertificate,
                              constraints: list[Constraint]) -> dict:
     """Certificate plus constraint table, ready for json.dump."""
-    space = all_strategies(c.outcome_values)
     out: dict = {
         "feasible": c.feasible,
-        "outcome_values": list(c.outcome_values),
-        "constraints": constraints_to_json_dict(constraints, space),
+        "outcome_values": list(OUTCOME_VALUES),
+        "constraints": constraints_to_json_dict(constraints),
     }
     if c.witness is not None:
         out["witness"] = [
@@ -337,13 +302,12 @@ def render_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
         return " <= ".join(texts)
 
     lhs, rhs = (sum((w * con.value for w, con in terms), constant) for terms, constant in sides)
-    relation = ">=" if any(con.kind == KIND_AT_LEAST for _, con in left) else "="
-    n = len(all_strategies(c.outcome_values))
+    n = len(all_strategies())
     return "\n".join([
         "INFEASIBLE: no local model satisfies the constraints",
         f"  step 1 every strategy s satisfies {inequality('[s in {}]')}"
         f" (checked on all {n} strategies)",
         f"  step 2 hence every distribution satisfies {inequality('P({})')}",
-        f"  step 3 the constraints make the left side {relation} {lhs} and the right side"
+        f"  step 3 the constraints make the left side = {lhs} and the right side"
         f" = {rhs}, but {lhs} > {rhs}: no local model exists",
     ])

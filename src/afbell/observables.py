@@ -46,10 +46,6 @@ class PVM:
     def dim(self) -> int:
         return self.outcomes[0][1].shape[0]
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(label for label, _ in self.outcomes)
-
     def projector(self, label: int) -> np.ndarray:
         for lab, proj in self.outcomes:
             if lab == label:
@@ -66,11 +62,11 @@ class PVM:
         residuals.append(sum(projs) - np.eye(self.dim))
         return max(float(np.abs(r).max()) for r in residuals)
 
-    def validate(self, tol: float = PVM_TOL) -> None:
-        """Raise ValueError if violation() exceeds tol."""
+    def validate(self) -> None:
+        """Raise ValueError if violation() exceeds PVM_TOL."""
         worst = self.violation()
-        if worst > tol:
-            raise ValueError(f"not a PVM: worst violation {worst:.3e} exceeds {tol:.1e}")
+        if worst > PVM_TOL:
+            raise ValueError(f"not a PVM: worst violation {worst:.3e} exceeds {PVM_TOL:.1e}")
 
 
 def _rank1(state: StateVector) -> np.ndarray:

@@ -11,10 +11,6 @@ import pytest
 from afbell import lhv
 from afbell.lhv import (
     HARDY_VALUE,
-    KIND_AT_LEAST,
-    KIND_EQUALS,
-    OUTCOME_VALUES,
-    TWO_VALUED,
     Constraint,
     FeasibilityCertificate,
     Strategy,
@@ -41,7 +37,6 @@ def _replace_weight(cert, constraints, name, weight):
 
 def test_strategy_space_sizes():
     assert len(all_strategies()) == 81
-    assert len(all_strategies(TWO_VALUED)) == 16
     assert all_strategies()[0] == Strategy(-1, -1, -1, -1)
     assert len(set(all_strategies())) == 81
 
@@ -52,21 +47,17 @@ def test_quantum_constraints_shape():
     by_name = {c.name: c for c in cons}
     assert by_name["gg_hardy"].value == Fraction(9, 112)
     assert by_name["ff_zero"].value == Fraction(0, 1)
-    assert by_name["ff_zero"].kind == KIND_EQUALS
     assert set(by_name) == {
         "ff_zero", "gb_implies_fa", "ga_implies_fb", "gg_hardy", "no_zero_outcome"}
     # Event sanity on the full space.
-    space = all_strategies()
-    assert len(by_name["gg_hardy"].event_set(space)) == 9
-    assert len(by_name["ff_zero"].event_set(space)) == 9
-    assert len(by_name["no_zero_outcome"].event_set(space)) == 81 - 16
+    assert len(by_name["gg_hardy"].event_set()) == 9
+    assert len(by_name["ff_zero"].event_set()) == 9
+    assert len(by_name["no_zero_outcome"].event_set()) == 81 - 16
 
 
 def test_constraint_validation():
     with pytest.raises(ValueError):
-        Constraint("bad", "sometimes", Fraction(1, 2), lambda s: True)
-    with pytest.raises(ValueError):
-        Constraint("bad", KIND_EQUALS, Fraction(3, 2), lambda s: True)
+        Constraint("bad", Fraction(3, 2), lambda s: True)
 
 
 def test_quantum_constraints_infeasible():
@@ -78,15 +69,6 @@ def test_quantum_constraints_infeasible():
     assert _weights(cert, cons) == {
         "ff_zero": -1, "gb_implies_fa": -1, "ga_implies_fb": -1, "gg_hardy": 1,
         "no_zero_outcome": 0, "normalization": 0}
-    assert verify_certificate(cert, cons)
-
-
-def test_two_valued_restriction_same_verdict():
-    cons = quantum_constraints()
-    space = all_strategies(TWO_VALUED)
-    cert = check_feasibility(cons, strategies=space)
-    assert not cert.feasible
-    assert cert.outcome_values == TWO_VALUED
     assert verify_certificate(cert, cons)
 
 
@@ -123,7 +105,7 @@ def test_dropping_one_load_bearing_constraint_is_feasible(dropped):
 
 
 def test_single_half_constraint_equal_mixture():
-    cons = [Constraint("half_fa", KIND_EQUALS, Fraction(1, 2), lambda s: s.f_a == 1)]
+    cons = [Constraint("half_fa", Fraction(1, 2), lambda s: s.f_a == 1)]
     cert = check_feasibility(cons)
     assert cert.feasible
     masses = dict(cert.witness)
@@ -134,33 +116,10 @@ def test_single_half_constraint_equal_mixture():
     assert verify_certificate(cert, cons)
 
 
-def test_at_least_constraints():
-    cons_zero = [c for c in quantum_constraints() if c.value == 0]
-    ge = Constraint("gg_at_least", KIND_AT_LEAST, Fraction(9, 112),
-                    lambda s: s.g_a == 1 and s.g_b == 1)
-    cert = check_feasibility(cons_zero + [ge])
-    assert not cert.feasible
-    assert verify_certificate(cert, cons_zero + [ge])
-
-    alone = [Constraint("third", KIND_AT_LEAST, Fraction(1, 3), lambda s: s.f_a == 1)]
-    cert2 = check_feasibility(alone)
-    assert cert2.feasible
-    assert verify_certificate(cert2, alone)
-    p = sum(m for s, m in cert2.witness if s.f_a == 1)
-    assert p >= Fraction(1, 3)
-
-
-def test_vacuous_at_least_zero():
-    cons = [Constraint("free", KIND_AT_LEAST, Fraction(0), lambda s: s.g_a == 1)]
-    cert = check_feasibility(cons)
-    assert cert.feasible
-    assert verify_certificate(cert, cons)
-
-
 def test_unsatisfiable_overlapping_positives():
     cons = [
-        Constraint("a", KIND_EQUALS, Fraction(9, 10), lambda s: s.f_a == 1),
-        Constraint("b", KIND_EQUALS, Fraction(9, 10), lambda s: s.f_a == -1),
+        Constraint("a", Fraction(9, 10), lambda s: s.f_a == 1),
+        Constraint("b", Fraction(9, 10), lambda s: s.f_a == -1),
     ]
     cert = check_feasibility(cons)
     assert not cert.feasible
@@ -170,7 +129,7 @@ def test_unsatisfiable_overlapping_positives():
 
 
 def test_everything_forbidden_is_infeasible():
-    cons = [Constraint("nothing", KIND_EQUALS, Fraction(0), lambda s: True)]
+    cons = [Constraint("nothing", Fraction(0), lambda s: True)]
     cert = check_feasibility(cons)
     assert not cert.feasible
     # Normalization alone is refuted: 1 <= P(nothing) = 0.
@@ -203,15 +162,6 @@ def test_verify_rejects_tampered_containment():
     # both-G strategy escapes the right side.
     for name in ("gg_hardy", "ff_zero", "gb_implies_fa", "ga_implies_fb"):
         assert verify_certificate(_replace_weight(cert, cons, name, 0), cons) is False
-
-
-def test_verify_rejects_negative_at_least_weight():
-    ge = Constraint("gg_at_least", KIND_AT_LEAST, HARDY_VALUE,
-                    lambda s: s.g_a == 1 and s.g_b == 1)
-    cons = [c for c in quantum_constraints() if c.value == 0] + [ge]
-    cert = check_feasibility(cons)
-    assert _weights(cert, cons)["gg_at_least"] == 1 and verify_certificate(cert, cons)
-    assert verify_certificate(_replace_weight(cert, cons, "gg_at_least", -1), cons) is False
 
 
 def test_verify_rejects_mismatched_citations():
@@ -254,22 +204,16 @@ def test_verify_rejects_perturbed_witness():
 def test_verify_rejects_malformed_certificates():
     cons = quantum_constraints()
     with pytest.raises(ValueError):
-        verify_certificate(
-            FeasibilityCertificate(feasible=True, outcome_values=OUTCOME_VALUES),
-            cons)
+        verify_certificate(FeasibilityCertificate(feasible=True), cons)
     with pytest.raises(ValueError):
-        verify_certificate(
-            FeasibilityCertificate(feasible=False, outcome_values=OUTCOME_VALUES),
-            cons)
+        verify_certificate(FeasibilityCertificate(feasible=False), cons)
     with pytest.raises(TypeError):
         verify_certificate("certificate", cons)
     float_mass = FeasibilityCertificate(
-        feasible=True, outcome_values=OUTCOME_VALUES,
-        witness=((Strategy(-1, -1, -1, -1), 1.0),))
+        feasible=True, witness=((Strategy(-1, -1, -1, -1), 1.0),))
     with pytest.raises(ValueError):
         verify_certificate(float_mass, cons)
-    int_weights = FeasibilityCertificate(
-        feasible=False, outcome_values=OUTCOME_VALUES, farkas=(-1, -1, -1, 1, 0, 0))
+    int_weights = FeasibilityCertificate(feasible=False, farkas=(-1, -1, -1, 1, 0, 0))
     with pytest.raises(ValueError):
         verify_certificate(int_weights, cons)
 
@@ -278,7 +222,7 @@ def test_verify_every_corpus_certificate():
     corpora = [
         quantum_constraints(),
         [c for c in quantum_constraints() if c.name != "gg_hardy"],
-        [Constraint("half", KIND_EQUALS, Fraction(1, 2), lambda s: s.g_b == 1)],
+        [Constraint("half", Fraction(1, 2), lambda s: s.g_b == 1)],
         [],
     ]
     for cons in corpora:
@@ -339,14 +283,13 @@ def test_render_certificate_text():
 def test_derivation_statement_matches_semantics():
     cons = quantum_constraints()
     cert = check_feasibility(cons)
-    space = all_strategies()
     weights = _weights(cert, cons)
     # The -1 weighted zero events cover the +1 weighted Hardy event.
     union = set()
     for c in cons:
         if weights[c.name] < 0:
-            union |= set(c.event_set(space))
-    target_event = next(c for c in cons if weights[c.name] > 0).event_set(space)
+            union |= set(c.event_set())
+    target_event = next(c for c in cons if weights[c.name] > 0).event_set()
     assert target_event <= union
 
 
@@ -363,19 +306,21 @@ RANDOM_VERDICTS = (
 
 
 def _random_corpus():
-    """Seeded constraint sets of 0-4 random events over the 81 strategies."""
+    """Seeded constraint sets of 0-4 random events over the 81 strategies, each
+    row paired with the kind its pin was taken with: an equality, or the
+    retired at-least row P(E) >= value."""
     rng = random.Random(0)
     space = all_strategies()
     corpus = []
     for i in range(len(RANDOM_VERDICTS)):
-        cons = []
+        rows = []
         for j in range(rng.randint(0, 4)):
             density = rng.choice((0.05, 0.2, 0.5, 0.8))
             members = frozenset(s for s in space if rng.random() < density)
             value = Fraction(rng.choice((0, rng.randint(1, 12))), 12)
-            kind = rng.choice((KIND_EQUALS, KIND_AT_LEAST))
-            cons.append(Constraint(f"r{i}_{j}", kind, value, members.__contains__))
-        corpus.append(cons)
+            kind = rng.choice(("equals", "at_least"))
+            rows.append((kind, Constraint(f"r{i}_{j}", value, members.__contains__)))
+        corpus.append(rows)
     return corpus
 
 
@@ -392,7 +337,13 @@ def test_subset_verdict_pins(subset):
 
 @pytest.mark.parametrize("index", range(len(RANDOM_VERDICTS)))
 def test_random_corpus_verdict_pins(index):
-    cons = RANDOM_CORPUS[index]
+    # Dropping an entry's at-least rows relaxes it and posing them as
+    # equalities tightens it, so a feasible pin holds for the first and an
+    # infeasible pin for the second.  For the 77 all-equality entries both
+    # are the entry itself, so the pin holds exactly.
+    rows = RANDOM_CORPUS[index]
+    relaxed = [c for kind, c in rows if kind == "equals"]
+    cons = relaxed if RANDOM_VERDICTS[index] == "F" else [c for _, c in rows]
     cert = check_feasibility(cons)
     assert cert.feasible == (RANDOM_VERDICTS[index] == "F")
     assert verify_certificate(cert, cons)

@@ -32,7 +32,7 @@ def _pvm_ranks(m):
 @pytest.mark.parametrize("builder", [build_F, build_G])
 def test_pvm_structure(builder):
     m = builder()
-    assert m.labels == (-1, +1, 0)
+    assert [label for label, _ in m.outcomes] == [-1, +1, 0]
     assert _pvm_ranks(m) == [1, 1, 14]
     total = sum(p for _, p in m.outcomes)
     assert np.abs(total - np.eye(16)).max() < TOL
