@@ -46,7 +46,7 @@ from .qstate import (
     expand_eta_in,
     inner_product,
 )
-from .rotations import apply_fourfold, rotate_grids, sample_su2_batch, split_seed
+from .rotations import fourfold, sample_su2_batch, split_seed
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
 
@@ -237,20 +237,19 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     results.append(CheckResult("invariance-generators", float(dev), 0.0,
                                detail="exact 2S_z, S+, S- on the integer kets of phi, psi"))
 
-    # Each check draws its rotations in one batch, the trial axis last;
-    # deviations stay per-state 1-D norms, which an axis= norm would round
-    # differently.
+    # Each check draws its rotations in one batch; deviations stay 1-D norms,
+    # which an axis= norm would round differently.
     keys = np.arange(INVARIANCE_SAMPLES)
-    rows = np.stack([s.amps for s in (*phi, *psi)], axis=1)[..., None]
-    moved = apply_fourfold(sample_su2_batch(split_seed(seed, 2 * keys)), rows)
-    worst = max(float(np.linalg.norm(d)) for d in (moved - rows).reshape(16, -1).T)
+    rows = np.stack([s.amps for s in (*phi, *psi)], axis=1)
+    moved = fourfold(sample_su2_batch(split_seed(seed, 2 * keys))) @ rows
+    worst = max(float(np.linalg.norm(d)) for d in (moved - rows).swapaxes(1, 2).reshape(-1, 16))
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} collective rotations x 4 states"))
 
     grid = eta.amps.reshape(16, 16)
-    moved = rotate_grids(sample_su2_batch(split_seed(seed, 3 * keys + 1)),
-                         sample_su2_batch(split_seed(seed, 5 * keys + 2)), grid[..., None])
-    worst = max(float(np.linalg.norm(d)) for d in (moved - grid[..., None]).reshape(256, -1).T)
+    moved = (fourfold(sample_su2_batch(split_seed(seed, 3 * keys + 1))) @ grid
+             @ fourfold(sample_su2_batch(split_seed(seed, 5 * keys + 2))).swapaxes(1, 2))
+    worst = max(float(np.linalg.norm(d)) for d in moved - grid)
     results.append(CheckResult("invariance-eta-pairs", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))
 
@@ -266,9 +265,10 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # table is the same for every setup, whatever the source.  The side wiring
     # is checked on fine tables by test_table_kernel_rotates_a_non_invariant_source.
     canonical = (build_F(), build_G())
+    powers = fourfold(drawn[0].conj().swapaxes(1, 2))
     worst = 0.0
     for (a, b), table in zip(np.ndindex(2, 2), tables[1]):
-        moved = rotate_grids(drawn[0, a].conj().T, drawn[0, 2 + b].conj().T, grid)
+        moved = powers[a] @ grid @ powers[2 + b].T
         probs = joint_born(StateVector(8, moved.reshape(256)), canonical[a], canonical[b])
         worst = max(worst, *(abs(p - table[LABEL_ORDER.index(la), LABEL_ORDER.index(lb)])
                              for (la, lb), p in probs.items()))

@@ -163,9 +163,13 @@ class ExactBehavior:
     def __post_init__(self) -> None:
         fixed = {}
         for pair in SETTING_PAIRS:
+            if pair not in self.tables:
+                raise ValueError(f"no table for setting pair {pair[0]}{pair[1]}")
             t = np.asarray(self.tables[pair], dtype=float)
             if t.shape != (3, 3):
                 raise ValueError("each setting pair needs a 3x3 outcome table")
+            if not np.isfinite(t).all():
+                raise ValueError(f"non-finite probability in table {pair}")
             if t.min() < -1e-13:
                 raise ValueError(f"negative probability in table {pair}")
             if abs(t.sum() - 1.0) > 1e-12:
@@ -301,9 +305,9 @@ def _born_close(total: np.ndarray) -> np.ndarray:
     """The mass check of every Born table: returns each trial's total mass,
     or aborts if any differs from 1 by more than ZERO_OUTCOME_TOL.  A deficit
     is mass on the 0 label (outside the k x k outcomes), an excess a setup
-    that is not unitary."""
+    that is not unitary.  A NaN mass fails the check too."""
     worst = float(np.abs(1.0 - total).max())
-    if worst > ZERO_OUTCOME_TOL:
+    if not worst <= ZERO_OUTCOME_TOL:
         raise RuntimeError(
             f"a trial's outcome table has total mass off 1 by {worst:.3e} "
             "(outcome 0 acquired probability, or a setup is not unitary)"

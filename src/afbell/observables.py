@@ -36,6 +36,8 @@ class PVM:
             proj = np.asarray(proj, dtype=complex)
             if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
                 raise ValueError(f"projector for label {label} is not square")
+            if not np.isfinite(proj).all():
+                raise ValueError(f"projector for label {label} has non-finite entries")
             proj = proj.copy()
             proj.setflags(write=False)
             mats.append((int(label), proj))

@@ -5,12 +5,11 @@ special unitary on each of that observer's four qubits, i.e. the four-fold
 Kronecker power U (x) U (x) U (x) U.  All four qubits carry the same U, so
 each entry of the power is a degree-4 monomial in U's four entries, one of 35;
 _monomials forms them, and it is the one evaluation of the power in the
-package.  apply_fourfold reads each trial's 16x16 power off them and applies
-it along axis 0 of a (16, ...) array whose trailing axes are the trials; the
-table kernel in experiment expands its amplitudes in the same monomials of
-U^dagger.  An 8-qubit state is handled as its 16x16 amplitude grid:
-Alice's qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the
-columns).
+package.  fourfold reads each matrix's 16x16 power off them; the table
+kernel in experiment expands its amplitudes in the same monomials of
+U^dagger.  An 8-qubit state is handled as its 16x16 amplitude grid: Alice's
+qubits 1-4 index axis 0 (the rows), Bob's qubits 5-8 axis 1 (the columns),
+so powers P_a and P_b rotate a grid to P_a @ grid @ P_b^T.
 
 Determinism contract: every random draw is a pure function of a 64-bit seed.
 split_seed is the one derivation of a child seed from a parent; it mixes the
@@ -117,6 +116,8 @@ class CollectiveRotation:
         u = np.asarray(self.u, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
             raise ValueError("matrix is not unitary")
         u = u.copy()
@@ -171,34 +172,7 @@ def _monomials(e: np.ndarray) -> np.ndarray:
     return mono
 
 
-def apply_fourfold(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply U (x) U (x) U (x) U along axis 0 of x (16, ...); batch axes last.
-
-    u has shape (..., 2, 2) and broadcasts against the trailing axes of x, so
-    one unitary per trial multiplies that trial's columns.  Each trial's
-    16x16 power is read off its 35 monomials through _WORD_MONOMIAL and
-    applied by one batched matmul, trials first, into a new array that owns
-    its memory.
-    """
-    nb = u.ndim - 2
-    x = x.reshape(16, *(1,) * (nb + 1 - x.ndim), *x.shape[1:])
-    split = x.ndim - nb  # x.shape[1:split] are columns, x.shape[split:] trials
-    batch = np.broadcast_shapes(x.shape[split:], u.shape[:-2])
-    mono = _monomials(np.ascontiguousarray(u.reshape(-1, 4).T))
-    power = mono.T[:, _WORD_MONOMIAL].reshape(*u.shape[:-2], 16, 16)
-    out = np.empty((16, *x.shape[1:split], *batch), np.result_type(power, x))
-
-    def stacked(a):
-        """a as matmul takes it: trial axes first, then (16, columns)."""
-        return np.moveaxis(a.reshape(16, -1, *a.shape[split:]), (0, 1), (-2, -1))
-
-    np.matmul(power, stacked(x), out=stacked(out))
-    return out
-
-
-def rotate_grids(u_a: np.ndarray, u_b: np.ndarray, grids: np.ndarray) -> np.ndarray:
-    """Rotate (16, 16, ...) amplitude grids by u_a's four-fold power on axis 0
-    (qubits 1-4) and u_b's on axis 1 (qubits 5-8).  u_a and u_b broadcast
-    against the batch axes 2.. of grids, as in apply_fourfold."""
-    bob = apply_fourfold(u_b, grids.swapaxes(0, 1)).swapaxes(0, 1)
-    return apply_fourfold(u_a, bob)
+def fourfold(u: np.ndarray) -> np.ndarray:
+    """(n, 16, 16) four-fold powers U (x) U (x) U (x) U of n 2x2 matrices u
+    (n, 2, 2), read off their 35 monomials through _WORD_MONOMIAL."""
+    return _monomials(np.ascontiguousarray(u.reshape(-1, 4).T)).T[:, _WORD_MONOMIAL]

@@ -36,7 +36,7 @@ from afbell.qstate import (
     distance,
     eta_from_table,
 )
-from afbell.rotations import apply_fourfold, rotate_grids, sample_su2_batch, split_seed
+from afbell.rotations import fourfold, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
 
@@ -84,15 +84,15 @@ def test_criterion_3_state_invariance():
     eta = build_eta()
     grid = eta.amps.reshape(16, 16)
     states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
-    pairs = sample_su2_batch(split_seed(11, np.arange(200)))
-    singles = sample_su2_batch(split_seed(13, np.arange(100)))
+    pairs = fourfold(sample_su2_batch(split_seed(11, np.arange(200))))
+    singles = fourfold(sample_su2_batch(split_seed(13, np.arange(100))))
     worst_pair = 0.0
     worst_single = 0.0
     for k in range(100):
-        moved = rotate_grids(pairs[2 * k], pairs[2 * k + 1], grid).reshape(256)
+        moved = (pairs[2 * k] @ grid @ pairs[2 * k + 1].T).reshape(256)
         worst_pair = max(worst_pair, distance(StateVector(8, moved), eta))
         for s in states:
-            moved = StateVector(4, apply_fourfold(singles[k], s.amps))
+            moved = StateVector(4, singles[k] @ s.amps)
             worst_single = max(worst_single, distance(moved, s))
     assert worst_pair < 1e-10
     assert worst_single < 1e-10

@@ -238,13 +238,10 @@ def test_verify_suite_makes_one_kernel_call(monkeypatch):
 
 
 def test_verify_suite_memory_peak():
-    # invariance-eta-pairs sets the peak: rotate_grids on 100 rotation pairs
-    # holds Bob's rotated (16, 16, 100) complex grid, Alice's 100 16x16
-    # powers and the output grid, 400 KiB each, over the suite's 128 KiB.
-    # It traces 1385 KiB (numpy 2.4), whether the setups are tabled in one
-    # kernel call or in three; when apply_fourfold returned a view
-    # into a block twice its size and rotate_grids made a second block, it
-    # traced 2087 KiB.
+    # invariance-eta-pairs sets the peak: P_a @ grid @ P_b^T on 100 rotation
+    # pairs holds P_a @ grid, Bob's 100 16x16 powers P_b and the product,
+    # 400 KiB each, over the rest of the suite's 115 KiB.  It traces
+    # 1316 KiB (numpy 2.4).
     run_verify_suite()
     tracemalloc.start()
     try:

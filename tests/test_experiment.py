@@ -492,7 +492,7 @@ def _some_unitaries(seed):
 def test_monomial_amplitudes_match_the_fourfold_rotation(name):
     # Each side's amplitudes rows . (U^dagger)^(x)4 . pair through the 35
     # monomials, against the dense Kronecker power, for any 2x2 u.
-    # apply_fourfold runs the same monomials, so it is no reference here.
+    # fourfold runs the same monomials, so it is no reference here.
     rows = ROW_SETS[name]
     code = np.arange(12) % 2
     for kind, u in _some_unitaries(0xB0B).items():
@@ -543,6 +543,14 @@ def test_mass_off_one_raises_on_each_path(monkeypatch, path, scale):
             monkeypatch.setattr(experiment, "sample_su2_batch", scaled)
             run_trials(64, 3, "uniform", measurement_path=path)
     assert excinfo.traceback[-1].name == "_born_close"
+
+
+@pytest.mark.filterwarnings("error")
+def test_born_close_rejects_non_finite_mass():
+    # A NaN mass compares False against the tolerance either way round.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RuntimeError, match="total mass off 1"):
+            experiment._born_close(np.array([1.0, bad]))
 
 
 def test_run_trials_validation():
@@ -846,3 +854,14 @@ def test_exact_behavior_validation():
     bad[(Setting.F, Setting.F)] = np.full((3, 3), 0.2)
     with pytest.raises(ValueError):
         ExactBehavior(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_behavior_rejects_non_finite_and_missing_tables():
+    tables = {pair: np.full((3, 3), 1.0 / 9.0) for pair in SETTING_PAIRS}
+    for bad in (np.nan, np.inf):
+        tables[(Setting.G, Setting.F)] = np.full((3, 3), bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            ExactBehavior(tables)
+    with pytest.raises(ValueError, match="setting pair FF"):
+        ExactBehavior({})

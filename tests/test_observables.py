@@ -47,6 +47,15 @@ def test_pvm_rejects_non_projector():
         PVM(((1, broken),))
 
 
+@pytest.mark.filterwarnings("error")
+def test_pvm_rejects_non_finite_projector():
+    for bad in (np.nan, np.inf):
+        proj = np.eye(16, dtype=complex)
+        proj[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PVM(((1, proj),))
+
+
 def test_born_on_eigenstates():
     f = build_F()
     assert oracles.born(build_phi(1), f) == pytest.approx(

@@ -19,7 +19,7 @@ from afbell.experiment import (
     TrialLog,
     run_trials,
 )
-from afbell.rotations import apply_fourfold, sample_su2_batch
+from afbell.rotations import fourfold, sample_su2_batch
 
 LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
 
@@ -72,28 +72,16 @@ def two_by_twos(draw, n):
 
 
 @PROPERTY
-@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 5), batched=st.booleans(),
-       x_shape=st.sampled_from(["16", "16k", "16kn", "16k1"]), x_seed=uint64s)
-def test_apply_fourfold_is_the_dense_kronecker_power(data, n, k, batched, x_shape, x_seed):
-    # u is one matrix or n of them; x's trailing axes broadcast against u's
-    # batch, so with n matrices a (16, k) x has k = n trial columns.
+@given(data=st.data(), n=st.integers(1, 4))
+def test_fourfold_is_the_dense_kronecker_power(data, n):
     us = data.draw(two_by_twos(n))
-    u = us if batched else us[0]
-    shape = {"16": (16,), "16k": (16, n if batched else k), "16kn": (16, k, n),
-             "16k1": (16, k, 1)}[x_shape]
-    rng = np.random.default_rng(x_seed)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out = apply_fourfold(u, x)
-    assert out.shape == (16, *np.broadcast_shapes(shape[1:], u.shape[:-2]))
-    assert out.base is None
-    # Sixteen products of four entries and one x per output entry, each off
-    # by a few roundings in either form.
-    tol = 256 * np.finfo(float).eps * max(1.0, np.abs(us).max()) ** 4 * np.abs(x).max()
-    columns = np.broadcast_to(x.reshape(16, *(1,) * (out.ndim - x.ndim), *shape[1:]), out.shape)
-    for idx in np.ndindex(out.shape[1:]):
-        dense = functools.reduce(np.kron, [us[idx[-1]] if batched else u] * 4)
-        want = dense @ columns[(slice(None), *idx)]
-        assert np.abs(out[(slice(None), *idx)] - want).max() <= tol, idx
+    powers = fourfold(us)
+    assert powers.shape == (n, 16, 16)
+    # Each entry is a product of four entries, off by a few roundings in
+    # either form.
+    tol = 16 * np.finfo(float).eps * max(1.0, np.abs(us).max()) ** 4
+    for u, power in zip(us, powers):
+        assert np.abs(power - functools.reduce(np.kron, [u] * 4)).max() <= tol
 
 
 def _log(rows: list[tuple[int, int, int, int]]) -> TrialLog:

@@ -1,6 +1,5 @@
 """Seed splitting, Haar sampling, and collective-rotation invariance."""
 
-import functools
 import math
 
 import numpy as np
@@ -11,9 +10,8 @@ from afbell.observables import build_F
 from afbell.qstate import StateVector, build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
     CollectiveRotation,
-    apply_fourfold,
+    fourfold,
     mix64_array,
-    rotate_grids,
     sample_su2_batch,
     split_seed,
 )
@@ -28,12 +26,13 @@ def _draw(seed):
 
 def _rotate(u, s):
     """A 4-qubit state rotated by u's four-fold power."""
-    return StateVector(4, apply_fourfold(u, s.amps))
+    return StateVector(4, fourfold(u[None])[0] @ s.amps)
 
 
 def _rotate_pair(u_a, u_b, s):
     """An 8-qubit state rotated by u_a on qubits 1-4 and u_b on qubits 5-8."""
-    return StateVector(8, rotate_grids(u_a, u_b, s.amps.reshape(16, 16)).reshape(256))
+    p_a, p_b = fourfold(np.array([u_a, u_b]))
+    return StateVector(8, (p_a @ s.amps.reshape(16, 16) @ p_b.T).reshape(256))
 
 
 def test_mix64_is_deterministic_and_bijective_looking():
@@ -191,47 +190,29 @@ def test_collective_rotation_validation():
         CollectiveRotation(np.eye(3))
 
 
+@pytest.mark.filterwarnings("error")
+def test_collective_rotation_rejects_non_finite():
+    # Rejected before the unitarity check, whose arithmetic would warn on inf.
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            CollectiveRotation(np.full((2, 2), bad))
+
+
 def test_collective_rotation_matrix_expansion():
     rot = CollectiveRotation(_draw(4321))
-    # Column j of the output is the four-fold power applied to basis state j.
-    big = apply_fourfold(rot.u, np.eye(16))
+    # Column j of the power is its image of basis state j.
+    big = fourfold(rot.u[None])[0]
     manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
     assert np.abs(big - manual).max() < 1e-15
     assert np.abs(big @ big.conj().T - np.eye(16)).max() < 1e-12
-    # A (n, 2, 2) stack of unitaries rotates each trial's (16, k) columns.
+    # A (n, 2, 2) stack of unitaries gives each trial's power, which rotates
+    # that trial's (16, k) columns.
     us = sample_su2_batch(np.arange(3, dtype=np.uint64))
     vecs = np.random.default_rng(1).standard_normal((16, 5, 3)) + 0j
-    batch = apply_fourfold(us, vecs)
+    powers = fourfold(us)
     for n, u in enumerate(us):
         expanded = np.kron(np.kron(u, u), np.kron(u, u))
-        assert np.abs(batch[..., n] - expanded @ vecs[..., n]).max() < 1e-14
-
-
-@pytest.mark.parametrize("k", [1, 2, 5, 16])
-def test_apply_fourfold_rows_contract(k):
-    # Axis 0 of rows (16, k, n) is rotated by the dense U (x) U (x) U (x) U,
-    # with u (..., 2, 2) broadcast against the trailing (trial) axes of rows.
-    n = 3
-    rng = np.random.default_rng(k)
-    us = sample_su2_batch(np.arange(100, 100 + n, dtype=np.uint64))
-    rows = rng.standard_normal((16, k, n)) + 1j * rng.standard_normal((16, k, n))
-    dense = [functools.reduce(np.kron, [u] * 4) for u in us]
-
-    single = apply_fourfold(us[0], rows[..., 0])
-    assert single.shape == (16, k)
-    assert np.abs(single - dense[0] @ rows[..., 0]).max() < 1e-14
-
-    shared = apply_fourfold(us[0], rows)
-    per_trial = apply_fourfold(us, rows)
-    # One set of rows (16, k, 1) against every trial's unitary.
-    spread = apply_fourfold(us, rows[..., :1])
-    assert shared.shape == per_trial.shape == spread.shape == (16, k, n)
-    # Each result owns its memory, so holding it keeps no scratch alive.
-    assert all(r.base is None for r in (single, shared, per_trial, spread))
-    for i in range(n):
-        assert np.abs(shared[..., i] - dense[0] @ rows[..., i]).max() < 1e-14
-        assert np.abs(per_trial[..., i] - dense[i] @ rows[..., i]).max() < 1e-14
-        assert np.abs(spread[..., i] - dense[i] @ rows[..., 0]).max() < 1e-14
+        assert np.abs(powers[n] @ vecs[..., n] - expanded @ vecs[..., n]).max() < 1e-14
 
 
 def test_rotation_json_export():
