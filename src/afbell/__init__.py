@@ -17,12 +17,11 @@ from .observables import (
     build_G,
     local_protocol_for,
 )
-from .rotations import CollectiveRotation, split_seed
+from .rotations import split_seed
 from .experiment import (
     ExactBehavior,
     JointStats,
     Setting,
-    SetupRotations,
     TrialLog,
     epr_audit,
     exact_behavior,
@@ -43,8 +42,8 @@ __all__ = [
     "StateVector", "build_eta", "build_phi", "build_psi", "expand_eta_in",
     "inner_product",
     "PVM", "LocalProtocol", "build_F", "build_G", "local_protocol_for",
-    "CollectiveRotation", "split_seed",
-    "ExactBehavior", "JointStats", "Setting", "SetupRotations", "TrialLog",
+    "split_seed",
+    "ExactBehavior", "JointStats", "Setting", "TrialLog",
     "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",
     "max_hardy_fraction", "quantum_constraints", "verify_certificate",

@@ -23,7 +23,6 @@ from .experiment import (
     MEASUREMENT_PATHS,
     SETTING_PAIRS,
     Setting,
-    SetupRotations,
     epr_audit,
     joint_born,
     parse_policy,
@@ -254,7 +253,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
                                detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))
 
     # One kernel call tables every setup below: the identity, then the setups
-    # SetupRotations.sample draws at split_seed(seed, 77) and (1000 + k).
+    # _draw_setups draws from split_seed(seed, 77) and (1000 + k).
     _, drawn = _draw_setups(split_seed(seed, np.r_[77, 1000:1000 + ROBUSTNESS_SAMPLES]))
     tables = _setup_tables(np.concatenate([np.broadcast_to(np.eye(2), (1, 4, 2, 2)), drawn]))
 
@@ -404,13 +403,12 @@ def cmd_sample(cfg: RunConfig) -> int:
         },
     }
     if cfg.fixed_rotations:
-        setup = SetupRotations.sample(cfg.root_seed)
+        # The setup run_trials measured through: each matrix as [re, im] pairs.
+        seeds, u = _draw_setups(np.array([cfg.root_seed % 2**64], np.uint64))
         report["fixed_rotations"] = {
-            "alice_F": setup.alice_f.to_json(),
-            "alice_G": setup.alice_g.to_json(),
-            "bob_F": setup.bob_f.to_json(),
-            "bob_G": setup.bob_g.to_json(),
-            "seeds": list(setup.seeds),
+            **dict(zip(("alice_F", "alice_G", "bob_F", "bob_G"),
+                       np.stack((u[0].real, u[0].imag), axis=-1).tolist())),
+            "seeds": seeds[0].tolist(),
         }
 
     out_dir = _resolve_output_dir(cfg) or Path("afbell-out")

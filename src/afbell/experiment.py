@@ -37,7 +37,6 @@ from .rotations import (
     STREAM_OUTCOME,
     STREAM_SETTINGS,
     _WORD_MONOMIAL,
-    CollectiveRotation,
     _monomials,
     sample_su2_batch,
     split_seed,
@@ -63,9 +62,9 @@ CHAIN_TOL = 1e-9
 # counted or code-checked at a time.
 _CHUNK = 4096
 
-# Tags for deriving one rotation seed per (side, setting) of a SetupRotations
-# (fixed-rotation mode, verify's setups), in its field order (Alice F,
-# Alice G, Bob F, Bob G); arbitrary fixed 64-bit constants.
+# Tags for deriving a setup's one rotation seed per (side, setting), in setup
+# order (Alice F, Alice G, Bob F, Bob G), for fixed-rotation mode,
+# exact_behavior and verify's setups; arbitrary fixed 64-bit constants.
 _SETUP_TAGS = np.array([0x11111111A11CE00F, 0x22222222A11CE00A,
                         0x33333333B0B0000F, 0x44444444B0B0000A], dtype=np.uint64)
 
@@ -113,31 +112,10 @@ def parse_policy(policy: str) -> tuple[str, tuple[Setting, Setting] | None]:
     )
 
 
-@dataclass(frozen=True)
-class SetupRotations:
-    """Independent rotations of the four local setups (Alice/Bob times F/G)."""
-
-    alice_f: CollectiveRotation
-    alice_g: CollectiveRotation
-    bob_f: CollectiveRotation
-    bob_g: CollectiveRotation
-    seeds: tuple[int, int, int, int] | None = None
-
-    @classmethod
-    def sample(cls, seed: int) -> "SetupRotations":
-        """Four independently Haar-seeded rotations derived from one seed."""
-        seeds, u = _draw_setups(np.array([seed % 2**64], np.uint64))
-        return cls(*map(CollectiveRotation, u[0]), seeds=tuple(seeds[0].tolist()))
-
-    @classmethod
-    def identity(cls) -> "SetupRotations":
-        ident = CollectiveRotation.identity()
-        return cls(ident, ident, ident, ident)
-
-
 def _draw_setups(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 4) rotation seeds and (m, 4, 2, 2) unitaries, in SetupRotations
-    field order, of the setups drawn from m uint64 seeds: each split by _SETUP_TAGS."""
+    """(m, 4) rotation seeds and (m, 4, 2, 2) unitaries, in setup order, of
+    the setups drawn from m uint64 seeds: each split by _SETUP_TAGS.  A setup
+    has no other form; fixed-rotation run_trials reads only its seeds."""
     setup_seeds = split_seed(seeds[:, None], _SETUP_TAGS)
     return setup_seeds, sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
 
@@ -208,22 +186,23 @@ EXACT_BEHAVIOR = ExactBehavior({
     for sa, sb in SETTING_PAIRS})
 
 
-def exact_behavior(rotations: SetupRotations | None = None) -> ExactBehavior:
+def exact_behavior(seed: int | None = None) -> ExactBehavior:
     """All four setting pairs' joint outcome tables on the source state.
 
-    With ``rotations`` supplied, each side measures each setting through that
-    setup's collective rotation; the tables are provably independent of the
-    choice.  The 0 cells are Born masses on the 0 rows, not differences.
+    Each side measures each setting through the identity setup or, with
+    ``seed``, through the setup _draw_setups draws from seed mod 2^64; the
+    tables are provably independent of the choice.  The 0 cells are Born
+    masses on the 0 rows, not differences.
     """
-    setup = rotations if rotations is not None else SetupRotations.identity()
-    u = np.array([r.u for r in (setup.alice_f, setup.alice_g, setup.bob_f, setup.bob_g)])
-    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables(u[None])[0])))
+    u = (np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2)) if seed is None
+         else _draw_setups(np.array([seed % 2**64], np.uint64))[1])
+    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables(u)[0])))
 
 
 def _setup_tables(u: np.ndarray) -> np.ndarray:
     """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS, from their
-    (m, 4, 2, 2) unitaries in SetupRotations field order (Alice F, Alice G,
-    Bob F, Bob G): one kernel call on the complete F/G bases over all 4m
+    (m, 4, 2, 2) unitaries in setup order (Alice F, Alice G, Bob F, Bob G):
+    one kernel call on the complete F/G bases over all 4m
     (setup, setting pair) trials, each 16x16 table summed by label."""
     m = len(u)
     fine = _born_tables(_EXACT_KERNEL, u[:, [0, 0, 1, 1]].reshape(-1, 2, 2),
@@ -566,7 +545,9 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     chunk = min(chunk, _CHUNK)
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
-    fixed_setup = SetupRotations.sample(root) if fixed_rotations else None
+    # In fixed-rotation mode every trial's rotation seeds are the four seeds
+    # of the setup _draw_setups draws from the root.
+    fixed_seeds = split_seed(root, _SETUP_TAGS) if fixed_rotations else None
 
     # The log's columns, allocated once; each chunk fills its own slice.
     trial = np.arange(n, dtype=np.uint64)
@@ -589,10 +570,9 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
             cyc = idx % np.uint64(4)
             code_a[:], code_b[:] = cyc >> np.uint64(1), cyc & np.uint64(1)
 
-        if fixed_setup is not None:
-            sa_f, sa_g, sb_f, sb_g = (np.uint64(s) for s in fixed_setup.seeds)
-            seed_a[sl] = np.where(code_a == 0, sa_f, sa_g)
-            seed_b[sl] = np.where(code_b == 0, sb_f, sb_g)
+        if fixed_seeds is not None:
+            seed_a[sl] = np.where(code_a == 0, *fixed_seeds[:2])
+            seed_b[sl] = np.where(code_b == 0, *fixed_seeds[2:])
         # Both sides' rotations in one draw; each seed still gives its own U.
         u_a, u_b = sample_su2_batch(seeds[:, sl].ravel()).reshape(2, -1, 2, 2)
 

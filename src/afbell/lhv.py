@@ -217,7 +217,8 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
         masses = dict(c.witness)
         if any(not isinstance(m, Fraction) for m in masses.values()):
             raise ValueError("malformed certificate: witness masses must be Fractions")
-        if any(s not in space for s in masses):
+        # A strategy listed twice would keep only its last mass here.
+        if len(masses) != len(c.witness) or any(s not in space for s in masses):
             return False
         if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
             return False

@@ -22,7 +22,6 @@ setup tag) and verify's seeds, so results do not depend on execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,33 +103,6 @@ def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
     out[:, 1, 0] = y - 1j * x
     out[:, 1, 1] = w + 1j * z
     return out
-
-
-@dataclass(frozen=True)
-class CollectiveRotation:
-    """A single-qubit unitary applied identically to all four qubits of one side."""
-
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-        if not np.isfinite(u).all():
-            raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
-            raise ValueError("matrix is not unitary")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    @classmethod
-    def identity(cls) -> "CollectiveRotation":
-        return cls(np.eye(2, dtype=complex))
-
-    def to_json(self) -> list[list[list[float]]]:
-        """2x2 matrix as [[re, im], ...] rows for report emission."""
-        return [[[c.real, c.imag] for c in row] for row in np.asarray(self.u)]
 
 
 # A matrix's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds

@@ -115,9 +115,9 @@ ETA = dict_scale(
 )
 
 
-def rotate_pvm(r, m):
+def rotate_pvm(u, m):
     """Conjugate every projector of a 16-dim PVM by R = U (x) U (x) U (x) U."""
-    big = functools.reduce(np.kron, [r.u] * 4)
+    big = functools.reduce(np.kron, [u] * 4)
     return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))
 
 

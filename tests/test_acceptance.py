@@ -14,7 +14,6 @@ import oracles
 from afbell.cli import main as cli_main
 from afbell.experiment import (
     Setting,
-    SetupRotations,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -67,7 +66,7 @@ def test_criterion_2_rotation_robustness():
     t0 = time.perf_counter()
     worst = 0.0
     for k in range(20):
-        b = exact_behavior(SetupRotations.sample(split_seed(20260810, k)))
+        b = exact_behavior(split_seed(20260810, k))
         chain = epr_audit(None, b).exact
         worst = max(worst, b.prob(Setting.F, Setting.F, 1, 1))
         worst = max(worst, abs(chain.cond_ab - 1.0))
@@ -206,7 +205,7 @@ def test_criterion_7_lhv_infeasibility():
 def test_criterion_8_no_signaling():
     worst = 0.0
     for behavior in (exact_behavior(),
-                     exact_behavior(SetupRotations.sample(split_seed(88, 1)))):
+                     exact_behavior(split_seed(88, 1))):
         for own in (Setting.F, Setting.G):
             # Alice's marginal under Bob's two settings, and Bob's under Alice's.
             alice = [behavior.table(own, remote).sum(axis=1) for remote in Setting]

@@ -22,10 +22,10 @@ from afbell.cli import (
     parse_trials,
     run_verify_suite,
 )
-from afbell.experiment import SetupRotations, run_trials
+from afbell.experiment import run_trials
 from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
-from afbell.rotations import split_seed
+from afbell.rotations import sample_su2_batch, split_seed
 
 
 def test_parse_seed_formats():
@@ -391,8 +391,8 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
     # protocol-pvm-agreement draws nothing: it is an exact integer identity.
     # rotation-robustness's max over 720 cells sits at 2 ulps of 1/2 for
     # most seeds, so the setups are checked instead: the one kernel call
-    # tables the identity, then SetupRotations.sample's setups at
-    # split_seed(seed, 77) and at split_seed(seed, 1000 + k).
+    # tables the identity, then the setups drawn from split_seed(seed, 77)
+    # and split_seed(seed, 1000 + k), each a Haar draw per setup tag.
     randomized = ("invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger")
     tabled, setup_tables = [], cli._setup_tables
     monkeypatch.setattr(cli, "_setup_tables", lambda u: tabled.append(u) or setup_tables(u))
@@ -406,11 +406,10 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
         assert payload["metadata"]["root_seed"] == str(parse_seed(seed))
         checks = {row["name"]: row["deviation"] for row in payload["checks"]}
         deviations[seed] = {name: checks[name] for name in (*randomized, "protocol-pvm-agreement")}
-        setups = [SetupRotations.identity()] + [
-            SetupRotations.sample(split_seed(parse_seed(seed), key))
-            for key in (77, *range(1000, 1000 + cli.ROBUSTNESS_SAMPLES))]
-        assert len(tabled) == 1 and np.array_equal(tabled[0], [
-            [r.u for r in (s.alice_f, s.alice_g, s.bob_f, s.bob_g)] for s in setups])
+        drawn = [sample_su2_batch(split_seed(split_seed(parse_seed(seed), key),
+                                             experiment._SETUP_TAGS))
+                 for key in (77, *range(1000, 1000 + cli.ROBUSTNESS_SAMPLES))]
+        assert len(tabled) == 1 and np.array_equal(tabled[0], [[np.eye(2)] * 4, *drawn])
     capsys.readouterr()
     for name in randomized:
         assert len({deviations[seed][name] for seed in seeds}) > 1, name
@@ -468,9 +467,16 @@ def test_sample_fixed_rotations_reports_matrices(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((tmp_path / "stats.json").read_text())
     rots = payload["fixed_rotations"]
-    assert set(rots) == {"alice_F", "alice_G", "bob_F", "bob_G", "seeds"}
-    matrix = np.array([[complex(re, im) for re, im in row] for row in rots["alice_F"]])
-    assert np.abs(matrix @ matrix.conj().T - np.eye(2)).max() < 1e-12
+    names = ["alice_F", "alice_G", "bob_F", "bob_G"]
+    assert list(rots) == [*names, "seeds"]
+    seeds = [split_seed(3, tag) for tag in experiment._SETUP_TAGS.tolist()]
+    assert rots["seeds"] == seeds
+    # Each matrix as [re, im] rows, bit-equal to its seed's Haar draw; JSON
+    # floats round-trip exactly.
+    for name, seed in zip(names, seeds):
+        matrix = np.array([[complex(re, im) for re, im in row] for row in rots[name]])
+        assert matrix.tobytes() == sample_su2_batch(np.array([seed], np.uint64))[0].tobytes()
+        assert np.abs(matrix @ matrix.conj().T - np.eye(2)).max() < 1e-12
 
 
 def test_lhv_audit_default(tmp_path, capsys):

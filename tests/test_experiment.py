@@ -19,7 +19,6 @@ from afbell.experiment import (
     ExactBehavior,
     JointStats,
     Setting,
-    SetupRotations,
     TrialLog,
     epr_audit,
     exact_behavior,
@@ -93,6 +92,13 @@ GOLDEN_OUTCOMES = [
 EXACT_TABLES_SHA256 = "ab021e35a14cf17bc087c35d99af624572bf5d91b8533485ef7a55ca64666e45"
 
 
+def _setup(seed):
+    """The (4, 2, 2) unitaries, in setup order (Alice F, Alice G, Bob F,
+    Bob G), of the setup drawn from seed: one Haar draw per setup tag."""
+    return np.array([sample_su2_batch(np.array([split_seed(seed, tag)], np.uint64))[0]
+                     for tag in experiment._SETUP_TAGS.tolist()])
+
+
 @pytest.fixture(scope="module")
 def behavior():
     return exact_behavior()
@@ -131,7 +137,7 @@ def test_derived_born_tables_and_constraint_values_are_exact():
 
 
 def test_exact_tables_are_distributions(behavior):
-    rotated = [exact_behavior(SetupRotations.sample(split_seed(271828, k))) for k in range(5)]
+    rotated = [exact_behavior(split_seed(271828, k)) for k in range(5)]
     for b in (behavior, *rotated):
         for sa, sb in SETTING_PAIRS:
             t = b.table(sa, sb)
@@ -166,7 +172,7 @@ def test_marginals_and_no_signaling(behavior):
 
 def test_rotated_behavior_identical(behavior):
     for k in range(5):
-        rotated = exact_behavior(SetupRotations.sample(split_seed(314159, k)))
+        rotated = exact_behavior(split_seed(314159, k))
         for sa, sb in SETTING_PAIRS:
             assert np.abs(rotated.table(sa, sb) - behavior.table(sa, sb)).max() < 1e-10
 
@@ -177,10 +183,11 @@ def test_exact_behavior_matches_dense_born_rule():
     eta = build_eta()
     canonical = {Setting.F: build_F(), Setting.G: build_G()}
     for k in range(5):
-        setup = SetupRotations.sample(split_seed(4242, k))
-        behavior = exact_behavior(setup)
-        alice = {Setting.F: setup.alice_f, Setting.G: setup.alice_g}
-        bob = {Setting.F: setup.bob_f, Setting.G: setup.bob_g}
+        seed = split_seed(4242, k)
+        behavior = exact_behavior(seed)
+        alice_f, alice_g, bob_f, bob_g = _setup(seed)
+        alice = {Setting.F: alice_f, Setting.G: alice_g}
+        bob = {Setting.F: bob_f, Setting.G: bob_g}
         for sa, sb in SETTING_PAIRS:
             probs = joint_born(eta, rotate_pvm(alice[sa], canonical[sa]),
                                rotate_pvm(bob[sb], canonical[sb]))
@@ -197,9 +204,9 @@ def test_joint_born_agrees_with_sequential_projection():
         seq = sequential_joint(eta, pvm_a, pvm_b)
         for key in joint:
             assert joint[key] == pytest.approx(seq[key], abs=TOL)
-    setup = SetupRotations.sample(777)
-    ra = rotate_pvm(setup.alice_f, f)
-    rb = rotate_pvm(setup.bob_g, g)
+    alice_f, _, _, bob_g = _setup(777)
+    ra = rotate_pvm(alice_f, f)
+    rb = rotate_pvm(bob_g, g)
     joint = joint_born(eta, ra, rb)
     seq = sequential_joint(eta, ra, rb)
     for key in joint:
@@ -280,12 +287,12 @@ def test_setup_rotations_seeds_are_split_seeds():
     tags = experiment._SETUP_TAGS.tolist()
     # Python ints are reduced mod 2^64, as split_seed reduces them.
     for seed in (0, 3, 0xFEEDFACE, 2**64 - 1, -1, 2**64 + 3):
-        setup = SetupRotations.sample(seed)
-        assert all(type(s) is int for s in setup.seeds)
-        assert setup.seeds == tuple(split_seed(seed, tag) for tag in tags)
-        rotations = (setup.alice_f, setup.alice_g, setup.bob_f, setup.bob_g)
-        for rot, s in zip(rotations, setup.seeds):
-            assert np.array_equal(rot.u, sample_su2_batch(np.array([s], np.uint64))[0])
+        seeds, u = experiment._draw_setups(np.array([seed % 2**64], np.uint64))
+        assert seeds.tolist() == [[split_seed(seed, tag) for tag in tags]]
+        assert np.array_equal(u[0], _setup(seed))
+        reduced = exact_behavior(seed % 2**64).tables
+        assert all(np.array_equal(t, reduced[pair])
+                   for pair, t in exact_behavior(seed).tables.items())
 
 
 def test_run_trials_policies():
@@ -565,10 +572,13 @@ def test_fixed_rotations_mode():
     # One seed per (side, setting): at most two distinct values per column.
     assert len(set(log.seed_a.tolist())) <= 2
     assert len(set(log.seed_b.tolist())) <= 2
-    setup = SetupRotations.sample(6)
+    setup_seeds = [split_seed(6, tag) for tag in experiment._SETUP_TAGS.tolist()]
     f_mask = log.setting_a == 0
-    assert set(log.seed_a[f_mask].tolist()) == {setup.seeds[0]}
-    assert set(log.seed_a[~f_mask].tolist()) == {setup.seeds[1]}
+    assert set(log.seed_a[f_mask].tolist()) == {setup_seeds[0]}
+    assert set(log.seed_a[~f_mask].tolist()) == {setup_seeds[1]}
+    f_mask = log.setting_b == 0
+    assert set(log.seed_b[f_mask].tolist()) == {setup_seeds[2]}
+    assert set(log.seed_b[~f_mask].tolist()) == {setup_seeds[3]}
     # Statistics still follow the exact tables.
     behavior = exact_behavior()
     freq = stats.frequency(Setting.G, Setting.G)

@@ -201,6 +201,19 @@ def test_verify_rejects_perturbed_witness():
     assert verify_certificate(bad, cons) is False
 
 
+def test_verify_rejects_a_strategy_listed_twice():
+    # Appending (s, 5) and then s's own mass leaves the last mass of every
+    # strategy as it was, so a check that keeps one mass per strategy passes
+    # a witness whose listed masses sum to far more than 1.
+    cons = [c for c in quantum_constraints() if c.name != "ff_zero"]
+    cert = check_feasibility(cons)
+    first, mass = cert.witness[0]
+    padded = dataclasses.replace(
+        cert, witness=(*cert.witness, (first, Fraction(5)), (first, mass)))
+    assert sum(m for _, m in padded.witness) == 6 + mass
+    assert verify_certificate(padded, cons) is False
+
+
 def test_verify_rejects_malformed_certificates():
     cons = quantum_constraints()
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from oracles import basis_state, born, mix64, rotate_pvm, split, su2
 from afbell.observables import build_F
 from afbell.qstate import StateVector, build_eta, build_phi, build_psi, distance
 from afbell.rotations import (
-    CollectiveRotation,
     fourfold,
     mix64_array,
     sample_su2_batch,
@@ -121,7 +120,7 @@ def test_axis_angle_x_pi_flips_all_bits():
 
 def test_apply_fourfold_identity_and_norm():
     s = build_phi(1)
-    assert distance(_rotate(CollectiveRotation.identity().u, s), s) == 0.0
+    assert distance(_rotate(np.eye(2, dtype=complex), s), s) == 0.0
     out = _rotate(_draw(1234), s)
     assert abs(out.norm() - 1.0) < 1e-12
 
@@ -137,7 +136,7 @@ def test_invariance_of_all_four_states():
 
 def test_pair_invariance_of_eta():
     eta = build_eta()
-    ident = CollectiveRotation.identity().u
+    ident = np.eye(2, dtype=complex)
     assert distance(_rotate_pair(ident, ident, eta), eta) == 0.0
     worst = 0.0
     us = sample_su2_batch(split_seed(808, np.arange(200)))
@@ -157,12 +156,11 @@ def test_pair_changes_non_invariant_state():
 
 def test_rotate_pvm_leaves_F_unchanged():
     f = build_F()
-    ident = rotate_pvm(CollectiveRotation.identity(), f)
+    ident = rotate_pvm(np.eye(2, dtype=complex), f)
     for (_, p), (_, q) in zip(f.outcomes, ident.outcomes):
         assert np.abs(p - q).max() == 0.0
     for k in range(10):
-        rot = CollectiveRotation(_draw(split_seed(55, k)))
-        rotated = rotate_pvm(rot, f)
+        rotated = rotate_pvm(_draw(split_seed(55, k)), f)
         rotated.validate()
         for (_, p), (_, q) in zip(f.outcomes, rotated.outcomes):
             assert np.abs(p - q).max() < INV_TOL
@@ -183,26 +181,11 @@ def test_general_unitary_picks_up_global_phase_only():
         assert dist == pytest.approx(born(s, build_F()), abs=1e-10)
 
 
-def test_collective_rotation_validation():
-    with pytest.raises(ValueError):
-        CollectiveRotation(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        CollectiveRotation(np.eye(3))
-
-
-@pytest.mark.filterwarnings("error")
-def test_collective_rotation_rejects_non_finite():
-    # Rejected before the unitarity check, whose arithmetic would warn on inf.
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            CollectiveRotation(np.full((2, 2), bad))
-
-
 def test_collective_rotation_matrix_expansion():
-    rot = CollectiveRotation(_draw(4321))
+    u = _draw(4321)
     # Column j of the power is its image of basis state j.
-    big = fourfold(rot.u[None])[0]
-    manual = np.kron(np.kron(rot.u, rot.u), np.kron(rot.u, rot.u))
+    big = fourfold(u[None])[0]
+    manual = np.kron(np.kron(u, u), np.kron(u, u))
     assert np.abs(big - manual).max() < 1e-15
     assert np.abs(big @ big.conj().T - np.eye(16)).max() < 1e-12
     # A (n, 2, 2) stack of unitaries gives each trial's power, which rotates
@@ -214,7 +197,3 @@ def test_collective_rotation_matrix_expansion():
         expanded = np.kron(np.kron(u, u), np.kron(u, u))
         assert np.abs(powers[n] @ vecs[..., n] - expanded @ vecs[..., n]).max() < 1e-14
 
-
-def test_rotation_json_export():
-    rot = CollectiveRotation.identity()
-    assert rot.to_json() == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
