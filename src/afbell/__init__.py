@@ -2,14 +2,7 @@
 
 __version__ = "0.2.0"
 
-from .qstate import (
-    StateVector,
-    build_eta,
-    build_phi,
-    build_psi,
-    expand_eta_in,
-    inner_product,
-)
+from .qstate import StateVector, build_phi, build_psi
 from .observables import (
     PVM,
     LocalProtocol,
@@ -39,8 +32,7 @@ from .lhv import (
 
 __all__ = [
     "__version__",
-    "StateVector", "build_eta", "build_phi", "build_psi", "expand_eta_in",
-    "inner_product",
+    "StateVector", "build_phi", "build_psi",
     "PVM", "LocalProtocol", "build_F", "build_G", "local_protocol_for",
     "split_seed",
     "ExactBehavior", "JointStats", "Setting", "TrialLog",

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .observables import PVM, build_F, build_G, local_protocol_for
-from .qstate import ETA_BORN_TABLES, ETA_EXPANSION_TABLES, StateVector, _pair, build_phi, build_psi
+from .qstate import ETA_BORN_TABLES, ETA_PHI_PHI, StateVector, _pair, build_phi, build_psi
 from .rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -115,7 +115,7 @@ def parse_policy(policy: str) -> tuple[str, tuple[Setting, Setting] | None]:
 def _draw_setups(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, 4) rotation seeds and (m, 4, 2, 2) unitaries, in setup order, of
     the setups drawn from m uint64 seeds: each split by _SETUP_TAGS.  A setup
-    has no other form; fixed-rotation run_trials reads only its seeds."""
+    has no other form; fixed-rotation run_trials draws one and gathers from it."""
     setup_seeds = split_seed(seeds[:, None], _SETUP_TAGS)
     return setup_seeds, sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
 
@@ -234,10 +234,10 @@ _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
 # The source grid has rank 2: G = PHI^T C PHI, row p of _PHI the invariant
-# state phi_p and C eta's stated (phi, phi) expansion; _C_PHI is C PHI, the
-# pair Bob's side rotates.
+# state phi_p and C the float of eta's stated (phi, phi) expansion; _C_PHI is
+# C PHI, the pair Bob's side rotates.
 _PHI = _pair("phi")
-_C_PHI = ETA_EXPANSION_TABLES[("phi", "phi")] @ _PHI
+_C_PHI = ETA_PHI_PHI @ _PHI
 
 def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's (2k*2, 35) coefficient matrices for conjugated rows
@@ -545,9 +545,10 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     chunk = min(chunk, _CHUNK)
     kind, fixed_pair = parse_policy(setting_policy)
     root = root_seed & ((1 << 64) - 1)
-    # In fixed-rotation mode every trial's rotation seeds are the four seeds
-    # of the setup _draw_setups draws from the root.
-    fixed_seeds = split_seed(root, _SETUP_TAGS) if fixed_rotations else None
+    # In fixed-rotation mode every trial measures through the one setup
+    # _draw_setups draws from the root, drawn once per run.
+    if fixed_rotations:
+        (fixed_seeds,), (fixed_u,) = _draw_setups(np.array([root], np.uint64))
 
     # The log's columns, allocated once; each chunk fills its own slice.
     trial = np.arange(n, dtype=np.uint64)
@@ -570,11 +571,14 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
             cyc = idx % np.uint64(4)
             code_a[:], code_b[:] = cyc >> np.uint64(1), cyc & np.uint64(1)
 
-        if fixed_seeds is not None:
-            seed_a[sl] = np.where(code_a == 0, *fixed_seeds[:2])
-            seed_b[sl] = np.where(code_b == 0, *fixed_seeds[2:])
-        # Both sides' rotations in one draw; each seed still gives its own U.
-        u_a, u_b = sample_su2_batch(seeds[:, sl].ravel()).reshape(2, -1, 2, 2)
+        if fixed_rotations:
+            # A sample_su2_batch row equals its batch of one, so gathering
+            # gives the bits a fresh draw of the same seeds would.
+            seed_a[sl], seed_b[sl] = fixed_seeds[code_a], fixed_seeds[2 + code_b]
+            u_a, u_b = fixed_u[code_a], fixed_u[2 + code_b]
+        else:
+            # Both sides' rotations in one draw; each seed still gives its own U.
+            u_a, u_b = sample_su2_batch(seeds[:, sl].ravel()).reshape(2, -1, 2, 2)
 
         # No amplitude outlives its chunk, so the kernel's peak is the loop's peak.
         row_a, row_b = _pick(*_amplitudes(kernel, u_a, u_b, code_a, code_b),

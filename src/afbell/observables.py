@@ -165,10 +165,3 @@ def local_protocol_for(setting: str) -> LocalProtocol:
         raise ValueError(f"setting must be 'F' or 'G', got {setting!r}")
     return _PROTOCOLS[setting]
 
-
-def string_distribution(state: StateVector, p: LocalProtocol) -> dict[str, float]:
-    """Probability of each 4-bit outcome string when measuring the protocol."""
-    if state.num_qubits != 4:
-        raise ValueError("protocol measurements act on 4-qubit states")
-    amps = p.eigenvectors.conj() @ state.amps
-    return {bits: float(abs(a) ** 2) for bits, a in zip(ALL_STRINGS, amps)}

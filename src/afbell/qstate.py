@@ -4,8 +4,11 @@ Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
 All amplitudes are stored as complex128.  The invariant states are stated once,
 as integer kets with one scale 1/sqrt(n) each, and their float amplitudes and
-exact basis change are derived from those integers.  States are immutable after
-construction and hold at most MAX_QUBITS = 8 qubits, the size of the source state.
+exact basis change are derived from those integers.  The source state is stated
+once too, as its exact (phi, phi) expansion; its other expansions, its exact
+Born tables and its one float table are derived from that.  States are
+immutable after construction and hold at most MAX_QUBITS = 8 qubits, the size
+of the source state.
 """
 
 from __future__ import annotations
@@ -45,25 +48,6 @@ class StateVector:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def distance(a: StateVector, b: StateVector) -> float:
-    """Euclidean norm of the amplitude difference."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a.amps - b.amps))
 
 
 # The invariant pair, the one statement of the four states' amplitudes: phi_j
@@ -107,24 +91,6 @@ def build_psi(j: int) -> StateVector:
     return _build("psi", j)
 
 
-def build_eta() -> StateVector:
-    """The 8-qubit source state (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt7."""
-    phi0, phi1 = build_phi(0), build_phi(1)
-    amps = (
-        np.kron(phi0.amps, phi0.amps)
-        + SQRT3 * np.kron(phi0.amps, phi1.amps)
-        + SQRT3 * np.kron(phi1.amps, phi0.amps)
-    ) / SQRT7
-    return StateVector(8, amps)
-
-
-def expand_eta_in(basis_a: str, basis_b: str) -> np.ndarray:
-    """2x2 table of <x_a y_b|eta> for the chosen per-side bases ('phi' or 'psi')."""
-    av, bv = _pair(basis_a), _pair(basis_b)
-    grid = build_eta().amps.reshape(16, 16)
-    return av.conj() @ grid @ bv.conj().T
-
-
 # Matrices over Q(sqrt3) are pairs (rational part, sqrt3 part) of Fraction arrays.
 _rational = np.vectorize(Fraction, otypes=[object])
 
@@ -144,8 +110,9 @@ def _inv_sqrt(n: int) -> tuple[Fraction, Fraction]:
     return (Fraction(1, m), Fraction(0)) if n == m * m else (Fraction(0), Fraction(1, k))
 
 
-# The source state's numbers follow from the invariant pair and one stated
-# fact, build_eta's (phi, phi) expansion E times sqrt7.  The basis change
+# The source state eta is stated once, as its (phi, phi) expansion E times
+# sqrt7: eta = (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt7.  Its
+# other expansions follow from the invariant pair.  The basis change
 # B[i][j] = <phi_i|psi_j> is the pair's integer Gram matrix [[2, 6], [6, -6]]
 # times the two scales.  B is symmetric, so <psi_i phi_j|eta> = (B E)[i][j] and
 # <phi_i psi_j|eta> = (E B)[i][j].
@@ -162,23 +129,11 @@ _ETA_EXACT = {
 # Every coefficient is purely rational or purely sqrt3 times a rational, so |c|^2 is rational.
 assert all(np.all(a * b == 0) for a, b in _ETA_EXACT.values()), "a coefficient mixes 1 and sqrt3"
 
-BASIS_CHANGE = _real(_BASIS_CHANGE)
+# The one float of eta: its (phi, phi) expansion, which the sampler reads.
+ETA_PHI_PHI = _real(_ETA_PHI_PHI) / SQRT7
 
-# Two-sided expansion coefficients of the source state, one table per (Alice
-# basis, Bob basis).  expand_eta_in must reproduce these, and reassembling the
-# 8-qubit vector from any table must reproduce build_eta().
-ETA_EXPANSION_TABLES: dict[tuple[str, str], np.ndarray] = {
-    k: _real(t) / SQRT7 for k, t in _ETA_EXACT.items()
-}
-
-# Exact Born probabilities |<x_a y_b|eta>|^2 as Fractions, same keys; index 0
-# is the pair member x_0, index 1 is x_1.
+# Exact Born probabilities |<x_a y_b|eta>|^2 as Fractions, one table per (Alice
+# basis, Bob basis); index 0 is the pair member x_0, index 1 is x_1.
 ETA_BORN_TABLES: dict[tuple[str, str], np.ndarray] = {
     k: (a * a + 3 * b * b) / 7 for k, (a, b) in _ETA_EXACT.items()
 }
-
-
-def eta_from_table(basis_a: str, basis_b: str, table: np.ndarray) -> StateVector:
-    """Assemble an 8-qubit state as sum_ab table[a,b] |x_a> (x) |y_b>."""
-    av, bv = _pair(basis_a), _pair(basis_b)
-    return StateVector(8, (av.T @ table @ bv).reshape(256))

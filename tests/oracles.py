@@ -6,8 +6,10 @@ Python, so these never share a code path with the library under test.
 references for rotated measurements: they build the full 16x16 four-fold
 power with np.kron instead of the library's kernels, and ``sequential_joint``
 is the Born rule by sequential projection.  ``basis_index``, ``basis_state``,
-``tensor`` and ``amplitude`` are the register plumbing the tests build with,
-and ``swap_qubits`` exchanges two qubits one ket at a time.
+``tensor``, ``amplitude`` and ``distance`` are the register plumbing the
+tests build with, and ``swap_qubits`` exchanges two qubits one ket at a time.
+``ETA`` is the source state as a ket dict built from the published
+coefficients, and ``eta`` the same amplitudes as a StateVector.
 ``born`` is the Born rule <s|P|s> read off a PVM's projectors, and
 ``classified`` and ``coarse_grained`` are a protocol's two-outcome
 distribution and PVM, built from its eigenvectors and classifier.
@@ -113,6 +115,14 @@ ETA = dict_scale(
     ),
     1.0 / SQRT7,
 )
+
+
+def eta():
+    """The 8-qubit source state, amplitudes read from the ETA dict."""
+    amps = np.zeros(256, dtype=complex)
+    for bits, amp in ETA.items():
+        amps[basis_index(bits)] = amp
+    return StateVector(8, amps)
 
 
 def rotate_pvm(u, m):
@@ -223,6 +233,13 @@ def amplitude(state, bits):
     if len(bits) != state.num_qubits:
         raise ValueError(f"label {bits!r} has wrong length for {state.num_qubits} qubits")
     return complex(state.amps[basis_index(bits)])
+
+
+def distance(a, b):
+    """Euclidean norm of two states' amplitude difference."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("dimension mismatch")
+    return float(np.linalg.norm(a.amps - b.amps))
 
 
 def swap_qubits(state, i, j):

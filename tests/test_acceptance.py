@@ -25,16 +25,9 @@ from afbell.lhv import (
     quantum_constraints,
     verify_certificate,
 )
-from afbell.observables import build_F, build_G, local_protocol_for, string_distribution
-from afbell.qstate import (
-    ETA_EXPANSION_TABLES,
-    StateVector,
-    build_eta,
-    build_phi,
-    build_psi,
-    distance,
-    eta_from_table,
-)
+from afbell import qstate
+from afbell.observables import build_F, build_G, local_protocol_for
+from afbell.qstate import StateVector, build_phi, build_psi
 from afbell.rotations import fourfold, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
@@ -80,7 +73,7 @@ def test_criterion_2_rotation_robustness():
 
 
 def test_criterion_3_state_invariance():
-    eta = build_eta()
+    eta = oracles.eta()
     grid = eta.amps.reshape(16, 16)
     states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
     pairs = fourfold(sample_su2_batch(split_seed(11, np.arange(200))))
@@ -89,10 +82,10 @@ def test_criterion_3_state_invariance():
     worst_single = 0.0
     for k in range(100):
         moved = (pairs[2 * k] @ grid @ pairs[2 * k + 1].T).reshape(256)
-        worst_pair = max(worst_pair, distance(StateVector(8, moved), eta))
+        worst_pair = max(worst_pair, oracles.distance(StateVector(8, moved), eta))
         for s in states:
             moved = StateVector(4, singles[k] @ s.amps)
-            worst_single = max(worst_single, distance(moved, s))
+            worst_single = max(worst_single, oracles.distance(moved, s))
     assert worst_pair < 1e-10
     assert worst_single < 1e-10
     _report("3 state-invariance",
@@ -100,11 +93,14 @@ def test_criterion_3_state_invariance():
 
 
 def test_criterion_4_expansion_consistency():
-    eta = build_eta()
-    worst = max(
-        distance(eta, eta_from_table(a, b, ETA_EXPANSION_TABLES[(a, b)]))
-        for (a, b) in (("phi", "psi"), ("psi", "phi"), ("psi", "psi"))
-    )
+    # eta rebuilt as sum_ab table[a, b] |x_a> (x) |y_b> from the floats of
+    # each of the four exact expansions, against the published coefficients.
+    eta = oracles.eta()
+    worst = 0.0
+    for (a, b), (rational, sqrt3) in qstate._ETA_EXACT.items():
+        table = (rational.astype(float) + oracles.SQRT3 * sqrt3.astype(float)) / oracles.SQRT7
+        rebuilt = qstate._pair(a).T @ table @ qstate._pair(b)
+        worst = max(worst, oracles.distance(eta, StateVector(8, rebuilt.reshape(256))))
     assert worst < 1e-12
     table = exact_behavior().table(Setting.G, Setting.G)
     expected = np.array(
@@ -127,12 +123,11 @@ def test_criterion_5_local_protocol_equivalence():
         minus_strings = [s for s in proto.classifier if proto.classifier[s] == -1]
         assert len(minus_strings) == 4
         assert len(proto.classifier) - len(minus_strings) == 12
-        for bits, prob in string_distribution(minus_state, proto).items():
-            target = 0.25 if proto.classifier[bits] == -1 else 0.0
-            worst_string = max(worst_string, abs(prob - target))
-        for bits, prob in string_distribution(plus_state, proto).items():
-            target = 1.0 / 12.0 if proto.classifier[bits] == +1 else 0.0
-            worst_string = max(worst_string, abs(prob - target))
+        labels = np.array([proto.classifier[format(i, "04b")] for i in range(16)])
+        for state, label, share in ((minus_state, -1, 0.25), (plus_state, +1, 1.0 / 12.0)):
+            probs = np.abs(proto.eigenvectors.conj() @ state.amps) ** 2
+            target = np.where(labels == label, share, 0.0)
+            worst_string = max(worst_string, float(np.abs(probs - target).max()))
     assert worst_string < 1e-12
 
     rng = np.random.default_rng(20260810)

@@ -198,11 +198,8 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 VERIFY_ROWS = (
-    "state-norms", "state-orthogonality", "basis-change-matrix", "expansion-tables",
-    "expansion-reconstruction", "pvm-invariants", "protocol-partition",
-    "protocol-string-probs", "protocol-pvm-agreement", "invariance-generators",
+    "state-gram", "protocol-partition", "protocol-pvm-agreement", "invariance-generators",
     "invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger",
-    "identity-ff-zero", "identity-cond-ab", "identity-cond-ba", "identity-gg-hardy",
     "exact-tables", "zero-outcome-mass", "rotation-robustness", "no-signaling",
 )
 
@@ -241,7 +238,7 @@ def test_verify_suite_memory_peak():
     # invariance-eta-pairs sets the peak: P_a @ grid @ P_b^T on 100 rotation
     # pairs holds P_a @ grid, Bob's 100 16x16 powers P_b and the product,
     # 400 KiB each, over the rest of the suite's 115 KiB.  It traces
-    # 1316 KiB (numpy 2.4).
+    # 1313 KiB (numpy 2.4).
     run_verify_suite()
     tracemalloc.start()
     try:
@@ -255,27 +252,31 @@ def test_verify_suite_memory_peak():
 def test_psi_sign_flip_fails_the_exact_rows(monkeypatch):
     # psi's integer kets are phi's under qstate's 2<->3 transpose.  Flip one
     # sign of psi1 where psi0 is 0, so psi stays an orthonormal pair and G a
-    # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The flipped ket
-    # leaves the spin-zero sector, and its overlaps with phi leave the basis
-    # change.
+    # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The pair's Gram
+    # matrix is unchanged, but the flipped ket leaves the spin-zero sector,
+    # rotations move it, and G built from it no longer reads eta's tables.
     psi = cli.INTEGER_KETS["psi"].copy()
     psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
     monkeypatch.setitem(cli.INTEGER_KETS, "psi", psi)
     rows = {r.name: r for r in run_verify_suite()}
+    assert rows["state-gram"].passed
     assert rows["invariance-generators"].deviation == 4.0
-    assert rows["basis-change-matrix"].deviation == pytest.approx(1 / np.sqrt(3))
-    assert not rows["invariance-generators"].passed and not rows["basis-change-matrix"].passed
+    assert rows["invariance-phi-psi"].deviation == pytest.approx(1.63, abs=0.01)
+    assert rows["heisenberg-schrodinger"].deviation == pytest.approx(2 / 7)
+    assert {"invariance-generators", "invariance-phi-psi", "heisenberg-schrodinger"} <= {
+        name for name, r in rows.items() if not r.passed}
 
 
 def test_verify_identity_rows_read_the_kernel(tmp_path, capsys, monkeypatch):
     # verify compares the canonical kernel tables with the exact rationals
-    # once, and each identity row reads its own cells of that comparison;
-    # report prints the rationals and never calls the kernel.
+    # once, in exact-tables, whose 36 cells hold the paper's four identities;
+    # zero-outcome-mass reads the 0 label's cells at a tighter bound.  report
+    # prints the rationals and never calls the kernel.
     assert main(["report", "--format", "json", "--out", str(tmp_path / "before")]) == EXIT_OK
     kernel = experiment._setup_tables
     # In the identity setup's tables only, move 1e-9 of mass from the pair's
     # (-1, -1) cell into one of its zero cells; (0, 2) is on the 0 label.
-    for k, cell, row in ((0, (1, 1), "identity-ff-zero"), (1, (0, 1), "identity-cond-ab"),
+    for k, cell, row in ((0, (1, 1), "exact-tables"), (1, (0, 1), "exact-tables"),
                          (0, (0, 2), "zero-outcome-mass")):
         def mutant(u, k=k, cell=cell):
             tables = kernel(u)
@@ -373,6 +374,19 @@ def test_verify_below_floating_floor_fails(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "first failing check" in captured.err
+
+
+def test_state_gram_row_is_exact(monkeypatch):
+    # K K^T = diag(n) for both pairs is integer arithmetic: exactly 0 against
+    # tolerance 0, whatever --tolerance says.
+    row = {r.name: r for r in run_verify_suite(tolerance=1e-16)}["state-gram"]
+    assert (row.deviation, row.tolerance, row.passed) == (0.0, 0.0, True)
+    # Doubling one integer of phi1 moves its squared norm off the stated 12.
+    kets = {name: ints.copy() for name, ints in cli.INTEGER_KETS.items()}
+    kets["phi"][1, int(np.flatnonzero(kets["phi"][1])[0])] *= 2
+    monkeypatch.setattr(cli, "INTEGER_KETS", kets)
+    row = {r.name: r for r in run_verify_suite()}["state-gram"]
+    assert row.deviation == 12.0 and not row.passed
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from oracles import born_table, rotate_pvm, sequential_joint, trials_csv
 from afbell import experiment
 from afbell.experiment import (
@@ -29,7 +30,7 @@ from afbell.experiment import (
 )
 from afbell.lhv import HARDY_VALUE, quantum_constraints
 from afbell.observables import build_F, build_G, local_protocol_for
-from afbell.qstate import ETA_BORN_TABLES, build_eta
+from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -180,7 +181,7 @@ def test_rotated_behavior_identical(behavior):
 def test_exact_behavior_matches_dense_born_rule():
     # Every cell, the 0 row and column included, against joint_born on
     # projectors rotated by the dense four-fold power.
-    eta = build_eta()
+    eta = oracles.eta()
     canonical = {Setting.F: build_F(), Setting.G: build_G()}
     for k in range(5):
         seed = split_seed(4242, k)
@@ -197,7 +198,7 @@ def test_exact_behavior_matches_dense_born_rule():
 
 
 def test_joint_born_agrees_with_sequential_projection():
-    eta = build_eta()
+    eta = oracles.eta()
     f, g = build_F(), build_G()
     for pvm_a, pvm_b in ((f, f), (f, g), (g, g)):
         joint = joint_born(eta, pvm_a, pvm_b)
@@ -475,7 +476,7 @@ def _kernel_against_oracle(kernels, grid, seed):
 def test_table_kernel_matches_dense_oracle():
     # One kernel serves all three uses, which differ only in their rows.
     # Unrotated setups first: the Born table of the rows themselves.
-    grid = build_eta().amps.reshape(16, 16)
+    grid = oracles.eta().amps.reshape(16, 16)
     code = np.array([0, 1])
     eye = np.array([np.eye(2, dtype=complex)] * 2)
     for name, kernel in KERNELS.items():
@@ -586,6 +587,18 @@ def test_fixed_rotations_mode():
     if n > 200:
         bound = 4 * math.sqrt(0.5 / n)
         assert np.abs(freq[:2, :2] - behavior.table(Setting.G, Setting.G)[:2, :2]).max() < bound
+
+
+@pytest.mark.parametrize("path", ["pvm", "protocol"])
+def test_fixed_rotations_draw_the_setup_once(monkeypatch, path):
+    # Fixed-rotation mode draws its one setup's four rotations once per run,
+    # over several chunks, and gathers every trial's rotations from them.
+    draws = []
+    monkeypatch.setattr(experiment, "sample_su2_batch",
+                        lambda seeds: draws.append(seeds.tolist()) or sample_su2_batch(seeds))
+    run_trials(3 * experiment._CHUNK + 5, 6, "uniform", fixed_rotations=True,
+               measurement_path=path)
+    assert draws == [[split_seed(6, tag) for tag in experiment._SETUP_TAGS.tolist()]]
 
 
 # Every digit-count and base-10^4 group boundary of a uint64, up to 2^64 - 1.

@@ -18,7 +18,6 @@ from afbell.observables import (
     build_F,
     build_G,
     local_protocol_for,
-    string_distribution,
 )
 from afbell.qstate import StateVector, build_phi, build_psi
 
@@ -183,18 +182,23 @@ def test_protocol_eigenvectors_pinned(tag):
     assert np.abs(ints - 2 * proto.eigenvectors).max() < TOL
 
 
+def _string_probs(state, protocol):
+    """Each outcome string's probability, by ALL_STRINGS: |<e_i|s>|^2."""
+    return dict(zip(ALL_STRINGS, np.abs(protocol.eigenvectors.conj() @ state.amps) ** 2))
+
+
 def test_string_probabilities_on_discriminated_states():
     f = local_protocol_for("F")
-    dist0 = string_distribution(build_phi(0), f)
+    dist0 = _string_probs(build_phi(0), f)
     for bits, prob in dist0.items():
         target = 0.25 if f.classifier[bits] == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
-    dist1 = string_distribution(build_phi(1), f)
+    dist1 = _string_probs(build_phi(1), f)
     for bits, prob in dist1.items():
         target = 1.0 / 12.0 if f.classifier[bits] == +1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
     g = local_protocol_for("G")
-    for bits, prob in string_distribution(build_psi(0), g).items():
+    for bits, prob in _string_probs(build_psi(0), g).items():
         target = 0.25 if g.classifier[bits] == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
 

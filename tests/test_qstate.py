@@ -7,30 +7,31 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import amplitude, basis_index, basis_state, tensor
-from afbell import qstate
-from afbell.qstate import (
-    BASIS_CHANGE,
-    ETA_EXPANSION_TABLES,
-    SQRT3,
-    SQRT7,
-    StateVector,
-    build_eta,
-    build_phi,
-    build_psi,
-    distance,
-    eta_from_table,
-    expand_eta_in,
-    inner_product,
-)
+from oracles import SQRT3, SQRT7, amplitude, basis_index, basis_state, distance, tensor
+from afbell import experiment, qstate
+from afbell.qstate import ETA_PHI_PHI, StateVector, build_phi, build_psi
 
 TOL = 1e-12
 
-# sha256 of the complex128 bytes of phi0, phi1, psi0, psi1 in that order, and
-# of BASIS_CHANGE's float64 bytes, recorded when the four states were still
-# hand-typed float tables.  Every float amplitude the package uses starts here.
+# sha256 of the complex128 bytes of phi0, phi1, psi0, psi1 in that order,
+# recorded when the four states were still hand-typed float tables, and of
+# the float64 bytes of eta's (phi, phi) expansion, the one float of eta the
+# sampler reads.  Every float amplitude the package uses starts here.
 STATE_AMPS_SHA256 = "17586c54acc2cbaa17112e58efaa9f5da1e763e93879cc170d261cba56d9caac"
-BASIS_CHANGE_SHA256 = "b4a715125d2c5165145c9d6d1050f0affcf217fea784af59a07174d40932462f"
+ETA_PHI_PHI_SHA256 = "032e6321d6b401cedc14b3dcaf22fd1f90a4f3c141a93f17bfc68db4020815a0"
+
+
+def _expansion(basis_a, basis_b):
+    """2x2 table of <x_a y_b|eta> from the oracle pairs and the oracle eta."""
+    pairs = {"phi": (oracles.PHI0, oracles.PHI1), "psi": (oracles.PSI0, oracles.PSI1)}
+    return np.array([[oracles.dict_inner(oracles.dict_kron(x, y), oracles.ETA)
+                      for y in pairs[basis_b]] for x in pairs[basis_a]])
+
+
+def _floats_of_exact(basis_a, basis_b):
+    """The float of qstate's exact expansion table for one pair of bases."""
+    rational, sqrt3 = qstate._ETA_EXACT[(basis_a, basis_b)]
+    return (rational.astype(float) + SQRT3 * sqrt3.astype(float)) / SQRT7
 
 
 def test_basis_index_convention():
@@ -62,16 +63,18 @@ def test_phi_amplitudes():
 def test_derived_amplitudes_bytes_pinned():
     amps = b"".join(build(j).amps.tobytes() for build in (build_phi, build_psi) for j in (0, 1))
     assert hashlib.sha256(amps).hexdigest() == STATE_AMPS_SHA256
-    assert hashlib.sha256(BASIS_CHANGE.tobytes()).hexdigest() == BASIS_CHANGE_SHA256
+    assert hashlib.sha256(ETA_PHI_PHI.tobytes()).hexdigest() == ETA_PHI_PHI_SHA256
+    # The sampler's Bob-side pair is that table times the phi pair.
+    assert np.array_equal(experiment._C_PHI, ETA_PHI_PHI @ experiment._PHI)
 
 
 def test_phi_unit_norm_and_orthogonal():
     phi0, phi1 = build_phi(0), build_phi(1)
-    assert abs(phi0.norm() - 1.0) < TOL
-    assert abs(phi1.norm() - 1.0) < TOL
+    assert abs(np.linalg.norm(phi0.amps) - 1.0) < TOL
+    assert abs(np.linalg.norm(phi1.amps) - 1.0) < TOL
     # Oracle: direct inner product of the two amplitude lists.
     assert oracles.dict_inner(oracles.PHI0, oracles.PHI1) == pytest.approx(0.0, abs=TOL)
-    assert abs(inner_product(phi0, phi1)) < TOL
+    assert abs(np.vdot(phi0.amps, phi1.amps)) < TOL
 
 
 def test_build_phi_rejects_bad_index():
@@ -87,9 +90,9 @@ def test_psi_amplitudes_and_relations():
     for state, table in ((psi0, oracles.PSI0), (psi1, oracles.PSI1)):
         for bits in (format(i, "04b") for i in range(16)):
             assert amplitude(state, bits).real == pytest.approx(table.get(bits, 0.0), abs=TOL)
-    assert abs(inner_product(psi0, psi1)) < TOL
-    assert inner_product(build_phi(0), psi0).real == pytest.approx(0.5, abs=TOL)
-    assert inner_product(build_phi(1), psi1).real == pytest.approx(-0.5, abs=TOL)
+    assert abs(np.vdot(psi0.amps, psi1.amps)) < TOL
+    assert np.vdot(build_phi(0).amps, psi0.amps).real == pytest.approx(0.5, abs=TOL)
+    assert np.vdot(build_phi(1).amps, psi1.amps).real == pytest.approx(-0.5, abs=TOL)
 
 
 def test_psi_equals_phi_combination():
@@ -111,7 +114,7 @@ def test_change_of_basis_matrix():
     phi = [build_phi(0), build_phi(1)]
     psi = [build_psi(0), build_psi(1)]
     expected = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
-    got = np.array([[inner_product(phi[i], psi[j]) for j in (0, 1)] for i in (0, 1)])
+    got = np.array([[np.vdot(phi[i].amps, psi[j].amps) for j in (0, 1)] for i in (0, 1)])
     assert np.abs(got - expected).max() < TOL
     # Exactly, as qstate derives it from the integer kets: (rational, sqrt3) parts.
     rational, sqrt3 = qstate._BASIS_CHANGE
@@ -124,49 +127,52 @@ def test_change_of_basis_matrix():
 
 
 def test_eta_norm_and_overlaps():
-    eta = build_eta()
-    assert abs(eta.norm() - 1.0) < TOL
+    eta = oracles.eta()
+    assert abs(np.linalg.norm(eta.amps) - 1.0) < TOL
     phi00 = tensor(build_phi(0), build_phi(0))
     phi11 = tensor(build_phi(1), build_phi(1))
-    assert abs(inner_product(phi00, eta)) ** 2 == pytest.approx(1.0 / 7.0, abs=TOL)
-    assert abs(inner_product(phi11, eta)) < TOL
+    assert abs(np.vdot(phi00.amps, eta.amps)) ** 2 == pytest.approx(1.0 / 7.0, abs=TOL)
+    assert abs(np.vdot(phi11.amps, eta.amps)) < TOL
 
 
 def test_eta_matches_dict_oracle():
-    eta = build_eta()
+    # The grid the sampler and verify read, PHI^T (C PHI), is eta's.
+    eta = StateVector(8, (experiment._PHI.T @ experiment._C_PHI).reshape(256))
     assert abs(oracles.dict_norm(oracles.ETA) - 1.0) < TOL
     for bits, amp in oracles.ETA.items():
         assert amplitude(eta, bits).real == pytest.approx(amp, abs=TOL)
+    assert distance(eta, oracles.eta()) < TOL
 
 
 def test_expand_eta_tables_match_closed_forms():
     for basis_a in ("phi", "psi"):
         for basis_b in ("phi", "psi"):
-            got = expand_eta_in(basis_a, basis_b)
-            assert np.abs(got.imag).max() < TOL
-            expected = ETA_EXPANSION_TABLES[(basis_a, basis_b)]
-            assert np.abs(got - expected).max() < TOL
+            got = _expansion(basis_a, basis_b)
+            assert np.abs(got - _floats_of_exact(basis_a, basis_b)).max() < TOL
 
 
 def test_expand_eta_specific_entries():
-    psi_psi = expand_eta_in("psi", "psi")
+    psi_psi = _expansion("psi", "psi")
     expected = np.array([[7.0, 3.0 * SQRT3], [3.0 * SQRT3, -3.0]]) / (4.0 * SQRT7)
     assert np.abs(psi_psi - expected).max() < TOL
-    phi_psi = expand_eta_in("phi", "psi")
+    phi_psi = _expansion("phi", "psi")
     assert abs(phi_psi[0, 1]) < TOL  # no phi0 psi1 component
-    phi_phi = expand_eta_in("phi", "phi")
+    phi_phi = _expansion("phi", "phi")
     assert np.abs(phi_phi - np.array([[1.0, SQRT3], [SQRT3, 0.0]]) / SQRT7).max() < TOL
+    assert np.abs(ETA_PHI_PHI - np.array([[1.0, SQRT3], [SQRT3, 0.0]]) / SQRT7).max() < TOL
 
 
 def test_expand_eta_rejects_unknown_basis():
     with pytest.raises(ValueError):
-        expand_eta_in("phi", "chi")
+        qstate._pair("chi")
 
 
 def test_eta_reconstruction_from_all_tables():
-    eta = build_eta()
-    for (basis_a, basis_b), table in ETA_EXPANSION_TABLES.items():
-        rebuilt = eta_from_table(basis_a, basis_b, table)
+    # sum_ab table[a, b] |x_a> (x) |y_b> over each pair of bases' float table.
+    eta = oracles.eta()
+    for basis_a, basis_b in qstate._ETA_EXACT:
+        av, bv = qstate._pair(basis_a), qstate._pair(basis_b)
+        rebuilt = StateVector(8, (av.T @ _floats_of_exact(basis_a, basis_b) @ bv).reshape(256))
         assert distance(eta, rebuilt) < TOL
 
 
@@ -186,7 +192,8 @@ def test_tensor_norm_multiplicative():
         a = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         b = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         ab = tensor(a, b)
-        assert ab.norm() == pytest.approx(a.norm() * b.norm(), rel=1e-12)
+        norms = [np.linalg.norm(s.amps) for s in (ab, a, b)]
+        assert norms[0] == pytest.approx(norms[1] * norms[2], rel=1e-12)
 
 
 def test_tensor_associative_exact_on_basis_states():
@@ -206,26 +213,13 @@ def test_tensor_associative_general():
     c = StateVector(1, rng.standard_normal(2) + 1j * rng.standard_normal(2))
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
-    assert distance(left, right) < 1e-14 * left.norm()
+    assert distance(left, right) < 1e-14 * np.linalg.norm(left.amps)
 
 
 def test_tensor_qubit_cap():
-    eta = build_eta()
+    eta = oracles.eta()
     with pytest.raises(ValueError):
         tensor(eta, basis_state(1, "0"))
-
-
-def test_inner_product_properties():
-    phi0 = build_phi(0)
-    assert inner_product(phi0, phi0).real == pytest.approx(1.0, abs=TOL)
-    assert inner_product(basis_state(4, "0101"), build_phi(1)).real == pytest.approx(
-        -1.0 / (2.0 * SQRT3), abs=TOL)
-    # Conjugate-linear in the first argument.
-    scaled = StateVector(4, (0.3 + 0.4j) * phi0.amps)
-    lhs = inner_product(scaled, phi0)
-    assert lhs == pytest.approx((0.3 - 0.4j) * inner_product(phi0, phi0), abs=TOL)
-    with pytest.raises(ValueError):
-        inner_product(phi0, build_eta())
 
 
 def test_statevector_validation():
