@@ -7,19 +7,24 @@ every trial's own rotated setups, trials last.  The source grid has rank 2,
 G = PHI^T C PHI with PHI the invariant pair and C eta's stated (phi, phi)
 expansion, so each side needs its rows against two rotated 16-vectors per
 trial.  With the same U on all four qubits those are degree-4 polynomials in
-U^dagger's four entries: per side, one product of coefficients built at import
-with each trial's 35 monomials.  The three uses differ only in their rows: the
-exact path passes complete F/G bases and forms, squares and sums the full
-table by label, the pvm sampling path the -1/+1 rows, and the protocol path
-the 16 product eigenvectors per setting, in chunks of 2048 trials rather than
-4096, since its amplitudes and the monomials grow with the chunk.  The
-sampling paths draw fresh Haar rotations per trial and pick a row pair in two
-stages, Alice's row by its mass and then the cell within it, so no table is
-formed.  Every random quantity is a pure function of the root seed and the
-trial index, so results are identical regardless of execution order or chunk
-boundaries.  Each chunk writes its slice of the trial log, allocated once,
-and the log is counted and checked a chunk at a time, so a run holds the
-log's 28 bytes per trial plus one chunk's arrays.
+U^dagger's four entries: per side and run of trials with one setting, one
+product of that setting's coefficients, built at import, with the trials' 35
+monomials.  The three uses differ only in their rows: the exact path passes
+complete F/G bases and forms, squares and sums the full table by label, the
+pvm sampling path the -1/+1 rows, and the protocol path the 16 product
+eigenvectors per setting, in chunks of 2048 trials rather than 4096, since
+its amplitudes grow with the chunk.  The sampling paths draw fresh Haar
+rotations per trial and pick a row pair in two stages, Alice's row by its
+mass and then the cell within it, so no table is formed.  Each chunk hands
+the kernel its trials grouped by setting pair, a stable sort that moves one
+seed, code or draw per trial and no amplitude, and scatters the picked rows
+back to trial order.  Every random quantity is a pure function of the root
+seed and the trial index, so results are identical regardless of execution
+order or chunk boundaries.  Each chunk writes its slice of the trial log,
+allocated once, and the log is counted and checked a chunk at a time.  The
+kernel's buffers are sized to one chunk and allocated once per run, so a run
+holds the log's 28 bytes per trial plus one chunk's buffers, and no chunk
+allocates its own.
 """
 
 from __future__ import annotations
@@ -203,12 +208,14 @@ def _setup_tables(u: np.ndarray) -> np.ndarray:
     """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS, from their
     (m, 4, 2, 2) unitaries in setup order (Alice F, Alice G, Bob F, Bob G):
     one kernel call on the complete F/G bases over all 4m
-    (setup, setting pair) trials, each 16x16 table summed by label."""
+    (setting pair, setup) trials, pair-major so they come grouped by
+    setting, each 16x16 table summed by label."""
     m = len(u)
-    fine = _born_tables(_EXACT_KERNEL, u[:, [0, 0, 1, 1]].reshape(-1, 2, 2),
-                        u[:, [2, 3, 2, 3]].reshape(-1, 2, 2),
-                        np.tile([0, 0, 1, 1], m), np.tile([0, 1, 0, 1], m))
-    return (_LABEL_ONE_HOT.T @ np.moveaxis(fine, -1, 0) @ _LABEL_ONE_HOT).reshape(m, 4, 3, 3)
+    fine = _born_tables(_EXACT_KERNEL, u[:, [0, 0, 1, 1]].swapaxes(0, 1).reshape(-1, 2, 2),
+                        u[:, [2, 3, 2, 3]].swapaxes(0, 1).reshape(-1, 2, 2),
+                        np.repeat([0, 0, 1, 1], m), np.repeat([0, 1, 0, 1], m))
+    tables = _LABEL_ONE_HOT.T @ np.moveaxis(fine, -1, 0) @ _LABEL_ONE_HOT
+    return tables.reshape(4, m, 3, 3).swapaxes(0, 1)
 
 
 def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarray:
@@ -240,8 +247,8 @@ _PHI = _pair("phi")
 _C_PHI = ETA_PHI_PHI @ _PHI
 
 def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's (2k*2, 35) coefficient matrices for conjugated rows
-    (2, k, 16) by setting.
+    """Alice's and Bob's (2, k*2, 35) coefficient matrices, by setting, for
+    conjugated rows (2, k, 16) by setting.
 
     Side pair P (PHI for Alice, C PHI for Bob) gives amplitudes y[s, r, p] =
     rows[s, r] (U^dagger)^(x)4 P[p], the sum over (I, J) of rows[s, r, I]
@@ -254,17 +261,28 @@ def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         by_monomial = np.zeros((16, 2, 35), complex)
         np.add.at(by_monomial, (np.arange(16)[:, None, None], np.arange(2)[:, None],
                                 _WORD_MONOMIAL[:, None]), pair)
-        return (rows.reshape(-1, 16) @ by_monomial.reshape(16, 70)).reshape(-1, 35)
+        return (rows.reshape(-1, 16) @ by_monomial.reshape(16, 70)).reshape(2, -1, 35)
 
     return side(_PHI), side(_C_PHI)
 
 
+def _workspace(kernel: tuple[np.ndarray, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for kernel calls of up to n trials: a flat complex scratch of
+    45 rows of n, for the 10 pair products and 35 monomials of U^dagger's
+    entries, which _pick reuses once both sides' amplitudes exist; and the
+    two sides' (k, 2, n) amplitudes, flat, one row per side."""
+    return np.empty(45 * n, complex), np.empty((2, kernel[0].shape[1] * n), complex)
+
+
 def _amplitudes(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.ndarray,
-                code_a: np.ndarray, code_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                code_a: np.ndarray, code_b: np.ndarray,
+                work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's (k, 2, n) amplitudes y[r, p], trials last, through
-    every trial's own setups: per side one (2k*2 x 35) (35 x n) product of
-    the kernel's coefficients with the trials' monomials, then one np.where
-    keeps each trial's setting.
+    every trial's own setups, written into the _workspace ``work``.  Per
+    side, each run of trials with equal setting code makes one
+    (2k x 35) (35 x m) product of that setting's coefficients with the run's
+    monomials, written straight into the run's columns; callers hand over
+    trials grouped by setting, so Alice has at most 2 runs and Bob 4.
 
     With R = U (x) U (x) U (x) U, row pair (v, w) has amplitude
     conj(R_a v)^T G conj(R_b w), and G = PHI^T (C PHI) has rank 2, so that is
@@ -272,12 +290,28 @@ def _amplitudes(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np.
     rotation is applied all the same, because the sampled tables are the
     Monte Carlo test of that invariance.
     """
-    def side(coef, u, code):
-        y = coef @ _monomials(np.ascontiguousarray(u.conj().swapaxes(-1, -2).reshape(-1, 4).T))
-        y = y.reshape(2, -1, 2, len(code))
-        return np.where(code == 0, y[0], y[1])
+    scratch, amps = work
+    n = len(code_a)
 
-    return side(kernel[0], u_a, code_a), side(kernel[1], u_b, code_b)
+    def side(coef, u, code, y):
+        y = y[:coef.shape[1] * n].reshape(-1, n)
+        # U^dagger's entries wait in the side's first 4 amplitude rows (k is
+        # at least 2), which no product writes before the monomials exist.
+        entries = y[:4]
+        np.conjugate(u.transpose(2, 1, 0), out=entries.reshape(2, 2, n))
+        mono = _monomials(entries, out=scratch[:45 * n].reshape(45, n))
+        ends = [*(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), n]
+        for lo, hi in zip([0, *ends], ends):
+            if hi - lo > 1:
+                np.matmul(coef[code[lo]], mono[:, lo:hi], out=y[:, lo:hi])
+            else:
+                # numpy hands a one-column product to gemv, whose sums round
+                # differently from gemm's; two copies of the column keep the
+                # trial's bits those of any wider run.
+                y[:, lo] = (coef[code[lo]] @ mono[:, [lo, lo]])[:, 0]
+        return y.reshape(-1, 2, n)
+
+    return side(kernel[0], u_a, code_a, amps[0]), side(kernel[1], u_b, code_b, amps[1])
 
 
 def _born_close(total: np.ndarray) -> np.ndarray:
@@ -300,16 +334,17 @@ def _born_tables(kernel: tuple[np.ndarray, np.ndarray], u_a: np.ndarray, u_b: np
     rows through that trial's rotated setups: the rank-2 products of the
     _amplitudes, squared, mass-checked and normalized per trial.  The exact
     path's kernel.  The sampling paths pick from the same amplitudes with
-    _pick and never form this table, so the amplitudes and the monomials, not
-    a (k, k, n) array, set what a chunk holds."""
-    y_a, y_b = _amplitudes(kernel, u_a, u_b, code_a, code_b)
+    _pick and never form this table, so the _workspace, not a (k, k, n)
+    array, sets what a chunk holds."""
+    y_a, y_b = _amplitudes(kernel, u_a, u_b, code_a, code_b, _workspace(kernel, len(code_a)))
     p = np.abs(np.einsum("ipn,jpn->ijn", y_a, y_b))
     p **= 2
     p /= _born_close(p.sum(axis=(0, 1)))
     return p
 
 
-def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray,
+          scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF pick of a row pair (a, b) per trial from the (k, k) table
     |sum_p y_a[a, p] y_b[b, p]|^2 of (k, 2, n) amplitudes, walked row-major, at
     u = (bits + 1)/2^53 in (0, 1], bits its 53-bit draw: the first cell whose
@@ -323,36 +358,65 @@ def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray) -> tuple[np.ndarra
     before row a, toward u times the total capped at the row's own end, so
     rounding between P(a) and the row's cells cannot carry the pick past the
     row's last nonzero cell.
+
+    Every (k, n) intermediate is computed in place in ``scratch``, a flat
+    complex array of at least 2k n entries that is free to overwrite (the
+    _workspace's, whose monomials are dead once the amplitudes exist): a
+    complex block c, and a second block that holds the float blocks t and
+    cum, then, once cum is read, the complex block d.
     """
+    k, _, n = y_a.shape
+    c, d = scratch[:2 * k * n].reshape(2, k, n)
+    t, cum = d.view(np.float64).reshape(2, k, n)
     u = (bits.astype(np.float64) + 1.0) * (2.0**-53)
-    trial = np.arange(len(u))
+    trial = np.arange(n)
     a0, a1 = y_a[:, 0], y_a[:, 1]
     b0, b1 = y_b[:, 0], y_b[:, 1]
-    m00, m11 = (np.abs(b0) ** 2).sum(axis=0), (np.abs(b1) ** 2).sum(axis=0)
-    m01 = (b0 * b1.conj()).sum(axis=0)
+    np.abs(b0, out=t)
+    t **= 2
+    m00 = t.sum(axis=0)
+    np.abs(b1, out=t)
+    t **= 2
+    m11 = t.sum(axis=0)
+    m01 = np.multiply(b0, np.conjugate(b1, out=c), out=c).sum(axis=0)
+    # |a0|^2 m00 + |a1|^2 m11 + 2 Re(a0 conj(a1) m01), term by term.
+    np.abs(a0, out=cum)
+    cum **= 2
+    cum *= m00
+    np.abs(a1, out=t)
+    t **= 2
+    t *= m11
+    cum += t
+    np.multiply(a0, np.conjugate(a1, out=c), out=c)
+    c *= m01
+    cum += np.multiply(2.0, c.real, out=t)
     # A zero row's quadratic form can round below 0; the running sum must not.
-    cum = np.maximum(np.abs(a0) ** 2 * m00 + np.abs(a1) ** 2 * m11
-                     + 2.0 * (a0 * a1.conj() * m01).real, 0.0)
+    np.maximum(cum, 0.0, out=cum)
     # Row by row over all trials at once; np.cumsum along axis 0 walks each
     # trial's column at a large stride.
-    for a in range(1, len(cum)):
+    for a in range(1, k):
         cum[a] += cum[a - 1]
     target = u * _born_close(cum[-1])
     row = (cum < target).sum(axis=0)
-    cells = np.abs(b0 * a0[row, trial] + b1 * a1[row, trial])
+    before = np.where(row > 0, cum[row - 1, trial], 0.0)
+    # cum is read, so d may take its block, and the cells then t's.
+    np.multiply(b0, a0[row, trial], out=c)
+    c += np.multiply(b1, a1[row, trial], out=d)
+    cells = np.abs(c, out=t)
     cells **= 2
-    cells[0] += np.where(row > 0, cum[row - 1, trial], 0.0)
-    for b in range(1, len(cells)):
+    cells[0] += before
+    for b in range(1, k):
         cells[b] += cells[b - 1]
     return row, (cells < np.minimum(target, cells[-1])).sum(axis=0)
 
 
 # Per measurement path: the kernel of its conjugated outcome rows, their
 # labels by (setting, row), and the trials per chunk.  The pvm path keeps the
-# -1/+1 rows, so its mass check catches any 0 mass.  The (35, n) monomials
-# set the pvm path's chunk peak; on the protocol path each side's
-# (2, 16, 2, n) amplitudes grow with the chunk too, and at 2048 trials its
-# peak is about the pvm path's at 4096.
+# -1/+1 rows, so its mass check catches any 0 mass.  A chunk's peak is the
+# _workspace, kept for the run: the 45 complex rows of scratch (the
+# monomials' among them), and both sides' (k, 2, n) amplitudes, which on the
+# protocol path grow with the chunk too; at 2048 trials its peak is about the
+# pvm path's at 4096.
 _EXACT_KERNEL = _kernel(_PVM_BASES)
 _MEASUREMENTS = {
     "pvm": (_kernel(_PVM_BASES[:, :2]), _PVM_LABELS[:, :2], _CHUNK),
@@ -554,6 +618,8 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     trial = np.arange(n, dtype=np.uint64)
     setting_a, setting_b, outcome_a, outcome_b = np.empty((4, n), np.int8)
     seed_a, seed_b = seeds = np.empty((2, n), np.uint64)
+    # The kernel's buffers, allocated once; no chunk allocates its own.
+    work = _workspace(kernel, min(chunk, n))
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         idx = trial[sl]
@@ -571,20 +637,26 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
             cyc = idx % np.uint64(4)
             code_a[:], code_b[:] = cyc >> np.uint64(1), cyc & np.uint64(1)
 
+        # The kernel takes the chunk's trials grouped by setting pair: a
+        # stable sort, whose order the picked rows are scattered back by.
+        order = np.argsort(2 * code_a + code_b, kind="stable")
+        grouped_a, grouped_b = code_a[order], code_b[order]
         if fixed_rotations:
             # A sample_su2_batch row equals its batch of one, so gathering
             # gives the bits a fresh draw of the same seeds would.
             seed_a[sl], seed_b[sl] = fixed_seeds[code_a], fixed_seeds[2 + code_b]
-            u_a, u_b = fixed_u[code_a], fixed_u[2 + code_b]
+            u_a, u_b = fixed_u[grouped_a], fixed_u[2 + grouped_b]
         else:
-            # Both sides' rotations in one draw; each seed still gives its own U.
-            u_a, u_b = sample_su2_batch(seeds[:, sl].ravel()).reshape(2, -1, 2, 2)
+            # Both sides' rotations in one draw from the grouped seeds; each
+            # seed still gives its own U.
+            u_a, u_b = sample_su2_batch(seeds[:, sl][:, order].ravel()).reshape(2, -1, 2, 2)
 
-        # No amplitude outlives its chunk, so the kernel's peak is the loop's peak.
-        row_a, row_b = _pick(*_amplitudes(kernel, u_a, u_b, code_a, code_b),
-                             draw >> np.uint64(11))
-        outcome_a[sl] = labels[code_a, row_a]
-        outcome_b[sl] = labels[code_b, row_b]
+        y_a, y_b = _amplitudes(kernel, u_a, u_b, grouped_a, grouped_b, work)
+        # The next chunk's draw need not hold these unitaries.
+        del u_a, u_b
+        row_a, row_b = _pick(y_a, y_b, draw[order] >> np.uint64(11), work[0])
+        outcome_a[sl][order] = labels[grouped_a, row_a]
+        outcome_b[sl][order] = labels[grouped_b, row_b]
 
     log = TrialLog(trial, setting_a, setting_b, seed_a, seed_b, outcome_a, outcome_b)
     return log, JointStats.from_records(log)

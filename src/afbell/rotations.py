@@ -125,17 +125,18 @@ _WORD_MONOMIAL = np.argmax((5 ** (2 * _WORD_BITS[:, :4] + _WORD_BITS[:, 4:])).su
 del _WORD_BITS
 
 
-def _monomials(e: np.ndarray) -> np.ndarray:
+def _monomials(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(35, n) degree-4 monomials of n 2x2 matrices' entries e (4, n), rows
     e00, e01, e10, e11, in the order of _MONOMIALS: the 10 pair products,
     then each monomial as a pair times a pair.  Any 2x2 matrices go through
     the same formula.  Callers pass e contiguous, so each product reads an
-    entry's trials at unit stride, and make it in one expression, so no
-    other copy of the matrices (such as U's conjugate) is alive here."""
-    pairs = np.empty((10, e.shape[1]), e.dtype)
+    entry's trials at unit stride.  ``out``, (45, n) and apart from e, takes
+    the pair products in its first 10 rows and the monomials, returned, in
+    the rest; without it both are allocated."""
+    out = np.empty((45, e.shape[1]), e.dtype) if out is None else out
+    pairs, mono = out[:10], out[10:]
     for a in range(4):
         np.multiply(e[a:], e[a], out=pairs[_FIRST_PAIR[a]:_FIRST_PAIR[a] + 4 - a])
-    mono = np.empty((35, e.shape[1]), e.dtype)
     lo = 0
     for i, (_, b) in enumerate(_PAIRS):
         hi = lo + 10 - _FIRST_PAIR[b]

@@ -109,11 +109,13 @@ def _sample_peak_above_log(n, out):
 
 
 def test_sample_memory_is_the_log_plus_a_constant(tmp_path, capsys):
-    # Beyond its 28-byte-per-trial log, sample holds one chunk's kernel
-    # arrays, CSV rows and counts at a time: 4.2 MiB at 50k and at 400k
-    # trials (numpy 2.4).  When run_trials concatenated per-chunk lists and
-    # the counts and code check made n-long temporaries, the rest traced
-    # 8.1 MiB at 50k and 21.2 MiB at 400k.
+    # Beyond its 28-byte-per-trial log, sample holds the kernel's buffers,
+    # sized to one chunk and kept for the run, and one chunk's draws, CSV
+    # rows and counts at a time: 5.1 MiB at 50k and at 400k trials (numpy
+    # 2.4), against 4.2 MiB when each chunk allocated its own kernel arrays.
+    # When run_trials concatenated per-chunk lists and the counts and code
+    # check made n-long temporaries, the rest traced 8.1 MiB at 50k and
+    # 21.2 MiB at 400k.
     small = _sample_peak_above_log(50_000, tmp_path / "small")
     large = _sample_peak_above_log(400_000, tmp_path / "large")
     capsys.readouterr()

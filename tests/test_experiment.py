@@ -54,31 +54,41 @@ EXPECTED = {
 
 LOG_COLUMNS = ("trial", "setting_a", "setting_b", "seed_a", "seed_b", "outcome_a", "outcome_b")
 
-# sha256 of outcome_a || outcome_b (int8 bytes) for fixed seeds under the
-# uniform policy.  A ~1e-16 change in the batched tables can flip an
-# inverse-CDF pick and move a pin; such a change must be reported, not
-# hidden by re-seeding or resizing.
+# sha256 of outcome_a || outcome_b (int8 bytes) for fixed seeds and
+# policies.  A ~1e-16 change in the batched tables can flip an inverse-CDF
+# pick and move a pin; such a change must be reported, not hidden by
+# re-seeding or resizing.  Each chunk hands the kernel its trials grouped by
+# setting pair: under cycle every chunk holds all four groups interleaved in
+# trial order, under fixed:XY one group.
 GOLDEN_OUTCOMES = [
-    ("pvm", 50_000, 0, False,
+    ("pvm", 50_000, 0, "uniform", False,
      "43d3d6935bf9e68e97d2e3efa80cd623a0dd96792e0d8a3d78c93cb9d9a04e4c"),
-    ("pvm", 50_000, 42, False,
+    ("pvm", 50_000, 42, "uniform", False,
      "d3153de0785d7139a38f9d8f511c0ed7f22408f95732811991ddbfad21e660c5"),
-    ("pvm", 50_000, 2024, False,
+    ("pvm", 50_000, 2024, "uniform", False,
      "750613b1d6e9c71ee8910772b01b5f3fc83e8826c740f1a460e088c866b98c8c"),
-    ("pvm", 50_000, 0xDEADBEEF12345678, False,
+    ("pvm", 50_000, 0xDEADBEEF12345678, "uniform", False,
      "1cb80dd191d654498e1db7acf10020474e72729629eecf0cbec9e02c1adb9e8b"),
-    ("pvm", 50_000, 7, True,
+    ("pvm", 50_000, 7, "uniform", True,
      "8c3da7330bcb5b7138617182f736dcd305f7a794097e3ded55c303f574897c2d"),
-    ("protocol", 10_000, 0, False,
+    ("pvm", 10_001, 5, "cycle", False,
+     "f43085740301e92726207441b4e138cf639f1f6d5c389ab40184a38c9e65c009"),
+    ("pvm", 10_001, 6, "fixed:GF", False,
+     "7494f3c4a0fd6fc606b5972d9a01740cc1d541fdf8467e3dc2f5b0bf25deb899"),
+    ("protocol", 10_000, 0, "uniform", False,
      "549c41ebcf9ae4370ecc36cf8354a5b5347265e2dd851f13f2d7902b2f24144e"),
-    ("protocol", 10_000, 42, False,
+    ("protocol", 10_000, 42, "uniform", False,
      "8038ed45f36e71e0f6937fb992bd555633534d029915a27d0d2108f4c6ecc291"),
-    ("protocol", 10_000, 2024, False,
+    ("protocol", 10_000, 2024, "uniform", False,
      "47dae5a335cc251ab43b46540d520f30e4516419605aa0ec5e535eb013e67013"),
-    ("protocol", 10_000, 0xDEADBEEF12345678, False,
+    ("protocol", 10_000, 0xDEADBEEF12345678, "uniform", False,
      "b2953474ec2981c0c8fbc3821cb208b88d53e0462fa9265425883050fa44e4ae"),
-    ("protocol", 10_000, 7, True,
+    ("protocol", 10_000, 7, "uniform", True,
      "623ae992ad4da8881f0eda94986377bded99d5fbe0811a3a59bd170cc3d3d8ef"),
+    ("protocol", 10_001, 5, "cycle", False,
+     "9c23c3269ae5a94db6edf51fffbd1674a22c03981996557aee0a098285611c88"),
+    ("protocol", 10_001, 6, "fixed:FG", False,
+     "3e0dcc1b40de031e7cffa4a8526504bc28637a32d5d751b57238e1d534c9ffa5"),
 ]
 
 
@@ -255,19 +265,24 @@ def test_run_trials_seed_streams(monkeypatch):
     # Trial i's base seed is split_seed(root, i), split again by each
     # STREAM_* key: the setting bits, each side's rotation seed, whose Haar U
     # the kernel gets, and the outcome draw.  The rule holds across chunk
-    # boundaries.
+    # boundaries.  The kernel sees each chunk's trials grouped by setting
+    # pair, and the log gets each picked row back at its own trial.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
-    seen = {"u_a": [], "u_b": [], "draw": []}
+    seen = {"u_a": [], "u_b": [], "draw": [], "rows": []}
     amplitudes, pick = experiment._amplitudes, experiment._pick
 
-    def spy_amplitudes(kernel, u_a, u_b, *codes):
+    def spy_amplitudes(kernel, u_a, u_b, *rest):
         seen["u_a"].append(u_a.copy())
         seen["u_b"].append(u_b.copy())
-        return amplitudes(kernel, u_a, u_b, *codes)
+        return amplitudes(kernel, u_a, u_b, *rest)
+
+    def spy_pick(y_a, y_b, bits, *rest):
+        seen["draw"].append(bits.copy())
+        seen["rows"].append(pick(y_a, y_b, bits, *rest))
+        return seen["rows"][-1]
 
     monkeypatch.setattr(experiment, "_amplitudes", spy_amplitudes)
-    monkeypatch.setattr(experiment, "_pick",
-                        lambda y_a, y_b, bits: seen["draw"].append(bits) or pick(y_a, y_b, bits))
+    monkeypatch.setattr(experiment, "_pick", spy_pick)
     root = 0xFEEDFACE
     log, _ = run_trials(300, root, "uniform")
     assert [len(d) for d in seen["draw"]] == [97, 97, 97, 9]
@@ -277,11 +292,20 @@ def test_run_trials_seed_streams(monkeypatch):
     assert log.setting_b.tolist() == [s >> 1 & 1 for s in settings]
     assert log.seed_a.tolist() == [split_seed(b, STREAM_ALICE) for b in bases]
     assert log.seed_b.tolist() == [split_seed(b, STREAM_BOB) for b in bases]
-    assert np.concatenate(seen["draw"]).tolist() == [split_seed(b, STREAM_OUTCOME) >> 11
-                                                     for b in bases]
+    # Each chunk's order, rebuilt from the log: a stable sort of its trials
+    # on 2 setting_a + setting_b.
+    pair = (2 * log.setting_a + log.setting_b).tolist()
+    order = [i for start in range(0, 300, 97)
+             for i in sorted(range(start, min(start + 97, 300)), key=pair.__getitem__)]
+    assert np.concatenate(seen["draw"]).tolist() == [
+        split_seed(bases[i], STREAM_OUTCOME) >> 11 for i in order]
     for side, seeds in (("u_a", log.seed_a), ("u_b", log.seed_b)):
         assert np.array_equal(np.concatenate(seen[side]),
-                              [sample_su2_batch(np.array([s]))[0] for s in seeds])
+                              [sample_su2_batch(np.array([seeds[i]]))[0] for i in order])
+    labels = experiment._MEASUREMENTS["pvm"][1]
+    row_a, row_b = (np.concatenate(rows) for rows in zip(*seen["rows"]))
+    assert np.array_equal(log.outcome_a[order], labels[log.setting_a[order], row_a])
+    assert np.array_equal(log.outcome_b[order], labels[log.setting_b[order], row_b])
 
 
 def test_setup_rotations_seeds_are_split_seeds():
@@ -335,8 +359,10 @@ def test_pick_draw_ends_pick_nonzero_cells():
     kernel, code = experiment._MEASUREMENTS["protocol"][0], np.array([0])
     table = experiment._born_tables(kernel, eye, eye, code, code)[..., 0]
     assert table[0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
-    y_a, y_b = (np.repeat(y, 2, axis=-1) for y in experiment._amplitudes(kernel, eye, eye, code, code))
-    row_a, row_b = experiment._pick(y_a, y_b, np.array([0, 2**53 - 1], dtype=np.uint64))
+    y_a, y_b = (np.repeat(y, 2, axis=-1) for y in experiment._amplitudes(
+        kernel, eye, eye, code, code, experiment._workspace(kernel, 1)))
+    row_a, row_b = experiment._pick(y_a, y_b, np.array([0, 2**53 - 1], dtype=np.uint64),
+                                    experiment._workspace(kernel, 2)[0])
     assert np.all(table[row_a, row_b] > 0.0), (row_a, row_b)
 
 
@@ -362,7 +388,8 @@ def test_two_stage_pick_matches_full_table_inverse_cdf(k):
     cum = np.cumsum(table.reshape(k * k, n), axis=0)
     want = (cum < u * cum[-1]).sum(axis=0)
 
-    row_a, row_b = experiment._pick(y_a, y_b, bits)
+    # _pick computes in its scratch; NaN there must never reach a pick.
+    row_a, row_b = experiment._pick(y_a, y_b, bits, np.full(2 * k * n, np.nan, complex))
     assert np.all(table[row_a, row_b, np.arange(n)] > 0.0)
     moved = np.flatnonzero(row_a * k + row_b != want)
     gap = np.abs(cum[:, moved] - u[moved] * cum[-1, moved]).min(axis=0)
@@ -372,13 +399,19 @@ def test_two_stage_pick_matches_full_table_inverse_cdf(k):
 @pytest.mark.parametrize("path", ["pvm", "protocol"])
 @pytest.mark.parametrize("fixed", [False, True])
 def test_run_trials_independent_of_chunking(monkeypatch, path, fixed):
+    # Each chunk groups its trials by setting pair and the kernel makes one
+    # product per run of equal setting, so grouping within 97 trials puts a
+    # trial in another column block than grouping within 2048 or 4096; the
+    # log must not move.
     reference, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                               measurement_path=path)
     # _CHUNK caps every path's chunk, so patching it splits both paths.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
     sizes, pick = [], experiment._pick
+    # The chunk's size is the length of _pick's draw argument.
     monkeypatch.setattr(experiment, "_pick",
-                        lambda *args: sizes.append(len(args[-1])) or pick(*args))
+                        lambda y_a, y_b, bits, *rest: sizes.append(len(bits))
+                        or pick(y_a, y_b, bits, *rest))
     chunked, _ = run_trials(1000, 0xC0FFEE, "uniform", fixed_rotations=fixed,
                             measurement_path=path)
     assert sizes == [97] * 10 + [30]
@@ -389,27 +422,34 @@ def test_run_trials_independent_of_chunking(monkeypatch, path, fixed):
         assert np.array_equal(getattr(prefix, col), getattr(reference, col)[:333]), col
 
 
-# The ids leave the digest out, so re-recording a pin keeps its test name.
-@pytest.mark.parametrize("path,n,root,fixed,digest", GOLDEN_OUTCOMES,
-                         ids=[f"{p}-{n}-{r}-{f}" for p, n, r, f, _ in GOLDEN_OUTCOMES])
-def test_golden_outcome_pins(path, n, root, fixed, digest):
-    log, _ = run_trials(n, root, "uniform", fixed_rotations=fixed, measurement_path=path)
+# The ids leave the digest out, so re-recording a pin keeps its test name,
+# and name the policy only where it is not uniform.
+@pytest.mark.parametrize("path,n,root,policy,fixed,digest", GOLDEN_OUTCOMES, ids=[
+    f"{p}-{n}-{r}-{'' if policy == 'uniform' else policy + '-'}{f}"
+    for p, n, r, policy, f, _ in GOLDEN_OUTCOMES])
+def test_golden_outcome_pins(path, n, root, policy, fixed, digest):
+    log, _ = run_trials(n, root, policy, fixed_rotations=fixed, measurement_path=path)
     got = hashlib.sha256(log.outcome_a.tobytes() + log.outcome_b.tobytes()).hexdigest()
     assert got == digest
 
 
 def _chunk_kernel_peak(path):
-    """tracemalloc peak of one full chunk of the sampling kernel on a path:
-    both sides' amplitudes and the two-stage pick."""
+    """tracemalloc peak of one full chunk of the sampling kernel on a path,
+    its trials grouped by setting pair as run_trials hands them over: the
+    _workspace that run_trials allocates once, both sides' amplitudes in it
+    and the two-stage pick."""
     kernel, _, chunk = experiment._MEASUREMENTS[path]
     n = min(chunk, experiment._CHUNK)
     u_a = sample_su2_batch(np.arange(n, dtype=np.uint64))
     u_b = sample_su2_batch(np.arange(n, 2 * n, dtype=np.uint64))
-    code_a, code_b = np.arange(n) % 2, np.arange(n) // 2 % 2
+    pair = np.arange(n) * 4 // n
+    code_a, code_b = pair // 2, pair % 2
     bits = split_seed(0, np.arange(n, dtype=np.uint64)) >> np.uint64(11)
 
     def chunk_pick():
-        return experiment._pick(*experiment._amplitudes(kernel, u_a, u_b, code_a, code_b), bits)
+        work = experiment._workspace(kernel, n)
+        return experiment._pick(*experiment._amplitudes(kernel, u_a, u_b, code_a, code_b, work),
+                                bits, work[0])
 
     chunk_pick()
     tracemalloc.start()
@@ -421,19 +461,24 @@ def _chunk_kernel_peak(path):
 
 
 def test_pvm_kernel_memory_peak():
-    # At 4096 trials the (35, n) monomials (2.2 MiB) are the largest array,
-    # and one side's are freed before the other's are made.  It traces
-    # 3.4 MiB (numpy 2.4), and 6.6 MiB at the 8192-trial chunk before; the
-    # mode-product kernel before that traced 10.0 MiB at 8192.
+    # At 4096 trials the _workspace's 45 complex rows of scratch (2.8 MiB;
+    # the (35, n) monomials are 2.2 MiB of it) are the largest array; both
+    # sides reuse them, and the pick computes in them.  It traces 3.7 MiB
+    # (numpy 2.4), buffers included, against 3.4 MiB when each chunk
+    # allocated its own arrays and 6.6 MiB at the 8192-trial chunk before;
+    # the mode-product kernel before that traced 10.0 MiB at 8192.
     assert _chunk_kernel_peak("pvm") <= 16 * 2**20
 
 
 def test_protocol_kernel_memory_peak():
-    # At 2048 trials each side's (16 x 2 x 2, n) amplitudes before the
-    # setting is kept (2 MiB) are the largest arrays; no (16, 16, n) table is
-    # formed.  It traces 4.1 MiB (numpy 2.4); the full-table kernel before it
-    # traced 14.1 MiB, and the one that built dense 16x16 bras per trial
-    # 96 MiB at its 8192-trial chunk.
+    # At 2048 trials both sides' (16, 2, n) amplitudes (2 MiB together) and
+    # the _workspace's scratch (1.4 MiB) are the largest arrays; each side's
+    # product writes only its trials' setting, and no (16, 16, n) table is
+    # formed.  It traces 3.8 MiB (numpy 2.4), buffers included, against
+    # 4.1 MiB when each side formed both settings' amplitudes and kept one
+    # with np.where; the full-table kernel before it traced 14.1 MiB, and
+    # the one that built dense 16x16 bras per trial 96 MiB at its 8192-trial
+    # chunk.
     assert _chunk_kernel_peak("protocol") <= 24 * 2**20
 
 
@@ -504,12 +549,33 @@ def test_monomial_amplitudes_match_the_fourfold_rotation(name):
     rows = ROW_SETS[name]
     code = np.arange(12) % 2
     for kind, u in _some_unitaries(0xB0B).items():
-        y = experiment._amplitudes(KERNELS[name], u, u, code, code)
+        y = experiment._amplitudes(KERNELS[name], u, u, code, code,
+                                   experiment._workspace(KERNELS[name], 12))
         for side, pair in zip(y, (experiment._PHI, experiment._C_PHI)):
             for n, un in enumerate(u):
                 dense = functools.reduce(np.kron, [un.conj().T] * 4)
                 want = rows[code[n]] @ dense @ pair.T
                 assert np.abs(side[..., n] - want).max() <= 1e-15, (name, kind, n)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SETS))
+def test_amplitudes_keep_their_bits_in_any_run(name):
+    # _amplitudes makes one product per run of equal setting code, so a
+    # trial's column block depends on its neighbours' settings.  Its bits
+    # must not: the same 40 trials under mixed codes, with runs of one trial
+    # among them, against each setting's amplitudes over all 40 in one run.
+    kernel, n = KERNELS[name], 40
+    u = sample_su2_batch(split_seed(0x5EED, np.arange(2 * n, dtype=np.uint64)))
+    u_a, u_b = u[:n], u[n:]
+    work = experiment._workspace(kernel, n)
+    whole = [[y.copy() for y in experiment._amplitudes(kernel, u_a, u_b, code, code, work)]
+             for code in (np.zeros(n, int), np.ones(n, int))]
+    code_a = np.array([0, 1, 1, 0] * 10)
+    code_b = np.repeat([0, 1, 0, 1, 1, 0, 1, 0], [1, 1, 2, 3, 10, 1, 20, 2])
+    mixed = experiment._amplitudes(kernel, u_a, u_b, code_a, code_b, work)
+    for side, code in enumerate((code_a, code_b)):
+        for t in range(n):
+            assert np.array_equal(mixed[side][..., t], whole[code[t]][side][..., t]), (side, t)
 
 
 def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
