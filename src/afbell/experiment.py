@@ -22,9 +22,11 @@ back to trial order.  Every random quantity is a pure function of the root
 seed and the trial index, so results are identical regardless of execution
 order or chunk boundaries.  Each chunk writes its slice of the trial log,
 allocated once, and the log is counted and checked a chunk at a time.  The
-kernel's buffers are sized to one chunk and allocated once per run, so a run
-holds the log's 28 bytes per trial plus one chunk's buffers, and no chunk
-allocates its own.
+kernel's buffers, and the buffer both sides' rotations are drawn into, are
+sized to one chunk and allocated once per run, so a run holds the log's 28
+bytes per trial plus one chunk's buffers, and no chunk allocates its own.
+The CSV writer likewise renders every chunk in buffers allocated once per
+file.
 """
 
 from __future__ import annotations
@@ -270,7 +272,10 @@ def _workspace(kernel: tuple[np.ndarray, np.ndarray], n: int) -> tuple[np.ndarra
     """Buffers for kernel calls of up to n trials: a flat complex scratch of
     45 rows of n, for the 10 pair products and 35 monomials of U^dagger's
     entries, which _pick reuses once both sides' amplitudes exist; and the
-    two sides' (k, 2, n) amplitudes, flat, one row per side."""
+    two sides' (k, 2, n) amplitudes, flat, one row per side.  run_trials
+    keeps one more run-long buffer beside them, the 8n complex entries that
+    sample_su2_batch draws both sides' unitaries into, trials last, and
+    that _amplitudes reads them from."""
     return np.empty(45 * n, complex), np.empty((2, kernel[0].shape[1] * n), complex)
 
 
@@ -468,12 +473,11 @@ class TrialLog:
         head = "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
         cols = (self.trial, self.setting_a, self.setting_b, self.seed_a, self.seed_b,
                 self.outcome_a, self.outcome_b)
-        rows = np.tile(_CSV_ROW, (min(len(self), _CHUNK), 1))
-        keep = np.ones(rows.shape, bool)
+        buffers = _csv_buffers(min(len(self), _CHUNK))
         with open(path, "wb") as f:
             f.write((head + self.CSV_HEADER + "\n").encode())
             for start in range(0, len(self), _CHUNK):
-                f.write(_csv_rows(rows, keep, *(col[start:start + _CHUNK] for col in cols)))
+                f.write(_csv_rows(buffers, *(col[start:start + _CHUNK] for col in cols)))
 
 
 def _ids(values, what: str) -> np.ndarray:
@@ -518,30 +522,44 @@ _POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _KEEP_DIGITS = (np.arange(20) >= 20 - np.maximum(np.arange(21), 1)[:, None]).view(np.uint32)
 
 
-def _csv_rows(rows: np.ndarray, keep: np.ndarray, trial, setting_a, setting_b,
-              seed_a, seed_b, outcome_a, outcome_b) -> np.ndarray:
-    """The CSV bytes of up to len(rows) trials, as one uint8 array.
+def _csv_buffers(n: int) -> tuple[np.ndarray, ...]:
+    """Buffers for _csv_rows of up to n rows, allocated once per file: the
+    (n, 73) rows, each _CSV_ROW, and their keep flags, all True, whose fixed
+    bytes are set once; the (n, 5) base-10^4 groups of one number column, as
+    intp indices, and the uint32 words gathered by them; and (3, n) uint64
+    scratch for the quotients and products that split the column."""
+    return (np.tile(_CSV_ROW, (n, 1)), np.ones((n, 73), bool), np.empty((n, 5), np.intp),
+            np.empty((n, 5), np.uint32), np.empty((3, n), np.uint64))
 
-    ``rows`` (n, 73) holds _CSV_ROW in every row and ``keep`` (n, 73) is
-    True wherever this function does not write, so their fixed bytes are set
-    once per file.  Each number is split into five base-10^4 groups by
-    uint64 division and looked up in _DIGIT_GROUPS; its keep flags drop the
-    leading zeros.  A setting letter is 'F' + code, and an outcome's '-' is
-    kept only for -1.
+
+def _csv_rows(buffers: tuple[np.ndarray, ...], trial, setting_a, setting_b,
+              seed_a, seed_b, outcome_a, outcome_b) -> np.ndarray:
+    """The CSV bytes of up to n trials, as one uint8 array, rendered in the
+    _csv_buffers ``buffers`` of n rows; the template bytes and keep flags it
+    does not write stay as they were set once per file.
+
+    Each number is split into five base-10^4 groups by uint64 division, and
+    its four-digit words are gathered from _DIGIT_GROUPS; its keep flags,
+    gathered from _KEEP_DIGITS by its digit count, drop the leading zeros.
+    A setting letter is 'F' + code, and an outcome's '-' is kept only for -1.
     """
     m = len(trial)
-    rows, keep = rows[:m], keep[:m]
-    groups = np.empty((m, 5), np.uint64)
+    rows, keep, groups, words = (b[:m] for b in buffers[:4])
+    quotients, product = buffers[4][:2, :m], buffers[4][2, :m]
     for first, number in zip(_CSV_NUMBERS, (trial, seed_a, seed_b)):
         x = number
         for g in range(4, 0, -1):
-            rest = x // np.uint64(10**4)
-            np.subtract(x, rest * np.uint64(10**4), out=groups[:, g])
+            rest = np.floor_divide(x, 10**4, out=quotients[g % 2])
+            np.subtract(x, np.multiply(rest, 10**4, out=product), out=groups[:, g])
             x = rest
         groups[:, 0] = x
-        rows[:, first:first + 20] = _DIGIT_GROUPS[groups].view(np.uint8)
+        # Every index is in range; mode="clip" lets np.take write straight
+        # into ``out``, which the default mode="raise" would buffer.
+        rows[:, first:first + 20] = np.take(_DIGIT_GROUPS, groups, out=words,
+                                            mode="clip").view(np.uint8)
         digits = np.searchsorted(_POWERS_OF_TEN, number, "right")
-        keep[:, first:first + 20] = _KEEP_DIGITS[digits].view(bool)
+        keep[:, first:first + 20] = np.take(_KEEP_DIGITS, digits, axis=0, out=words,
+                                            mode="clip").view(bool)
     for col, setting in zip(_CSV_SETTINGS, (setting_a, setting_b)):
         rows[:, col] = setting + ord("F")
     for col, outcome in zip(_CSV_SIGNS, (outcome_a, outcome_b)):
@@ -618,8 +636,10 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
     trial = np.arange(n, dtype=np.uint64)
     setting_a, setting_b, outcome_a, outcome_b = np.empty((4, n), np.int8)
     seed_a, seed_b = seeds = np.empty((2, n), np.uint64)
-    # The kernel's buffers, allocated once; no chunk allocates its own.
+    # The kernel's buffers and both sides' draws, allocated once; no chunk
+    # allocates its own.
     work = _workspace(kernel, min(chunk, n))
+    drawn = np.empty(8 * min(chunk, n), complex)
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         idx = trial[sl]
@@ -649,10 +669,13 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         else:
             # Both sides' rotations in one draw from the grouped seeds; each
             # seed still gives its own U.
-            u_a, u_b = sample_su2_batch(seeds[:, sl][:, order].ravel()).reshape(2, -1, 2, 2)
+            grouped = seeds[:, sl][:, order].ravel()
+            u_a, u_b = sample_su2_batch(grouped, out=drawn[:4 * len(grouped)].reshape(2, 2, -1)
+                                        ).reshape(2, -1, 2, 2)
 
         y_a, y_b = _amplitudes(kernel, u_a, u_b, grouped_a, grouped_b, work)
-        # The next chunk's draw need not hold these unitaries.
+        # Gathered fixed-rotation unitaries are copies, which the next
+        # chunk's gather need not hold.
         del u_a, u_b
         row_a, row_b = _pick(y_a, y_b, draw[order] >> np.uint64(11), work[0])
         outcome_a[sl][order] = labels[grouped_a, row_a]

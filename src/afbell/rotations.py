@@ -17,6 +17,9 @@ parent before adding the key, so the children of nearby parents stay apart.
 It gives each trial's base seed (key: the trial index), that trial's four
 substreams (key: a STREAM_* tag), the four fixed-rotation setup seeds (key: a
 setup tag) and verify's seeds, so results do not depend on execution order.
+sample_su2_batch draws a whole array of seeds at once, trials last, into a
+(2, 2, n) buffer a caller may keep; a seed's matrix has the same bits in
+every batch.
 """
 
 from __future__ import annotations
@@ -66,43 +69,66 @@ def split_seed(parent: int | np.ndarray, key: int | np.ndarray) -> int | np.ndar
     return int(child)
 
 
-def _uniforms_batch(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(len(seeds), count) floats in (0, 1], one independent stream per seed."""
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_SEQ_INCREMENT)
-    with np.errstate(over="ignore"):
-        states = seeds.astype(np.uint64)[:, None] + steps[None, :]
-    bits = mix64_array(states)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+# A draw's four uniforms come from its seed plus 1..4 increments, one row each.
+_DRAW_STEPS = (np.arange(1, 5, dtype=np.uint64) * np.uint64(_SEQ_INCREMENT))[:, None]
 
 
-def _normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Box-Muller: (..., 4) uniforms in (0, 1] -> (..., 4) standard normals."""
-    r1 = np.sqrt(-2.0 * np.log(u[..., 0]))
-    r2 = np.sqrt(-2.0 * np.log(u[..., 2]))
-    t1 = 2.0 * math.pi * u[..., 1]
-    t2 = 2.0 * math.pi * u[..., 3]
-    return np.stack(
-        [r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)], axis=-1
-    )
-
-
-def sample_su2_batch(seeds: np.ndarray) -> np.ndarray:
+def sample_su2_batch(seeds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(n, 2, 2) Haar SU(2) matrices, each a function of its own seed only.
 
-    Four seed-derived standard normals form a quaternion that is normalized
+    A seed's four uniforms in (0, 1] are the top 53 bits of
+    mix64(seed + k * gamma), k = 1..4, plus one, times 2^-53.  Box-Muller
+    turns them into four standard normals, a quaternion that is normalized
     onto the unit 3-sphere; the uniform measure there is the Haar measure.
+
+    Trials last: each step runs in place on (4, n) rows, one per component,
+    read at unit stride.  The matrices go to ``out``, a (2, 2, n) complex
+    buffer with entry (i, j) of trial t at out[i, j, t], allocated when not
+    given, and its (n, 2, 2) view is returned.  Every step is elementwise
+    in a fixed order, so a seed's matrix has the same bits in any batch.
     """
-    u = _uniforms_batch(np.asarray(seeds, dtype=np.uint64), 4)
-    q = _normals_from_uniforms(u)
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    # Unit quaternion (w, x, y, z) -> w*I - i(x*sx + y*sy + z*sz).
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((len(q), 2, 2), dtype=complex)
-    out[:, 0, 0] = w - 1j * z
-    out[:, 0, 1] = -y - 1j * x
-    out[:, 1, 0] = y - 1j * x
-    out[:, 1, 1] = w + 1j * z
-    return out
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    out = np.empty((2, 2, len(seeds)), complex) if out is None else out
+    with np.errstate(over="ignore"):
+        bits = mix64_array(seeds + _DRAW_STEPS)
+    bits >>= np.uint64(11)
+    # Below 2^53 the int64 view converts exactly, and faster than uint64.
+    q = bits.view(np.int64).astype(np.float64)
+    del bits
+    q += 1.0
+    q *= 2.0**-53
+    # Box-Muller on the pairs (q0, q1) and (q2, q3): radius sqrt(-2 ln u) in
+    # rows 0 and 2, angle 2 pi u in rows 1 and 3, then r cos and r sin.
+    r, t = q[0::2], q[1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= 2.0 * math.pi
+    sin = np.sin(t)
+    np.cos(t, out=t)
+    sin *= r
+    r *= t
+    t[...] = sin
+    # The norm's squares are summed ((w^2 + x^2) + y^2) + z^2; another order
+    # rounds some draws differently.
+    norm, square = sin
+    np.multiply(q[0], q[0], out=norm)
+    for c in q[1:]:
+        norm += np.multiply(c, c, out=square)
+    np.sqrt(norm, out=norm)
+    q /= norm
+    # Unit quaternion (w, x, y, z) -> w*I - i(x*sx + y*sy + z*sz): entries
+    # w - 1j*z, -y - 1j*x, y - 1j*x and w + 1j*z.  Each a -+ 1j*b is written
+    # as complex arithmetic rounds it, real part a -+ 0*b and imaginary part
+    # 0 -+ b, which differ from a and -+b in the sign of a zero.
+    w, x, y, z = q
+    re, im = out.real, out.imag
+    np.negative(y, out=re[0, 1])
+    for (i, j), a, b, op in (((0, 0), w, z, np.subtract), ((0, 1), re[0, 1], x, np.subtract),
+                             ((1, 0), y, x, np.subtract), ((1, 1), w, z, np.add)):
+        op(a, np.multiply(b, 0.0, out=square), out=re[i, j])
+        op(0.0, b, out=im[i, j])
+    return out.transpose(2, 0, 1)
 
 
 # A matrix's entries e = (e00, e01, e10, e11) by index 2i + j.  _PAIRS holds
@@ -134,6 +160,14 @@ def _monomials(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the pair products in its first 10 rows and the monomials, returned, in
     the rest; without it both are allocated."""
     out = np.empty((45, e.shape[1]), e.dtype) if out is None else out
+    if e.shape[1] == 1:
+        # numpy runs a one-column broadcast product along the row axis, whose
+        # complex products round differently from a wider batch's; two copies
+        # of the column keep its bits those of any batch.
+        wide = np.empty((45, 2), e.dtype)
+        _monomials(e[:, [0, 0]], out=wide)
+        out[:] = wide[:, :1]
+        return out[10:]
     pairs, mono = out[:10], out[10:]
     for a in range(4):
         np.multiply(e[a:], e[a], out=pairs[_FIRST_PAIR[a]:_FIRST_PAIR[a] + 4 - a])

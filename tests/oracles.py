@@ -15,7 +15,10 @@ coefficients, and ``eta`` the same amplitudes as a StateVector.
 distribution and PVM, built from its eigenvectors and classifier.
 ``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
 seed-split rule built from it, the references for the library's uint64 seed
-derivation; ``su2`` is the Haar draw from one seed in scalar ``math``.
+derivation, and ``unmix64`` inverts ``mix64``; ``su2`` is the Haar draw from
+one seed in scalar ``math``, and ``su2_batch_reference`` the frozen batch
+formulation of the same draw in numpy, seeds first, whose bits the
+library's trials-last draw must keep.
 ``trials_csv`` formats a trial log one row at a time from Python ints, the
 reference for the chunked CSV writer.
 """
@@ -66,6 +69,47 @@ def split(parent, key):
     """Child seed mix64(mix64(parent) + key * gamma) mod 2^64, gamma the
     golden-ratio increment of splitmix64."""
     return mix64(mix64(parent) + key * 0x9E3779B97F4A7C15)
+
+
+def unmix64(y):
+    """The x with mix64(x) == y: each xor-shift and odd multiply undone in
+    reverse order."""
+    mask = (1 << 64) - 1
+    y ^= (y >> 31) ^ (y >> 62)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    y ^= (y >> 27) ^ (y >> 54)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return y ^ (y >> 30) ^ (y >> 60)
+
+
+def su2_batch_reference(seeds):
+    """(n, 2, 2) Haar SU(2) matrices of n uint64 seeds, seeds first: the
+    (n, 4) uniforms ((mix64(seed + k * gamma) >> 11) + 1) * 2^-53, k = 1..4,
+    Box-Muller normals stacked on the last axis, np.linalg.norm along it, and
+    the quaternion (w, x, y, z) assembled by complex arithmetic as
+    w*I - i(x*sx + y*sy + z*sz)."""
+    steps = np.arange(1, 5, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        x = np.asarray(seeds, dtype=np.uint64)[:, None] + steps[None, :]
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    u = ((x >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+    r1 = np.sqrt(-2.0 * np.log(u[..., 0]))
+    r2 = np.sqrt(-2.0 * np.log(u[..., 2]))
+    t1 = 2.0 * math.pi * u[..., 1]
+    t2 = 2.0 * math.pi * u[..., 3]
+    q = np.stack([r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)], axis=-1)
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((len(q), 2, 2), dtype=complex)
+    out[:, 0, 0] = w - 1j * z
+    out[:, 0, 1] = -y - 1j * x
+    out[:, 1, 0] = y - 1j * x
+    out[:, 1, 1] = w + 1j * z
+    return out
 
 
 def su2(seed):

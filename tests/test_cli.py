@@ -109,10 +109,12 @@ def _sample_peak_above_log(n, out):
 
 
 def test_sample_memory_is_the_log_plus_a_constant(tmp_path, capsys):
-    # Beyond its 28-byte-per-trial log, sample holds the kernel's buffers,
-    # sized to one chunk and kept for the run, and one chunk's draws, CSV
-    # rows and counts at a time: 5.1 MiB at 50k and at 400k trials (numpy
-    # 2.4), against 4.2 MiB when each chunk allocated its own kernel arrays.
+    # Beyond its 28-byte-per-trial log, sample holds the kernel's buffers
+    # and both sides' draws, sized to one chunk and kept for the run, and
+    # one chunk's draw temporaries, CSV rows and counts at a time: 4.6 MiB
+    # at 50k and at 400k trials (numpy 2.4).  It was 5.1 MiB when each
+    # chunk's draw built (n, 4) temporaries and a fresh (n, 2, 2) stack, and
+    # 4.2 MiB when each chunk allocated its own kernel arrays as well.
     # When run_trials concatenated per-chunk lists and the counts and code
     # check made n-long temporaries, the rest traced 8.1 MiB at 50k and
     # 21.2 MiB at 400k.

@@ -466,7 +466,9 @@ def test_pvm_kernel_memory_peak():
     # sides reuse them, and the pick computes in them.  It traces 3.7 MiB
     # (numpy 2.4), buffers included, against 3.4 MiB when each chunk
     # allocated its own arrays and 6.6 MiB at the 8192-trial chunk before;
-    # the mode-product kernel before that traced 10.0 MiB at 8192.
+    # the mode-product kernel before that traced 10.0 MiB at 8192.  The
+    # draw is outside this peak (test_cli's sample memory test holds it), so
+    # the trials-last draw left it at 3.7 MiB.
     assert _chunk_kernel_peak("pvm") <= 16 * 2**20
 
 
@@ -478,7 +480,7 @@ def test_protocol_kernel_memory_peak():
     # 4.1 MiB when each side formed both settings' amplitudes and kept one
     # with np.where; the full-table kernel before it traced 14.1 MiB, and
     # the one that built dense 16x16 bras per trial 96 MiB at its 8192-trial
-    # chunk.
+    # chunk.  The trials-last draw, outside this peak, left it at 3.8 MiB.
     assert _chunk_kernel_peak("protocol") <= 24 * 2**20
 
 
@@ -578,6 +580,24 @@ def test_amplitudes_keep_their_bits_in_any_run(name):
             assert np.array_equal(mixed[side][..., t], whole[code[t]][side][..., t]), (side, t)
 
 
+@pytest.mark.parametrize("path", ["pvm", "protocol"])
+def test_one_trial_run_keeps_the_bits_of_a_wider_run(path):
+    # A one-trial chunk, the last of run_trials(4097) on the pvm path or of
+    # run_trials(2049) on the protocol path, must give its trial the
+    # amplitudes any wider chunk gives it, bit for bit.
+    kernel, n = KERNELS[path], 64
+    u = sample_su2_batch(split_seed(0x1, np.arange(2 * n, dtype=np.uint64)))
+    code_a, code_b = np.arange(n) // 32, np.arange(n) // 16 % 2
+    wide = [y.copy() for y in experiment._amplitudes(kernel, u[:n], u[n:], code_a, code_b,
+                                                     experiment._workspace(kernel, n))]
+    work = experiment._workspace(kernel, 1)
+    for t in range(n):
+        one = experiment._amplitudes(kernel, u[t:t + 1], u[n + t:n + t + 1],
+                                     code_a[t:t + 1], code_b[t:t + 1], work)
+        for side in range(2):
+            assert np.array_equal(one[side][..., 0], wide[side][..., t]), (side, t)
+
+
 def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
     # The source's two Schmidt vectors are rotation invariant, so its tables
     # cannot show whether the kernel rotates them.  Put |0000> and |1111> in
@@ -605,8 +625,12 @@ def test_table_kernel_rotates_a_non_invariant_source(monkeypatch):
 @pytest.mark.parametrize("scale", [0.99, 1.01])
 def test_mass_off_one_raises_on_each_path(monkeypatch, path, scale):
     # A non-unitary setup moves a trial's total mass off 1 in either direction.
-    def scaled(seeds):
-        return scale * sample_su2_batch(seeds)
+    # The patch keeps the draw's signature: with ``out`` it scales the draw
+    # in the caller's buffer.
+    def scaled(seeds, out=None):
+        u = sample_su2_batch(seeds, out)
+        u *= scale
+        return u
 
     with pytest.raises(RuntimeError, match="total mass off 1") as excinfo:
         if path == "exact":
@@ -672,12 +696,14 @@ CSV_EDGE_VALUES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16,
                    10**19 - 1, 10**19, 2**64 - 1]
 
 
-def test_to_csv_matches_row_oracle(tmp_path, monkeypatch):
-    # 250 rows span three 97-row chunks, the last one partial; seeds and
-    # trial indices reach past 2^63 up to 2^64 - 1.  Each number column also
-    # holds every CSV_EDGE_VALUES entry, in a different chunk per column.
+@pytest.mark.parametrize("n", [250, 2 * 97 + 1])
+def test_to_csv_matches_row_oracle(tmp_path, monkeypatch, n):
+    # n rows span three 97-row chunks, the last one partial: 56 rows, or one
+    # row rendered in the file's buffers of 97.  Seeds and trial indices
+    # reach past 2^63 up to 2^64 - 1, the last trial's index among them.
+    # Each number column also holds every CSV_EDGE_VALUES entry, at 250 rows
+    # in a different chunk per column.
     monkeypatch.setattr(experiment, "_CHUNK", 97)
-    n = 250
     idx = np.arange(n, dtype=np.uint64)
     seed_a = split_seed(0xABCDEF, idx)
     seed_b = split_seed(0x123456, idx)
@@ -686,7 +712,7 @@ def test_to_csv_matches_row_oracle(tmp_path, monkeypatch):
     trial[-1] = 2**64 - 1
     edges = len(CSV_EDGE_VALUES)
     trial[100:100 + edges] = CSV_EDGE_VALUES
-    seed_a[200:200 + edges] = CSV_EDGE_VALUES
+    seed_a[n - 50:n - 50 + edges] = CSV_EDGE_VALUES
     seed_b[3:3 + edges] = CSV_EDGE_VALUES
     seed_b[3 + edges:3 + 2 * edges] = CSV_EDGE_VALUES[::-1]
     assert (seed_a >= 2**63).sum() > 50 and (seed_b >= 2**63).sum() > 50

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import basis_state, born, distance, mix64, rotate_pvm, split, su2
+from oracles import (basis_state, born, distance, mix64, rotate_pvm, split, su2,
+                     su2_batch_reference, unmix64)
 from afbell.observables import build_F
 from afbell.qstate import StateVector, build_phi, build_psi
 from afbell.rotations import (
@@ -98,6 +99,58 @@ def test_sample_su2_batch_matches_scalar():
     batch = sample_su2_batch(np.array(seeds, dtype=np.uint64))
     worst = max(float(np.abs(u - su2(seed)).max()) for u, seed in zip(batch, seeds))
     assert worst <= 1e-15
+
+
+def _bits(a):
+    """A complex array's float64 bits as uint64, sign of zero included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# Seeds whose k-th uniform is exactly 1 (mix64 of seed + k * gamma at least
+# 2^64 - 2^11), k = 1 and 3: Box-Muller's radius is then -0.0, so two
+# quaternion components are zeros, whose signs the matrix keeps.
+UNIT_UNIFORM_SEEDS = [(unmix64(2**64 - 1 - j) - k * 0x9E3779B97F4A7C15) % 2**64
+                      for k in (1, 3) for j in (0, 1, 2**10, 2**11 - 1)]
+
+
+DRAW_BATCHES = [1, 2, 3, 97, 4096, 8192, 100_000]
+
+
+def _draw_seeds(n):
+    """n split seeds; the 100 000 start with 0, 2^64 - 1 and the unit-uniform
+    seeds."""
+    seeds = split_seed(0x5EED5, np.arange(n, dtype=np.uint64))
+    if n == 100_000:
+        seeds[:2 + len(UNIT_UNIFORM_SEEDS)] = [0, 2**64 - 1, *UNIT_UNIFORM_SEEDS]
+    return seeds
+
+
+@pytest.mark.parametrize("n", DRAW_BATCHES)
+def test_sample_su2_batch_keeps_the_reference_bits(n):
+    # The draw against the frozen seeds-first formulation, bit for bit.
+    seeds = _draw_seeds(n)
+    assert np.array_equal(_bits(sample_su2_batch(seeds)), _bits(su2_batch_reference(seeds)))
+
+
+@pytest.mark.parametrize("n", DRAW_BATCHES)
+def test_sample_su2_batch_into_a_buffer_keeps_the_reference_bits(n):
+    # The same bits written into a caller's (2, 2, n) buffer, trials last,
+    # and returned as its (n, 2, 2) view.
+    seeds = _draw_seeds(n)
+    want = _bits(su2_batch_reference(seeds))
+    out = np.empty((2, 2, n), complex)
+    got = sample_su2_batch(seeds, out=out)
+    assert np.shares_memory(got, out) and got.shape == (n, 2, 2)
+    assert np.array_equal(_bits(got), want)
+
+
+def test_unit_uniform_seeds_draw_signed_zeros():
+    # The edge seeds above reach the uniform 1.0 and a matrix with zero
+    # entries, so the bit comparison sees the signs of zeros.
+    assert all(mix64((seed + k * 0x9E3779B97F4A7C15) % 2**64) >> 11 == 2**53 - 1
+               for seed, k in zip(UNIT_UNIFORM_SEEDS, [1] * 4 + [3] * 4))
+    u = sample_su2_batch(np.array(UNIT_UNIFORM_SEEDS, np.uint64))
+    assert (u.real == 0).any() and np.signbit(u.real[u.real == 0]).any()
 
 
 def test_haar_trace_moment():
