@@ -34,7 +34,7 @@ from .experiment import (
     _setup_tables,
 )
 from .observables import build_F, build_G, local_protocol_for
-from .qstate import INTEGER_KETS, StateVector, _PHI_KETS, build_phi, build_psi
+from .qstate import INTEGER_KETS, StateVector, _NORMS, build_phi, build_psi
 from .rotations import fourfold, sample_su2_batch, split_seed
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
@@ -167,12 +167,11 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
 
     # Each pair's integer kets K meet K K^T = diag(n) with n the stated
     # squared norms, so the states K_j / sqrt(n_j) are orthonormal.
-    stated = np.diag([n for n, _ in _PHI_KETS])
-    dev = max(int(np.abs(kets @ kets.T - stated).max()) for kets in INTEGER_KETS.values())
+    dev = max(int(np.abs(kets @ kets.T - np.diag(_NORMS)).max()) for kets in INTEGER_KETS.values())
     results.append(CheckResult("state-gram", float(dev), 0.0,
-                               detail="exact K K^T = diag(4, 12) for phi, psi"))
+                               detail=f"exact K K^T = diag{_NORMS} for phi, psi"))
 
-    # Pair member j has integer ket K_j of squared norm n_j = 4, 12 and is
+    # Pair member j has integer ket K_j of squared norm n_j and is
     # flagged by label 2j - 1.  The integer rows W of a protocol's eigenbasis
     # (two x axes) meet W W^T = 4 I, and A = W K^T holds each string's integer
     # amplitudes, so the labels realize the PVM on span{x0, x1} exactly when
@@ -204,7 +203,8 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
                                detail="exact 2S_z, S+, S- on the integer kets of phi, psi"))
 
     # Each check draws its rotations in one batch; deviations stay 1-D norms,
-    # which an axis= norm would round differently.
+    # which an axis= norm would round differently.  The two rows draw at
+    # disjoint keys (even; 1 and 3 mod 4), so no rotation is checked twice.
     keys = np.arange(INVARIANCE_SAMPLES)
     rows = np.stack([build(j).amps for build in (build_phi, build_psi) for j in (0, 1)], axis=1)
     moved = fourfold(sample_su2_batch(split_seed(seed, 2 * keys))) @ rows
@@ -215,8 +215,8 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # eta's 16x16 grid, derived from its one statement as the sampler's
     # rank-2 product PHI^T (C PHI).
     grid = _PHI.T @ _C_PHI
-    moved = (fourfold(sample_su2_batch(split_seed(seed, 3 * keys + 1))) @ grid
-             @ fourfold(sample_su2_batch(split_seed(seed, 5 * keys + 2))).swapaxes(1, 2))
+    moved = (fourfold(sample_su2_batch(split_seed(seed, 4 * keys + 1))) @ grid
+             @ fourfold(sample_su2_batch(split_seed(seed, 4 * keys + 3))).swapaxes(1, 2))
     worst = max(float(np.linalg.norm(d)) for d in moved - grid)
     results.append(CheckResult("invariance-eta-pairs", worst, 1e-10,
                                detail=f"{INVARIANCE_SAMPLES} independent rotation pairs"))

@@ -3,10 +3,10 @@
 Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
 All amplitudes are stored as complex128.  The invariant states are stated once,
-as integer kets with one scale 1/sqrt(n) each, and their float amplitudes and
-exact basis change are derived from those integers.  The source state is stated
-once too, as its exact (phi, phi) expansion; its other expansions, its exact
-Born tables and its one float table are derived from that.  States are
+as integer kets K with one scale 1/sqrt(n) each, and their float amplitudes are
+derived from those integers.  The source state is stated once too, as an
+integer expansion over the kets; its exact Born tables, integer squares over
+112 n_a n_b, and its one float table are derived from that.  States are
 immutable after construction and hold at most MAX_QUBITS = 8 qubits, the size
 of the source state.
 """
@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
 
 # Dense storage grows as 2^n; the 8-qubit source state is the largest register.
@@ -59,13 +58,14 @@ _PHI_KETS: tuple[tuple[int, dict[str, int]], ...] = (
     (4, {"0101": 1, "0110": -1, "1001": -1, "1010": 1}),
     (12, {"0011": 2, "0101": -1, "0110": -1, "1001": -1, "1010": -1, "1100": 2}),
 )
+_NORMS = tuple(n for n, _ in _PHI_KETS)
 _phi = np.array([[terms.get(format(i, "04b"), 0) for i in range(16)] for _, terms in _PHI_KETS])
 # Read-only (2, 16) integer vectors per basis, row j for pair member j.
 INTEGER_KETS: dict[str, np.ndarray] = {
     "phi": _phi, "psi": _phi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 16)}
 for _ints in INTEGER_KETS.values():
     _ints.setflags(write=False)
-_SCALES = np.array([1.0 / math.sqrt(n) for n, _ in _PHI_KETS])[:, None]
+_SCALES = 1.0 / np.sqrt(_NORMS)[:, None]
 
 
 def _pair(basis: str) -> np.ndarray:
@@ -91,49 +91,25 @@ def build_psi(j: int) -> StateVector:
     return _build("psi", j)
 
 
-# Matrices over Q(sqrt3) are pairs (rational part, sqrt3 part) of Fraction arrays.
-_rational = np.vectorize(Fraction, otypes=[object])
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    return x[0] @ y[0] + 3 * x[1] @ y[1], x[0] @ y[1] + x[1] @ y[0]
-
-
-def _real(x: tuple) -> np.ndarray:
-    return x[0].astype(float) + SQRT3 * x[1].astype(float)
-
-
-def _inv_sqrt(n: int) -> tuple[Fraction, Fraction]:
-    """1/sqrt(n) over Q(sqrt3): 1/m for n = m^2, sqrt3/k for n = k^2/3."""
-    m, k = math.isqrt(n), math.isqrt(3 * n)
-    assert n == m * m or 3 * n == k * k, f"1/sqrt({n}) is not in Q(sqrt3)"
-    return (Fraction(1, m), Fraction(0)) if n == m * m else (Fraction(0), Fraction(1, k))
-
-
-# The source state eta is stated once, as its (phi, phi) expansion E times
-# sqrt7: eta = (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt7.  Its
-# other expansions follow from the invariant pair.  The basis change
-# B[i][j] = <phi_i|psi_j> is the pair's integer Gram matrix [[2, 6], [6, -6]]
-# times the two scales.  B is symmetric, so <psi_i phi_j|eta> = (B E)[i][j] and
-# <phi_i psi_j|eta> = (E B)[i][j].
-_ETA_PHI_PHI = (_rational([[1, 0], [0, 0]]), _rational([[0, 1], [1, 0]]))
-_GRAM = INTEGER_KETS["phi"] @ INTEGER_KETS["psi"].T
-_scale = [np.array(p, dtype=object)[:, None] for p in zip(*(_inv_sqrt(n) for n, _ in _PHI_KETS))]
-_BASIS_CHANGE = tuple(_GRAM * part for part in _mul(_scale, [part.T for part in _scale]))
-_ETA_EXACT = {
-    ("phi", "phi"): _ETA_PHI_PHI,
-    ("phi", "psi"): _mul(_ETA_PHI_PHI, _BASIS_CHANGE),
-    ("psi", "phi"): _mul(_BASIS_CHANGE, _ETA_PHI_PHI),
-    ("psi", "psi"): _mul(_mul(_BASIS_CHANGE, _ETA_PHI_PHI), _BASIS_CHANGE),
+# The source state eta is stated once, as its expansion E over the pair's
+# integer kets: eta = (K0 K0 + K0 K1 + K1 K0)/(4 sqrt7), which is
+# (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt7 since phi0 = K0/2
+# and phi1 = K1/(2 sqrt3).  So <x_a y_b|eta> = A[a, b]/(4 sqrt(7 n_a n_b)) with
+# the integers A = (K_x K_phi^T) E (K_phi K_y^T), one matrix per pair of bases.
+_E = np.array([[1, 1], [1, 0]])
+_ETA_AMPS: dict[tuple[str, str], np.ndarray] = {
+    (x, y): INTEGER_KETS[x] @ _phi.T @ _E @ _phi @ INTEGER_KETS[y].T
+    for x in INTEGER_KETS for y in INTEGER_KETS
 }
-# Every coefficient is purely rational or purely sqrt3 times a rational, so |c|^2 is rational.
-assert all(np.all(a * b == 0) for a, b in _ETA_EXACT.values()), "a coefficient mixes 1 and sqrt3"
 
 # The one float of eta: its (phi, phi) expansion, which the sampler reads.
-ETA_PHI_PHI = _real(_ETA_PHI_PHI) / SQRT7
+ETA_PHI_PHI = _E * np.sqrt(np.outer(_NORMS, _NORMS)) / (4 * SQRT7)
 
-# Exact Born probabilities |<x_a y_b|eta>|^2 as Fractions, one table per (Alice
-# basis, Bob basis); index 0 is the pair member x_0, index 1 is x_1.
+# Exact Born probabilities |<x_a y_b|eta>|^2 = A[a, b]^2/(112 n_a n_b) as
+# Fractions of Python ints, one table per (Alice basis, Bob basis); index 0 is
+# the pair member x_0, index 1 is x_1.
 ETA_BORN_TABLES: dict[tuple[str, str], np.ndarray] = {
-    k: (a * a + 3 * b * b) / 7 for k, (a, b) in _ETA_EXACT.items()
+    k: np.array([[Fraction(int(c) ** 2, 112 * m * n) for c, n in zip(row, _NORMS)]
+                 for row, m in zip(a, _NORMS)], dtype=object)
+    for k, a in _ETA_AMPS.items()
 }

@@ -93,12 +93,14 @@ def test_criterion_3_state_invariance():
 
 
 def test_criterion_4_expansion_consistency():
-    # eta rebuilt as sum_ab table[a, b] |x_a> (x) |y_b> from the floats of
-    # each of the four exact expansions, against the published coefficients.
+    # eta rebuilt as sum_ab table[a, b] |x_a> (x) |y_b> from the floats
+    # A/(4 sqrt7 sqrt(n_a n_b)) of each of the four integer amplitude
+    # matrices, n = (4, 12), against the published coefficients.
     eta = oracles.eta()
+    scale = 4 * oracles.SQRT7 * np.sqrt(np.outer((4, 12), (4, 12)))
     worst = 0.0
-    for (a, b), (rational, sqrt3) in qstate._ETA_EXACT.items():
-        table = (rational.astype(float) + oracles.SQRT3 * sqrt3.astype(float)) / oracles.SQRT7
+    for (a, b), amps in qstate._ETA_AMPS.items():
+        table = amps / scale
         rebuilt = qstate._pair(a).T @ table @ qstate._pair(b)
         worst = max(worst, oracles.distance(eta, StateVector(8, rebuilt.reshape(256))))
     assert worst < 1e-12

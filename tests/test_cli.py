@@ -238,6 +238,25 @@ def test_verify_suite_makes_one_kernel_call(monkeypatch):
         assert {r.name for r in run_verify_suite() if not r.passed} == rows, setup
 
 
+def test_verify_suite_draws_each_rotation_once(monkeypatch):
+    # Each randomized row checks its own rotations: no seed reaches
+    # sample_su2_batch twice in one suite, in verify's own draws or in the
+    # setups _draw_setups draws.
+    seen = []
+
+    def spy(seeds, *rest):
+        seen.extend(np.asarray(seeds).ravel().tolist())
+        return sample_su2_batch(seeds, *rest)
+
+    for module in (cli, experiment):
+        monkeypatch.setattr(module, "sample_su2_batch", spy)
+    for seed in (0, 2**64 - 1):
+        seen.clear()
+        assert all(r.passed for r in run_verify_suite(seed=seed))
+        assert len(seen) == 3 * cli.INVARIANCE_SAMPLES + 4 * (1 + cli.ROBUSTNESS_SAMPLES)
+        assert len(set(seen)) == len(seen), seed
+
+
 def test_verify_suite_memory_peak():
     # invariance-eta-pairs sets the peak: P_a @ grid @ P_b^T on 100 rotation
     # pairs holds P_a @ grid, Bob's 100 16x16 powers P_b and the product,

@@ -130,12 +130,14 @@ def test_exact_tables_match_rationals(behavior):
 
 def test_derived_born_tables_and_constraint_values_are_exact():
     # qstate derives the tables from the invariant pair's integer kets and
-    # eta's (phi, phi) expansion; no tolerance anywhere.
+    # eta's integer expansion over them; no tolerance anywhere.
     basis = {"F": "phi", "G": "psi"}
     born = {(sa, sb): ETA_BORN_TABLES[(basis[sa], basis[sb])] for sa, sb in EXPECTED}
     for key, expected in EXPECTED.items():
         assert born[key].tolist() == [row[:2] for row in expected[:2]], key
-        assert all(type(x) is Fraction for x in born[key].flat)
+        # Python ints, which an LP's Fraction products cannot overflow.
+        assert all(type(x) is Fraction and type(x.numerator) is int
+                   and type(x.denominator) is int for x in born[key].flat)
     values = {c.name: c.value for c in quantum_constraints()}
     assert values == {
         "ff_zero": born[("F", "F")][1, 1],

@@ -1,7 +1,6 @@
 """State construction, expansion tables, and register plumbing."""
 
 import hashlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from afbell import experiment, qstate
 from afbell.qstate import ETA_PHI_PHI, StateVector, build_phi, build_psi
 
 TOL = 1e-12
+NORMS = (4, 12)
 
 # sha256 of the complex128 bytes of phi0, phi1, psi0, psi1 in that order,
 # recorded when the four states were still hand-typed float tables, and of
@@ -29,9 +29,9 @@ def _expansion(basis_a, basis_b):
 
 
 def _floats_of_exact(basis_a, basis_b):
-    """The float of qstate's exact expansion table for one pair of bases."""
-    rational, sqrt3 = qstate._ETA_EXACT[(basis_a, basis_b)]
-    return (rational.astype(float) + SQRT3 * sqrt3.astype(float)) / SQRT7
+    """The float of qstate's integer amplitudes A[a, b]/(4 sqrt7 sqrt(n_a n_b))
+    for one pair of bases, with the stated squared norms n = (4, 12)."""
+    return qstate._ETA_AMPS[(basis_a, basis_b)] / (4 * SQRT7 * np.sqrt(np.outer(NORMS, NORMS)))
 
 
 def test_basis_index_convention():
@@ -116,12 +116,10 @@ def test_change_of_basis_matrix():
     expected = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
     got = np.array([[np.vdot(phi[i].amps, psi[j].amps) for j in (0, 1)] for i in (0, 1)])
     assert np.abs(got - expected).max() < TOL
-    # Exactly, as qstate derives it from the integer kets: (rational, sqrt3) parts.
-    rational, sqrt3 = qstate._BASIS_CHANGE
-    half = Fraction(1, 2)
-    assert rational.tolist() == [[half, 0], [0, -half]]
-    assert sqrt3.tolist() == [[0, half], [half, 0]]
-    assert all(type(x) is Fraction for x in (*rational.flat, *sqrt3.flat))
+    # Exactly: the integer cross-Gram K_phi K_psi^T, over sqrt(n_i n_j).
+    gram = qstate.INTEGER_KETS["phi"] @ qstate.INTEGER_KETS["psi"].T
+    assert gram.tolist() == [[2, 6], [6, -6]]
+    assert np.abs(gram / np.sqrt(np.outer(NORMS, NORMS)) - expected).max() < TOL
     # Symmetric orthogonal: its own inverse.
     assert np.abs(expected @ expected - np.eye(2)).max() < TOL
 
@@ -170,7 +168,7 @@ def test_expand_eta_rejects_unknown_basis():
 def test_eta_reconstruction_from_all_tables():
     # sum_ab table[a, b] |x_a> (x) |y_b> over each pair of bases' float table.
     eta = oracles.eta()
-    for basis_a, basis_b in qstate._ETA_EXACT:
+    for basis_a, basis_b in qstate._ETA_AMPS:
         av, bv = qstate._pair(basis_a), qstate._pair(basis_b)
         rebuilt = StateVector(8, (av.T @ _floats_of_exact(basis_a, basis_b) @ bv).reshape(256))
         assert distance(eta, rebuilt) < TOL
