@@ -95,6 +95,30 @@ def test_sample_golden_csv_rows(tmp_path, capsys, path):
     assert hashlib.sha256(rows).hexdigest() == GOLDEN_CSV_ROWS[path]
 
 
+# sha256 of the whole stats.json of `sample` on each measurement path: the
+# uniform run above, and a fixed:GG run, whose three other setting pairs have
+# no trials, so their empirical tables are zeros and three chain values null.
+GOLDEN_STATS = {
+    ("pvm", "--trials", "20000", "--seed", "5"):
+        "d00258c6894b8ebea9c0fb6c29c1f717405268852b5016238906612b190d1d1e",
+    ("protocol", "--trials", "20000", "--seed", "5"):
+        "74c5b8219531bde6dc5149a636d05a8a3aafc7af4ece9d9f0182091780d10adb",
+    ("pvm", "--trials", "3000", "--seed", "7", "--policy", "fixed:GG"):
+        "f32a23e962345619f4d0c5f71687ec1ee9ece47cba2856e256ae192ea9e0f28f",
+    ("protocol", "--trials", "3000", "--seed", "7", "--policy", "fixed:GG"):
+        "86c6d9a08d1a4f72c4b3dd24e5299ded00b12ceceb71de80b181ca0ab76cc2ed",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STATS), ids=" ".join)
+def test_sample_golden_stats(tmp_path, capsys, argv):
+    path, *rest = argv
+    assert main(["sample", "--measurement", path, *rest, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "stats.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_STATS[argv]
+
+
 def _sample_peak_above_log(n, out):
     """tracemalloc peak of `afbell sample` over n trials, less the bytes of
     its n-trial log."""
@@ -546,6 +570,12 @@ GOLDEN_EXACT_FILES = {
     },
     ("report", "--format", "json"): {
         "report.json": "a69a692fdac246bc387e01825bd1345f753d05009c72ff58ec6c4b4a383c4ecc",
+    },
+    ("report", "--format", "csv"): {
+        "report.csv": "dec7a4ce7f2afae286c99185bfcd6b96ad1a0732bd20d97ab22b34c8e8e6f529",
+    },
+    ("report", "--format", "text"): {
+        "report.txt": "16d5c1925bb3b74f2aafb1291f127b4d54c5f68b2e010a8d40c50cb38ce52374",
     },
 }
 
