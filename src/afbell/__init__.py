@@ -12,10 +12,8 @@ from .observables import (
 )
 from .rotations import split_seed
 from .experiment import (
-    ExactBehavior,
-    JointStats,
-    Setting,
     TrialLog,
+    count_trials,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -35,8 +33,7 @@ __all__ = [
     "StateVector", "build_phi", "build_psi",
     "PVM", "LocalProtocol", "build_F", "build_G", "local_protocol_for",
     "split_seed",
-    "ExactBehavior", "JointStats", "Setting", "TrialLog",
-    "epr_audit", "exact_behavior", "run_trials",
+    "TrialLog", "count_trials", "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",
     "max_hardy_fraction", "quantum_constraints", "verify_certificate",
 ]

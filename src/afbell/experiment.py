@@ -1,5 +1,9 @@
 """Exact computation and seeded Monte Carlo sampling of the two-observer behavior.
 
+The behavior P(a, b | x, y), exact or counted, is one (4, 3, 3) array: the
+setting pair's code 2 x + y (F 0, G 1), then Alice's and Bob's outcomes in
+LABEL_ORDER; setting letters appear only where it is rendered.
+
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  One batched
 Born-rule kernel gives each side's amplitudes for its outcome rows through
@@ -32,7 +36,6 @@ file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,7 +52,8 @@ from .rotations import (
     split_seed,
 )
 
-# Index order of the outcome labels in every 3x3 table below.
+# A behavior's axis 0, by pair code, as rendered; its outcome axes' labels.
+SETTING_PAIRS = ("FF", "FG", "GF", "GG")
 LABEL_ORDER = (-1, +1, 0)
 
 # How far a trial's table mass may stray from 1, in either direction (mass on
@@ -79,33 +83,9 @@ _SETUP_TAGS = np.array([0x11111111A11CE00F, 0x22222222A11CE00A,
 _STREAMS = np.array([STREAM_SETTINGS, STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME], dtype=np.uint64)
 
 
-class Setting(Enum):
-    """One observer's choice of measurement."""
-
-    F = "F"
-    G = "G"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-SETTING_PAIRS = (
-    (Setting.F, Setting.F),
-    (Setting.F, Setting.G),
-    (Setting.G, Setting.F),
-    (Setting.G, Setting.G),
-)
-
-
-def _label_index(label: int) -> int:
-    try:
-        return LABEL_ORDER.index(label)
-    except ValueError:
-        raise ValueError(f"unknown outcome label {label}") from None
-
-
-def parse_policy(policy: str) -> tuple[str, tuple[Setting, Setting] | None]:
-    """Parse a setting policy: 'uniform_random'/'uniform', 'fixed:XY', or 'cycle'."""
+def parse_policy(policy: str) -> tuple[str, tuple[int, int] | None]:
+    """Parse a setting policy: 'uniform_random'/'uniform', 'fixed:XY', or 'cycle';
+    a fixed pair comes back as its two setting codes."""
     if policy in ("uniform", "uniform_random"):
         return "uniform", None
     if policy == "cycle":
@@ -113,7 +93,7 @@ def parse_policy(policy: str) -> tuple[str, tuple[Setting, Setting] | None]:
     if policy.startswith("fixed:"):
         pair = policy[len("fixed:"):]
         if len(pair) == 2 and all(c in "FG" for c in pair):
-            return "fixed", (Setting(pair[0]), Setting(pair[1]))
+            return "fixed", ("FG".index(pair[0]), "FG".index(pair[1]))
     raise ValueError(
         f"bad setting policy {policy!r}; expected uniform, cycle, or fixed:XY with X,Y in FG"
     )
@@ -127,74 +107,43 @@ def _draw_setups(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return setup_seeds, sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
 
 
-def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> dict[tuple[int, int], float]:
+def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> np.ndarray:
     """Dense Born rule for side-by-side PVMs on an 8-qubit state's 16x16 grid G:
-    P(a, b) = Re <G, Pa G Pb^T>."""
+    the table P(a, b) = Re <G, Pa G Pb^T>, in the PVMs' outcome order."""
     if state.num_qubits != 8 or pvm_a.dim != 16 or pvm_b.dim != 16:
         raise ValueError("joint_born expects an 8-qubit state and 16-dim PVMs")
     grid = state.amps.reshape(16, 16)
-    return {
-        (la, lb): max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
-        for la, pa in pvm_a.outcomes for lb, pb in pvm_b.outcomes
-    }
+    return np.array([[max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
+                      for _, pb in pvm_b.outcomes] for _, pa in pvm_a.outcomes])
 
 
-@dataclass(frozen=True)
-class ExactBehavior:
-    """Joint probability tables P(outcome_a, outcome_b | setting_a, setting_b)."""
-
-    tables: dict[tuple[Setting, Setting], np.ndarray]
-
-    def __post_init__(self) -> None:
-        fixed = {}
-        for pair in SETTING_PAIRS:
-            if pair not in self.tables:
-                raise ValueError(f"no table for setting pair {pair[0]}{pair[1]}")
-            t = np.asarray(self.tables[pair], dtype=float)
-            if t.shape != (3, 3):
-                raise ValueError("each setting pair needs a 3x3 outcome table")
-            if not np.isfinite(t).all():
-                raise ValueError(f"non-finite probability in table {pair}")
-            if t.min() < -1e-13:
-                raise ValueError(f"negative probability in table {pair}")
-            if abs(t.sum() - 1.0) > 1e-12:
-                raise ValueError(f"table {pair} sums to {t.sum()}, not 1")
-            t = np.clip(t, 0.0, None)
-            t.setflags(write=False)
-            fixed[pair] = t
-        object.__setattr__(self, "tables", fixed)
-
-    def table(self, setting_a: Setting, setting_b: Setting) -> np.ndarray:
-        """3x3 table indexed by LABEL_ORDER for both sides."""
-        return self.tables[(setting_a, setting_b)]
-
-    def prob(self, setting_a: Setting, setting_b: Setting,
-             outcome_a: int, outcome_b: int) -> float:
-        return float(
-            self.table(setting_a, setting_b)[_label_index(outcome_a), _label_index(outcome_b)]
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome_order": list(LABEL_ORDER),
-            "tables": {
-                f"{sa.value}{sb.value}": self.table(sa, sb).tolist()
-                for sa, sb in SETTING_PAIRS
-            },
-        }
-
-
-# The exact tables that report and sample print: each cell the float of its
+# The exact behavior that report and sample print: each cell the float of its
 # Fraction in qstate.ETA_BORN_TABLES (F reads phi, G reads psi), the 0 row and
 # column exactly 0.  verify checks the kernel's tables against it.
-_BASIS = {Setting.F: "phi", Setting.G: "psi"}
-EXACT_BEHAVIOR = ExactBehavior({
-    (sa, sb): np.pad(ETA_BORN_TABLES[(_BASIS[sa], _BASIS[sb])].astype(float), (0, 1))
-    for sa, sb in SETTING_PAIRS})
+EXACT_BEHAVIOR = np.pad(ETA_BORN_TABLES.astype(float), ((0, 0), (0, 1), (0, 1)))
+EXACT_BEHAVIOR.setflags(write=False)
 
 
-def exact_behavior(seed: int | None = None) -> ExactBehavior:
-    """All four setting pairs' joint outcome tables on the source state.
+def _check_behavior(exact) -> np.ndarray:
+    """A caller's exact behavior as a (4, 3, 3) float array, its cells
+    clipped at 0, or ValueError if it has another shape, a non-finite or
+    negative cell, or a table whose sum is not 1."""
+    t = np.asarray(exact, dtype=float)
+    if t.shape != (4, 3, 3):
+        raise ValueError("a behavior needs a 3x3 outcome table for each of the 4 setting pairs")
+    for pair, table in zip(SETTING_PAIRS, t):
+        if not np.isfinite(table).all():
+            raise ValueError(f"non-finite probability in table {pair}")
+        if table.min() < -1e-13:
+            raise ValueError(f"negative probability in table {pair}")
+        if abs(table.sum() - 1.0) > 1e-12:
+            raise ValueError(f"table {pair} sums to {table.sum()}, not 1")
+    return np.clip(t, 0.0, None)
+
+
+def exact_behavior(seed: int | None = None) -> np.ndarray:
+    """All four setting pairs' joint outcome tables on the source state, as
+    a (4, 3, 3) array.
 
     Each side measures each setting through the identity setup or, with
     ``seed``, through the setup _draw_setups draws from seed mod 2^64; the
@@ -203,11 +152,11 @@ def exact_behavior(seed: int | None = None) -> ExactBehavior:
     """
     u = (np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2)) if seed is None
          else _draw_setups(np.array([seed % 2**64], np.uint64))[1])
-    return ExactBehavior(dict(zip(SETTING_PAIRS, _setup_tables(u)[0])))
+    return _setup_tables(u)[0]
 
 
 def _setup_tables(u: np.ndarray) -> np.ndarray:
-    """(m, 4, 3, 3) outcome tables of m setups, by SETTING_PAIRS, from their
+    """(m, 4, 3, 3) outcome tables of m setups, by setting pair, from their
     (m, 4, 2, 2) unitaries in setup order (Alice F, Alice G, Bob F, Bob G):
     one kernel call on the complete F/G bases over all 4m
     (setting pair, setup) trials, pair-major so they come grouped by
@@ -567,52 +516,29 @@ def _csv_rows(buffers: tuple[np.ndarray, ...], trial, setting_a, setting_b,
     return rows.ravel()[keep.ravel()]
 
 
-class JointStats:
-    """Outcome-pair counts per setting pair; merging is commutative and associative."""
+def count_trials(log: TrialLog) -> np.ndarray:
+    """(4, 3, 3) int64 counts of a log's trials, by setting pair code and
+    outcome pair in LABEL_ORDER; the counts of two logs add with +."""
+    flat = np.zeros(36, np.int64)
+    # _CHUNK trials at a time, so no temporary grows with the log.
+    for start in range(0, len(log), _CHUNK):
+        sa, sb, oa, ob = (col[start:start + _CHUNK] for col in (
+            log.setting_a, log.setting_b, log.outcome_a, log.outcome_b))
+        code = ((sa.astype(np.int64) * 2 + sb) * 3 + (oa == 1)) * 3 + (ob == 1)
+        flat += np.bincount(code, minlength=36)
+    return flat.reshape(4, 3, 3)
 
-    def __init__(self) -> None:
-        self.counts = {pair: np.zeros((3, 3), dtype=np.int64) for pair in SETTING_PAIRS}
 
-    @classmethod
-    def from_records(cls, log: TrialLog) -> "JointStats":
-        """Counts of every trial in a log."""
-        flat = np.zeros(36, np.int64)
-        # _CHUNK trials at a time, so no temporary grows with the log.
-        for start in range(0, len(log), _CHUNK):
-            sa, sb, oa, ob = (col[start:start + _CHUNK] for col in (
-                log.setting_a, log.setting_b, log.outcome_a, log.outcome_b))
-            code = ((sa.astype(np.int64) * 2 + sb) * 3 + (oa == 1)) * 3 + (ob == 1)
-            flat += np.bincount(code, minlength=36)
-        stats = cls()
-        for k, pair in enumerate(SETTING_PAIRS):
-            stats.counts[pair] = flat[k * 9:(k + 1) * 9].reshape(3, 3)
-        return stats
-
-    def total(self, setting_a: Setting, setting_b: Setting) -> int:
-        return int(self.counts[(setting_a, setting_b)].sum())
-
-    def count(self, setting_a: Setting, setting_b: Setting,
-              outcome_a: int, outcome_b: int) -> int:
-        return int(self.counts[(setting_a, setting_b)][_label_index(outcome_a),
-                                                       _label_index(outcome_b)])
-
-    def frequency(self, setting_a: Setting, setting_b: Setting) -> np.ndarray:
-        """Empirical 3x3 probability table (zeros when the pair has no trials)."""
-        c = self.counts[(setting_a, setting_b)]
-        n = c.sum()
-        return c / n if n else np.zeros((3, 3))
-
-    def merge(self, other: "JointStats") -> "JointStats":
-        merged = JointStats()
-        for pair in SETTING_PAIRS:
-            merged.counts[pair] = self.counts[pair] + other.counts[pair]
-        return merged
+def _frequency(counts: np.ndarray) -> np.ndarray:
+    """Empirical (4, 3, 3) tables of counts: each pair's counts over its
+    trials, zeros for a pair with none."""
+    return counts / np.maximum(counts.sum(axis=(1, 2), keepdims=True), 1)
 
 
 def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
                fixed_rotations: bool = False,
-               measurement_path: str = "pvm") -> tuple[TrialLog, JointStats]:
-    """Run n seeded trials and return the trial log plus aggregated counts.
+               measurement_path: str = "pvm") -> tuple[TrialLog, np.ndarray]:
+    """Run n seeded trials and return the trial log plus its count_trials.
 
     measurement_path 'pvm' samples the outcome pair from the joint table of
     the -1/+1 states; 'protocol' samples a 16x16 outcome-string pair from the
@@ -651,8 +577,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
             code_a[:] = bits & np.uint64(1)
             code_b[:] = (bits >> np.uint64(1)) & np.uint64(1)
         elif kind == "fixed":
-            code_a[:] = 0 if fixed_pair[0] is Setting.F else 1
-            code_b[:] = 0 if fixed_pair[1] is Setting.F else 1
+            code_a[:], code_b[:] = fixed_pair
         else:  # cycle through FF, FG, GF, GG by trial index
             cyc = idx % np.uint64(4)
             code_a[:], code_b[:] = cyc >> np.uint64(1), cyc & np.uint64(1)
@@ -682,7 +607,7 @@ def run_trials(n: int, root_seed: int, setting_policy: str = "uniform_random",
         outcome_b[sl][order] = labels[grouped_b, row_b]
 
     log = TrialLog(trial, setting_a, setting_b, seed_a, seed_b, outcome_a, outcome_b)
-    return log, JointStats.from_records(log)
+    return log, count_trials(log)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +635,11 @@ class EprAudit:
     note: str
 
 
-def _chain(tables: dict[tuple[Setting, Setting], np.ndarray]) -> ChainValues:
-    """The chain read off 3x3 probability tables by setting pair.  A joint
-    value is None when its table is empty (no trials), a conditional when its
-    conditioning probability is at most ZERO_EVENT_TOL."""
-    one = _label_index(1)
+def _chain(tables: np.ndarray) -> ChainValues:
+    """The chain read off a (4, 3, 3) behavior.  A joint value is None when
+    its table is empty (no trials), a conditional when its conditioning
+    probability is at most ZERO_EVENT_TOL."""
+    one = LABEL_ORDER.index(1)
 
     def _joint(t):
         return float(t[one, one]) if t.any() else None
@@ -722,26 +647,25 @@ def _chain(tables: dict[tuple[Setting, Setting], np.ndarray]) -> ChainValues:
     def _cond(t, given):
         return float(t[one, one] / given) if given > ZERO_EVENT_TOL else None
 
-    fg, gf = tables[(Setting.F, Setting.G)], tables[(Setting.G, Setting.F)]
+    ff, fg, gf, gg = tables
     return ChainValues(
-        hardy_fraction=_joint(tables[(Setting.G, Setting.G)]),
+        hardy_fraction=_joint(gg),
         cond_ab=_cond(fg, fg[:, one].sum()),
         cond_ba=_cond(gf, gf[one, :].sum()),
-        joint_ff=_joint(tables[(Setting.F, Setting.F)]),
+        joint_ff=_joint(ff),
     )
 
 
-def epr_audit(trials: TrialLog | None, exact: ExactBehavior) -> EprAudit:
-    """Report the inference chain: a nonzero both-G fraction, two perfect
-    conditionals, and a forbidden both-F event.
+def epr_audit(trials: TrialLog | None, exact: np.ndarray) -> EprAudit:
+    """Report the inference chain of the (4, 3, 3) exact behavior: a nonzero
+    both-G fraction, two perfect conditionals, and a forbidden both-F event.
 
     ``trials`` is a TrialLog, or None for an exact-only audit.
     """
-    chain = _chain(exact.tables)
+    chain = _chain(_check_behavior(exact))
     empirical = None
     if trials is not None and len(trials):
-        stats = JointStats.from_records(trials)
-        empirical = _chain({pair: stats.frequency(*pair) for pair in SETTING_PAIRS})
+        empirical = _chain(_frequency(count_trials(trials)))
 
     witnessed = (
         chain.hardy_fraction is not None and chain.hardy_fraction > CHAIN_TOL
@@ -760,17 +684,16 @@ def epr_audit(trials: TrialLog | None, exact: ExactBehavior) -> EprAudit:
                     contradiction_witnessed=witnessed, note=note)
 
 
-def stats_report(stats: JointStats, exact: ExactBehavior) -> dict:
-    """JSON-ready summary keyed by setting pair: counts, frequencies, exact, deviations."""
-    report: dict = {"outcome_order": list(LABEL_ORDER), "setting_pairs": {}}
-    for sa, sb in SETTING_PAIRS:
-        freq = stats.frequency(sa, sb)
-        exact_t = exact.table(sa, sb)
-        report["setting_pairs"][f"{sa.value}{sb.value}"] = {
-            "trials": stats.total(sa, sb),
-            "counts": stats.counts[(sa, sb)].tolist(),
-            "empirical": freq.tolist(),
-            "exact": exact_t.tolist(),
-            "abs_deviation": np.abs(freq - exact_t).tolist(),
-        }
-    return report
+def stats_report(counts: np.ndarray, exact: np.ndarray) -> dict:
+    """JSON-ready summary of (4, 3, 3) counts against the exact behavior,
+    keyed by setting pair: counts, frequencies, exact, deviations."""
+    exact = _check_behavior(exact)
+    freq = _frequency(counts)
+    return {"outcome_order": list(LABEL_ORDER), "setting_pairs": {
+        pair: {
+            "trials": int(c.sum()),
+            "counts": c.tolist(),
+            "empirical": f.tolist(),
+            "exact": e.tolist(),
+            "abs_deviation": np.abs(f - e).tolist(),
+        } for pair, c, f, e in zip(SETTING_PAIRS, counts, freq, exact)}}

@@ -30,10 +30,10 @@ from .qstate import ETA_BORN_TABLES
 
 OUTCOME_VALUES = (-1, 0, 1)
 
-# The exact quantum tables, rows Alice's outcome and columns Bob's, index 0
-# for -1 and 1 for +1: F discriminates the phi pair and G the psi pair.
-_FF, _FG, _GF, _GG = (ETA_BORN_TABLES[k] for k in (
-    ("phi", "phi"), ("phi", "psi"), ("psi", "phi"), ("psi", "psi")))
+# The exact quantum tables by setting pair in FF, FG, GF, GG order, rows
+# Alice's outcome and columns Bob's, index 0 for -1 and 1 for +1: F
+# discriminates the phi pair and G the psi pair.
+_FF, _FG, _GF, _GG = ETA_BORN_TABLES
 
 HARDY_VALUE = _GG[1, 1]
 

@@ -6,9 +6,9 @@ All amplitudes are stored as complex128.  The invariant states are stated once,
 as integer kets K with one scale 1/sqrt(n) each, and their float amplitudes are
 derived from those integers.  The source state is stated once too, as an
 integer expansion over the kets; its exact Born tables, integer squares over
-112 n_a n_b, and its one float table are derived from that.  States are
-immutable after construction and hold at most MAX_QUBITS = 8 qubits, the size
-of the source state.
+112 n_a n_b in one (4, 2, 2) array by basis pair, and its one float table are
+derived from that.  States are immutable after construction and hold at most
+MAX_QUBITS = 8 qubits, the size of the source state.
 """
 
 from __future__ import annotations
@@ -106,10 +106,11 @@ _ETA_AMPS: dict[tuple[str, str], np.ndarray] = {
 ETA_PHI_PHI = _E * np.sqrt(np.outer(_NORMS, _NORMS)) / (4 * SQRT7)
 
 # Exact Born probabilities |<x_a y_b|eta>|^2 = A[a, b]^2/(112 n_a n_b) as
-# Fractions of Python ints, one table per (Alice basis, Bob basis); index 0 is
-# the pair member x_0, index 1 is x_1.
-ETA_BORN_TABLES: dict[tuple[str, str], np.ndarray] = {
-    k: np.array([[Fraction(int(c) ** 2, 112 * m * n) for c, n in zip(row, _NORMS)]
-                 for row, m in zip(a, _NORMS)], dtype=object)
-    for k, a in _ETA_AMPS.items()
-}
+# Fractions of Python ints: one read-only (4, 2, 2) array, indexed by the pair
+# code 2 x + y of Alice's and Bob's bases (phi 0, psi 1), then by the pair
+# members a and b (index 0 is x_0, index 1 is x_1).
+ETA_BORN_TABLES = np.array([
+    [[Fraction(int(c) ** 2, 112 * m * n) for c, n in zip(row, _NORMS)]
+     for row, m in zip(a, _NORMS)]
+    for a in _ETA_AMPS.values()], dtype=object)
+ETA_BORN_TABLES.setflags(write=False)

@@ -21,6 +21,11 @@ formulation of the same draw in numpy, seeds first, whose bits the
 library's trials-last draw must keep.
 ``trials_csv`` formats a trial log one row at a time from Python ints, the
 reference for the chunked CSV writer.
+``INTEGER_PAIRS`` are the invariant pairs as integer vectors, ``born_numerators``
+a table of integer outcome rows on the source state as integers over one
+denominator, and ``replay_trials`` every column of a sampled trial log
+rebuilt from the root seed and those integers alone, with no float and no
+rotation: the exact reference for what each sampled row should be.
 """
 
 import functools
@@ -126,6 +131,19 @@ def su2(seed):
     return np.array([[complex(w, -z), complex(-y, -x)], [complex(y, -x), complex(w, z)]])
 
 
+def split_array(parent, key):
+    """``split`` elementwise on uint64 arrays, in wrapping uint64 arithmetic."""
+    def mix(x):
+        x = x ^ (x >> np.uint64(30))
+        x = x * np.uint64(0xBF58476D1CE4E5B9)
+        x = x ^ (x >> np.uint64(27))
+        x = x * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    parent, key = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in (parent, key)))
+    return mix(mix(parent) + key * np.full_like(key, 0x9E3779B97F4A7C15))
+
+
 def dict_scale(a, factor):
     return {k: factor * v for k, v in a.items()}
 
@@ -159,6 +177,85 @@ ETA = dict_scale(
     ),
     1.0 / SQRT7,
 )
+
+
+def _integer_ket(ket, scale):
+    """A 4-qubit ket dict times scale, rounded to an integer vector over the
+    16 basis kets."""
+    return [round(scale * ket.get(format(i, "04b"), 0.0)) for i in range(16)]
+
+
+# phi0 = K0/2 and phi1 = K1/(2 sqrt3) with integer K, the same for psi: per
+# setting (F reads phi, G reads psi), the (2, 16) integer rows.
+INTEGER_PAIRS = (
+    np.array([_integer_ket(PHI0, 2.0), _integer_ket(PHI1, 2.0 * SQRT3)]),
+    np.array([_integer_ket(PSI0, 2.0), _integer_ket(PSI1, 2.0 * SQRT3)]),
+)
+
+
+def born_numerators(rows_a, rows_b):
+    """The joint outcome table of integer rows on the source state, as
+    integer numerators over one denominator D: (numerators, D).
+
+    With K the phi pair's integer rows, eta = (K0 K0 + K0 K1 + K1 K0)/(4 sqrt7),
+    the published (phi0 phi0 + sqrt3 phi0 phi1 + sqrt3 phi1 phi0)/sqrt7.  A row
+    r of squared norm n measures r/sqrt(n), so cell (s, t) has integer
+    amplitude B = r_s (K0^T K0 + K0^T K1 + K1^T K0) r_t^T over
+    4 sqrt(7 n_s n_t), and probability B^2/(112 n_s n_t)."""
+    k0, k1 = INTEGER_PAIRS[0]
+    grid = np.outer(k0, k0) + np.outer(k0, k1) + np.outer(k1, k0)
+    b = rows_a @ grid @ rows_b.T
+    n_a, n_b = (rows_a * rows_a).sum(axis=1), (rows_b * rows_b).sum(axis=1)
+    scale = max(n_a.max(), n_b.max()) ** 2
+    if (scale % np.outer(n_a, n_b)).any():
+        raise ValueError("row norms have no common denominator of this form")
+    numerators = b * b * (scale // np.outer(n_a, n_b))
+    denominator = 112 * int(scale)
+    if int(numerators.sum()) != denominator:
+        raise ValueError("the rows are not complete on the source state")
+    return numerators, denominator
+
+
+def replay_trials(n, root, policy, fixed_rotations, rows, labels, streams, setup_tags):
+    """The columns (trial, setting_a, setting_b, seed_a, seed_b, outcome_a,
+    outcome_b) of n sampled trials, replayed from the root seed and exact
+    integer tables, with no float and no rotation.
+
+    ``rows[x]`` are setting x's integer outcome rows (F 0, G 1) and
+    ``labels[x]`` their outcome labels; ``streams`` the (settings, Alice,
+    Bob, outcome) stream keys and ``setup_tags`` the four fixed-rotation
+    setup tags.  Trial i splits base = split(root, i) by each stream key.  A
+    trial picks the first cell, row-major, whose cumulative numerator c over
+    D reaches u = (bits + 1)/2^53, bits the outcome draw's top 53 bits:
+    c 2^53 >= (bits + 1) D.  Both denominators are 2^8 times an odd number
+    (16128 = 2^8 63, 1792 = 2^8 7), so that is c 2^45 >= (bits + 1) (D / 2^8),
+    which fits uint64."""
+    trial = np.arange(n, dtype=np.uint64)
+    base = split_array(root, trial)
+    bits, seed_a, seed_b, draw = (split_array(base, key) for key in streams)
+    if policy == "uniform":
+        setting_a, setting_b = bits & np.uint64(1), (bits >> np.uint64(1)) & np.uint64(1)
+    elif policy == "cycle":
+        setting_a, setting_b = (trial % np.uint64(4)) >> np.uint64(1), trial & np.uint64(1)
+    else:
+        x, y = ("FG".index(c) for c in policy[len("fixed:"):])
+        setting_a, setting_b = np.full(n, x, np.uint64), np.full(n, y, np.uint64)
+    setting_a, setting_b = setting_a.astype(np.int64), setting_b.astype(np.int64)
+    if fixed_rotations:
+        setup = split_array(root, setup_tags)
+        seed_a, seed_b = setup[setting_a], setup[2 + setting_b]
+    outcome_a, outcome_b = np.empty((2, n), np.int64)
+    for x in (0, 1):
+        for y in (0, 1):
+            numerators, denominator = born_numerators(rows[x], rows[y])
+            if denominator % 2**8:
+                raise ValueError("denominator is not a multiple of 2^8")
+            cum = np.cumsum(numerators.ravel()).astype(np.uint64) << np.uint64(45)
+            mine = (setting_a == x) & (setting_b == y)
+            need = ((draw[mine] >> np.uint64(11)) + np.uint64(1)) * np.uint64(denominator >> 8)
+            row, col = np.divmod(np.searchsorted(cum, need, side="left"), len(rows[y]))
+            outcome_a[mine], outcome_b[mine] = labels[x][row], labels[y][col]
+    return trial, setting_a, setting_b, seed_a, seed_b, outcome_a, outcome_b
 
 
 def eta():

@@ -13,7 +13,7 @@ import numpy as np
 import oracles
 from afbell.cli import main as cli_main
 from afbell.experiment import (
-    Setting,
+    LABEL_ORDER,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -32,6 +32,11 @@ from afbell.rotations import fourfold, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
 
+# A behavior's axes: the setting pair's code 2 x + y (F 0, G 1), then Alice's
+# and Bob's outcome indices in LABEL_ORDER.
+FF, FG, GF, GG = range(4)
+ONE = LABEL_ORDER.index(1)
+
 
 def _report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS  ({detail})")
@@ -40,11 +45,11 @@ def _report(criterion: str, detail: str) -> None:
 def test_criterion_1_exact_identity_suite():
     t0 = time.perf_counter()
     behavior = exact_behavior()
-    dev_ff = behavior.prob(Setting.F, Setting.F, 1, 1)
+    dev_ff = float(behavior[FF, ONE, ONE])
     chain = epr_audit(None, behavior).exact
     dev_ab = abs(chain.cond_ab - 1.0)
     dev_ba = abs(chain.cond_ba - 1.0)
-    dev_gg = abs(behavior.prob(Setting.G, Setting.G, 1, 1) - HARDY)
+    dev_gg = abs(float(behavior[GG, ONE, ONE]) - HARDY)
     elapsed = time.perf_counter() - t0
     assert dev_ff < 1e-12
     assert dev_ab < 1e-12
@@ -61,10 +66,10 @@ def test_criterion_2_rotation_robustness():
     for k in range(20):
         b = exact_behavior(split_seed(20260810, k))
         chain = epr_audit(None, b).exact
-        worst = max(worst, b.prob(Setting.F, Setting.F, 1, 1))
+        worst = max(worst, float(b[FF, ONE, ONE]))
         worst = max(worst, abs(chain.cond_ab - 1.0))
         worst = max(worst, abs(chain.cond_ba - 1.0))
-        worst = max(worst, abs(b.prob(Setting.G, Setting.G, 1, 1) - HARDY))
+        worst = max(worst, abs(float(b[GG, ONE, ONE]) - HARDY))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -104,7 +109,7 @@ def test_criterion_4_expansion_consistency():
         rebuilt = qstate._pair(a).T @ table @ qstate._pair(b)
         worst = max(worst, oracles.distance(eta, StateVector(8, rebuilt.reshape(256))))
     assert worst < 1e-12
-    table = exact_behavior().table(Setting.G, Setting.G)
+    table = exact_behavior()[GG]
     expected = np.array(
         [[Fraction(49, 112), Fraction(27, 112), 0],
          [Fraction(27, 112), Fraction(9, 112), 0],
@@ -158,19 +163,19 @@ def test_criterion_5_local_protocol_equivalence():
 
 def test_criterion_6_monte_carlo_reproduction():
     t0 = time.perf_counter()
-    _, stats_gg = run_trials(1_000_000, 424242, "fixed:GG")
-    n = stats_gg.total(Setting.G, Setting.G)
-    p_hat = stats_gg.count(Setting.G, Setting.G, 1, 1) / n
+    _, counts_gg = run_trials(1_000_000, 424242, "fixed:GG")
+    n = int(counts_gg[GG].sum())
+    p_hat = int(counts_gg[GG, ONE, ONE]) / n
     bound = 3.0 * math.sqrt(HARDY * (1.0 - HARDY) / n)
     assert n == 1_000_000
     assert abs(p_hat - HARDY) < bound
 
-    _, stats_ff = run_trials(100_000, 515151, "fixed:FF")
-    ff_ones = stats_ff.count(Setting.F, Setting.F, 1, 1)
+    _, counts_ff = run_trials(100_000, 515151, "fixed:FF")
+    ff_ones = counts_ff[FF, ONE, ONE]
     assert ff_ones == 0
 
-    _, stats_gf = run_trials(100_000, 616161, "fixed:GF")
-    gf = stats_gf.counts[(Setting.G, Setting.F)]
+    _, counts_gf = run_trials(100_000, 616161, "fixed:GF")
+    gf = counts_gf[GF]
     a_one_b_not_one = int(gf[1, 0] + gf[1, 2])
     assert a_one_b_not_one == 0
     assert int(gf[1, 1]) > 0
@@ -191,7 +196,7 @@ def test_criterion_7_lhv_infeasibility():
     ceiling = max_hardy_fraction(zeros)
     assert ceiling == Fraction(0)
     assert ceiling < HARDY_VALUE == Fraction(9, 112)
-    quantum_value = exact_behavior().prob(Setting.G, Setting.G, 1, 1)
+    quantum_value = float(exact_behavior()[GG, ONE, ONE])
     assert abs(quantum_value - float(HARDY_VALUE)) < 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -203,10 +208,12 @@ def test_criterion_8_no_signaling():
     worst = 0.0
     for behavior in (exact_behavior(),
                      exact_behavior(split_seed(88, 1))):
-        for own in (Setting.F, Setting.G):
+        # Axes (Alice's setting, Bob's setting, Alice's outcome, Bob's outcome).
+        tables = behavior.reshape(2, 2, 3, 3)
+        for own in (0, 1):
             # Alice's marginal under Bob's two settings, and Bob's under Alice's.
-            alice = [behavior.table(own, remote).sum(axis=1) for remote in Setting]
-            bob = [behavior.table(remote, own).sum(axis=0) for remote in Setting]
+            alice = [tables[own, remote].sum(axis=1) for remote in (0, 1)]
+            bob = [tables[remote, own].sum(axis=0) for remote in (0, 1)]
             for m_f, m_g in (alice, bob):
                 worst = max(worst, float(np.abs(m_f - m_g).max()))
     assert worst < 1e-12

@@ -22,7 +22,7 @@ from afbell.cli import (
     parse_trials,
     run_verify_suite,
 )
-from afbell.experiment import run_trials
+from afbell.experiment import SETTING_PAIRS, run_trials
 from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import sample_su2_batch, split_seed
@@ -349,10 +349,8 @@ def test_verify_identity_rows_read_the_kernel(tmp_path, capsys, monkeypatch):
 def test_printed_exact_cells_are_floats_of_the_rationals(tmp_path, capsys):
     # Every exact cell that report and sample print is the float of its
     # Fraction, bit for bit, and the 23 cells that are exactly 0 read 0.0.
-    basis = {"F": "phi", "G": "psi"}
-
     def exact(pair, i, j):
-        return float(ETA_BORN_TABLES[basis[pair[0]], basis[pair[1]]][i, j]) if max(i, j) < 2 else 0.0
+        return float(ETA_BORN_TABLES[SETTING_PAIRS.index(pair), i, j]) if max(i, j) < 2 else 0.0
 
     assert main(["report", "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
     assert main(["sample", "--trials", "2000", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -17,10 +18,8 @@ from afbell.experiment import (
     LABEL_ORDER,
     SETTING_PAIRS,
     ChainValues,
-    ExactBehavior,
-    JointStats,
-    Setting,
     TrialLog,
+    count_trials,
     epr_audit,
     exact_behavior,
     joint_born,
@@ -42,13 +41,17 @@ from afbell.rotations import (
 
 TOL = 1e-12
 
-# Joint tables as exact rationals, rows/cols ordered (-1, +1, 0).
+# A behavior's axes: the setting pair's code 2 x + y (F 0, G 1), then
+# Alice's and Bob's outcome indices in LABEL_ORDER.
+FF, FG, GF, GG = range(4)
+
+# Joint tables as exact rationals by setting pair, rows/cols ordered (-1, +1, 0).
 EXPECTED = {
-    ("F", "F"): [[Fraction(1, 7), Fraction(3, 7), 0], [Fraction(3, 7), 0, 0], [0, 0, 0]],
-    ("F", "G"): [[Fraction(4, 7), 0, 0], [Fraction(3, 28), Fraction(9, 28), 0], [0, 0, 0]],
-    ("G", "F"): [[Fraction(4, 7), Fraction(3, 28), 0], [0, Fraction(9, 28), 0], [0, 0, 0]],
-    ("G", "G"): [[Fraction(49, 112), Fraction(27, 112), 0],
-                 [Fraction(27, 112), Fraction(9, 112), 0], [0, 0, 0]],
+    "FF": [[Fraction(1, 7), Fraction(3, 7), 0], [Fraction(3, 7), 0, 0], [0, 0, 0]],
+    "FG": [[Fraction(4, 7), 0, 0], [Fraction(3, 28), Fraction(9, 28), 0], [0, 0, 0]],
+    "GF": [[Fraction(4, 7), Fraction(3, 28), 0], [0, Fraction(9, 28), 0], [0, 0, 0]],
+    "GG": [[Fraction(49, 112), Fraction(27, 112), 0],
+           [Fraction(27, 112), Fraction(9, 112), 0], [0, 0, 0]],
 }
 
 
@@ -92,14 +95,15 @@ GOLDEN_OUTCOMES = [
 ]
 
 
-# sha256 of the kernel's four exact tables' float64 bytes, in SETTING_PAIRS
-# order.  No output prints these floats (report and sample print
-# EXACT_BEHAVIOR, the floats of the rationals); only verify's deviations read
-# them, so a kernel change that moves any bit moves those deviations and this
-# pin, and must be reported.  Recorded for the rank-2 kernel: against the
-# dense-grid kernel before it, the 13 nonzero cells kept every bit and 23
-# zero cells moved within rounding dust (below 1.5e-32).  The 35-monomial
-# kernel that replaced its mode products kept every bit of these tables.
+# sha256 of the float64 bytes of exact_behavior(), the kernel's four exact
+# tables in setting pair order.  No output prints these floats (report and
+# sample print EXACT_BEHAVIOR, the floats of the rationals); only verify's
+# deviations read them, so a kernel change that moves any bit moves those
+# deviations and this pin, and must be reported.  Recorded for the rank-2
+# kernel: against the dense-grid kernel before it, the 13 nonzero cells kept
+# every bit and 23 zero cells moved within rounding dust (below 1.5e-32).
+# The 35-monomial kernel that replaced its mode products kept every bit of
+# these tables.
 EXACT_TABLES_SHA256 = "ab021e35a14cf17bc087c35d99af624572bf5d91b8533485ef7a55ca64666e45"
 
 
@@ -116,13 +120,13 @@ def behavior():
 
 
 def test_exact_tables_bytes_pinned(behavior):
-    tables = np.stack([behavior.table(*pair) for pair in SETTING_PAIRS])
-    assert hashlib.sha256(tables.tobytes()).hexdigest() == EXACT_TABLES_SHA256
+    assert behavior.shape == (4, 3, 3) and behavior.dtype == np.float64
+    assert hashlib.sha256(behavior.tobytes()).hexdigest() == EXACT_TABLES_SHA256
 
 
 def test_exact_tables_match_rationals(behavior):
-    for (sa, sb), expected in EXPECTED.items():
-        table = behavior.table(Setting(sa), Setting(sb))
+    assert list(EXPECTED) == list(SETTING_PAIRS)
+    for table, expected in zip(behavior, EXPECTED.values()):
         for i in range(3):
             for j in range(3):
                 assert table[i, j] == pytest.approx(float(expected[i][j]), abs=TOL)
@@ -131,8 +135,8 @@ def test_exact_tables_match_rationals(behavior):
 def test_derived_born_tables_and_constraint_values_are_exact():
     # qstate derives the tables from the invariant pair's integer kets and
     # eta's integer expansion over them; no tolerance anywhere.
-    basis = {"F": "phi", "G": "psi"}
-    born = {(sa, sb): ETA_BORN_TABLES[(basis[sa], basis[sb])] for sa, sb in EXPECTED}
+    assert ETA_BORN_TABLES.shape == (4, 2, 2) and not ETA_BORN_TABLES.flags.writeable
+    born = dict(zip(EXPECTED, ETA_BORN_TABLES))
     for key, expected in EXPECTED.items():
         assert born[key].tolist() == [row[:2] for row in expected[:2]], key
         # Python ints, which an LP's Fraction products cannot overflow.
@@ -140,20 +144,19 @@ def test_derived_born_tables_and_constraint_values_are_exact():
                    and type(x.denominator) is int for x in born[key].flat)
     values = {c.name: c.value for c in quantum_constraints()}
     assert values == {
-        "ff_zero": born[("F", "F")][1, 1],
-        "gb_implies_fa": born[("F", "G")][0, 1],
-        "ga_implies_fb": born[("G", "F")][1, 0],
-        "gg_hardy": born[("G", "G")][1, 1],
-        "no_zero_outcome": 1 - born[("F", "F")].sum(),
+        "ff_zero": born["FF"][1, 1],
+        "gb_implies_fa": born["FG"][0, 1],
+        "ga_implies_fb": born["GF"][1, 0],
+        "gg_hardy": born["GG"][1, 1],
+        "no_zero_outcome": 1 - born["FF"].sum(),
     }
-    assert HARDY_VALUE == born[("G", "G")][1, 1] == Fraction(9, 112)
+    assert HARDY_VALUE == born["GG"][1, 1] == Fraction(9, 112)
 
 
 def test_exact_tables_are_distributions(behavior):
     rotated = [exact_behavior(split_seed(271828, k)) for k in range(5)]
     for b in (behavior, *rotated):
-        for sa, sb in SETTING_PAIRS:
-            t = b.table(sa, sb)
+        for t in b:
             assert abs(t.sum() - 1.0) < TOL
             assert t.min() >= 0.0
             # The 0 label's mass, its row plus its column.
@@ -162,51 +165,50 @@ def test_exact_tables_are_distributions(behavior):
 
 def test_the_four_identities(behavior):
     chain = epr_audit(None, behavior).exact
-    assert behavior.prob(Setting.F, Setting.F, 1, 1) < TOL
+    assert behavior[FF, 1, 1] < TOL
     assert chain.cond_ab == pytest.approx(1.0, abs=TOL)
     assert chain.cond_ba == pytest.approx(1.0, abs=TOL)
-    assert behavior.prob(Setting.G, Setting.G, 1, 1) == pytest.approx(
+    assert behavior[GG, 1, 1] == pytest.approx(
         float(Fraction(9, 112)), abs=TOL)
 
 
 def test_marginals_and_no_signaling(behavior):
-    # Alice's marginals are row sums and Bob's column sums of the tables.
-    for own in (Setting.F, Setting.G):
-        alice = [behavior.table(own, remote).sum(axis=1) for remote in Setting]
-        bob = [behavior.table(remote, own).sum(axis=0) for remote in Setting]
+    # Alice's marginals are row sums and Bob's column sums of the tables,
+    # here by (Alice's setting, Bob's setting).
+    tables = behavior.reshape(2, 2, 3, 3)
+    for own in (0, 1):
+        alice = [tables[own, remote].sum(axis=1) for remote in (0, 1)]
+        bob = [tables[remote, own].sum(axis=0) for remote in (0, 1)]
         for m_f, m_g in (alice, bob):
             assert np.abs(m_f - m_g).max() < TOL
     # Known marginal values.
-    assert behavior.table(Setting.F, Setting.F).sum(axis=1)[1] == pytest.approx(
-        3.0 / 7.0, abs=TOL)
-    assert behavior.table(Setting.F, Setting.G).sum(axis=0)[1] == pytest.approx(
-        9.0 / 28.0, abs=TOL)
+    assert behavior[FF].sum(axis=1)[1] == pytest.approx(3.0 / 7.0, abs=TOL)
+    assert behavior[FG].sum(axis=0)[1] == pytest.approx(9.0 / 28.0, abs=TOL)
 
 
 def test_rotated_behavior_identical(behavior):
     for k in range(5):
         rotated = exact_behavior(split_seed(314159, k))
-        for sa, sb in SETTING_PAIRS:
-            assert np.abs(rotated.table(sa, sb) - behavior.table(sa, sb)).max() < 1e-10
+        assert np.abs(rotated - behavior).max() < 1e-10
 
 
 def test_exact_behavior_matches_dense_born_rule():
     # Every cell, the 0 row and column included, against joint_born on
     # projectors rotated by the dense four-fold power.
     eta = oracles.eta()
-    canonical = {Setting.F: build_F(), Setting.G: build_G()}
+    canonical = (build_F(), build_G())
+    assert all([label for label, _ in pvm.outcomes] == list(LABEL_ORDER) for pvm in canonical)
     for k in range(5):
         seed = split_seed(4242, k)
         behavior = exact_behavior(seed)
         alice_f, alice_g, bob_f, bob_g = _setup(seed)
-        alice = {Setting.F: alice_f, Setting.G: alice_g}
-        bob = {Setting.F: bob_f, Setting.G: bob_g}
-        for sa, sb in SETTING_PAIRS:
+        alice, bob = (alice_f, alice_g), (bob_f, bob_g)
+        for pair, (sa, sb) in enumerate(np.ndindex(2, 2)):
             probs = joint_born(eta, rotate_pvm(alice[sa], canonical[sa]),
                                rotate_pvm(bob[sb], canonical[sb]))
-            assert len(probs) == 9
-            for (la, lb), p in probs.items():
-                assert abs(behavior.prob(sa, sb, la, lb) - p) < 1e-14, (k, sa, sb, la, lb)
+            assert probs.shape == (3, 3)
+            for (i, j), p in np.ndenumerate(probs):
+                assert abs(behavior[pair, i, j] - p) < 1e-14, (k, pair, i, j)
 
 
 def test_joint_born_agrees_with_sequential_projection():
@@ -215,22 +217,26 @@ def test_joint_born_agrees_with_sequential_projection():
     for pvm_a, pvm_b in ((f, f), (f, g), (g, g)):
         joint = joint_born(eta, pvm_a, pvm_b)
         seq = sequential_joint(eta, pvm_a, pvm_b)
-        for key in joint:
-            assert joint[key] == pytest.approx(seq[key], abs=TOL)
+        assert joint.shape == (3, 3) and len(seq) == 9
+        for (i, (la, _)), (j, (lb, _)) in itertools.product(
+                enumerate(pvm_a.outcomes), enumerate(pvm_b.outcomes)):
+            assert joint[i, j] == pytest.approx(seq[la, lb], abs=TOL)
     alice_f, _, _, bob_g = _setup(777)
     ra = rotate_pvm(alice_f, f)
     rb = rotate_pvm(bob_g, g)
     joint = joint_born(eta, ra, rb)
     seq = sequential_joint(eta, ra, rb)
-    for key in joint:
-        assert joint[key] == pytest.approx(seq[key], abs=TOL)
+    for (i, (la, _)), (j, (lb, _)) in itertools.product(
+            enumerate(ra.outcomes), enumerate(rb.outcomes)):
+        assert joint[i, j] == pytest.approx(seq[la, lb], abs=TOL)
 
 
 def test_parse_policy():
     assert parse_policy("uniform") == ("uniform", None)
     assert parse_policy("uniform_random") == ("uniform", None)
     assert parse_policy("cycle") == ("cycle", None)
-    assert parse_policy("fixed:GF") == ("fixed", (Setting.G, Setting.F))
+    assert parse_policy("fixed:GF") == ("fixed", (1, 0))
+    assert parse_policy("fixed:FG") == ("fixed", (0, 1))
     with pytest.raises(ValueError):
         parse_policy("fixed:XY")
     with pytest.raises(ValueError):
@@ -244,8 +250,8 @@ def test_run_trials_reproducible():
         assert np.array_equal(getattr(log1, col), getattr(log2, col))
     log3, _ = run_trials(4000, 2025, "uniform")
     assert not np.array_equal(log1.outcome_a, log3.outcome_a)
-    for pair in SETTING_PAIRS:
-        assert np.array_equal(stats1.counts[pair], stats2.counts[pair])
+    assert stats1.shape == (4, 3, 3) and stats1.dtype == np.int64
+    assert np.array_equal(stats1, stats2)
     assert log1.trial.tolist() == list(range(4000))
     # Per-trial seeds differ across trials (fresh rotations every trial) and sides.
     assert len(set(log1.seed_a.tolist())) == 4000
@@ -310,6 +316,30 @@ def test_run_trials_seed_streams(monkeypatch):
     assert np.array_equal(log.outcome_b[order], labels[log.setting_b[order], row_b])
 
 
+@pytest.mark.parametrize("root", [0, 2**64 - 1])
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("policy", ["uniform", "cycle", "fixed:FF", "fixed:FG", "fixed:GF",
+                                    "fixed:GG"])
+@pytest.mark.parametrize("path", ["pvm", "protocol"])
+def test_rows_replay_from_the_root_and_the_integer_tables(path, policy, fixed, root):
+    # Every column of every row is a function of the root seed and the exact
+    # integer tables alone: the replay uses no float and no rotation.  One
+    # trial past a whole chunk leaves a one-trial last chunk.
+    if path == "pvm":
+        rows, labels = oracles.INTEGER_PAIRS, np.array([[-1, 1]] * 2)
+    else:
+        protocols = [local_protocol_for(s) for s in "FG"]
+        rows = [p.integer_eigenvectors for p in protocols]
+        labels = np.array([p.labels for p in protocols])
+    n = experiment._MEASUREMENTS[path][2] + 1
+    log, _ = run_trials(n, root, policy, fixed_rotations=fixed, measurement_path=path)
+    replay = oracles.replay_trials(
+        n, root, policy, fixed, rows, labels,
+        (STREAM_SETTINGS, STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME), experiment._SETUP_TAGS)
+    for col, want in zip(LOG_COLUMNS, replay):
+        assert getattr(log, col).tolist() == want.tolist(), col
+
+
 def test_setup_rotations_seeds_are_split_seeds():
     tags = experiment._SETUP_TAGS.tolist()
     # Python ints are reduced mod 2^64, as split_seed reduces them.
@@ -317,34 +347,30 @@ def test_setup_rotations_seeds_are_split_seeds():
         seeds, u = experiment._draw_setups(np.array([seed % 2**64], np.uint64))
         assert seeds.tolist() == [[split_seed(seed, tag) for tag in tags]]
         assert np.array_equal(u[0], _setup(seed))
-        reduced = exact_behavior(seed % 2**64).tables
-        assert all(np.array_equal(t, reduced[pair])
-                   for pair, t in exact_behavior(seed).tables.items())
+        assert np.array_equal(exact_behavior(seed), exact_behavior(seed % 2**64))
 
 
 def test_run_trials_policies():
     _, stats = run_trials(2000, 3, "fixed:GG")
-    assert stats.total(Setting.G, Setting.G) == 2000
-    assert sum(stats.total(*p) for p in SETTING_PAIRS) == 2000
+    assert stats[GG].sum() == 2000
+    assert stats.sum() == 2000
 
     log, stats = run_trials(8, 3, "cycle")
-    for pair in SETTING_PAIRS:
-        assert stats.total(*pair) == 2
+    assert stats.sum(axis=(1, 2)).tolist() == [2, 2, 2, 2]
     # Setting codes: 0 is F, 1 is G.
     assert log.setting_a.tolist() == [0, 0, 1, 1] * 2
     assert log.setting_b.tolist() == [0, 1, 0, 1] * 2
 
     _, stats = run_trials(20_000, 4, "uniform")
-    for pair in SETTING_PAIRS:
-        assert abs(stats.total(*pair) - 5000) < 4 * math.sqrt(20_000 * 0.25 * 0.75)
+    for total in stats.sum(axis=(1, 2)):
+        assert abs(total - 5000) < 4 * math.sqrt(20_000 * 0.25 * 0.75)
 
 
 def test_run_trials_outcome_zero_never_occurs():
     log, stats = run_trials(20_000, 99, "uniform")
     assert not np.any(log.outcome_a == 0)
     assert not np.any(log.outcome_b == 0)
-    for pair in SETTING_PAIRS:
-        c = stats.counts[pair]
+    for c in stats:
         assert c[2, :].sum() == 0 and c[:, 2].sum() == 0
 
 
@@ -674,11 +700,11 @@ def test_fixed_rotations_mode():
     assert set(log.seed_b[~f_mask].tolist()) == {setup_seeds[3]}
     # Statistics still follow the exact tables.
     behavior = exact_behavior()
-    freq = stats.frequency(Setting.G, Setting.G)
-    n = stats.total(Setting.G, Setting.G)
+    n = stats[GG].sum()
+    freq = stats[GG] / n
     if n > 200:
         bound = 4 * math.sqrt(0.5 / n)
-        assert np.abs(freq[:2, :2] - behavior.table(Setting.G, Setting.G)[:2, :2]).max() < bound
+        assert np.abs(freq[:2, :2] - behavior[GG, :2, :2]).max() < bound
 
 
 @pytest.mark.parametrize("path", ["pvm", "protocol"])
@@ -801,53 +827,32 @@ def test_to_csv_memory_is_per_chunk(tmp_path):
     assert abs(large - small) <= 2**19
 
 
-def test_jointstats_paths_agree():
+def test_count_trials_matches_a_counter():
     log, stats = run_trials(2500, 8, "uniform")
     # Pure-Python reference: count (setting_a, setting_b, outcome_a, outcome_b) rows.
     rows = Counter(zip(log.setting_a.tolist(), log.setting_b.tolist(),
                        log.outcome_a.tolist(), log.outcome_b.tolist()))
-    codes = {Setting.F: 0, Setting.G: 1}
-    for path in (stats, JointStats.from_records(log)):
-        for sa, sb in SETTING_PAIRS:
-            for i, la in enumerate(LABEL_ORDER):
-                for j, lb in enumerate(LABEL_ORDER):
-                    expected = rows[(codes[sa], codes[sb], la, lb)]
-                    assert path.counts[(sa, sb)][i, j] == expected
-
-
-def test_jointstats_merge_commutative():
-    _, s1 = run_trials(1000, 9, "uniform")
-    _, s2 = run_trials(1000, 10, "uniform")
-    ab = s1.merge(s2)
-    ba = s2.merge(s1)
-    for pair in SETTING_PAIRS:
-        assert np.array_equal(ab.counts[pair], ba.counts[pair])
-        assert ab.counts[pair].sum() == s1.counts[pair].sum() + s2.counts[pair].sum()
-
-
-def test_jointstats_starts_from_zero_counts():
-    # Counts come only from a log (from_records) or a merge; a table passed in
-    # could hold a stray key or fractional counts.
-    empty = JointStats()
-    assert sorted(empty.counts, key=SETTING_PAIRS.index) == list(SETTING_PAIRS)
-    for pair in SETTING_PAIRS:
-        assert empty.counts[pair].dtype == np.int64 and not empty.counts[pair].any()
-    with pytest.raises(TypeError):
-        JointStats({(Setting.F, Setting.F): np.ones((3, 3))})
+    for counts in (stats, count_trials(log)):
+        assert counts.shape == (4, 3, 3) and counts.dtype == np.int64
+        for (pair, i, j), n in np.ndenumerate(counts):
+            assert n == rows[(*divmod(pair, 2), LABEL_ORDER[i], LABEL_ORDER[j])]
+    # An empty log counts zero trials in every cell of every pair.
+    empty = count_trials(TrialLog(*[[]] * len(LOG_COLUMNS)))
+    assert empty.shape == (4, 3, 3) and empty.dtype == np.int64 and not empty.any()
 
 
 def test_sampled_frequencies_match_exact():
     _, stats = run_trials(100_000, 31337, "fixed:GG")
-    p_hat = stats.count(Setting.G, Setting.G, 1, 1) / stats.total(Setting.G, Setting.G)
+    p_hat = stats[GG, 1, 1] / stats[GG].sum()
     p = float(Fraction(9, 112))
     assert abs(p_hat - p) < 3 * math.sqrt(p * (1 - p) / 100_000)
 
 
 def test_forbidden_and_certain_events_in_samples():
     _, stats = run_trials(50_000, 777, "fixed:FF")
-    assert stats.count(Setting.F, Setting.F, 1, 1) == 0
+    assert stats[FF, 1, 1] == 0
     _, stats = run_trials(50_000, 778, "fixed:GF")
-    gf = stats.counts[(Setting.G, Setting.F)]
+    gf = stats[GF]
     row_plus = gf[1, :]
     assert row_plus[0] == 0 and row_plus[2] == 0 and row_plus[1] > 0
 
@@ -860,15 +865,15 @@ def test_protocol_path_agrees_with_pvm_path():
     assert np.array_equal(log_p.setting_a, log_v.setting_a)
     assert np.array_equal(log_p.seed_b, log_v.seed_b)
     behavior = exact_behavior()
-    for sa, sb in SETTING_PAIRS:
-        n_pair = stats_p.total(sa, sb)
+    for counts_p, counts_v, exact_t in zip(stats_p, stats_v, behavior):
+        n_pair = counts_p.sum()
         bound = 4 * math.sqrt(0.5 / n_pair)
-        exact_t = behavior.table(sa, sb)
-        assert np.abs(stats_p.frequency(sa, sb)[:2, :2] - exact_t[:2, :2]).max() < bound
-        assert np.abs(stats_p.frequency(sa, sb) - stats_v.frequency(sa, sb)).max() < 2 * bound
+        freq_p, freq_v = counts_p / n_pair, counts_v / counts_v.sum()
+        assert np.abs(freq_p[:2, :2] - exact_t[:2, :2]).max() < bound
+        assert np.abs(freq_p - freq_v).max() < 2 * bound
     # The structurally forbidden events stay exactly empty on both paths.
-    assert stats_p.count(Setting.F, Setting.F, 1, 1) == 0
-    assert stats_p.count(Setting.F, Setting.G, -1, 1) == 0
+    assert stats_p[FF, 1, 1] == 0
+    assert stats_p[FG, 0, 1] == 0
 
 
 def test_epr_audit_exact_chain(behavior):
@@ -884,11 +889,10 @@ def test_epr_audit_exact_chain(behavior):
 
 def test_epr_audit_degenerate_behavior(behavior):
     # Move the both-1 mass of the (G,G) table elsewhere: no contradiction left.
-    tables = {pair: behavior.table(*pair).copy() for pair in SETTING_PAIRS}
-    t = tables[(Setting.G, Setting.G)]
+    degenerate = behavior.copy()
+    t = degenerate[GG]
     t[0, 0] += t[1, 1]
     t[1, 1] = 0.0
-    degenerate = ExactBehavior(tables)
     audit = epr_audit(None, degenerate)
     assert not audit.contradiction_witnessed
     assert audit.note == "no contradiction witnessed"
@@ -898,7 +902,7 @@ def test_epr_audit_with_samples(behavior):
     log, _ = run_trials(40_000, 11, "uniform")
     audit = epr_audit(log, behavior)
     assert audit.empirical is not None
-    n_gg = JointStats.from_records(log).total(Setting.G, Setting.G)
+    n_gg = count_trials(log)[GG].sum()
     p = float(Fraction(9, 112))
     assert abs(audit.empirical.hardy_fraction - p) < 3 * math.sqrt(p * (1 - p) / n_gg)
     assert audit.empirical.cond_ab == pytest.approx(1.0)
@@ -961,24 +965,39 @@ def test_stats_report_structure(behavior):
     assert report["outcome_order"] == list(LABEL_ORDER)
     assert set(report["setting_pairs"]) == {"FF", "FG", "GF", "GG"}
     gg = report["setting_pairs"]["GG"]
-    assert gg["trials"] == stats.total(Setting.G, Setting.G)
+    assert gg["trials"] == stats[GG].sum()
     assert np.array(gg["abs_deviation"]).shape == (3, 3)
 
 
+def _audit_and_report(exact):
+    """Both callers that check an exact behavior a caller passes."""
+    _, counts = run_trials(8, 3, "cycle")
+    return epr_audit(None, exact), stats_report(counts, exact)
+
+
 def test_exact_behavior_validation():
-    bad = {pair: np.full((3, 3), 1.0 / 9.0) for pair in SETTING_PAIRS}
-    ExactBehavior(bad)  # uniform tables are fine
-    bad[(Setting.F, Setting.F)] = np.full((3, 3), 0.2)
-    with pytest.raises(ValueError):
-        ExactBehavior(bad)
+    bad = np.full((4, 3, 3), 1.0 / 9.0)
+    _audit_and_report(bad)  # uniform tables are fine
+    bad[FF] = np.full((3, 3), 0.2)
+    with pytest.raises(ValueError, match="table FF sums to"):
+        epr_audit(None, bad)
+    with pytest.raises(ValueError, match="table FF sums to"):
+        stats_report(np.zeros((4, 3, 3), np.int64), bad)
+    bad[FF] = 1.0 / 9.0
+    bad[GG, 0, 1] += bad[GG, 0, 0] + 2e-13
+    bad[GG, 0, 0] = -2e-13
+    with pytest.raises(ValueError, match="negative probability in table GG"):
+        _audit_and_report(bad)
 
 
 @pytest.mark.filterwarnings("error")
 def test_exact_behavior_rejects_non_finite_and_missing_tables():
-    tables = {pair: np.full((3, 3), 1.0 / 9.0) for pair in SETTING_PAIRS}
+    tables = np.full((4, 3, 3), 1.0 / 9.0)
     for bad in (np.nan, np.inf):
-        tables[(Setting.G, Setting.F)] = np.full((3, 3), bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            ExactBehavior(tables)
-    with pytest.raises(ValueError, match="setting pair FF"):
-        ExactBehavior({})
+        tables[GF] = bad
+        with pytest.raises(ValueError, match="non-finite probability in table GF"):
+            _audit_and_report(tables)
+    # A missing table, or a missing outcome, is the wrong shape.
+    for shape in ((3, 3, 3), (4, 2, 2), (36,)):
+        with pytest.raises(ValueError, match="3x3 outcome table for each of the 4"):
+            _audit_and_report(np.full(shape, 1.0 / 9.0))

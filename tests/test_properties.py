@@ -14,9 +14,8 @@ from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
     MEASUREMENT_PATHS,
-    JointStats,
-    Setting,
     TrialLog,
+    count_trials,
     run_trials,
 )
 from afbell.rotations import fourfold, sample_su2_batch
@@ -104,27 +103,25 @@ def _concat(logs: list[TrialLog]) -> TrialLog:
 @PROPERTY
 @given(logs=st.lists(trial_logs, min_size=3, max_size=3))
 def test_merge_is_associative_and_counts_the_concatenated_log(logs):
-    a, b, c = map(JointStats.from_records, logs)
-    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
-    whole = JointStats.from_records(_concat(logs))
-    for pair, counts in whole.counts.items():
-        assert np.array_equal(left.counts[pair], counts)
-        assert np.array_equal(right.counts[pair], counts)
+    # Merging counts is +: the counts of the concatenated log equal the sum
+    # of the parts' counts, in any grouping and order.
+    a, b, c = map(count_trials, logs)
+    whole = count_trials(_concat(logs))
+    for merged in ((a + b) + c, a + (b + c), (c + a) + b):
+        assert merged.dtype == np.int64 and np.array_equal(merged, whole)
 
 
 @PROPERTY
 @given(rows=st.lists(count_rows, max_size=400), chunk=st.integers(1, 300))
 def test_counts_are_independent_of_chunking(rows, chunk):
-    # from_records counts _CHUNK trials at a time; any chunk size gives the
-    # counts of a Counter over the rows.
-    codes = {Setting.F: 0, Setting.G: 1}
+    # count_trials counts _CHUNK trials at a time; any chunk size gives the
+    # counts of a Counter over the rows, by pair code 2 setting_a + setting_b.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "_CHUNK", chunk)
-        stats = JointStats.from_records(_log(rows))
+        counts = count_trials(_log(rows))
     want = Counter(rows)
-    for (sa, sb), counts in stats.counts.items():
-        assert counts.tolist() == [[want[(codes[sa], codes[sb], la, lb)] for lb in LABEL_ORDER]
-                                   for la in LABEL_ORDER]
+    assert counts.tolist() == [[[want[(sa, sb, la, lb)] for lb in LABEL_ORDER]
+                                for la in LABEL_ORDER] for sa in (0, 1) for sb in (0, 1)]
 
 
 @PROPERTY

@@ -14,11 +14,6 @@ NO_SRC_CALLER = {
     # The library's call for the exact tables of a rotated setup; the
     # benchmark harness calls it.
     "exact_behavior",
-    # Acceptance criteria 1, 2 and 7 read P(a, b | x, y) through it.
-    "ExactBehavior.prob",
-    # Folds the counts of separately sampled chunks; streaming sample's chunk
-    # counts are meant to be its first src/ caller.
-    "JointStats.merge",
 }
 
 
