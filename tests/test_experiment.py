@@ -827,16 +827,32 @@ def test_to_csv_memory_is_per_chunk(tmp_path):
     assert abs(large - small) <= 2**19
 
 
-def test_count_trials_matches_a_counter():
+def test_jointstats_paths_agree():
+    # Both count paths, run_trials' counts and count_trials(log), against a
+    # pure-Python Counter of (setting_a, setting_b, outcome_a, outcome_b) rows.
     log, stats = run_trials(2500, 8, "uniform")
-    # Pure-Python reference: count (setting_a, setting_b, outcome_a, outcome_b) rows.
     rows = Counter(zip(log.setting_a.tolist(), log.setting_b.tolist(),
                        log.outcome_a.tolist(), log.outcome_b.tolist()))
     for counts in (stats, count_trials(log)):
         assert counts.shape == (4, 3, 3) and counts.dtype == np.int64
         for (pair, i, j), n in np.ndenumerate(counts):
             assert n == rows[(*divmod(pair, 2), LABEL_ORDER[i], LABEL_ORDER[j])]
-    # An empty log counts zero trials in every cell of every pair.
+
+
+def test_jointstats_merge_commutative():
+    # Merging joint counts is +: either order gives the same int64 tables,
+    # and each pair's total is the sum of the parts' totals.
+    _, s1 = run_trials(1000, 9, "uniform")
+    _, s2 = run_trials(1000, 10, "uniform")
+    ab, ba = s1 + s2, s2 + s1
+    assert ab.dtype == np.int64 and np.array_equal(ab, ba)
+    for pair in range(4):
+        assert ab[pair].sum() == s1[pair].sum() + s2[pair].sum()
+
+
+def test_jointstats_starts_from_zero_counts():
+    # Counts come only from count_trials; an empty log counts zero trials in
+    # every cell of every pair.
     empty = count_trials(TrialLog(*[[]] * len(LOG_COLUMNS)))
     assert empty.shape == (4, 3, 3) and empty.dtype == np.int64 and not empty.any()
 
