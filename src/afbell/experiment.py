@@ -656,16 +656,19 @@ def _chain(tables: np.ndarray) -> ChainValues:
     )
 
 
-def epr_audit(trials: TrialLog | None, exact: np.ndarray) -> EprAudit:
+def epr_audit(trials: TrialLog | np.ndarray | None, exact: np.ndarray) -> EprAudit:
     """Report the inference chain of the (4, 3, 3) exact behavior: a nonzero
     both-G fraction, two perfect conditionals, and a forbidden both-F event.
 
-    ``trials`` is a TrialLog, or None for an exact-only audit.
+    ``trials`` is a TrialLog, its (4, 3, 3) count_trials, or None for an
+    exact-only audit.
     """
     chain = _chain(_check_behavior(exact))
+    if isinstance(trials, TrialLog):
+        trials = count_trials(trials)
     empirical = None
-    if trials is not None and len(trials):
-        empirical = _chain(_frequency(count_trials(trials)))
+    if trials is not None and trials.any():
+        empirical = _chain(_frequency(trials))
 
     witnessed = (
         chain.hardy_fraction is not None and chain.hardy_fraction > CHAIN_TOL

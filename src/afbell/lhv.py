@@ -6,23 +6,30 @@ advance.  This module decides, in exact rational arithmetic with no floating
 point anywhere, whether any such distribution gives a list of events their
 exact probabilities, and emits a machine-checkable certificate either way.
 
-The decision is one linear program over the strategy space: a column per
-distinct event-membership pattern, a row per constraint plus normalization,
-solved by a phase-1 simplex with Bland's rule.  A feasible answer carries the
-basic solution as a witness distribution.  An infeasible answer carries the
-phase-1 dual as a Farkas vector: one weight per constraint and one for
-normalization, turning the constraints into an inequality every strategy
-satisfies and the constraint values violate.  For the quantum constraints it
-is Hardy's argument (Hardy, PRL 71, 1665, 1993): P(both G=1) <= P(both F=1)
-+ P(G_B=1, F_A!=1) + P(G_A=1, F_B!=1), with ``HARDY_VALUE`` on the left and 0
-on the right.  ``verify_certificate`` checks either verdict over all 81
-strategies without calling the solver.
+Each constraint states its event's membership over the 81 strategies once,
+when it is built; the solver, the verifier and the JSON export read that
+membership and never call the event again.  The decision is one linear
+program over the strategy space: a column per distinct membership pattern, a
+row per constraint plus normalization, solved by a phase-1 simplex with
+Bland's rule on an integer tableau.  Each row is kept as a primitive integer
+multiple of the rational row, and the cost row as integers over one positive
+denominator; Bland's rule reads only signs and in-row ratios, which a
+positive multiple leaves alone, so every pivot is the rational tableau's.
+A feasible answer carries the basic solution as a witness distribution.  An
+infeasible answer carries the phase-1 dual as a Farkas vector: one weight per
+constraint and one for normalization, turning the constraints into an
+inequality every strategy satisfies and the constraint values violate.  For
+the quantum constraints it is Hardy's argument (Hardy, PRL 71, 1665, 1993):
+P(both G=1) <= P(both F=1) + P(G_B=1, F_A!=1) + P(G_A=1, F_B!=1), with
+``HARDY_VALUE`` on the left and 0 on the right.  ``verify_certificate``
+checks either verdict over all 81 strategies without calling the solver.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -47,28 +54,38 @@ class Strategy(NamedTuple):
     g_b: int
 
 
+_STRATEGIES = tuple(Strategy(*t) for t in itertools.product(OUTCOME_VALUES, repeat=4))
+_INDEX = {s: k for k, s in enumerate(_STRATEGIES)}
+
+
 def all_strategies() -> tuple[Strategy, ...]:
     """The 81 strategies over OUTCOME_VALUES, in lexicographic enumeration order."""
-    return tuple(Strategy(*t) for t in itertools.product(OUTCOME_VALUES, repeat=4))
+    return _STRATEGIES
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """The exact probability an event over strategies must have."""
+    """The exact probability an event over strategies must have.
+
+    ``members`` is the event's membership, one bool per strategy in
+    ``all_strategies()`` order, stated once when the constraint is built.
+    """
 
     name: str
     value: Fraction
     event: Callable[[Strategy], bool]
     description: str = ""
+    members: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         value = Fraction(self.value)
         if not 0 <= value <= 1:
             raise ValueError(f"constraint value {value} outside [0, 1]")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "members", tuple(bool(self.event(s)) for s in _STRATEGIES))
 
     def event_set(self) -> frozenset[Strategy]:
-        return frozenset(s for s in all_strategies() if self.event(s))
+        return frozenset(itertools.compress(_STRATEGIES, self.members))
 
 
 def quantum_constraints() -> list[Constraint]:
@@ -121,64 +138,95 @@ class FeasibilityCertificate:
     farkas: tuple[Fraction, ...] | None = None
 
 
-def _phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries: the same equation, smaller."""
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _phase_one(matrix: list[list[int]], rhs: list[Fraction]
                ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Phase-1 simplex with Bland's rule on ``matrix x = rhs, x >= 0`` (rhs >= 0).
+    """Phase-1 simplex with Bland's rule on ``matrix x = rhs, x >= 0`` (rhs >= 0),
+    for an integer matrix.
 
     Returns ``(x, None)`` with a basic solution x when the system is feasible,
     else ``(None, y)`` with the phase-1 dual y_i = 1 - the reduced cost of
-    artificial i.
+    artificial i.  Each tableau row is a primitive integer multiple of the
+    rational tableau's row, whose basic entry is 1, and the cost row is
+    ``cost`` over ``denom`` > 0.  A pivot on entry p > 0 of row P keeps P and
+    replaces every other row R with entry f by p R - f P, a positive multiple
+    of the rational update.
     """
     rows, cols = len(matrix), len(matrix[0])
-    one, zero = Fraction(1), Fraction(0)
-    tableau = [matrix[r] + [one if k == r else zero for k in range(rows)] + [rhs[r]]
-               for r in range(rows)]
+    tableau = []
+    for r, (row, b) in enumerate(zip(matrix, rhs)):
+        # Row r times b's denominator: the artificial's 1 becomes d.
+        d = b.denominator
+        tableau.append([d * a for a in row] + [d if k == r else 0 for k in range(rows)]
+                       + [b.numerator])
     basis = list(range(cols, cols + rows))
     # Phase-1 objective row: reduced costs of minimizing the sum of artificials.
-    cost = [-sum(row[j] for row in tableau) for j in range(cols)] + [zero] * rows
-    cost.append(-sum(rhs))
+    total = sum(rhs)
+    denom = total.denominator
+    cost = [-denom * sum(col) for col in zip(*matrix)] + [0] * rows + [-total.numerator]
     while True:
         enter = next((j for j in range(cols + rows) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [(row[-1] / row[enter], basis[r], r)
-                  for r, row in enumerate(tableau) if row[enter] > 0]
-        _, _, leave = min(ratios)
+        # The least ratio rhs/entry over rows with a positive entry, ties to
+        # the least basic index; compared across rows by cross-multiplying.
+        leave = None
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0 and (leave is None or row[-1] * den < num * a
+                          or row[-1] * den == num * a and basis[r] < basis[leave]):
+                leave, num, den = r, row[-1], a
         pivot = tableau[leave]
-        pivot[:] = [v / pivot[enter] for v in pivot]
-        for row in tableau + [cost]:
-            if row is not pivot and row[enter] != 0:
-                f = row[enter]
-                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        p = pivot[enter]
+        for r, row in enumerate(tableau):
+            f = row[enter]
+            if f and r != leave:
+                tableau[r] = _primitive([p * a - f * b if b else p * a
+                                         for a, b in zip(row, pivot)])
+        f = cost[enter]
+        cost = _primitive([p * a - f * b if b else p * a for a, b in zip(cost, pivot)]
+                          + [p * denom])
+        denom = cost.pop()
         basis[leave] = enter
     if cost[-1] != 0:
-        return None, [1 - cost[cols + r] for r in range(rows)]
-    solution = [zero] * cols
-    for r, j in enumerate(basis):
+        return None, [1 - Fraction(cost[cols + r], denom) for r in range(rows)]
+    solution = [Fraction(0)] * cols
+    for row, j in zip(tableau, basis):
         if j < cols:
-            solution[j] = tableau[r][-1]
+            solution[j] = Fraction(row[-1], row[j])
     return solution, None
+
+
+def _patterns(constraints: list[Constraint]) -> dict[tuple[bool, ...], Strategy]:
+    """Each distinct membership pattern over the constraints, in order of
+    first appearance, with the first strategy that has it."""
+    patterns: dict[tuple[bool, ...], Strategy] = {}
+    for *pattern, s in zip(*(c.members for c in constraints), _STRATEGIES):
+        patterns.setdefault(tuple(pattern), s)
+    return patterns
 
 
 def check_feasibility(constraints: list[Constraint]) -> FeasibilityCertificate:
     """Exact decision: can a distribution over the 81 strategies meet every constraint?
 
     One linear program in exact rationals: a column per distinct
-    event-membership pattern (its first strategy stands for the rest), a row
-    per constraint plus normalization.
+    membership pattern (its first strategy stands for the rest), a row per
+    constraint plus normalization.
     """
-    patterns: dict[tuple[bool, ...], Strategy] = {}
-    for s in all_strategies():
-        patterns.setdefault(tuple(c.event(s) for c in constraints), s)
-    reps = list(patterns.items())
-    matrix = [[Fraction(int(p[i])) for p, _ in reps] for i in range(len(constraints))]
-    matrix.append([Fraction(1)] * len(reps))
+    patterns = _patterns(constraints)
+    matrix = [list(row) for row in zip(*patterns)]
+    matrix.append([1] * len(patterns))
     rhs = [c.value for c in constraints] + [Fraction(1)]
 
     solution, dual = _phase_one(matrix, rhs)
     if dual is not None:
         return FeasibilityCertificate(feasible=False, farkas=tuple(dual))
-    witness = tuple(sorted((s, m) for (_, s), m in zip(reps, solution) if m > 0))
+    witness = tuple(sorted((s, m) for s, m in zip(patterns.values(), solution) if m > 0))
     return FeasibilityCertificate(feasible=True, witness=witness)
 
 
@@ -191,9 +239,8 @@ def max_hardy_fraction(other_constraints: list[Constraint]) -> Fraction:
     """
     if any(c.value != 0 for c in other_constraints):
         raise ValueError("max_hardy_fraction handles probability-zero constraints only")
-    survivors = [s for s in all_strategies()
-                 if not any(c.event(s) for c in other_constraints)]
-    hardy = any(s.g_a == 1 and s.g_b == 1 for s in survivors)
+    hardy = any(s.g_a == 1 and s.g_b == 1 and not any(hits)
+                for s, *hits in zip(_STRATEGIES, *(c.members for c in other_constraints)))
     return Fraction(1) if hardy else Fraction(0)
 
 
@@ -205,11 +252,12 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
     normalization) proves infeasibility when every strategy s has
     sum_i y_i [s in E_i] + y_norm <= 0 and sum_i y_i value_i + y_norm > 0:
     averaging the first inequality over any model satisfying the constraints
-    would give the opposite of the last.  No solver is consulted.
+    would give the opposite of the last.  The first holds for every strategy
+    once it holds for one strategy of each distinct membership pattern.  No
+    solver is consulted.
     """
     if not isinstance(c, FeasibilityCertificate):
         raise TypeError("not a FeasibilityCertificate")
-    space = all_strategies()
 
     if c.feasible:
         if c.witness is None:
@@ -218,12 +266,14 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
         if any(not isinstance(m, Fraction) for m in masses.values()):
             raise ValueError("malformed certificate: witness masses must be Fractions")
         # A strategy listed twice would keep only its last mass here.
-        if len(masses) != len(c.witness) or any(s not in space for s in masses):
+        if len(masses) != len(c.witness) or any(s not in _INDEX for s in masses):
             return False
         if any(m < 0 for m in masses.values()) or sum(masses.values()) != 1:
             return False
+        index = [_INDEX[s] for s in masses]
         for constraint in constraints:
-            p = sum((m for s, m in masses.items() if constraint.event(s)), Fraction(0))
+            p = sum((m for k, m in zip(index, masses.values()) if constraint.members[k]),
+                    Fraction(0))
             if p != constraint.value:
                 return False
         return True
@@ -235,8 +285,8 @@ def verify_certificate(c: FeasibilityCertificate, constraints: list[Constraint])
     if len(c.farkas) != len(constraints) + 1:
         return False
     *weights, y_norm = c.farkas
-    for s in space:
-        if sum(w for w, con in zip(weights, constraints) if con.event(s)) + y_norm > 0:
+    for pattern in _patterns(constraints):
+        if sum(w for w, hit in zip(weights, pattern) if hit) + y_norm > 0:
             return False
     return sum(w * con.value for w, con in zip(weights, constraints)) + y_norm > 0
 

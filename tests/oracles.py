@@ -25,16 +25,26 @@ reference for the chunked CSV writer.
 a table of integer outcome rows on the source state as integers over one
 denominator, and ``replay_trials`` every column of a sampled trial log
 rebuilt from the root seed and those integers alone, with no float and no
-rotation: the exact reference for what each sampled row should be.
+rotation: the exact reference for what each sampled row should be;
+``replay_csv`` replays a written trials.csv from its own metadata block.
+``fraction_phase_one`` is the phase-1 simplex on a ``Fraction`` tableau that
+the integer tableau replaced, kept verbatim, and ``fraction_certificate``
+the LP around it, built by calling each constraint's event on every
+strategy: the references for ``lhv.check_feasibility``'s pivots,
+witness and Farkas vector.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from afbell.observables import PVM
+from afbell.experiment import _SETUP_TAGS
+from afbell.lhv import FeasibilityCertificate, Strategy, all_strategies
+from afbell.observables import PVM, local_protocol_for
 from afbell.qstate import StateVector
+from afbell.rotations import STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME, STREAM_SETTINGS
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -258,6 +268,36 @@ def replay_trials(n, root, policy, fixed_rotations, rows, labels, streams, setup
     return trial, setting_a, setting_b, seed_a, seed_b, outcome_a, outcome_b
 
 
+def replay_csv(path):
+    """Check every column of every data row of a trials.csv that ``afbell
+    sample`` wrote against replay_trials, run on the file's own '# key:
+    value' block (root seed, trials, policy, fixed rotations, measurement
+    path).  Returns the number of rows checked."""
+    with open(path, encoding="ascii") as f:
+        lines = f.read().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    header, *data = (line for line in lines if not line.startswith("#"))
+    columns = header.split(",")
+    if meta["measurement_path"] == "pvm":
+        rows, labels = INTEGER_PAIRS, np.array([[-1, 1]] * 2)
+    else:
+        protocols = [local_protocol_for(s) for s in "FG"]
+        rows = [p.integer_eigenvectors for p in protocols]
+        labels = np.array([p.labels for p in protocols])
+    replay = replay_trials(
+        int(meta["trials"]), int(meta["root_seed"]), meta["setting_policy"],
+        {"true": True, "false": False}[meta["fixed_rotations"]], rows, labels,
+        (STREAM_SETTINGS, STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME), _SETUP_TAGS)
+    assert columns == ["trial", "setting_a", "setting_b", "seed_a", "seed_b",
+                       "outcome_a", "outcome_b"], columns
+    assert len(data) == len(replay[0]), (len(data), len(replay[0]))
+    fields = [line.split(",") for line in data]
+    for k, (name, want) in enumerate(zip(columns, replay)):
+        got = [int("FG".index(f[k]) if name.startswith("setting") else f[k]) for f in fields]
+        assert got == want.tolist(), (path, name)
+    return len(data)
+
+
 def eta():
     """The 8-qubit source state, amplitudes read from the ETA dict."""
     amps = np.zeros(256, dtype=complex)
@@ -393,3 +433,62 @@ def swap_qubits(state, i, j):
         bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
         amps[basis_index("".join(bits))] = amp
     return StateVector(n, amps)
+
+
+def fraction_phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]
+                       ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Phase-1 simplex with Bland's rule on ``matrix x = rhs, x >= 0`` (rhs >= 0).
+
+    Returns ``(x, None)`` with a basic solution x when the system is feasible,
+    else ``(None, y)`` with the phase-1 dual y_i = 1 - the reduced cost of
+    artificial i.
+    """
+    rows, cols = len(matrix), len(matrix[0])
+    one, zero = Fraction(1), Fraction(0)
+    tableau = [matrix[r] + [one if k == r else zero for k in range(rows)] + [rhs[r]]
+               for r in range(rows)]
+    basis = list(range(cols, cols + rows))
+    # Phase-1 objective row: reduced costs of minimizing the sum of artificials.
+    cost = [-sum(row[j] for row in tableau) for j in range(cols)] + [zero] * rows
+    cost.append(-sum(rhs))
+    while True:
+        enter = next((j for j in range(cols + rows) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(row[-1] / row[enter], basis[r], r)
+                  for r, row in enumerate(tableau) if row[enter] > 0]
+        _, _, leave = min(ratios)
+        pivot = tableau[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in tableau + [cost]:
+            if row is not pivot and row[enter] != 0:
+                f = row[enter]
+                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None, [1 - cost[cols + r] for r in range(rows)]
+    solution = [zero] * cols
+    for r, j in enumerate(basis):
+        if j < cols:
+            solution[j] = tableau[r][-1]
+    return solution, None
+
+
+def fraction_certificate(constraints) -> FeasibilityCertificate:
+    """check_feasibility's certificate on the Fraction tableau, with each
+    event called on every strategy: a column per distinct event pattern
+    (its first strategy stands for the rest), a row per constraint plus
+    normalization."""
+    patterns: dict[tuple[bool, ...], Strategy] = {}
+    for s in all_strategies():
+        patterns.setdefault(tuple(c.event(s) for c in constraints), s)
+    reps = list(patterns.items())
+    matrix = [[Fraction(int(p[i])) for p, _ in reps] for i in range(len(constraints))]
+    matrix.append([Fraction(1)] * len(reps))
+    rhs = [c.value for c in constraints] + [Fraction(1)]
+
+    solution, dual = fraction_phase_one(matrix, rhs)
+    if dual is not None:
+        return FeasibilityCertificate(feasible=False, farkas=tuple(dual))
+    witness = tuple(sorted((s, m) for (_, s), m in zip(reps, solution) if m > 0))
+    return FeasibilityCertificate(feasible=True, witness=witness)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from afbell import __version__, cli, experiment
 from afbell.cli import (
     EXIT_CHECK_FAILURE,
@@ -281,6 +282,23 @@ def test_verify_suite_draws_each_rotation_once(monkeypatch):
         assert len(set(seen)) == len(seen), seed
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_invariance_norms_are_numpys_row_norms(monkeypatch, seed):
+    # The invariance rows take their 400 and 100 deviation norms in one
+    # stacked matmul each; every norm must keep np.linalg.norm's bits on
+    # verify's own deviation arrays (eta's as its 16x16 matrix).  An axis=
+    # norm, or the same matmul on contiguous copies of the real and
+    # imaginary parts, sums in another order and differs here.
+    seen, row_norms = [], cli._row_norms
+    monkeypatch.setattr(cli, "_row_norms", lambda d: seen.append((d, row_norms(d))) or seen[-1][1])
+    assert all(r.passed for r in run_verify_suite(seed=seed))
+    assert [d.shape for d, _ in seen] == [(4 * cli.INVARIANCE_SAMPLES, 16),
+                                          (cli.INVARIANCE_SAMPLES, 256)]
+    for d, norms in seen:
+        want = [np.linalg.norm(row.reshape(-1, 16) if row.size == 256 else row) for row in d]
+        assert norms.tobytes() == np.array(want).tobytes()
+
+
 def test_verify_suite_memory_peak():
     # invariance-eta-pairs sets the peak: P_a @ grid @ P_b^T on 100 rotation
     # pairs holds P_a @ grid, Bob's 100 16x16 powers P_b and the product,
@@ -506,6 +524,25 @@ def test_sample_writes_reproducible_files(tmp_path, capsys):
     assert first[0] == "0"
     assert first[1] in "FG" and first[2] in "FG"
     assert first[5] in ("-1", "1") and first[6] in ("-1", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "4097", "--seed", "1"],
+    ["--measurement", "protocol", "--trials", "2049", "--seed", "1"],
+    ["--fixed-rotations", "--policy", "cycle", "--trials", "300", "--seed", "0xFEEDFACE"],
+    ["--policy", "fixed:GF", "--trials", "300", "--seed", "18446744073709551615"],
+], ids=" ".join)
+def test_written_rows_replay_from_their_metadata(tmp_path, capsys, argv):
+    # The replay CI runs on the console script's trials.csv files; one
+    # changed digit of one row fails it.
+    assert main(["sample", *argv, "--out", str(tmp_path)]) == 0
+    path = tmp_path / "trials.csv"
+    assert oracles.replay_csv(path) == int(argv[argv.index("--trials") + 1])
+    *rows, last = path.read_text().splitlines()
+    *fields, outcome_b = last.split(",")
+    path.write_text("\n".join([*rows, ",".join([*fields, str(-int(outcome_b))])]) + "\n")
+    with pytest.raises(AssertionError):
+        oracles.replay_csv(path)
 
 
 def test_sample_fixed_policy_stats(tmp_path, capsys):

@@ -964,6 +964,18 @@ def test_epr_audit_empirical_matches_counter_oracle(behavior, policy, path, fixe
         assert (value is None) == (name not in present), name
 
 
+@pytest.mark.parametrize("policy", ["uniform", "fixed:GG"])
+def test_epr_audit_reads_the_counts_of_its_log(behavior, policy):
+    # cmd_sample passes the counts run_trials returns; a TrialLog is counted
+    # first, so both give one audit.
+    log, counts = run_trials(3000, 5, policy)
+    assert epr_audit(counts, behavior) == epr_audit(log, behavior)
+    assert epr_audit(counts, behavior).empirical is not None
+    empty = TrialLog(*np.zeros((7, 0), np.int64))
+    assert epr_audit(empty, behavior).empirical is None
+    assert epr_audit(count_trials(empty), behavior) == epr_audit(empty, behavior)
+
+
 def test_epr_audit_empirical_none_on_zero_conditioning_count(behavior):
     # Both pairs have trials, but neither conditioning outcome (B: G=1 in
     # FG, A: G=1 in GF) ever occurs.

@@ -2,15 +2,18 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from afbell import lhv
 from afbell.lhv import (
     HARDY_VALUE,
+    OUTCOME_VALUES,
     Constraint,
     FeasibilityCertificate,
     Strategy,
@@ -22,6 +25,7 @@ from afbell.lhv import (
     render_certificate,
     verify_certificate,
 )
+from afbell.qstate import ETA_BORN_TABLES
 
 
 def _weights(cert, constraints):
@@ -183,6 +187,7 @@ def test_verify_never_calls_the_solver(monkeypatch):
         raise AssertionError("verify_certificate re-decided feasibility")
 
     monkeypatch.setattr(lhv, "check_feasibility", refuse)
+    monkeypatch.setattr(lhv, "_phase_one", refuse)
     assert verify_certificate(cert, cons)
 
 
@@ -342,10 +347,12 @@ RANDOM_CORPUS = _random_corpus()
 
 @pytest.mark.parametrize("subset", range(32))
 def test_subset_verdict_pins(subset):
+    # Subset 0 is the empty list: one column, normalization alone.
     cons = [c for j, c in enumerate(quantum_constraints()) if subset >> j & 1]
     cert = check_feasibility(cons)
     assert cert.feasible == (SUBSET_VERDICTS[subset] == "F")
     assert verify_certificate(cert, cons)
+    _assert_same_certificate(cons)
 
 
 @pytest.mark.parametrize("index", range(len(RANDOM_VERDICTS)))
@@ -360,3 +367,49 @@ def test_random_corpus_verdict_pins(index):
     cert = check_feasibility(cons)
     assert cert.feasible == (RANDOM_VERDICTS[index] == "F")
     assert verify_certificate(cert, cons)
+    _assert_same_certificate(relaxed)
+    _assert_same_certificate([c for _, c in rows])
+
+
+def _whole_behaviour():
+    """One equality per cell of the four 3x3 tables of the exact behaviour,
+    outcomes in OUTCOME_VALUES order (the 0 outcome's cells are 0): 36 rows
+    and normalization, with all 81 strategies in distinct columns."""
+    cons = []
+    for code, (x, y) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for a, b in itertools.product(OUTCOME_VALUES, repeat=2):
+            value = ETA_BORN_TABLES[code, (a + 1) // 2, (b + 1) // 2] if a and b else 0
+            cons.append(Constraint(
+                f"{'FG'[x]}{'FG'[y]}_{a:+d}{b:+d}", value,
+                lambda s, x=x, y=y, a=a, b=b: s[x] == a and s[2 + y] == b))
+    return cons
+
+
+def _assert_same_certificate(cons):
+    """The integer tableau's certificate is the Fraction tableau's, witness
+    and Farkas vector included, every number a Fraction."""
+    got, want = check_feasibility(cons), oracles.fraction_certificate(cons)
+    assert got == want
+    assert all(type(m) is Fraction for _, m in got.witness or ())
+    assert all(type(w) is Fraction for w in got.farkas or ())
+
+
+def test_integer_tableau_matches_the_fraction_tableau_on_the_whole_behaviour():
+    cons = _whole_behaviour()
+    # Each strategy lies in one cell of each of the four tables.
+    assert [sum(hits) for hits in zip(*(c.members for c in cons))] == [4] * 81
+    cert = check_feasibility(cons)
+    assert not cert.feasible and verify_certificate(cert, cons)
+    _assert_same_certificate(cons)
+
+
+def test_members_are_the_event_on_every_strategy():
+    space = all_strategies()
+    corpora = [quantum_constraints(), _whole_behaviour(),
+               [c for rows in RANDOM_CORPUS for _, c in rows]]
+    for cons in corpora:
+        for c in cons:
+            assert c.members == tuple(bool(c.event(s)) for s in space), c.name
+    # A replaced event restates the membership.
+    c = dataclasses.replace(quantum_constraints()[0], event=lambda s: s.g_b == 0)
+    assert c.members == tuple(s.g_b == 0 for s in space)
