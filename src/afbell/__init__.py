@@ -1,15 +1,12 @@
-"""Alignment-free Bell test: exact verification, Monte Carlo sampling, LHV audit."""
+"""Alignment-free Bell test: exact verification, Monte Carlo sampling, LHV audit.
+
+States and measurements are held as arrays only: the invariant pairs are
+the rows of qstate._pair, and F's and G's projectors experiment._PROJECTORS.
+"""
 
 __version__ = "0.2.0"
 
-from .qstate import StateVector, build_phi, build_psi
-from .observables import (
-    PVM,
-    LocalProtocol,
-    build_F,
-    build_G,
-    local_protocol_for,
-)
+from .observables import LocalProtocol, local_protocol_for
 from .rotations import split_seed
 from .experiment import (
     TrialLog,
@@ -30,8 +27,7 @@ from .lhv import (
 
 __all__ = [
     "__version__",
-    "StateVector", "build_phi", "build_psi",
-    "PVM", "LocalProtocol", "build_F", "build_G", "local_protocol_for",
+    "LocalProtocol", "local_protocol_for",
     "split_seed",
     "TrialLog", "count_trials", "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",

@@ -23,17 +23,17 @@ from .experiment import (
     MEASUREMENT_PATHS,
     SETTING_PAIRS,
     epr_audit,
-    joint_born,
     parse_policy,
     run_trials,
     stats_report,
     _C_PHI,
     _PHI,
+    _PROJECTORS,
     _draw_setups,
     _setup_tables,
 )
-from .observables import build_F, build_G, local_protocol_for
-from .qstate import INTEGER_KETS, StateVector, _NORMS, build_phi, build_psi
+from .observables import local_protocol_for
+from .qstate import INTEGER_KETS, _NORMS, _pair
 from .rotations import fourfold, sample_su2_batch, split_seed
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
@@ -216,7 +216,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # rows draw at disjoint keys (even; 1 and 3 mod 4), so no rotation is
     # checked twice.
     keys = np.arange(INVARIANCE_SAMPLES)
-    rows = np.stack([build(j).amps for build in (build_phi, build_psi) for j in (0, 1)], axis=1)
+    rows = np.stack([*_pair("phi"), *_pair("psi")], axis=1)
     moved = fourfold(sample_su2_batch(split_seed(seed, 2 * keys))) @ rows
     worst = float(_row_norms((moved - rows).swapaxes(1, 2).reshape(-1, 16)).max())
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
@@ -242,13 +242,15 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # F, G and their 0 projectors commute with every U(x)U(x)U(x)U, so a label
     # table is the same for every setup, whatever the source.  The side wiring
     # is checked on fine tables by test_table_kernel_rotates_a_non_invariant_source.
-    canonical = (build_F(), build_G())
+    # The dense Born rule is P(a, b) = Re <G', Pa G' Pb^T> on the moved grid
+    # G', over _PROJECTORS, whose outcomes come in LABEL_ORDER, so the tables
+    # line up.
     powers = fourfold(drawn[0].conj().swapaxes(1, 2))
-    # F's and G's outcomes come in LABEL_ORDER, so their tables line up.
     worst = 0.0
     for (a, b), table in zip(np.ndindex(2, 2), tables[1]):
         moved = powers[a] @ grid @ powers[2 + b].T
-        probs = joint_born(StateVector(8, moved.reshape(256)), canonical[a], canonical[b])
+        probs = np.array([[max(float(np.real(np.vdot(moved, pa @ moved @ pb.T))), 0.0)
+                           for pb in _PROJECTORS[b]] for pa in _PROJECTORS[a]])
         worst = max(worst, float(np.abs(probs - table).max()))
     results.append(CheckResult("heisenberg-schrodinger", worst, exact_tol))
 

@@ -2,7 +2,9 @@
 
 The behavior P(a, b | x, y), exact or counted, is one (4, 3, 3) array: the
 setting pair's code 2 x + y (F 0, G 1), then Alice's and Bob's outcomes in
-LABEL_ORDER; setting letters appear only where it is rendered.
+LABEL_ORDER; setting letters appear only where it is rendered.  F and G are
+arrays too: _PROJECTORS holds their projectors by setting code and label,
+built at import from the pairs' rows.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  One batched
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import PVM, build_F, build_G, local_protocol_for
-from .qstate import ETA_BORN_TABLES, ETA_PHI_PHI, StateVector, _pair, build_phi, build_psi
+from .observables import local_protocol_for
+from .qstate import ETA_BORN_TABLES, ETA_PHI_PHI, _pair
 from .rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -107,16 +109,6 @@ def _draw_setups(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return setup_seeds, sample_su2_batch(setup_seeds.ravel()).reshape(-1, 4, 2, 2)
 
 
-def joint_born(state: StateVector, pvm_a: PVM, pvm_b: PVM) -> np.ndarray:
-    """Dense Born rule for side-by-side PVMs on an 8-qubit state's 16x16 grid G:
-    the table P(a, b) = Re <G, Pa G Pb^T>, in the PVMs' outcome order."""
-    if state.num_qubits != 8 or pvm_a.dim != 16 or pvm_b.dim != 16:
-        raise ValueError("joint_born expects an 8-qubit state and 16-dim PVMs")
-    grid = state.amps.reshape(16, 16)
-    return np.array([[max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
-                      for _, pb in pvm_b.outcomes] for _, pa in pvm_a.outcomes])
-
-
 # The exact behavior that report and sample print: each cell the float of its
 # Fraction in qstate.ETA_BORN_TABLES (F reads phi, G reads psi), the 0 row and
 # column exactly 0.  verify checks the kernel's tables against it.
@@ -139,6 +131,17 @@ def _check_behavior(exact) -> np.ndarray:
         if abs(table.sum() - 1.0) > 1e-12:
             raise ValueError(f"table {pair} sums to {table.sum()}, not 1")
     return np.clip(t, 0.0, None)
+
+
+def _check_counts(counts) -> np.ndarray:
+    """A caller's counts as a (4, 3, 3) integer array, or ValueError if they
+    have another shape or dtype, or a negative cell."""
+    c = np.asarray(counts)
+    if c.shape != (4, 3, 3) or c.dtype.kind not in "iu":
+        raise ValueError("counts need a 3x3 integer outcome table for each of the 4 setting pairs")
+    if (c < 0).any():
+        raise ValueError("counts must not be negative")
+    return c
 
 
 def exact_behavior(seed: int | None = None) -> np.ndarray:
@@ -169,11 +172,12 @@ def _setup_tables(u: np.ndarray) -> np.ndarray:
     return tables.reshape(4, m, 3, 3).swapaxes(0, 1)
 
 
-def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarray:
-    """Rows minus, plus, then the 0 projector's columns orthonormalized against
-    the rows so far (Gram-Schmidt run twice); columns in their span drop out."""
-    rows = [minus.amps, plus.amps]
-    for col in pvm.projector(0).T:
+def _complete_basis(pair: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Rows pair[0], pair[1], then the columns of ``rest`` orthonormalized
+    against the rows so far (Gram-Schmidt run twice); columns in their span
+    drop out."""
+    rows = list(pair)
+    for col in rest.T:
         for _ in range(2):
             basis = np.array(rows)
             col = col - basis.T @ (basis.conj() @ col)
@@ -183,11 +187,17 @@ def _complete_basis(pvm: PVM, minus: StateVector, plus: StateVector) -> np.ndarr
     return np.array(rows)
 
 
+# F's and G's projectors, read-only (2, 3, 16, 16) by setting code (F 0,
+# G 1) and then LABEL_ORDER: |m><m| and |p><p| of the setting's pair
+# (m, p) = _pair(phi or psi), then the rank-14 rest I - |m><m| - |p><p|.
+_PROJECTORS = np.array([
+    [minus, plus, np.eye(16) - minus - plus]
+    for minus, plus in ([np.outer(v, v.conj()) for v in _pair(b)] for b in ("phi", "psi"))])
+_PROJECTORS.setflags(write=False)
+
 # Conjugated complete F/G bases, their row labels and the labels' one-hot.
-_PVM_BASES = np.array([
-    _complete_basis(build_F(), build_phi(0), build_phi(1)),
-    _complete_basis(build_G(), build_psi(0), build_psi(1)),
-]).conj()
+_PVM_BASES = np.array([_complete_basis(_pair(b), p[2])
+                       for b, p in zip(("phi", "psi"), _PROJECTORS)]).conj()
 _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
@@ -664,11 +674,11 @@ def epr_audit(trials: TrialLog | np.ndarray | None, exact: np.ndarray) -> EprAud
     exact-only audit.
     """
     chain = _chain(_check_behavior(exact))
-    if isinstance(trials, TrialLog):
-        trials = count_trials(trials)
     empirical = None
-    if trials is not None and trials.any():
-        empirical = _chain(_frequency(trials))
+    if trials is not None:
+        counts = count_trials(trials) if isinstance(trials, TrialLog) else _check_counts(trials)
+        if counts.any():
+            empirical = _chain(_frequency(counts))
 
     witnessed = (
         chain.hardy_fraction is not None and chain.hardy_fraction > CHAIN_TOL
@@ -690,7 +700,7 @@ def epr_audit(trials: TrialLog | np.ndarray | None, exact: np.ndarray) -> EprAud
 def stats_report(counts: np.ndarray, exact: np.ndarray) -> dict:
     """JSON-ready summary of (4, 3, 3) counts against the exact behavior,
     keyed by setting pair: counts, frequencies, exact, deviations."""
-    exact = _check_behavior(exact)
+    exact, counts = _check_behavior(exact), _check_counts(counts)
     freq = _frequency(counts)
     return {"outcome_order": list(LABEL_ORDER), "setting_pairs": {
         pair: {

@@ -1,12 +1,11 @@
-"""Three-outcome collective observables and the equivalent single-qubit protocol.
+"""The single-qubit protocol that measures the collective observables F and G.
 
-The two observables F and G each distinguish a pair of invariant 4-qubit
-states with outcomes -1 and +1; the leftover rank-14 projector carries the
-label 0, which has probability zero on any state in the invariant span but is
-represented explicitly so that Born distributions are total on arbitrary
-states.  The same discrimination can be done with fixed single-qubit
-measurements: two qubits along z, two along x, and a parity classifier over
-the 16 outcome strings, with integer axis bases so `verify` can prove it exactly.
+F and G each distinguish a pair of invariant 4-qubit states with outcomes -1
+and +1; their projectors, with the rank-14 rest that carries the label 0, are
+experiment._PROJECTORS.  The same discrimination can be done with fixed
+single-qubit measurements: two qubits along z, two along x, and a parity
+classifier over the 16 outcome strings, with integer axis bases so `verify`
+can prove it exactly.
 """
 
 from __future__ import annotations
@@ -18,84 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-
-from .qstate import StateVector, build_phi, build_psi
-
-PVM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PVM:
-    """Ordered projector-valued measure with integer outcome labels."""
-
-    outcomes: tuple[tuple[int, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        mats = []
-        for label, proj in self.outcomes:
-            proj = np.asarray(proj, dtype=complex)
-            if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
-                raise ValueError(f"projector for label {label} is not square")
-            if not np.isfinite(proj).all():
-                raise ValueError(f"projector for label {label} has non-finite entries")
-            proj = proj.copy()
-            proj.setflags(write=False)
-            mats.append((int(label), proj))
-        object.__setattr__(self, "outcomes", tuple(mats))
-        self.validate()
-
-    @property
-    def dim(self) -> int:
-        return self.outcomes[0][1].shape[0]
-
-    def projector(self, label: int) -> np.ndarray:
-        for lab, proj in self.outcomes:
-            if lab == label:
-                return proj
-        raise KeyError(f"no outcome labelled {label}")
-
-    def violation(self) -> float:
-        """Worst entrywise deviation from Hermiticity, idempotence, mutual
-        orthogonality and completeness."""
-        projs = [proj for _, proj in self.outcomes]
-        residuals = [p - p.conj().T for p in projs]
-        residuals += [p @ p - p for p in projs]
-        residuals += [p @ q for i, p in enumerate(projs) for q in projs[:i]]
-        residuals.append(sum(projs) - np.eye(self.dim))
-        return max(float(np.abs(r).max()) for r in residuals)
-
-    def validate(self) -> None:
-        """Raise ValueError if violation() exceeds PVM_TOL."""
-        worst = self.violation()
-        if worst > PVM_TOL:
-            raise ValueError(f"not a PVM: worst violation {worst:.3e} exceeds {PVM_TOL:.1e}")
-
-
-def _rank1(state: StateVector) -> np.ndarray:
-    v = state.amps
-    return np.outer(v, v.conj())
-
-
-def _two_state_pvm(minus: StateVector, plus: StateVector) -> PVM:
-    p_minus = _rank1(minus)
-    p_plus = _rank1(plus)
-    rest = np.eye(16) - p_minus - p_plus
-    return PVM(((-1, p_minus), (+1, p_plus), (0, rest)))
-
-
-def build_F() -> PVM:
-    """Observable distinguishing phi0 (outcome -1) from phi1 (outcome +1)."""
-    return _two_state_pvm(build_phi(0), build_phi(1))
-
-
-def build_G() -> PVM:
-    """Observable distinguishing psi0 (outcome -1) from psi1 (outcome +1)."""
-    return _two_state_pvm(build_psi(0), build_psi(1))
-
-
-# ---------------------------------------------------------------------------
-# Local single-qubit protocol
-# ---------------------------------------------------------------------------
 
 # Per-axis eigenbases as (squared norm n, integer rows), each row 1/sqrt(n)
 # times its integers, one row per recorded bit: the +1 eigenvector of sigma_x

@@ -1,53 +1,23 @@
-"""Dense state vectors over small qubit registers and the named entangled states.
+"""The invariant 4-qubit pairs and the 8-qubit source state, as arrays.
 
 Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
-All amplitudes are stored as complex128.  The invariant states are stated once,
-as integer kets K with one scale 1/sqrt(n) each, and their float amplitudes are
-derived from those integers.  The source state is stated once too, as an
-integer expansion over the kets; its exact Born tables, integer squares over
-112 n_a n_b in one (4, 2, 2) array by basis pair, and its one float table are
-derived from that.  States are immutable after construction and hold at most
-MAX_QUBITS = 8 qubits, the size of the source state.
+All amplitudes are complex128.  The invariant states are stated once, as
+integer kets K with one scale 1/sqrt(n) each, and their float amplitudes,
+the rows of _pair, are derived from those integers.  The source state is
+stated once too, as an integer expansion over the kets; its exact Born
+tables, integer squares over 112 n_a n_b in one (4, 2, 2) array by basis
+pair, and its one float table are derived from that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 SQRT7 = math.sqrt(7.0)
-
-# Dense storage grows as 2^n; the 8-qubit source state is the largest register.
-MAX_QUBITS = 8
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Immutable dense amplitude vector over an n-qubit register."""
-
-    num_qubits: int
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}"
-            )
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
 
 # The invariant pair, the one statement of the four states' amplitudes: phi_j
 # is an integer vector over the kets times 1/sqrt(n_j), so phi0 is 1/2 and phi1
@@ -73,22 +43,6 @@ def _pair(basis: str) -> np.ndarray:
     if basis not in INTEGER_KETS:
         raise ValueError(f"unknown basis {basis!r} (expected 'phi' or 'psi')")
     return INTEGER_KETS[basis] * _SCALES + 0j
-
-
-def _build(basis: str, j: int) -> StateVector:
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    return StateVector(4, _pair(basis)[j])
-
-
-def build_phi(j: int) -> StateVector:
-    """The j-th collectively invariant 4-qubit state (j in {0, 1})."""
-    return _build("phi", j)
-
-
-def build_psi(j: int) -> StateVector:
-    """build_phi(j) with qubits 2 and 3 exchanged (j in {0, 1})."""
-    return _build("psi", j)
 
 
 # The source state eta is stated once, as its expansion E over the pair's

@@ -1,18 +1,24 @@
 """Brute-force oracles used to freeze expected values, independent of afbell.
 
-States are plain {bit string: amplitude} dicts and all arithmetic is scalar
-Python, so these never share a code path with the library under test.
+The published states are plain {bit string: amplitude} dicts, and no state
+or measurement comes from afbell, so these never share a code path with the
+library under test.
 ``rotate_pvm``, ``rotated_bras`` and ``born_table`` are the dense
 references for rotated measurements: they build the full 16x16 four-fold
-power with np.kron instead of the library's kernels, and ``sequential_joint``
-is the Born rule by sequential projection.  ``basis_index``, ``basis_state``,
+power with np.kron instead of the library's kernels; ``joint_born`` is the
+dense Born rule of two measurements on an 8-qubit state, and
+``sequential_joint`` the same by sequential projection.  ``basis_index``, ``basis_state``,
 ``tensor``, ``amplitude`` and ``distance`` are the register plumbing the
 tests build with, and ``swap_qubits`` exchanges two qubits one ket at a time.
-``ETA`` is the source state as a ket dict built from the published
-coefficients, and ``eta`` the same amplitudes as a StateVector.
-``born`` is the Born rule <s|P|s> read off a PVM's projectors, and
+A state is a 1-D complex array of 2^n amplitudes, and a measurement a
+{label: projector} dict.  ``ket`` is a ket dict's array, ``ETA`` the source
+state as a ket dict built from the published coefficients, and ``eta`` its
+array.  ``projectors`` is the {-1, +1, 0} measurement that tells two ket
+dicts apart, and ``F`` and ``G`` are its measurements of the published pairs.
+``pvm_violation`` is how far a measurement's projectors are from a
+projector-valued measure, ``born`` the Born rule <s|P|s> read off them, and
 ``classified`` and ``coarse_grained`` are a protocol's two-outcome
-distribution and PVM, built from its eigenvectors and classifier.
+distribution and measurement, built from its eigenvectors and classifier.
 ``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
 seed-split rule built from it, the references for the library's uint64 seed
 derivation, and ``unmix64`` inverts ``mix64``; ``su2`` is the Haar draw from
@@ -42,8 +48,7 @@ import numpy as np
 
 from afbell.experiment import _SETUP_TAGS
 from afbell.lhv import FeasibilityCertificate, Strategy, all_strategies
-from afbell.observables import PVM, local_protocol_for
-from afbell.qstate import StateVector
+from afbell.observables import local_protocol_for
 from afbell.rotations import STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME, STREAM_SETTINGS
 
 SQRT3 = math.sqrt(3.0)
@@ -300,16 +305,23 @@ def replay_csv(path):
 
 def eta():
     """The 8-qubit source state, amplitudes read from the ETA dict."""
-    amps = np.zeros(256, dtype=complex)
-    for bits, amp in ETA.items():
-        amps[basis_index(bits)] = amp
-    return StateVector(8, amps)
+    return ket(ETA)
+
+
+def pvm_violation(m):
+    """Worst entrywise deviation of a measurement's projectors from
+    Hermiticity, idempotence, mutual orthogonality and completeness."""
+    projs = list(m.values())
+    residuals = [p - p.conj().T for p in projs] + [p @ p - p for p in projs]
+    residuals += [p @ q for i, p in enumerate(projs) for q in projs[:i]]
+    residuals.append(sum(projs) - np.eye(len(projs[0])))
+    return max(float(np.abs(r).max()) for r in residuals)
 
 
 def rotate_pvm(u, m):
-    """Conjugate every projector of a 16-dim PVM by R = U (x) U (x) U (x) U."""
+    """Conjugate every projector of a 16-dim measurement by R = U (x) U (x) U (x) U."""
     big = functools.reduce(np.kron, [u] * 4)
-    return PVM(tuple((label, big @ proj @ big.conj().T) for label, proj in m.outcomes))
+    return {label: big @ proj @ big.conj().T for label, proj in m.items()}
 
 
 def rotated_bras(u, vectors):
@@ -330,9 +342,8 @@ def born_table(grid, u_a, u_b, vectors_a, vectors_b):
 
 
 def born(state, pvm):
-    """Born distribution {label: <s|P|s>} of a PVM on a state."""
-    return {label: float(np.vdot(state.amps, proj @ state.amps).real)
-            for label, proj in pvm.outcomes}
+    """Born distribution {label: <s|P|s>} of a measurement on a state."""
+    return {label: float(np.vdot(state, proj @ state).real) for label, proj in pvm.items()}
 
 
 def classified(state, protocol):
@@ -340,28 +351,37 @@ def classified(state, protocol):
     e_i its eigenvector, added to the label the classifier gives it."""
     out = {-1: 0.0, +1: 0.0}
     for i, vec in enumerate(protocol.eigenvectors):
-        out[protocol.classifier[format(i, "04b")]] += abs(np.vdot(vec, state.amps)) ** 2
+        out[protocol.classifier[format(i, "04b")]] += abs(np.vdot(vec, state)) ** 2
     return out
 
 
 def coarse_grained(protocol):
-    """Two-outcome PVM of a protocol: per label, the sum of |e_i><e_i| over
+    """Two-outcome measurement of a protocol: per label, the sum of |e_i><e_i| over
     the eigenvectors of the strings the classifier gives that label."""
     proj = {-1: np.zeros((16, 16), complex), +1: np.zeros((16, 16), complex)}
     for i, vec in enumerate(protocol.eigenvectors):
         proj[protocol.classifier[format(i, "04b")]] += np.outer(vec, vec.conj())
-    return PVM(tuple(proj.items()))
+    return proj
+
+
+def joint_born(state, pvm_a, pvm_b):
+    """Dense Born rule for side-by-side measurements on an 8-qubit state's
+    16x16 grid G: the table P(a, b) = Re <G, Pa G Pb^T>, clipped at 0, in
+    the measurements' label order."""
+    grid = state.reshape(16, 16)
+    return np.array([[max(float(np.real(np.vdot(grid, pa @ grid @ pb.T))), 0.0)
+                      for pb in pvm_b.values()] for pa in pvm_a.values()])
 
 
 def sequential_joint(state, pvm_a, pvm_b):
     """Joint distribution via sequential projection: measure A, project and
     renormalize (the post-measurement convention), then measure B."""
-    grid = state.amps.reshape(16, 16)
+    grid = state.reshape(16, 16)
     probs = {}
-    for la, pa in pvm_a.outcomes:
+    for la, pa in pvm_a.items():
         collapsed = pa @ grid
         p_a = float(np.real(np.vdot(collapsed, collapsed)))
-        for lb, pb in pvm_b.outcomes:
+        for lb, pb in pvm_b.items():
             if p_a <= 0.0:
                 probs[(la, lb)] = 0.0
                 continue
@@ -398,41 +418,62 @@ def basis_index(bits):
 
 def basis_state(num_qubits, bits):
     """Computational basis ket |bits>."""
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[basis_index(bits)] = 1.0
-    return StateVector(num_qubits, amps)
+    if len(bits) != num_qubits:
+        raise ValueError(f"label {bits!r} has wrong length for {num_qubits} qubits")
+    return ket({bits: 1.0})
+
+
+def ket(terms):
+    """The amplitude array of a ket dict {bit string: amplitude}, over as
+    many qubits as its bit strings have."""
+    amps = np.zeros(2 ** len(next(iter(terms))), dtype=complex)
+    for bits, amp in terms.items():
+        amps[basis_index(bits)] = amp
+    return amps
+
+
+def projectors(minus, plus):
+    """{-1: |m><m|, +1: |p><p|, 0: I - |m><m| - |p><p|} of two orthonormal
+    4-qubit ket dicts m and p."""
+    p_minus, p_plus = (np.outer(ket(k), ket(k).conj()) for k in (minus, plus))
+    return {-1: p_minus, +1: p_plus, 0: np.eye(16) - p_minus - p_plus}
+
+
+# F tells phi0 (-1) from phi1 (+1), and G psi0 from psi1, built here from
+# the published coefficient dicts alone.
+F = projectors(PHI0, PHI1)
+G = projectors(PSI0, PSI1)
 
 
 def tensor(a, b):
-    """Kronecker product; a's qubits become the most significant ones.
-    StateVector enforces the qubit cap."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
+    """Kronecker product; a's qubits become the most significant ones."""
+    return np.kron(a, b)
 
 
 def amplitude(state, bits):
     """Amplitude of the basis ket labelled by a bit string."""
-    if len(bits) != state.num_qubits:
-        raise ValueError(f"label {bits!r} has wrong length for {state.num_qubits} qubits")
-    return complex(state.amps[basis_index(bits)])
+    if 2 ** len(bits) != len(state):
+        raise ValueError(f"label {bits!r} has wrong length for {len(state)} amplitudes")
+    return complex(state[basis_index(bits)])
 
 
 def distance(a, b):
     """Euclidean norm of two states' amplitude difference."""
-    if a.num_qubits != b.num_qubits:
+    if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a.amps - b.amps))
+    return float(np.linalg.norm(a - b))
 
 
 def swap_qubits(state, i, j):
     """The state with qubits i and j (1-based) exchanged: each ket's amplitude
     moves to the bit string with its characters i and j swapped."""
-    n = state.num_qubits
+    n = len(state).bit_length() - 1
     amps = np.zeros(2**n, dtype=complex)
-    for index, amp in enumerate(state.amps):
+    for index, amp in enumerate(state):
         bits = list(format(index, f"0{n}b"))
         bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
         amps[basis_index("".join(bits))] = amp
-    return StateVector(n, amps)
+    return amps
 
 
 def fraction_phase_one(matrix: list[list[Fraction]], rhs: list[Fraction]

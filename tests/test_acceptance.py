@@ -14,6 +14,7 @@ import oracles
 from afbell.cli import main as cli_main
 from afbell.experiment import (
     LABEL_ORDER,
+    _PROJECTORS,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -26,8 +27,7 @@ from afbell.lhv import (
     verify_certificate,
 )
 from afbell import qstate
-from afbell.observables import build_F, build_G, local_protocol_for
-from afbell.qstate import StateVector, build_phi, build_psi
+from afbell.observables import local_protocol_for
 from afbell.rotations import fourfold, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
@@ -79,18 +79,17 @@ def test_criterion_2_rotation_robustness():
 
 def test_criterion_3_state_invariance():
     eta = oracles.eta()
-    grid = eta.amps.reshape(16, 16)
-    states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
+    grid = eta.reshape(16, 16)
+    states = [*qstate._pair("phi"), *qstate._pair("psi")]
     pairs = fourfold(sample_su2_batch(split_seed(11, np.arange(200))))
     singles = fourfold(sample_su2_batch(split_seed(13, np.arange(100))))
     worst_pair = 0.0
     worst_single = 0.0
     for k in range(100):
         moved = (pairs[2 * k] @ grid @ pairs[2 * k + 1].T).reshape(256)
-        worst_pair = max(worst_pair, oracles.distance(StateVector(8, moved), eta))
+        worst_pair = max(worst_pair, oracles.distance(moved, eta))
         for s in states:
-            moved = StateVector(4, singles[k] @ s.amps)
-            worst_single = max(worst_single, oracles.distance(moved, s))
+            worst_single = max(worst_single, oracles.distance(singles[k] @ s, s))
     assert worst_pair < 1e-10
     assert worst_single < 1e-10
     _report("3 state-invariance",
@@ -107,7 +106,7 @@ def test_criterion_4_expansion_consistency():
     for (a, b), amps in qstate._ETA_AMPS.items():
         table = amps / scale
         rebuilt = qstate._pair(a).T @ table @ qstate._pair(b)
-        worst = max(worst, oracles.distance(eta, StateVector(8, rebuilt.reshape(256))))
+        worst = max(worst, oracles.distance(eta, rebuilt.reshape(256)))
     assert worst < 1e-12
     table = exact_behavior()[GG]
     expected = np.array(
@@ -122,33 +121,29 @@ def test_criterion_4_expansion_consistency():
 
 def test_criterion_5_local_protocol_equivalence():
     worst_string = 0.0
-    for tag, minus_state, plus_state in (
-        ("F", build_phi(0), build_phi(1)),
-        ("G", build_psi(0), build_psi(1)),
-    ):
+    for tag, (minus_state, plus_state) in (("F", qstate._pair("phi")), ("G", qstate._pair("psi"))):
         proto = local_protocol_for(tag)
         minus_strings = [s for s in proto.classifier if proto.classifier[s] == -1]
         assert len(minus_strings) == 4
         assert len(proto.classifier) - len(minus_strings) == 12
         labels = np.array([proto.classifier[format(i, "04b")] for i in range(16)])
         for state, label, share in ((minus_state, -1, 0.25), (plus_state, +1, 1.0 / 12.0)):
-            probs = np.abs(proto.eigenvectors.conj() @ state.amps) ** 2
+            probs = np.abs(proto.eigenvectors.conj() @ state) ** 2
             target = np.where(labels == label, share, 0.0)
             worst_string = max(worst_string, float(np.abs(probs - target).max()))
     assert worst_string < 1e-12
 
     rng = np.random.default_rng(20260810)
     worst_dist = 0.0
-    for tag, v0, v1, pvm in (
-        ("F", build_phi(0), build_phi(1), build_F()),
-        ("G", build_psi(0), build_psi(1), build_G()),
-    ):
+    for x, (tag, basis) in enumerate((("F", "phi"), ("G", "psi"))):
+        v0, v1 = qstate._pair(basis)
+        pvm = dict(zip(LABEL_ORDER, _PROJECTORS[x]))
         proto = local_protocol_for(tag)
         coarse = oracles.coarse_grained(proto)
         for _ in range(100):
             c = rng.standard_normal(4)
-            amps = (c[0] + 1j * c[1]) * v0.amps + (c[2] + 1j * c[3]) * v1.amps
-            state = StateVector(4, amps / np.linalg.norm(amps))
+            amps = (c[0] + 1j * c[1]) * v0 + (c[2] + 1j * c[3]) * v1
+            state = amps / np.linalg.norm(amps)
             exact = oracles.born(state, pvm)
             fine = oracles.classified(state, proto)
             via_coarse = oracles.born(state, coarse)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from afbell import __version__, cli, experiment
+from afbell import __version__, cli, experiment, qstate
 from afbell.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO,
@@ -320,9 +320,13 @@ def test_psi_sign_flip_fails_the_exact_rows(monkeypatch):
     # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The pair's Gram
     # matrix is unchanged, but the flipped ket leaves the spin-zero sector,
     # rotations move it, and G built from it no longer reads eta's tables.
+    # The projectors are built at import, so G's are rebuilt from the flip.
     psi = cli.INTEGER_KETS["psi"].copy()
     psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
     monkeypatch.setitem(cli.INTEGER_KETS, "psi", psi)
+    minus, plus = (np.outer(v, v.conj()) for v in qstate._pair("psi"))
+    monkeypatch.setattr(cli, "_PROJECTORS",
+                        np.array([cli._PROJECTORS[0], [minus, plus, np.eye(16) - minus - plus]]))
     rows = {r.name: r for r in run_verify_suite()}
     assert rows["state-gram"].passed
     assert rows["invariance-generators"].deviation == 4.0

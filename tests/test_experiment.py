@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import born_table, rotate_pvm, sequential_joint, trials_csv
+from oracles import born_table, joint_born, rotate_pvm, sequential_joint, trials_csv
 from afbell import experiment
 from afbell.experiment import (
     LABEL_ORDER,
@@ -22,13 +22,12 @@ from afbell.experiment import (
     count_trials,
     epr_audit,
     exact_behavior,
-    joint_born,
     parse_policy,
     run_trials,
     stats_report,
 )
 from afbell.lhv import HARDY_VALUE, quantum_constraints
-from afbell.observables import build_F, build_G, local_protocol_for
+from afbell.observables import local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import (
     STREAM_ALICE,
@@ -193,11 +192,12 @@ def test_rotated_behavior_identical(behavior):
 
 
 def test_exact_behavior_matches_dense_born_rule():
-    # Every cell, the 0 row and column included, against joint_born on
-    # projectors rotated by the dense four-fold power.
+    # Every cell, the 0 row and column included, against the oracle's dense
+    # Born rule on its own F and G projectors, rotated by the dense four-fold
+    # power.
     eta = oracles.eta()
-    canonical = (build_F(), build_G())
-    assert all([label for label, _ in pvm.outcomes] == list(LABEL_ORDER) for pvm in canonical)
+    canonical = (oracles.F, oracles.G)
+    assert all(list(pvm) == list(LABEL_ORDER) for pvm in canonical)
     for k in range(5):
         seed = split_seed(4242, k)
         behavior = exact_behavior(seed)
@@ -213,21 +213,19 @@ def test_exact_behavior_matches_dense_born_rule():
 
 def test_joint_born_agrees_with_sequential_projection():
     eta = oracles.eta()
-    f, g = build_F(), build_G()
+    f, g = oracles.F, oracles.G
     for pvm_a, pvm_b in ((f, f), (f, g), (g, g)):
         joint = joint_born(eta, pvm_a, pvm_b)
         seq = sequential_joint(eta, pvm_a, pvm_b)
         assert joint.shape == (3, 3) and len(seq) == 9
-        for (i, (la, _)), (j, (lb, _)) in itertools.product(
-                enumerate(pvm_a.outcomes), enumerate(pvm_b.outcomes)):
+        for (i, la), (j, lb) in itertools.product(enumerate(pvm_a), enumerate(pvm_b)):
             assert joint[i, j] == pytest.approx(seq[la, lb], abs=TOL)
     alice_f, _, _, bob_g = _setup(777)
     ra = rotate_pvm(alice_f, f)
     rb = rotate_pvm(bob_g, g)
     joint = joint_born(eta, ra, rb)
     seq = sequential_joint(eta, ra, rb)
-    for (i, (la, _)), (j, (lb, _)) in itertools.product(
-            enumerate(ra.outcomes), enumerate(rb.outcomes)):
+    for (i, la), (j, lb) in itertools.product(enumerate(ra), enumerate(rb)):
         assert joint[i, j] == pytest.approx(seq[la, lb], abs=TOL)
 
 
@@ -551,7 +549,7 @@ def _kernel_against_oracle(kernels, grid, seed):
 def test_table_kernel_matches_dense_oracle():
     # One kernel serves all three uses, which differ only in their rows.
     # Unrotated setups first: the Born table of the rows themselves.
-    grid = oracles.eta().amps.reshape(16, 16)
+    grid = oracles.eta().reshape(16, 16)
     code = np.array([0, 1])
     eye = np.array([np.eye(2, dtype=complex)] * 2)
     for name, kernel in KERNELS.items():
@@ -1029,3 +1027,21 @@ def test_exact_behavior_rejects_non_finite_and_missing_tables():
     for shape in ((3, 3, 3), (4, 2, 2), (36,)):
         with pytest.raises(ValueError, match="3x3 outcome table for each of the 4"):
             _audit_and_report(np.full(shape, 1.0 / 9.0))
+
+
+_ONES = np.ones((4, 3, 3), np.int64)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (np.ones((2, 3, 3), np.int64), "3x3 integer outcome table"),
+    (np.ones((3, 3), np.int64), "3x3 integer outcome table"),
+    (_ONES.astype(float), "3x3 integer outcome table"),
+    (np.where(np.arange(36).reshape(4, 3, 3) == 5, -9, _ONES), "must not be negative"),
+], ids=["two-tables", "one-table", "float", "negative"])
+def test_counts_validation(behavior, bad, match):
+    # Counts are a (4, 3, 3) integer array with no negative cell, in both
+    # callers that take counts.
+    with pytest.raises(ValueError, match=match):
+        stats_report(bad, behavior)
+    with pytest.raises(ValueError, match=match):
+        epr_audit(bad, behavior)

@@ -1,7 +1,9 @@
 """PVM structure, Born distributions, and the single-qubit protocol.
 
 Born, classified and coarse-grained distributions come from the references
-in oracles; what is under test is the PVMs and protocols they read."""
+in oracles; what is under test is the projectors and protocols they read:
+F and G are experiment._PROJECTORS by setting code, as {label: projector}
+dicts in LABEL_ORDER, and the states are qstate._pair's rows."""
 
 import hashlib
 import json
@@ -11,58 +13,44 @@ import numpy as np
 import pytest
 
 import oracles
-from afbell.observables import (
-    ALL_STRINGS,
-    PVM,
-    LocalProtocol,
-    build_F,
-    build_G,
-    local_protocol_for,
-)
-from afbell.qstate import StateVector, build_phi, build_psi
+from afbell.experiment import LABEL_ORDER, _PROJECTORS
+from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
+from afbell.qstate import _pair
 
 TOL = 1e-12
 
+F, G = (dict(zip(LABEL_ORDER, projectors)) for projectors in _PROJECTORS)
+(PHI0, PHI1), (PSI0, PSI1) = _pair("phi"), _pair("psi")
+
 
 def _pvm_ranks(m):
-    return [int(round(np.trace(p).real)) for _, p in m.outcomes]
+    return [int(round(np.trace(p).real)) for p in m.values()]
 
 
-@pytest.mark.parametrize("builder", [build_F, build_G])
-def test_pvm_structure(builder):
-    m = builder()
-    assert [label for label, _ in m.outcomes] == [-1, +1, 0]
-    assert _pvm_ranks(m) == [1, 1, 14]
-    total = sum(p for _, p in m.outcomes)
-    assert np.abs(total - np.eye(16)).max() < TOL
-    for _, p in m.outcomes:
+@pytest.mark.parametrize("setting", ["F", "G"])
+def test_pvm_structure(setting):
+    x = "FG".index(setting)
+    projectors = _PROJECTORS[x]
+    assert LABEL_ORDER == (-1, +1, 0) and projectors.shape == (3, 16, 16)
+    assert not projectors.flags.writeable
+    assert _pvm_ranks((F, G)[x]) == [1, 1, 14]
+    assert np.abs(projectors.sum(axis=0) - np.eye(16)).max() < TOL
+    for i, p in enumerate(projectors):
         assert np.abs(p - p.conj().T).max() < TOL
         assert np.abs(p @ p - p).max() < TOL
-
-
-def test_pvm_rejects_non_projector():
-    broken = np.eye(16) * 0.5
-    with pytest.raises(ValueError):
-        PVM(((1, broken),))
-
-
-@pytest.mark.filterwarnings("error")
-def test_pvm_rejects_non_finite_projector():
-    for bad in (np.nan, np.inf):
-        proj = np.eye(16, dtype=complex)
-        proj[3, 5] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            PVM(((1, proj),))
+        for q in projectors[:i]:
+            assert np.abs(p @ q).max() < TOL
+    # The projectors of the paper's published pairs, built apart from _pair.
+    published = (oracles.F, oracles.G)[x]
+    assert np.abs(projectors - np.array(list(published.values()))).max() < TOL
 
 
 def test_born_on_eigenstates():
-    f = build_F()
-    assert oracles.born(build_phi(1), f) == pytest.approx(
+    assert oracles.born(PHI1, F) == pytest.approx(
         {-1: 0.0, +1: 1.0, 0: 0.0}, abs=TOL)
-    assert oracles.born(build_phi(0), f) == pytest.approx(
+    assert oracles.born(PHI0, F) == pytest.approx(
         {-1: 1.0, +1: 0.0, 0: 0.0}, abs=TOL)
-    g = build_G()
-    assert oracles.born(build_psi(0), g) == pytest.approx(
+    assert oracles.born(PSI0, G) == pytest.approx(
         {-1: 1.0, +1: 0.0, 0: 0.0}, abs=TOL)
 
 
@@ -70,23 +58,21 @@ def test_born_cross_values():
     # Oracle: squared inner products from the coefficient dicts.
     p_plus = oracles.dict_inner(oracles.PHI1, oracles.PSI0) ** 2
     assert p_plus == pytest.approx(0.75, abs=TOL)
-    f = build_F()
-    assert oracles.born(build_psi(0), f) == pytest.approx(
+    assert oracles.born(PSI0, F) == pytest.approx(
         {-1: 0.25, +1: 0.75, 0: 0.0}, abs=TOL)
-    assert oracles.born(build_psi(1), f) == pytest.approx(
+    assert oracles.born(PSI1, F) == pytest.approx(
         {-1: 0.75, +1: 0.25, 0: 0.0}, abs=TOL)
-    g = build_G()
-    assert oracles.born(build_phi(0), g)[+1] == pytest.approx(
+    assert oracles.born(PHI0, G)[+1] == pytest.approx(
         oracles.dict_inner(oracles.PSI1, oracles.PHI0) ** 2, abs=TOL)
-    assert oracles.born(build_phi(0), g)[+1] == pytest.approx(0.75, abs=TOL)
-    assert oracles.born(build_phi(1), g)[+1] == pytest.approx(0.25, abs=TOL)
+    assert oracles.born(PHI0, G)[+1] == pytest.approx(0.75, abs=TOL)
+    assert oracles.born(PHI1, G)[+1] == pytest.approx(0.25, abs=TOL)
 
 
 def test_born_outside_the_span():
     # Oracle: |0000> has no overlap with either discriminated state.
     assert oracles.dict_inner({"0000": 1.0}, oracles.PHI0) == 0.0
     assert oracles.dict_inner({"0000": 1.0}, oracles.PHI1) == 0.0
-    dist = oracles.born(oracles.basis_state(4, "0000"), build_F())
+    dist = oracles.born(oracles.basis_state(4, "0000"), F)
     assert dist == pytest.approx({-1: 0.0, +1: 0.0, 0: 1.0}, abs=TOL)
 
 
@@ -94,8 +80,8 @@ def test_born_sums_to_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = StateVector(4, amps / np.linalg.norm(amps))
-        for m in (build_F(), build_G()):
+        state = amps / np.linalg.norm(amps)
+        for m in (F, G):
             dist = oracles.born(state, m)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-11)
             assert all(p >= 0.0 for p in dist.values())
@@ -134,7 +120,7 @@ def test_protocol_eigenbasis_orthonormal():
         gram = vecs.conj() @ vecs.T
         assert np.abs(gram - np.eye(16)).max() < TOL
         coarse = oracles.coarse_grained(proto)
-        total = coarse.projector(-1) + coarse.projector(+1)
+        total = coarse[-1] + coarse[+1]
         assert np.abs(total - np.eye(16)).max() < TOL
 
 
@@ -184,46 +170,46 @@ def test_protocol_eigenvectors_pinned(tag):
 
 def _string_probs(state, protocol):
     """Each outcome string's probability, by ALL_STRINGS: |<e_i|s>|^2."""
-    return dict(zip(ALL_STRINGS, np.abs(protocol.eigenvectors.conj() @ state.amps) ** 2))
+    return dict(zip(ALL_STRINGS, np.abs(protocol.eigenvectors.conj() @ state) ** 2))
 
 
 def test_string_probabilities_on_discriminated_states():
     f = local_protocol_for("F")
-    dist0 = _string_probs(build_phi(0), f)
+    dist0 = _string_probs(PHI0, f)
     for bits, prob in dist0.items():
         target = 0.25 if f.classifier[bits] == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
-    dist1 = _string_probs(build_phi(1), f)
+    dist1 = _string_probs(PHI1, f)
     for bits, prob in dist1.items():
         target = 1.0 / 12.0 if f.classifier[bits] == +1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
     g = local_protocol_for("G")
-    for bits, prob in _string_probs(build_psi(0), g).items():
+    for bits, prob in _string_probs(PSI0, g).items():
         target = 0.25 if g.classifier[bits] == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
 
 
 def test_classified_distribution_on_span_members():
     f = local_protocol_for("F")
-    assert oracles.classified(build_phi(0), f) == pytest.approx(
+    assert oracles.classified(PHI0, f) == pytest.approx(
         {-1: 1.0, +1: 0.0}, abs=TOL)
-    assert oracles.classified(build_psi(0), f) == pytest.approx(
+    assert oracles.classified(PSI0, f) == pytest.approx(
         {-1: 0.25, +1: 0.75}, abs=TOL)
 
 
 def test_coarse_grain_matches_pvm_on_span():
     rng = np.random.default_rng(17)
     for tag, v0, v1, pvm in (
-        ("F", build_phi(0), build_phi(1), build_F()),
-        ("G", build_psi(0), build_psi(1), build_G()),
+        ("F", PHI0, PHI1, F),
+        ("G", PSI0, PSI1, G),
     ):
         proto = local_protocol_for(tag)
         coarse = oracles.coarse_grained(proto)
         assert sorted(_pvm_ranks(coarse)) == [4, 12]
         for _ in range(100):
             c = rng.standard_normal(4)
-            amps = (c[0] + 1j * c[1]) * v0.amps + (c[2] + 1j * c[3]) * v1.amps
-            state = StateVector(4, amps / np.linalg.norm(amps))
+            amps = (c[0] + 1j * c[1]) * v0 + (c[2] + 1j * c[3]) * v1
+            state = amps / np.linalg.norm(amps)
             via_protocol = oracles.classified(state, proto)
             via_coarse = oracles.born(state, coarse)
             exact = oracles.born(state, pvm)
@@ -244,8 +230,8 @@ def test_g_protocol_is_swapped_f_protocol():
     cf = oracles.coarse_grained(local_protocol_for("F"))
     cg = oracles.coarse_grained(local_protocol_for("G"))
     for label in (-1, +1):
-        swapped = perm @ cf.projector(label) @ perm.T
-        assert np.abs(swapped - cg.projector(label)).max() < TOL
+        swapped = perm @ cf[label] @ perm.T
+        assert np.abs(swapped - cg[label]).max() < TOL
 
 
 def test_protocol_validation():

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import SQRT3, SQRT7, amplitude, basis_index, basis_state, distance, tensor
 from afbell import experiment, qstate
-from afbell.qstate import ETA_PHI_PHI, StateVector, build_phi, build_psi
+from afbell.qstate import ETA_PHI_PHI, _pair
 
 TOL = 1e-12
 NORMS = (4, 12)
@@ -48,7 +48,7 @@ def test_basis_index_rejects_garbage():
 
 
 def test_phi_amplitudes():
-    phi0, phi1 = build_phi(0), build_phi(1)
+    phi0, phi1 = _pair("phi")
     assert amplitude(phi0, "0101") == pytest.approx(0.5, abs=TOL)
     assert amplitude(phi0, "0110") == pytest.approx(-0.5, abs=TOL)
     assert amplitude(phi1, "0011") == pytest.approx(1.0 / SQRT3, abs=TOL)
@@ -61,7 +61,7 @@ def test_phi_amplitudes():
 
 
 def test_derived_amplitudes_bytes_pinned():
-    amps = b"".join(build(j).amps.tobytes() for build in (build_phi, build_psi) for j in (0, 1))
+    amps = b"".join(_pair(basis).tobytes() for basis in ("phi", "psi"))
     assert hashlib.sha256(amps).hexdigest() == STATE_AMPS_SHA256
     assert hashlib.sha256(ETA_PHI_PHI.tobytes()).hexdigest() == ETA_PHI_PHI_SHA256
     # The sampler's Bob-side pair is that table times the phi pair.
@@ -69,52 +69,41 @@ def test_derived_amplitudes_bytes_pinned():
 
 
 def test_phi_unit_norm_and_orthogonal():
-    phi0, phi1 = build_phi(0), build_phi(1)
-    assert abs(np.linalg.norm(phi0.amps) - 1.0) < TOL
-    assert abs(np.linalg.norm(phi1.amps) - 1.0) < TOL
+    phi0, phi1 = _pair("phi")
+    assert abs(np.linalg.norm(phi0) - 1.0) < TOL
+    assert abs(np.linalg.norm(phi1) - 1.0) < TOL
     # Oracle: direct inner product of the two amplitude lists.
     assert oracles.dict_inner(oracles.PHI0, oracles.PHI1) == pytest.approx(0.0, abs=TOL)
-    assert abs(np.vdot(phi0.amps, phi1.amps)) < TOL
-
-
-def test_build_phi_rejects_bad_index():
-    with pytest.raises(ValueError):
-        build_phi(2)
-    with pytest.raises(ValueError):
-        build_psi(-1)
+    assert abs(np.vdot(phi0, phi1)) < TOL
 
 
 def test_psi_amplitudes_and_relations():
-    psi0, psi1 = build_psi(0), build_psi(1)
+    (phi0, phi1), (psi0, psi1) = _pair("phi"), _pair("psi")
     assert amplitude(psi0, "0011") == pytest.approx(0.5, abs=TOL)
     for state, table in ((psi0, oracles.PSI0), (psi1, oracles.PSI1)):
         for bits in (format(i, "04b") for i in range(16)):
             assert amplitude(state, bits).real == pytest.approx(table.get(bits, 0.0), abs=TOL)
-    assert abs(np.vdot(psi0.amps, psi1.amps)) < TOL
-    assert np.vdot(build_phi(0).amps, psi0.amps).real == pytest.approx(0.5, abs=TOL)
-    assert np.vdot(build_phi(1).amps, psi1.amps).real == pytest.approx(-0.5, abs=TOL)
+    assert abs(np.vdot(psi0, psi1)) < TOL
+    assert np.vdot(phi0, psi0).real == pytest.approx(0.5, abs=TOL)
+    assert np.vdot(phi1, psi1).real == pytest.approx(-0.5, abs=TOL)
 
 
 def test_psi_equals_phi_combination():
     # (phi0 + sqrt3 phi1)/2 and (sqrt3 phi0 - phi1)/2 match the explicit kets.
-    phi0, phi1 = build_phi(0), build_phi(1)
-    combo0 = StateVector(4, (phi0.amps + SQRT3 * phi1.amps) / 2.0)
-    combo1 = StateVector(4, (SQRT3 * phi0.amps - phi1.amps) / 2.0)
-    assert distance(combo0, build_psi(0)) < TOL
-    assert distance(combo1, build_psi(1)) < TOL
+    (phi0, phi1), (psi0, psi1) = _pair("phi"), _pair("psi")
+    assert distance((phi0 + SQRT3 * phi1) / 2.0, psi0) < TOL
+    assert distance((SQRT3 * phi0 - phi1) / 2.0, psi1) < TOL
 
 
 def test_psi_is_phi_with_qubits_2_3_swapped():
-    for j in (0, 1):
-        swapped = oracles.swap_qubits(build_phi(j), 2, 3)
-        assert np.array_equal(swapped.amps, build_psi(j).amps)
+    for phi, psi in zip(_pair("phi"), _pair("psi")):
+        assert np.array_equal(oracles.swap_qubits(phi, 2, 3), psi)
 
 
 def test_change_of_basis_matrix():
-    phi = [build_phi(0), build_phi(1)]
-    psi = [build_psi(0), build_psi(1)]
+    phi, psi = _pair("phi"), _pair("psi")
     expected = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
-    got = np.array([[np.vdot(phi[i].amps, psi[j].amps) for j in (0, 1)] for i in (0, 1)])
+    got = np.array([[np.vdot(phi[i], psi[j]) for j in (0, 1)] for i in (0, 1)])
     assert np.abs(got - expected).max() < TOL
     # Exactly: the integer cross-Gram K_phi K_psi^T, over sqrt(n_i n_j).
     gram = qstate.INTEGER_KETS["phi"] @ qstate.INTEGER_KETS["psi"].T
@@ -126,16 +115,15 @@ def test_change_of_basis_matrix():
 
 def test_eta_norm_and_overlaps():
     eta = oracles.eta()
-    assert abs(np.linalg.norm(eta.amps) - 1.0) < TOL
-    phi00 = tensor(build_phi(0), build_phi(0))
-    phi11 = tensor(build_phi(1), build_phi(1))
-    assert abs(np.vdot(phi00.amps, eta.amps)) ** 2 == pytest.approx(1.0 / 7.0, abs=TOL)
-    assert abs(np.vdot(phi11.amps, eta.amps)) < TOL
+    assert abs(np.linalg.norm(eta) - 1.0) < TOL
+    phi0, phi1 = _pair("phi")
+    assert abs(np.vdot(tensor(phi0, phi0), eta)) ** 2 == pytest.approx(1.0 / 7.0, abs=TOL)
+    assert abs(np.vdot(tensor(phi1, phi1), eta)) < TOL
 
 
 def test_eta_matches_dict_oracle():
     # The grid the sampler and verify read, PHI^T (C PHI), is eta's.
-    eta = StateVector(8, (experiment._PHI.T @ experiment._C_PHI).reshape(256))
+    eta = (experiment._PHI.T @ experiment._C_PHI).reshape(256)
     assert abs(oracles.dict_norm(oracles.ETA) - 1.0) < TOL
     for bits, amp in oracles.ETA.items():
         assert amplitude(eta, bits).real == pytest.approx(amp, abs=TOL)
@@ -170,7 +158,7 @@ def test_eta_reconstruction_from_all_tables():
     eta = oracles.eta()
     for basis_a, basis_b in qstate._ETA_AMPS:
         av, bv = qstate._pair(basis_a), qstate._pair(basis_b)
-        rebuilt = StateVector(8, (av.T @ _floats_of_exact(basis_a, basis_b) @ bv).reshape(256))
+        rebuilt = (av.T @ _floats_of_exact(basis_a, basis_b) @ bv).reshape(256)
         assert distance(eta, rebuilt) < TOL
 
 
@@ -178,7 +166,7 @@ def test_tensor_basics():
     zero = basis_state(1, "0")
     one = basis_state(1, "1")
     assert amplitude(tensor(zero, one), "01") == 1.0
-    both = tensor(build_phi(0), build_phi(0))
+    both = tensor(_pair("phi")[0], _pair("phi")[0])
     assert amplitude(both, "01010101").real == pytest.approx(0.25, abs=TOL)
     # Oracle: product of the two 1/2 amplitudes.
     assert oracles.PHI0["0101"] * oracles.PHI0["0101"] == 0.25
@@ -187,10 +175,10 @@ def test_tensor_basics():
 def test_tensor_norm_multiplicative():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        a = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        b = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         ab = tensor(a, b)
-        norms = [np.linalg.norm(s.amps) for s in (ab, a, b)]
+        norms = [np.linalg.norm(s) for s in (ab, a, b)]
         assert norms[0] == pytest.approx(norms[1] * norms[2], rel=1e-12)
 
 
@@ -201,37 +189,25 @@ def test_tensor_associative_exact_on_basis_states():
         c = basis_state(1, "1")
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
-        assert np.array_equal(left.amps, right.amps)
+        assert np.array_equal(left, right)
 
 
 def test_tensor_associative_general():
     rng = np.random.default_rng(12)
-    a = StateVector(1, rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    b = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    c = StateVector(1, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
-    assert distance(left, right) < 1e-14 * np.linalg.norm(left.amps)
+    assert distance(left, right) < 1e-14 * np.linalg.norm(left)
 
 
-def test_tensor_qubit_cap():
-    eta = oracles.eta()
-    with pytest.raises(ValueError):
-        tensor(eta, basis_state(1, "0"))
-
-
-def test_statevector_validation():
-    with pytest.raises(ValueError):
-        StateVector(2, np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([np.nan, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(0, np.array([1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(9, np.zeros(512))
-
-
-def test_statevector_immutable():
-    phi0 = build_phi(0)
-    with pytest.raises(ValueError):
-        phi0.amps[0] = 1.0
+def test_state_arrays_immutable():
+    # The integer kets are read-only, and _pair hands out a fresh array, so
+    # no caller can change the amplitudes the package reads.
+    for kets in qstate.INTEGER_KETS.values():
+        with pytest.raises(ValueError):
+            kets[0, 0] = 1
+    phi = _pair("phi")
+    phi[0, 0] = 1.0
+    assert _pair("phi")[0, 0] == 0.0

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from oracles import (basis_state, born, distance, mix64, rotate_pvm, split, su2,
                      su2_batch_reference, unmix64)
-from afbell.observables import build_F
-from afbell.qstate import StateVector, build_phi, build_psi
+from afbell.experiment import LABEL_ORDER, _PROJECTORS
+from afbell.qstate import _pair
 from afbell.rotations import (
     fourfold,
     mix64_array,
@@ -27,13 +27,13 @@ def _draw(seed):
 
 def _rotate(u, s):
     """A 4-qubit state rotated by u's four-fold power."""
-    return StateVector(4, fourfold(u[None])[0] @ s.amps)
+    return fourfold(u[None])[0] @ s
 
 
 def _rotate_pair(u_a, u_b, s):
     """An 8-qubit state rotated by u_a on qubits 1-4 and u_b on qubits 5-8."""
     p_a, p_b = fourfold(np.array([u_a, u_b]))
-    return StateVector(8, (p_a @ s.amps.reshape(16, 16) @ p_b.T).reshape(256))
+    return (p_a @ s.reshape(16, 16) @ p_b.T).reshape(256)
 
 
 def test_mix64_is_deterministic_and_bijective_looking():
@@ -164,6 +164,64 @@ def test_haar_trace_moment():
     assert abs(mean - 0.25) < 3.0 * stderr
 
 
+# The Haar test's root seed, draws, bins per G-test and rejection threshold,
+# fixed before its first run.  Every Haar U in SU(2) is cos a I - i sin a
+# (n . sigma), U00 = cos a - i n_z sin a: the angle a in [0, pi] has CDF
+# (a - sin a cos a)/pi, and the axis n is uniform on the sphere, so n_z is
+# uniform on [-1, 1] (Mezzadri, Notices AMS 54, 592, 2007).
+HAAR_ROOT = 0x5EED_4AA2
+HAAR_DRAWS = 100_000
+HAAR_BINS = 20
+HAAR_P_MIN = 1e-6
+
+
+def _chi2_sf(x, df):
+    """P(X >= x) for X ~ chi^2(df), x > 0, in closed form: Q(x; 2) =
+    exp(-x/2), Q(x; 1) = erfc(sqrt(x/2)), and Q(x; k + 2) = Q(x; k) +
+    (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1)."""
+    k = 2 - df % 2
+    q = math.exp(-x / 2) if k == 2 else math.erfc(math.sqrt(x / 2))
+    for k in range(k, df, 2):
+        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+    return q
+
+
+def _uniform_p(u):
+    """G-test p-value of values u in [0, 1] against HAAR_BINS equal bins."""
+    observed = np.bincount(np.minimum((u * HAAR_BINS).astype(int), HAAR_BINS - 1),
+                           minlength=HAAR_BINS)
+    hit = observed[observed > 0]
+    g = 2.0 * float((hit * np.log(hit * HAAR_BINS / len(u))).sum())
+    return _chi2_sf(g, HAAR_BINS - 1)
+
+
+def _haar_p_values(us):
+    """G-test p-values of (n, 2, 2) matrices' angles a, through their CDF,
+    and of their axes' n_z, both read off U00."""
+    a = np.arccos(np.clip(us[:, 0, 0].real, -1.0, 1.0))
+    n_z = np.clip(-us[:, 0, 0].imag / np.sin(a), -1.0, 1.0)
+    return _uniform_p((a - np.sin(a) * np.cos(a)) / math.pi), _uniform_p((n_z + 1.0) / 2.0)
+
+
+def test_chi2_survival_closed_form():
+    # The 5% critical values of chi^2 with 1, 2, 19 and 20 degrees of freedom.
+    for x, df in ((3.841459, 1), (5.991465, 2), (30.143527, 19), (31.410433, 20)):
+        assert _chi2_sf(x, df) == pytest.approx(0.05, rel=1e-5)
+
+
+def test_haar_angle_and_axis_distributions():
+    us = sample_su2_batch(split_seed(HAAR_ROOT, np.arange(HAAR_DRAWS)))
+    assert min(_haar_p_values(us)) > HAAR_P_MIN
+    # The test's power: normalized uniform-cube quaternions, symmetric under
+    # permuting their components, meet test_haar_trace_moment's E[w^2] = 1/4,
+    # but neither the Haar angle law nor the uniform axis.
+    q = np.random.default_rng(HAAR_ROOT).uniform(-1.0, 1.0, (4, HAAR_DRAWS))
+    w, x, y, z = q / np.linalg.norm(q, axis=0)
+    assert abs(np.mean(w * w) - 0.25) < 3.0 * np.std(w * w) / math.sqrt(HAAR_DRAWS)
+    cube = np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]]).transpose(2, 0, 1)
+    assert max(_haar_p_values(cube)) < HAAR_P_MIN
+
+
 def test_axis_angle_x_pi_flips_all_bits():
     # An x-axis pi rotation is -i X per qubit; the fourth tensor power has
     # phase (-i)^4 = 1, so |0011> maps exactly to |1100>.
@@ -173,14 +231,14 @@ def test_axis_angle_x_pi_flips_all_bits():
 
 
 def test_apply_fourfold_identity_and_norm():
-    s = build_phi(1)
+    s = _pair("phi")[1]
     assert distance(_rotate(np.eye(2, dtype=complex), s), s) == 0.0
     out = _rotate(_draw(1234), s)
-    assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_invariance_of_all_four_states():
-    states = [build_phi(0), build_phi(1), build_psi(0), build_psi(1)]
+    states = [*_pair("phi"), *_pair("psi")]
     worst = 0.0
     for u in sample_su2_batch(split_seed(404, np.arange(100))):
         for s in states:
@@ -204,21 +262,21 @@ def test_pair_changes_non_invariant_state():
     u = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     zeros = basis_state(8, "0" * 8)
     moved = _rotate_pair(u, u, zeros)
-    fidelity = abs(np.vdot(zeros.amps, moved.amps)) ** 2
+    fidelity = abs(np.vdot(zeros, moved)) ** 2
     assert fidelity < 0.999
 
 
 def test_rotate_pvm_leaves_F_unchanged():
-    f = build_F()
+    f = dict(zip(LABEL_ORDER, _PROJECTORS[0]))
     ident = rotate_pvm(np.eye(2, dtype=complex), f)
-    for (_, p), (_, q) in zip(f.outcomes, ident.outcomes):
+    for p, q in zip(f.values(), ident.values()):
         assert np.abs(p - q).max() == 0.0
     for k in range(10):
         rotated = rotate_pvm(_draw(split_seed(55, k)), f)
-        rotated.validate()
-        for (_, p), (_, q) in zip(f.outcomes, rotated.outcomes):
+        assert oracles.pvm_violation(rotated) < 1e-12
+        for p, q in zip(f.values(), rotated.values()):
             assert np.abs(p - q).max() < INV_TOL
-        dist = born(build_phi(0), rotated)
+        dist = born(_pair("phi")[0], rotated)
         assert dist[-1] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -227,12 +285,13 @@ def test_general_unitary_picks_up_global_phase_only():
     # invariant states by e^{4 i theta}; probabilities are unchanged.
     theta = 0.3721
     u = np.exp(1j * theta) * _draw(991)
-    for s in (build_phi(0), build_phi(1)):
+    f = dict(zip(LABEL_ORDER, _PROJECTORS[0]))
+    for s in _pair("phi"):
         out = _rotate(u, s)
-        expected = np.exp(4j * theta) * s.amps
-        assert np.abs(out.amps - expected).max() < INV_TOL
-        dist = born(out, build_F())
-        assert dist == pytest.approx(born(s, build_F()), abs=1e-10)
+        expected = np.exp(4j * theta) * s
+        assert np.abs(out - expected).max() < INV_TOL
+        dist = born(out, f)
+        assert dist == pytest.approx(born(s, f), abs=1e-10)
 
 
 def test_collective_rotation_matrix_expansion():
