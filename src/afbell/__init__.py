@@ -1,12 +1,13 @@
 """Alignment-free Bell test: exact verification, Monte Carlo sampling, LHV audit.
 
-States and measurements are held as arrays only: the invariant pairs are
-the rows of qstate._pair, and F's and G's projectors experiment._PROJECTORS.
+States and measurements are held as arrays only, indexed by setting code
+(F 0 reads phi, G 1 reads psi): the invariant pairs are qstate.PAIRS, F's
+and G's projectors experiment._PROJECTORS, and the single-qubit protocol
+observables.PROTOCOL_ROWS and PROTOCOL_LABELS.  There is no measurement class.
 """
 
 __version__ = "0.2.0"
 
-from .observables import LocalProtocol, local_protocol_for
 from .rotations import split_seed
 from .experiment import (
     TrialLog,
@@ -27,7 +28,6 @@ from .lhv import (
 
 __all__ = [
     "__version__",
-    "LocalProtocol", "local_protocol_for",
     "split_seed",
     "TrialLog", "count_trials", "epr_audit", "exact_behavior", "run_trials",
     "Constraint", "FeasibilityCertificate", "Strategy", "check_feasibility",

@@ -32,8 +32,8 @@ from .experiment import (
     _draw_setups,
     _setup_tables,
 )
-from .observables import local_protocol_for
-from .qstate import INTEGER_KETS, _NORMS, _pair
+from .observables import PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS
+from .qstate import INTEGER_KETS, PAIRS, _NORMS
 from .rotations import fourfold, sample_su2_batch, split_seed
 
 ENV_OUTPUT_DIR = "AFBELL_OUT"
@@ -176,7 +176,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
 
     # Each pair's integer kets K meet K K^T = diag(n) with n the stated
     # squared norms, so the states K_j / sqrt(n_j) are orthonormal.
-    dev = max(int(np.abs(kets @ kets.T - np.diag(_NORMS)).max()) for kets in INTEGER_KETS.values())
+    dev = int(np.abs(INTEGER_KETS @ INTEGER_KETS.swapaxes(1, 2) - np.diag(_NORMS)).max())
     results.append(CheckResult("state-gram", float(dev), 0.0,
                                detail=f"exact K K^T = diag{_NORMS} for phi, psi"))
 
@@ -186,13 +186,11 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # amplitudes, so the labels realize the PVM on span{x0, x1} exactly when
     # label j's strings s sum A_s^T A_s to 4 n_j e_j e_j^T.
     partition, agreement = 0, 0
-    for tag, basis in (("F", "phi"), ("G", "psi")):
-        p = local_protocol_for(tag)
-        kets, w = INTEGER_KETS[basis], p.integer_eigenvectors
+    for kets, w, labels in zip(INTEGER_KETS, PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS):
         norms, amps = (kets * kets).sum(1), w @ kets.T
         agreement = max(agreement, int(np.abs(w @ w.T - 4 * np.eye(16, dtype=int)).max()))
         for j in (0, 1):
-            mask = p.labels == 2 * j - 1
+            mask = labels == 2 * j - 1
             partition = max(partition, abs(np.count_nonzero(mask) - norms[j]))
             target = 4 * np.diag(norms * (np.arange(2) == j))
             agreement = max(agreement, int(np.abs(amps[mask].T @ amps[mask] - target).max()))
@@ -204,7 +202,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
 
     # su(2) is spanned by the totals over qubits 2S_z, S+ and S-, and SU(2) is
     # connected, so kets all three annihilate are fixed by every U(x)U(x)U(x)U.
-    kets = np.concatenate([INTEGER_KETS["phi"], INTEGER_KETS["psi"]]).reshape(4, 2, 2, 2, 2)
+    kets = INTEGER_KETS.reshape(4, 2, 2, 2, 2)
     dev = max(int(np.abs(sum(np.moveaxis(np.tensordot(op, kets, (1, q)), 0, q)
                              for q in range(1, 5))).max())
               for op in ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))
@@ -216,7 +214,7 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
     # rows draw at disjoint keys (even; 1 and 3 mod 4), so no rotation is
     # checked twice.
     keys = np.arange(INVARIANCE_SAMPLES)
-    rows = np.stack([*_pair("phi"), *_pair("psi")], axis=1)
+    rows = PAIRS.reshape(4, 16).T
     moved = fourfold(sample_su2_batch(split_seed(seed, 2 * keys))) @ rows
     worst = float(_row_norms((moved - rows).swapaxes(1, 2).reshape(-1, 16)).max())
     results.append(CheckResult("invariance-phi-psi", worst, 1e-10,
@@ -459,9 +457,8 @@ def cmd_report(cfg: RunConfig) -> int:
         },
         "inference_chain": vars(audit.exact),
         "contradiction_witnessed": audit.contradiction_witnessed,
-        "classifiers": {
-            s: json.loads(local_protocol_for(s).classifier_json()) for s in ("F", "G")
-        },
+        "classifiers": {s: {format(i, "04b"): int(label) for i, label in enumerate(labels)}
+                        for s, labels in zip("FG", PROTOCOL_LABELS)},
         "lhv": {
             "feasible": cert.feasible,
             "verified": lhv.verify_certificate(cert, constraints),

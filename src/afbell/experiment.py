@@ -3,8 +3,9 @@
 The behavior P(a, b | x, y), exact or counted, is one (4, 3, 3) array: the
 setting pair's code 2 x + y (F 0, G 1), then Alice's and Bob's outcomes in
 LABEL_ORDER; setting letters appear only where it is rendered.  F and G are
-arrays too: _PROJECTORS holds their projectors by setting code and label,
-built at import from the pairs' rows.
+arrays by setting code too: _PROJECTORS holds their projectors by label,
+built at import from qstate.PAIRS, and the protocol path reads
+observables' rows and labels.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  One batched
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import local_protocol_for
-from .qstate import ETA_BORN_TABLES, ETA_PHI_PHI, _pair
+from .observables import PROTOCOL_LABELS, PROTOCOL_ROWS
+from .qstate import ETA_BORN_TABLES, ETA_PHI_PHI, PAIRS
 from .rotations import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -189,22 +190,21 @@ def _complete_basis(pair: np.ndarray, rest: np.ndarray) -> np.ndarray:
 
 # F's and G's projectors, read-only (2, 3, 16, 16) by setting code (F 0,
 # G 1) and then LABEL_ORDER: |m><m| and |p><p| of the setting's pair
-# (m, p) = _pair(phi or psi), then the rank-14 rest I - |m><m| - |p><p|.
+# (m, p) = PAIRS[x], then the rank-14 rest I - |m><m| - |p><p|.
 _PROJECTORS = np.array([
     [minus, plus, np.eye(16) - minus - plus]
-    for minus, plus in ([np.outer(v, v.conj()) for v in _pair(b)] for b in ("phi", "psi"))])
+    for minus, plus in ([np.outer(v, v.conj()) for v in pair] for pair in PAIRS)])
 _PROJECTORS.setflags(write=False)
 
 # Conjugated complete F/G bases, their row labels and the labels' one-hot.
-_PVM_BASES = np.array([_complete_basis(_pair(b), p[2])
-                       for b, p in zip(("phi", "psi"), _PROJECTORS)]).conj()
+_PVM_BASES = np.array([_complete_basis(pair, p[2]) for pair, p in zip(PAIRS, _PROJECTORS)]).conj()
 _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
 # The source grid has rank 2: G = PHI^T C PHI, row p of _PHI the invariant
 # state phi_p and C the float of eta's stated (phi, phi) expansion; _C_PHI is
 # C PHI, the pair Bob's side rotates.
-_PHI = _pair("phi")
+_PHI = PAIRS[0]
 _C_PHI = ETA_PHI_PHI @ _PHI
 
 def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,8 +384,7 @@ def _pick(y_a: np.ndarray, y_b: np.ndarray, bits: np.ndarray,
 _EXACT_KERNEL = _kernel(_PVM_BASES)
 _MEASUREMENTS = {
     "pvm": (_kernel(_PVM_BASES[:, :2]), _PVM_LABELS[:, :2], _CHUNK),
-    "protocol": (_kernel(np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()),
-                 np.array([local_protocol_for(s).labels for s in ("F", "G")]), 2048),
+    "protocol": (_kernel(PROTOCOL_ROWS.conj()), PROTOCOL_LABELS, 2048),
 }
 MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
 

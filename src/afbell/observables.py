@@ -4,17 +4,17 @@ F and G each distinguish a pair of invariant 4-qubit states with outcomes -1
 and +1; their projectors, with the rank-14 rest that carries the label 0, are
 experiment._PROJECTORS.  The same discrimination can be done with fixed
 single-qubit measurements: two qubits along z, two along x, and a parity
-classifier over the 16 outcome strings, with integer axis bases so `verify`
-can prove it exactly.
+classifier over the 16 outcome strings.  The protocol is three read-only
+arrays by setting code (F 0, G 1), row i for the outcome string of i's four
+bits, qubit 1 first: PROTOCOL_ROWS, the product eigenbasis; its integer rows
+PROTOCOL_INTEGER_ROWS, twice PROTOCOL_ROWS, so `verify` can prove it
+exactly; and PROTOCOL_LABELS, the classifier.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -26,63 +26,23 @@ _AXIS_BASES: dict[str, tuple[int, np.ndarray]] = {
     "x": (2, np.array([[1, 1], [1, -1]])),
 }
 
-ALL_STRINGS = tuple(format(i, "04b") for i in range(16))
+# Each setting's axes, qubit 1 first: G is F with qubits 2 and 3 exchanged.
+_AXES = ("zzxx", "zxzx")
 
+# Scaled in complex before the kron, which fixes the signed zeros.
+PROTOCOL_ROWS = np.array([
+    functools.reduce(np.kron, (rows * (1.0 / math.sqrt(n)) + 0j
+                               for n, rows in map(_AXIS_BASES.get, axes)))
+    for axes in _AXES])
+PROTOCOL_INTEGER_ROWS = np.array([
+    functools.reduce(np.kron, (_AXIS_BASES[a][1] for a in axes)) for axes in _AXES])
 
-@dataclass(frozen=True)
-class LocalProtocol:
-    """Fixed per-qubit measurement axes plus a total outcome classifier.
+# A string is labelled -1 exactly when its two z bits differ and its two x
+# bits differ, each pair's sum odd: 4 strings on -1, 12 on +1, per setting.
+_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+PROTOCOL_LABELS = np.array([
+    1 - 2 * np.prod([_BITS[:, [a == t for a in axes]].sum(axis=1) % 2 for t in "zx"], axis=0)
+    for axes in _AXES], dtype=np.int8)
 
-    Construction also fixes the protocol's read-only product eigenbasis,
-    ``eigenvectors`` (row i is the eigenvector of outcome string
-    ALL_STRINGS[i]), its integer rows ``integer_eigenvectors`` (twice
-    eigenvectors), and ``labels`` (int8, labels[i] = classifier[ALL_STRINGS[i]]).
-    """
-
-    axes: tuple[str, str, str, str]
-    classifier: Mapping[str, int]
-    eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
-    integer_eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
-    labels: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if sorted(self.axes) != ["x", "x", "z", "z"]:
-            raise ValueError(f"axes must contain two z and two x tags, got {self.axes}")
-        if set(self.classifier) != set(ALL_STRINGS):
-            raise ValueError("classifier must be total on all 16 outcome strings")
-        if any(v not in (-1, +1) for v in self.classifier.values()):
-            raise ValueError("classifier labels must be -1 or +1")
-        bases = [_AXIS_BASES[a] for a in self.axes]
-        # Scaled in complex before the kron, which fixes the signed zeros.
-        vecs = functools.reduce(np.kron, (rows * (1.0 / math.sqrt(n)) + 0j for n, rows in bases))
-        ints = functools.reduce(np.kron, (rows for _, rows in bases))
-        labels = np.array([self.classifier[s] for s in ALL_STRINGS], dtype=np.int8)
-        for name, arr in zip(("eigenvectors", "integer_eigenvectors", "labels"),
-                             (vecs, ints, labels)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def classifier_json(self) -> str:
-        """Classifier table as JSON (outcome string -> label), sorted by string."""
-        return json.dumps({s: self.classifier[s] for s in ALL_STRINGS})
-
-
-def _f_classifier(bits: str) -> int:
-    # The four strings with differing z bits and differing x bits flag phi0.
-    return -1 if (bits[0] != bits[1] and bits[2] != bits[3]) else +1
-
-
-_PROTOCOLS = {
-    "F": LocalProtocol(("z", "z", "x", "x"), {s: _f_classifier(s) for s in ALL_STRINGS}),
-    # Same construction conjugated by the qubit 2 <-> 3 exchange.
-    "G": LocalProtocol(("z", "x", "z", "x"),
-                       {s: _f_classifier(s[0] + s[2] + s[1] + s[3]) for s in ALL_STRINGS}),
-}
-
-
-def local_protocol_for(setting: str) -> LocalProtocol:
-    """Protocol measuring F (z on qubits 1,2; x on 3,4) or G (qubits 2,3 swapped)."""
-    if setting not in _PROTOCOLS:
-        raise ValueError(f"setting must be 'F' or 'G', got {setting!r}")
-    return _PROTOCOLS[setting]
-
+for _arr in (PROTOCOL_ROWS, PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS):
+    _arr.setflags(write=False)

@@ -2,12 +2,13 @@
 
 Basis convention: qubit 1 is the most significant bit, so the 4-qubit ket
 |0101> sits at index 5 and kets read left to right exactly as written.
-All amplitudes are complex128.  The invariant states are stated once, as
-integer kets K with one scale 1/sqrt(n) each, and their float amplitudes,
-the rows of _pair, are derived from those integers.  The source state is
-stated once too, as an integer expansion over the kets; its exact Born
-tables, integer squares over 112 n_a n_b in one (4, 2, 2) array by basis
-pair, and its one float table are derived from that.
+All amplitudes are complex128.  The invariant pairs are stated once, as
+integer kets K with one scale 1/sqrt(n) each, held by setting code (F 0
+reads phi, G 1 reads psi) in INTEGER_KETS; their float amplitudes, PAIRS,
+are derived from those integers.  The source state is stated once too, as
+an integer expansion over the kets; its exact Born tables, integer squares
+over 112 n_a n_b in one (4, 2, 2) array by pair code, and its one float
+table are derived from that.
 """
 
 from __future__ import annotations
@@ -30,31 +31,23 @@ _PHI_KETS: tuple[tuple[int, dict[str, int]], ...] = (
 )
 _NORMS = tuple(n for n, _ in _PHI_KETS)
 _phi = np.array([[terms.get(format(i, "04b"), 0) for i in range(16)] for _, terms in _PHI_KETS])
-# Read-only (2, 16) integer vectors per basis, row j for pair member j.
-INTEGER_KETS: dict[str, np.ndarray] = {
-    "phi": _phi, "psi": _phi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 16)}
-for _ints in INTEGER_KETS.values():
-    _ints.setflags(write=False)
-_SCALES = 1.0 / np.sqrt(_NORMS)[:, None]
-
-
-def _pair(basis: str) -> np.ndarray:
-    """(2, 16) complex amplitudes of the 'phi' or 'psi' pair, row j for member j."""
-    if basis not in INTEGER_KETS:
-        raise ValueError(f"unknown basis {basis!r} (expected 'phi' or 'psi')")
-    return INTEGER_KETS[basis] * _SCALES + 0j
-
+# Read-only (2, 2, 16) integer kets by setting code (F 0 reads phi, G 1 reads
+# psi), then pair member j, and their complex amplitudes, member j scaled by
+# 1/sqrt(n_j).
+INTEGER_KETS = np.array([_phi, _phi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(2, 16)])
+PAIRS = INTEGER_KETS * (1.0 / np.sqrt(_NORMS)[:, None]) + 0j
+INTEGER_KETS.setflags(write=False)
+PAIRS.setflags(write=False)
 
 # The source state eta is stated once, as its expansion E over the pair's
 # integer kets: eta = (K0 K0 + K0 K1 + K1 K0)/(4 sqrt7), which is
 # (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt7 since phi0 = K0/2
 # and phi1 = K1/(2 sqrt3).  So <x_a y_b|eta> = A[a, b]/(4 sqrt(7 n_a n_b)) with
-# the integers A = (K_x K_phi^T) E (K_phi K_y^T), one matrix per pair of bases.
+# the integers A = (K_x K_phi^T) E (K_phi K_y^T), one (4, 2, 2) array by the
+# pair code 2 x + y of Alice's and Bob's bases.
 _E = np.array([[1, 1], [1, 0]])
-_ETA_AMPS: dict[tuple[str, str], np.ndarray] = {
-    (x, y): INTEGER_KETS[x] @ _phi.T @ _E @ _phi @ INTEGER_KETS[y].T
-    for x in INTEGER_KETS for y in INTEGER_KETS
-}
+_ETA_AMPS = (INTEGER_KETS[:, None] @ _phi.T @ _E @ _phi
+             @ INTEGER_KETS[None].swapaxes(2, 3)).reshape(4, 2, 2)
 
 # The one float of eta: its (phi, phi) expansion, which the sampler reads.
 ETA_PHI_PHI = _E * np.sqrt(np.outer(_NORMS, _NORMS)) / (4 * SQRT7)
@@ -66,5 +59,5 @@ ETA_PHI_PHI = _E * np.sqrt(np.outer(_NORMS, _NORMS)) / (4 * SQRT7)
 ETA_BORN_TABLES = np.array([
     [[Fraction(int(c) ** 2, 112 * m * n) for c, n in zip(row, _NORMS)]
      for row, m in zip(a, _NORMS)]
-    for a in _ETA_AMPS.values()], dtype=object)
+    for a in _ETA_AMPS], dtype=object)
 ETA_BORN_TABLES.setflags(write=False)

@@ -18,7 +18,10 @@ dicts apart, and ``F`` and ``G`` are its measurements of the published pairs.
 ``pvm_violation`` is how far a measurement's projectors are from a
 projector-valued measure, ``born`` the Born rule <s|P|s> read off them, and
 ``classified`` and ``coarse_grained`` are a protocol's two-outcome
-distribution and measurement, built from its eigenvectors and classifier.
+distribution and measurement, built from its eigenvector rows and labels.
+``PROTOCOL_AXES`` and ``PROTOCOL_MINUS`` state the single-qubit protocol
+apart from afbell, each setting's axes and its four strings labelled -1, and
+``PROTOCOL_INTEGER_ROWS`` and ``PROTOCOL_LABELS`` are built from them alone.
 ``mix64`` is the splitmix64 finalizer in pure-int arithmetic and ``split`` the
 seed-split rule built from it, the references for the library's uint64 seed
 derivation, and ``unmix64`` inverts ``mix64``; ``su2`` is the Haar draw from
@@ -33,6 +36,7 @@ denominator, and ``replay_trials`` every column of a sampled trial log
 rebuilt from the root seed and those integers alone, with no float and no
 rotation: the exact reference for what each sampled row should be;
 ``replay_csv`` replays a written trials.csv from its own metadata block.
+``chi2_sf`` is the chi^2 survival function in closed form, for G-tests.
 ``fraction_phase_one`` is the phase-1 simplex on a ``Fraction`` tableau that
 the integer tableau replaced, kept verbatim, and ``fraction_certificate``
 the LP around it, built by calling each constraint's event on every
@@ -48,7 +52,6 @@ import numpy as np
 
 from afbell.experiment import _SETUP_TAGS
 from afbell.lhv import FeasibilityCertificate, Strategy, all_strategies
-from afbell.observables import local_protocol_for
 from afbell.rotations import STREAM_ALICE, STREAM_BOB, STREAM_OUTCOME, STREAM_SETTINGS
 
 SQRT3 = math.sqrt(3.0)
@@ -208,6 +211,31 @@ INTEGER_PAIRS = (
 )
 
 
+# The single-qubit protocol by setting (F 0, G 1): each qubit's axis, qubit
+# 1 first, and the four outcome strings labelled -1; the other 12 are +1.
+PROTOCOL_AXES = ("zzxx", "zxzx")
+PROTOCOL_MINUS = ({"0101", "0110", "1001", "1010"}, {"0011", "0110", "1001", "1100"})
+
+
+def _axis_entry(axis, bit, index):
+    """Entry index of the integer eigenvector of one qubit's outcome bit:
+    along z, |bit>; along x, |0> + (-1)^bit |1>, sqrt(2) times the unit one."""
+    return int(bit == index) if axis == "z" else (-1) ** (bit * index)
+
+
+def _protocol_rows(axes):
+    """(16, 16) integer rows, row i the product over the qubits of the axis
+    eigenvectors that string i's bits select, entry by entry."""
+    bits = [[int(b) for b in format(i, "04b")] for i in range(16)]
+    return np.array([[math.prod(_axis_entry(a, s, t) for a, s, t in zip(axes, row, col))
+                      for col in bits] for row in bits])
+
+
+PROTOCOL_INTEGER_ROWS = np.array([_protocol_rows(axes) for axes in PROTOCOL_AXES])
+PROTOCOL_LABELS = np.array([[-1 if format(i, "04b") in minus else 1 for i in range(16)]
+                            for minus in PROTOCOL_MINUS])
+
+
 def born_numerators(rows_a, rows_b):
     """The joint outcome table of integer rows on the source state, as
     integer numerators over one denominator D: (numerators, D).
@@ -286,9 +314,7 @@ def replay_csv(path):
     if meta["measurement_path"] == "pvm":
         rows, labels = INTEGER_PAIRS, np.array([[-1, 1]] * 2)
     else:
-        protocols = [local_protocol_for(s) for s in "FG"]
-        rows = [p.integer_eigenvectors for p in protocols]
-        labels = np.array([p.labels for p in protocols])
+        rows, labels = PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS
     replay = replay_trials(
         int(meta["trials"]), int(meta["root_seed"]), meta["setting_policy"],
         {"true": True, "false": False}[meta["fixed_rotations"]], rows, labels,
@@ -346,22 +372,33 @@ def born(state, pvm):
     return {label: float(np.vdot(state, proj @ state).real) for label, proj in pvm.items()}
 
 
-def classified(state, protocol):
+def classified(state, rows, labels):
     """{-1, +1} distribution of a protocol: each outcome string's |<e_i|s>|^2,
-    e_i its eigenvector, added to the label the classifier gives it."""
+    e_i its eigenvector rows[i], added to its label labels[i]."""
     out = {-1: 0.0, +1: 0.0}
-    for i, vec in enumerate(protocol.eigenvectors):
-        out[protocol.classifier[format(i, "04b")]] += abs(np.vdot(vec, state)) ** 2
+    for vec, label in zip(rows, labels):
+        out[int(label)] += abs(np.vdot(vec, state)) ** 2
     return out
 
 
-def coarse_grained(protocol):
+def coarse_grained(rows, labels):
     """Two-outcome measurement of a protocol: per label, the sum of |e_i><e_i| over
-    the eigenvectors of the strings the classifier gives that label."""
+    the eigenvector rows of the strings with that label."""
     proj = {-1: np.zeros((16, 16), complex), +1: np.zeros((16, 16), complex)}
-    for i, vec in enumerate(protocol.eigenvectors):
-        proj[protocol.classifier[format(i, "04b")]] += np.outer(vec, vec.conj())
+    for vec, label in zip(rows, labels):
+        proj[int(label)] += np.outer(vec, vec.conj())
     return proj
+
+
+def chi2_sf(x, df):
+    """P(X >= x) for X ~ chi^2(df), x > 0, in closed form: Q(x; 2) =
+    exp(-x/2), Q(x; 1) = erfc(sqrt(x/2)), and Q(x; k + 2) = Q(x; k) +
+    (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1)."""
+    k = 2 - df % 2
+    q = math.exp(-x / 2) if k == 2 else math.erfc(math.sqrt(x / 2))
+    for k in range(k, df, 2):
+        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+    return q
 
 
 def joint_born(state, pvm_a, pvm_b):

@@ -27,7 +27,7 @@ from afbell.lhv import (
     verify_certificate,
 )
 from afbell import qstate
-from afbell.observables import local_protocol_for
+from afbell.observables import PROTOCOL_LABELS, PROTOCOL_ROWS
 from afbell.rotations import fourfold, sample_su2_batch, split_seed
 
 HARDY = float(Fraction(9, 112))
@@ -80,7 +80,7 @@ def test_criterion_2_rotation_robustness():
 def test_criterion_3_state_invariance():
     eta = oracles.eta()
     grid = eta.reshape(16, 16)
-    states = [*qstate._pair("phi"), *qstate._pair("psi")]
+    states = qstate.PAIRS.reshape(4, 16)
     pairs = fourfold(sample_su2_batch(split_seed(11, np.arange(200))))
     singles = fourfold(sample_su2_batch(split_seed(13, np.arange(100))))
     worst_pair = 0.0
@@ -103,9 +103,9 @@ def test_criterion_4_expansion_consistency():
     eta = oracles.eta()
     scale = 4 * oracles.SQRT7 * np.sqrt(np.outer((4, 12), (4, 12)))
     worst = 0.0
-    for (a, b), amps in qstate._ETA_AMPS.items():
+    for code, amps in enumerate(qstate._ETA_AMPS):
         table = amps / scale
-        rebuilt = qstate._pair(a).T @ table @ qstate._pair(b)
+        rebuilt = qstate.PAIRS[code // 2].T @ table @ qstate.PAIRS[code % 2]
         worst = max(worst, oracles.distance(eta, rebuilt.reshape(256)))
     assert worst < 1e-12
     table = exact_behavior()[GG]
@@ -121,31 +121,27 @@ def test_criterion_4_expansion_consistency():
 
 def test_criterion_5_local_protocol_equivalence():
     worst_string = 0.0
-    for tag, (minus_state, plus_state) in (("F", qstate._pair("phi")), ("G", qstate._pair("psi"))):
-        proto = local_protocol_for(tag)
-        minus_strings = [s for s in proto.classifier if proto.classifier[s] == -1]
-        assert len(minus_strings) == 4
-        assert len(proto.classifier) - len(minus_strings) == 12
-        labels = np.array([proto.classifier[format(i, "04b")] for i in range(16)])
+    for (minus_state, plus_state), rows, labels in zip(qstate.PAIRS, PROTOCOL_ROWS, PROTOCOL_LABELS):
+        assert np.count_nonzero(labels == -1) == 4
+        assert np.count_nonzero(labels == +1) == 12
         for state, label, share in ((minus_state, -1, 0.25), (plus_state, +1, 1.0 / 12.0)):
-            probs = np.abs(proto.eigenvectors.conj() @ state) ** 2
+            probs = np.abs(rows.conj() @ state) ** 2
             target = np.where(labels == label, share, 0.0)
             worst_string = max(worst_string, float(np.abs(probs - target).max()))
     assert worst_string < 1e-12
 
     rng = np.random.default_rng(20260810)
     worst_dist = 0.0
-    for x, (tag, basis) in enumerate((("F", "phi"), ("G", "psi"))):
-        v0, v1 = qstate._pair(basis)
-        pvm = dict(zip(LABEL_ORDER, _PROJECTORS[x]))
-        proto = local_protocol_for(tag)
-        coarse = oracles.coarse_grained(proto)
+    for (v0, v1), projectors, rows, labels in zip(
+            qstate.PAIRS, _PROJECTORS, PROTOCOL_ROWS, PROTOCOL_LABELS):
+        pvm = dict(zip(LABEL_ORDER, projectors))
+        coarse = oracles.coarse_grained(rows, labels)
         for _ in range(100):
             c = rng.standard_normal(4)
             amps = (c[0] + 1j * c[1]) * v0 + (c[2] + 1j * c[3]) * v1
             state = amps / np.linalg.norm(amps)
             exact = oracles.born(state, pvm)
-            fine = oracles.classified(state, proto)
+            fine = oracles.classified(state, rows, labels)
             via_coarse = oracles.born(state, coarse)
             for label in (-1, +1):
                 worst_dist = max(worst_dist, abs(fine[label] - exact[label]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from afbell import __version__, cli, experiment, qstate
+from afbell import __version__, cli, experiment
 from afbell.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO,
@@ -24,7 +24,6 @@ from afbell.cli import (
     run_verify_suite,
 )
 from afbell.experiment import SETTING_PAIRS, run_trials
-from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
 from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import sample_su2_batch, split_seed
 
@@ -320,11 +319,15 @@ def test_psi_sign_flip_fails_the_exact_rows(monkeypatch):
     # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The pair's Gram
     # matrix is unchanged, but the flipped ket leaves the spin-zero sector,
     # rotations move it, and G built from it no longer reads eta's tables.
-    # The projectors are built at import, so G's are rebuilt from the flip.
-    psi = cli.INTEGER_KETS["psi"].copy()
+    # The amplitudes and projectors are built at import, so psi's amplitudes
+    # and G's projectors are rebuilt from the flip.
+    kets = cli.INTEGER_KETS.copy()
+    psi = kets[1]
     psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
-    monkeypatch.setitem(cli.INTEGER_KETS, "psi", psi)
-    minus, plus = (np.outer(v, v.conj()) for v in qstate._pair("psi"))
+    monkeypatch.setattr(cli, "INTEGER_KETS", kets)
+    pairs = kets / np.sqrt([[4], [12]]) + 0j
+    monkeypatch.setattr(cli, "PAIRS", pairs)
+    minus, plus = (np.outer(v, v.conj()) for v in pairs[1])
     monkeypatch.setattr(cli, "_PROJECTORS",
                         np.array([cli._PROJECTORS[0], [minus, plus, np.eye(16) - minus - plus]]))
     rows = {r.name: r for r in run_verify_suite()}
@@ -400,8 +403,8 @@ def test_invariance_generators_row_is_exact(monkeypatch):
     row = {r.name: r for r in run_verify_suite(tolerance=1e-16)}["invariance-generators"]
     assert (row.deviation, row.tolerance, row.passed) == (0.0, 0.0, True)
     # One flipped sign of phi1 leaves the spin-zero sector.
-    kets = {name: ints.copy() for name, ints in cli.INTEGER_KETS.items()}
-    kets["phi"][1, int(np.flatnonzero(kets["phi"][1])[0])] *= -1
+    kets = cli.INTEGER_KETS.copy()
+    kets[0, 1, int(np.flatnonzero(kets[0, 1])[0])] *= -1
     monkeypatch.setattr(cli, "INTEGER_KETS", kets)
     row = {r.name: r for r in run_verify_suite()}["invariance-generators"]
     assert row.deviation == 4.0 and not row.passed
@@ -414,13 +417,15 @@ def test_protocol_rows_are_exact(monkeypatch):
     for name in ("protocol-partition", "protocol-pvm-agreement"):
         assert (rows[name].deviation, rows[name].tolerance, rows[name].passed) == (0.0, 0.0, True)
     assert rows["protocol-partition"].detail == "4 strings map to -1, 12 to +1, per setting"
-    f = cli.local_protocol_for("F")
-    minus, plus = (ALL_STRINGS[int(np.flatnonzero(f.labels == label)[0])] for label in (-1, +1))
-    swapped = dict(f.classifier, **{minus: +1, plus: -1})
-    for mutant, pvm_deviation in ((LocalProtocol(f.axes, swapped), 4.0),
-                                  (LocalProtocol(("z", "x", "z", "x"), f.classifier), 20.0)):
-        monkeypatch.setattr(cli, "local_protocol_for",
-                            lambda s, m=mutant: m if s == "F" else local_protocol_for(s))
+    # Mutants of F's protocol: its first -1 and first +1 strings swapped, and
+    # G's rows in F's place under F's labels.
+    labels, ints = cli.PROTOCOL_LABELS, cli.PROTOCOL_INTEGER_ROWS
+    swapped = labels.copy()
+    minus, plus = (int(np.flatnonzero(labels[0] == label)[0]) for label in (-1, +1))
+    swapped[0, [minus, plus]] = +1, -1
+    for mutant, pvm_deviation in (((swapped, ints), 4.0), ((labels, ints[[1, 1]]), 20.0)):
+        monkeypatch.setattr(cli, "PROTOCOL_LABELS", mutant[0])
+        monkeypatch.setattr(cli, "PROTOCOL_INTEGER_ROWS", mutant[1])
         rows = {r.name: r for r in run_verify_suite()}
         assert rows["protocol-pvm-agreement"].deviation == pvm_deviation
         assert not rows["protocol-pvm-agreement"].passed
@@ -449,8 +454,8 @@ def test_state_gram_row_is_exact(monkeypatch):
     row = {r.name: r for r in run_verify_suite(tolerance=1e-16)}["state-gram"]
     assert (row.deviation, row.tolerance, row.passed) == (0.0, 0.0, True)
     # Doubling one integer of phi1 moves its squared norm off the stated 12.
-    kets = {name: ints.copy() for name, ints in cli.INTEGER_KETS.items()}
-    kets["phi"][1, int(np.flatnonzero(kets["phi"][1])[0])] *= 2
+    kets = cli.INTEGER_KETS.copy()
+    kets[0, 1, int(np.flatnonzero(kets[0, 1])[0])] *= 2
     monkeypatch.setattr(cli, "INTEGER_KETS", kets)
     row = {r.name: r for r in run_verify_suite()}["state-gram"]
     assert row.deviation == 12.0 and not row.passed
@@ -671,6 +676,12 @@ def test_report_json(tmp_path, capsys):
     assert payload["lhv"]["max_hardy_fraction"] == "0"
     assert payload["contradiction_witnessed"] is True
     assert payload["classifiers"]["F"]["0101"] == -1
+    # Each setting labels all 16 strings, in string order, by the oracle's
+    # literal -1 sets.
+    for tag, minus in zip("FG", oracles.PROTOCOL_MINUS):
+        strings = [format(i, "04b") for i in range(16)]
+        assert list(payload["classifiers"][tag]) == strings
+        assert payload["classifiers"][tag] == {s: -1 if s in minus else 1 for s in strings}
     gg = payload["exact_behavior"]["tables"]["GG"]
     assert abs(gg[1][1] - 9.0 / 112.0) < 1e-12
 

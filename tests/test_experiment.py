@@ -27,7 +27,7 @@ from afbell.experiment import (
     stats_report,
 )
 from afbell.lhv import HARDY_VALUE, quantum_constraints
-from afbell.observables import local_protocol_for
+from afbell.observables import PROTOCOL_LABELS, PROTOCOL_ROWS
 from afbell.qstate import ETA_BORN_TABLES
 from afbell.rotations import (
     STREAM_ALICE,
@@ -267,6 +267,41 @@ def test_nearby_roots_share_no_trials():
     assert len(pairs) == n * len(roots)
 
 
+# The cross-root independence test's root, trials per run and threshold,
+# fixed before its first run: p < 1e-6 overall, Bonferroni-split over the
+# six pairs of runs at r, r + 1, r ^ 1 and r ^ 2^63.  The root is odd, so
+# r + 1 and r ^ 1 are different roots.
+INDEPENDENCE_ROOT = 0x1DE9_0D0D_5EED_0001
+INDEPENDENCE_TRIALS = 20_000
+INDEPENDENCE_P_MIN = 1e-6 / 6
+
+
+def _categories(root):
+    """Each trial's (setting pair, Alice's outcome) as one code in 0..7."""
+    log, _ = run_trials(INDEPENDENCE_TRIALS, root, "uniform")
+    return (4 * log.setting_a + 2 * log.setting_b + (log.outcome_a == 1)).astype(np.int64)
+
+
+def _independence_p(c1, c2):
+    """G-test p-value of the independence of two runs: the 8 x 8 contingency
+    table of each trial's category in the one run and in the other."""
+    observed = np.bincount(8 * c1 + c2, minlength=64).reshape(8, 8)
+    assert observed.sum(axis=0).all() and observed.sum(axis=1).all()
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    hit = observed > 0
+    g = 2.0 * float((observed[hit] * np.log(observed[hit] / expected[hit])).sum())
+    return oracles.chi2_sf(g, 7 * 7)
+
+
+def test_runs_at_related_roots_are_independent():
+    r = INDEPENDENCE_ROOT
+    runs = [_categories(root) for root in (r, r + 1, r ^ 1, r ^ 2**63)]
+    p_values = [_independence_p(a, b) for a, b in itertools.combinations(runs, 2)]
+    assert min(p_values) > INDEPENDENCE_P_MIN, p_values
+    # The test's power: a run against itself is as dependent as can be.
+    assert _independence_p(runs[0], runs[0]) < INDEPENDENCE_P_MIN
+
+
 def test_run_trials_seed_streams(monkeypatch):
     # Trial i's base seed is split_seed(root, i), split again by each
     # STREAM_* key: the setting bits, each side's rotation seed, whose Haar U
@@ -326,9 +361,7 @@ def test_rows_replay_from_the_root_and_the_integer_tables(path, policy, fixed, r
     if path == "pvm":
         rows, labels = oracles.INTEGER_PAIRS, np.array([[-1, 1]] * 2)
     else:
-        protocols = [local_protocol_for(s) for s in "FG"]
-        rows = [p.integer_eigenvectors for p in protocols]
-        labels = np.array([p.labels for p in protocols])
+        rows, labels = oracles.PROTOCOL_INTEGER_ROWS, oracles.PROTOCOL_LABELS
     n = experiment._MEASUREMENTS[path][2] + 1
     log, _ = run_trials(n, root, policy, fixed_rotations=fixed, measurement_path=path)
     replay = oracles.replay_trials(
@@ -372,10 +405,6 @@ def test_run_trials_outcome_zero_never_occurs():
         assert c[2, :].sum() == 0 and c[:, 2].sum() == 0
 
 
-# The protocol's conjugated outcome rows by setting, as the kernel takes them.
-PROTOCOL_ROWS = np.array([local_protocol_for(s).eigenvectors for s in ("F", "G")]).conj()
-
-
 def test_pick_draw_ends_pick_nonzero_cells():
     # The 53-bit draws 0 and 2^53 - 1 are u = 2^-53 and u = 1, the ends of
     # (0, 1].  Cell 0 of the canonical protocol FF table, the string pair
@@ -384,7 +413,7 @@ def test_pick_draw_ends_pick_nonzero_cells():
     eye = np.eye(2, dtype=complex)[None]
     kernel, code = experiment._MEASUREMENTS["protocol"][0], np.array([0])
     table = experiment._born_tables(kernel, eye, eye, code, code)[..., 0]
-    assert table[0, 0] == 0.0 and local_protocol_for("F").labels[0] == +1
+    assert table[0, 0] == 0.0 and PROTOCOL_LABELS[0, 0] == +1
     y_a, y_b = (np.repeat(y, 2, axis=-1) for y in experiment._amplitudes(
         kernel, eye, eye, code, code, experiment._workspace(kernel, 1)))
     row_a, row_b = experiment._pick(y_a, y_b, np.array([0, 2**53 - 1], dtype=np.uint64),
@@ -519,7 +548,7 @@ KERNEL_TOL = 2e-15
 # them: the complete F/G bases (exact), their -1/+1 rows (pvm) and the
 # protocols' product eigenbases.
 ROW_SETS = {"exact": experiment._PVM_BASES, "pvm": experiment._PVM_BASES[:, :2],
-            "protocol": PROTOCOL_ROWS}
+            "protocol": PROTOCOL_ROWS.conj()}
 KERNELS = {"exact": experiment._EXACT_KERNEL,
            **{path: kernel for path, (kernel, _, _) in experiment._MEASUREMENTS.items()}}
 

@@ -1,12 +1,12 @@
 """PVM structure, Born distributions, and the single-qubit protocol.
 
 Born, classified and coarse-grained distributions come from the references
-in oracles; what is under test is the projectors and protocols they read:
-F and G are experiment._PROJECTORS by setting code, as {label: projector}
-dicts in LABEL_ORDER, and the states are qstate._pair's rows."""
+in oracles; what is under test is the arrays they read, all by setting code
+(F 0, G 1): F and G are experiment._PROJECTORS, as {label: projector} dicts
+in LABEL_ORDER, the states are qstate.PAIRS, and the protocol is
+observables' PROTOCOL_ROWS, PROTOCOL_INTEGER_ROWS and PROTOCOL_LABELS."""
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -14,13 +14,15 @@ import pytest
 
 import oracles
 from afbell.experiment import LABEL_ORDER, _PROJECTORS
-from afbell.observables import ALL_STRINGS, LocalProtocol, local_protocol_for
-from afbell.qstate import _pair
+from afbell import observables
+from afbell.observables import PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS, PROTOCOL_ROWS
+from afbell.qstate import PAIRS
 
 TOL = 1e-12
 
 F, G = (dict(zip(LABEL_ORDER, projectors)) for projectors in _PROJECTORS)
-(PHI0, PHI1), (PSI0, PSI1) = _pair("phi"), _pair("psi")
+(PHI0, PHI1), (PSI0, PSI1) = PAIRS
+STRINGS = [format(i, "04b") for i in range(16)]
 
 
 def _pvm_ranks(m):
@@ -40,7 +42,7 @@ def test_pvm_structure(setting):
         assert np.abs(p @ p - p).max() < TOL
         for q in projectors[:i]:
             assert np.abs(p @ q).max() < TOL
-    # The projectors of the paper's published pairs, built apart from _pair.
+    # The projectors of the paper's published pairs, built apart from PAIRS.
     published = (oracles.F, oracles.G)[x]
     assert np.abs(projectors - np.array(list(published.values()))).max() < TOL
 
@@ -87,39 +89,34 @@ def test_born_sums_to_one():
             assert all(p >= 0.0 for p in dist.values())
 
 
+def _label(x, bits):
+    return int(PROTOCOL_LABELS[x, int(bits, 2)])
+
+
 def test_protocol_axes_and_partition():
-    f = local_protocol_for("F")
-    assert f.axes == ("z", "z", "x", "x")
-    g = local_protocol_for("G")
-    assert g.axes == ("z", "x", "z", "x")
-    for proto in (f, g):
-        minus = [s for s in ALL_STRINGS if proto.classifier[s] == -1]
-        plus = [s for s in ALL_STRINGS if proto.classifier[s] == +1]
+    assert observables._AXES == ("zzxx", "zxzx")
+    assert PROTOCOL_LABELS.shape == (2, 16) and PROTOCOL_LABELS.dtype == np.int8
+    for labels in PROTOCOL_LABELS:
+        minus = [s for s, label in zip(STRINGS, labels) if label == -1]
+        plus = [s for s, label in zip(STRINGS, labels) if label == +1]
         assert len(minus) == 4 and len(plus) == 12
-        assert sorted(minus + plus) == sorted(ALL_STRINGS)
-    assert [s for s in ALL_STRINGS if f.classifier[s] == -1] == [
-        "0101", "0110", "1001", "1010"]
-    with pytest.raises(ValueError):
-        local_protocol_for("H")
+        assert sorted(minus + plus) == STRINGS
+    assert [s for s in STRINGS if _label(0, s) == -1] == ["0101", "0110", "1001", "1010"]
 
 
 def test_protocol_example_strings():
-    f = local_protocol_for("F")
-    assert f.classifier["0101"] == -1  # z=01, x-bits 01
-    assert f.classifier["0000"] == +1
-    g = local_protocol_for("G")
-    assert g.classifier["0011"] == -1  # differs on qubits (1,3) and (2,4)
-    assert g.classifier["0101"] == +1
+    assert _label(0, "0101") == -1  # z=01, x-bits 01
+    assert _label(0, "0000") == +1
+    assert _label(1, "0011") == -1  # differs on qubits (1,3) and (2,4)
+    assert _label(1, "0101") == +1
 
 
 def test_protocol_eigenbasis_orthonormal():
-    for tag in ("F", "G"):
-        proto = local_protocol_for(tag)
-        vecs = proto.eigenvectors
-        assert vecs.shape == (16, 16)
+    assert PROTOCOL_ROWS.shape == (2, 16, 16)
+    for vecs, labels in zip(PROTOCOL_ROWS, PROTOCOL_LABELS):
         gram = vecs.conj() @ vecs.T
         assert np.abs(gram - np.eye(16)).max() < TOL
-        coarse = oracles.coarse_grained(proto)
+        coarse = oracles.coarse_grained(vecs, labels)
         total = coarse[-1] + coarse[+1]
         assert np.abs(total - np.eye(16)).max() < TOL
 
@@ -132,21 +129,25 @@ def test_protocol_eigenbasis_oracle():
         "z": ([1.0, 0.0], [0.0, 1.0]),
         "x": ([s, s], [s, -s]),
     }
-    for tag in ("F", "G"):
-        proto = local_protocol_for(tag)
-        for i, bits in enumerate(ALL_STRINGS):
+    for x, axes in enumerate(oracles.PROTOCOL_AXES):
+        for i, bits in enumerate(STRINGS):
             row = np.array([1.0 + 0j])
-            for axis, b in zip(proto.axes, bits):
+            for axis, b in zip(axes, bits):
                 row = np.kron(row, np.array(axis_vectors[axis][int(b)], dtype=complex))
-            assert np.array_equal(proto.eigenvectors[i], row), (tag, bits)
-            assert proto.labels[i] == proto.classifier[bits], (tag, bits)
-        assert proto.labels.dtype == np.int8
-        for arr in (proto.eigenvectors, proto.integer_eigenvectors, proto.labels):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
-    assert local_protocol_for("F") is local_protocol_for("F")
-    assert local_protocol_for("G") is local_protocol_for("G")
+            assert np.array_equal(PROTOCOL_ROWS[x, i], row), (x, bits)
+            assert PROTOCOL_LABELS[x, i] == (-1 if bits in oracles.PROTOCOL_MINUS[x] else 1)
+    for arr in (PROTOCOL_ROWS, PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+def test_protocol_arrays_match_the_oracle():
+    # The oracle states the protocol apart from afbell, each setting's -1
+    # strings as literals and its integer rows entry by entry per qubit.
+    assert np.array_equal(PROTOCOL_INTEGER_ROWS, oracles.PROTOCOL_INTEGER_ROWS)
+    assert np.array_equal(PROTOCOL_LABELS, oracles.PROTOCOL_LABELS)
+    assert np.abs(PROTOCOL_ROWS - oracles.PROTOCOL_INTEGER_ROWS / 2).max() < TOL
 
 
 # sha256 of each protocol's complex128 eigenvector bytes, the rows the
@@ -160,57 +161,49 @@ EIGENVECTOR_SHA256 = {
 
 @pytest.mark.parametrize("tag", sorted(EIGENVECTOR_SHA256))
 def test_protocol_eigenvectors_pinned(tag):
-    proto = local_protocol_for(tag)
-    assert hashlib.sha256(proto.eigenvectors.tobytes()).hexdigest() == EIGENVECTOR_SHA256[tag]
+    x = "FG".index(tag)
+    assert hashlib.sha256(PROTOCOL_ROWS[x].tobytes()).hexdigest() == EIGENVECTOR_SHA256[tag]
     # Two x axes make every integer row twice its unit eigenvector.
-    ints = proto.integer_eigenvectors
+    ints = PROTOCOL_INTEGER_ROWS[x]
     assert ints.dtype.kind == "i" and set(np.unique(ints)) == {-1, 0, 1}
-    assert np.abs(ints - 2 * proto.eigenvectors).max() < TOL
+    assert np.abs(ints - 2 * PROTOCOL_ROWS[x]).max() < TOL
 
 
-def _string_probs(state, protocol):
-    """Each outcome string's probability, by ALL_STRINGS: |<e_i|s>|^2."""
-    return dict(zip(ALL_STRINGS, np.abs(protocol.eigenvectors.conj() @ state) ** 2))
+def _string_probs(state, x):
+    """Each outcome string's probability, by STRINGS: |<e_i|s>|^2."""
+    return dict(zip(STRINGS, np.abs(PROTOCOL_ROWS[x].conj() @ state) ** 2))
 
 
 def test_string_probabilities_on_discriminated_states():
-    f = local_protocol_for("F")
-    dist0 = _string_probs(PHI0, f)
-    for bits, prob in dist0.items():
-        target = 0.25 if f.classifier[bits] == -1 else 0.0
+    for bits, prob in _string_probs(PHI0, 0).items():
+        target = 0.25 if _label(0, bits) == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
-    dist1 = _string_probs(PHI1, f)
-    for bits, prob in dist1.items():
-        target = 1.0 / 12.0 if f.classifier[bits] == +1 else 0.0
+    for bits, prob in _string_probs(PHI1, 0).items():
+        target = 1.0 / 12.0 if _label(0, bits) == +1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
-    g = local_protocol_for("G")
-    for bits, prob in _string_probs(PSI0, g).items():
-        target = 0.25 if g.classifier[bits] == -1 else 0.0
+    for bits, prob in _string_probs(PSI0, 1).items():
+        target = 0.25 if _label(1, bits) == -1 else 0.0
         assert prob == pytest.approx(target, abs=TOL)
 
 
 def test_classified_distribution_on_span_members():
-    f = local_protocol_for("F")
-    assert oracles.classified(PHI0, f) == pytest.approx(
+    f = PROTOCOL_ROWS[0], PROTOCOL_LABELS[0]
+    assert oracles.classified(PHI0, *f) == pytest.approx(
         {-1: 1.0, +1: 0.0}, abs=TOL)
-    assert oracles.classified(PSI0, f) == pytest.approx(
+    assert oracles.classified(PSI0, *f) == pytest.approx(
         {-1: 0.25, +1: 0.75}, abs=TOL)
 
 
 def test_coarse_grain_matches_pvm_on_span():
     rng = np.random.default_rng(17)
-    for tag, v0, v1, pvm in (
-        ("F", PHI0, PHI1, F),
-        ("G", PSI0, PSI1, G),
-    ):
-        proto = local_protocol_for(tag)
-        coarse = oracles.coarse_grained(proto)
+    for (v0, v1), pvm, rows, labels in zip(PAIRS, (F, G), PROTOCOL_ROWS, PROTOCOL_LABELS):
+        coarse = oracles.coarse_grained(rows, labels)
         assert sorted(_pvm_ranks(coarse)) == [4, 12]
         for _ in range(100):
             c = rng.standard_normal(4)
             amps = (c[0] + 1j * c[1]) * v0 + (c[2] + 1j * c[3]) * v1
             state = amps / np.linalg.norm(amps)
-            via_protocol = oracles.classified(state, proto)
+            via_protocol = oracles.classified(state, rows, labels)
             via_coarse = oracles.born(state, coarse)
             exact = oracles.born(state, pvm)
             for label in (-1, +1):
@@ -227,28 +220,8 @@ def test_g_protocol_is_swapped_f_protocol():
         bits = format(i, "04b")
         j = int(bits[0] + bits[2] + bits[1] + bits[3], 2)
         perm[j, i] = 1.0
-    cf = oracles.coarse_grained(local_protocol_for("F"))
-    cg = oracles.coarse_grained(local_protocol_for("G"))
+    cf, cg = (oracles.coarse_grained(rows, labels)
+              for rows, labels in zip(PROTOCOL_ROWS, PROTOCOL_LABELS))
     for label in (-1, +1):
         swapped = perm @ cf[label] @ perm.T
         assert np.abs(swapped - cg[label]).max() < TOL
-
-
-def test_protocol_validation():
-    with pytest.raises(ValueError):
-        LocalProtocol(("z", "z", "z", "x"), {s: 1 for s in ALL_STRINGS})
-    table = {s: 1 for s in ALL_STRINGS}
-    table.pop("0000")
-    with pytest.raises(ValueError):
-        LocalProtocol(("z", "z", "x", "x"), table)
-    bad = {s: (2 if s == "0000" else 1) for s in ALL_STRINGS}
-    with pytest.raises(ValueError):
-        LocalProtocol(("z", "z", "x", "x"), bad)
-
-
-def test_classifier_json_roundtrip():
-    f = local_protocol_for("F")
-    table = json.loads(f.classifier_json())
-    assert set(table) == set(ALL_STRINGS)
-    assert table["0101"] == -1
-    assert table["1111"] == 1

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import SQRT3, SQRT7, amplitude, basis_index, basis_state, distance, tensor
 from afbell import experiment, qstate
-from afbell.qstate import ETA_PHI_PHI, _pair
+from afbell.qstate import ETA_PHI_PHI, PAIRS
 
 TOL = 1e-12
 NORMS = (4, 12)
@@ -21,17 +21,18 @@ STATE_AMPS_SHA256 = "17586c54acc2cbaa17112e58efaa9f5da1e763e93879cc170d261cba56d
 ETA_PHI_PHI_SHA256 = "032e6321d6b401cedc14b3dcaf22fd1f90a4f3c141a93f17bfc68db4020815a0"
 
 
-def _expansion(basis_a, basis_b):
-    """2x2 table of <x_a y_b|eta> from the oracle pairs and the oracle eta."""
-    pairs = {"phi": (oracles.PHI0, oracles.PHI1), "psi": (oracles.PSI0, oracles.PSI1)}
-    return np.array([[oracles.dict_inner(oracles.dict_kron(x, y), oracles.ETA)
-                      for y in pairs[basis_b]] for x in pairs[basis_a]])
+def _expansion(x, y):
+    """2x2 table of <x_a y_b|eta> from the oracle pairs and the oracle eta, for
+    basis codes x and y (phi 0, psi 1)."""
+    pairs = ((oracles.PHI0, oracles.PHI1), (oracles.PSI0, oracles.PSI1))
+    return np.array([[oracles.dict_inner(oracles.dict_kron(a, b), oracles.ETA)
+                      for b in pairs[y]] for a in pairs[x]])
 
 
-def _floats_of_exact(basis_a, basis_b):
+def _floats_of_exact(x, y):
     """The float of qstate's integer amplitudes A[a, b]/(4 sqrt7 sqrt(n_a n_b))
-    for one pair of bases, with the stated squared norms n = (4, 12)."""
-    return qstate._ETA_AMPS[(basis_a, basis_b)] / (4 * SQRT7 * np.sqrt(np.outer(NORMS, NORMS)))
+    for basis codes x and y, with the stated squared norms n = (4, 12)."""
+    return qstate._ETA_AMPS[2 * x + y] / (4 * SQRT7 * np.sqrt(np.outer(NORMS, NORMS)))
 
 
 def test_basis_index_convention():
@@ -48,7 +49,7 @@ def test_basis_index_rejects_garbage():
 
 
 def test_phi_amplitudes():
-    phi0, phi1 = _pair("phi")
+    phi0, phi1 = PAIRS[0]
     assert amplitude(phi0, "0101") == pytest.approx(0.5, abs=TOL)
     assert amplitude(phi0, "0110") == pytest.approx(-0.5, abs=TOL)
     assert amplitude(phi1, "0011") == pytest.approx(1.0 / SQRT3, abs=TOL)
@@ -61,7 +62,7 @@ def test_phi_amplitudes():
 
 
 def test_derived_amplitudes_bytes_pinned():
-    amps = b"".join(_pair(basis).tobytes() for basis in ("phi", "psi"))
+    amps = PAIRS.tobytes()
     assert hashlib.sha256(amps).hexdigest() == STATE_AMPS_SHA256
     assert hashlib.sha256(ETA_PHI_PHI.tobytes()).hexdigest() == ETA_PHI_PHI_SHA256
     # The sampler's Bob-side pair is that table times the phi pair.
@@ -69,7 +70,7 @@ def test_derived_amplitudes_bytes_pinned():
 
 
 def test_phi_unit_norm_and_orthogonal():
-    phi0, phi1 = _pair("phi")
+    phi0, phi1 = PAIRS[0]
     assert abs(np.linalg.norm(phi0) - 1.0) < TOL
     assert abs(np.linalg.norm(phi1) - 1.0) < TOL
     # Oracle: direct inner product of the two amplitude lists.
@@ -78,7 +79,7 @@ def test_phi_unit_norm_and_orthogonal():
 
 
 def test_psi_amplitudes_and_relations():
-    (phi0, phi1), (psi0, psi1) = _pair("phi"), _pair("psi")
+    (phi0, phi1), (psi0, psi1) = PAIRS
     assert amplitude(psi0, "0011") == pytest.approx(0.5, abs=TOL)
     for state, table in ((psi0, oracles.PSI0), (psi1, oracles.PSI1)):
         for bits in (format(i, "04b") for i in range(16)):
@@ -90,23 +91,23 @@ def test_psi_amplitudes_and_relations():
 
 def test_psi_equals_phi_combination():
     # (phi0 + sqrt3 phi1)/2 and (sqrt3 phi0 - phi1)/2 match the explicit kets.
-    (phi0, phi1), (psi0, psi1) = _pair("phi"), _pair("psi")
+    (phi0, phi1), (psi0, psi1) = PAIRS
     assert distance((phi0 + SQRT3 * phi1) / 2.0, psi0) < TOL
     assert distance((SQRT3 * phi0 - phi1) / 2.0, psi1) < TOL
 
 
 def test_psi_is_phi_with_qubits_2_3_swapped():
-    for phi, psi in zip(_pair("phi"), _pair("psi")):
+    for phi, psi in zip(*PAIRS):
         assert np.array_equal(oracles.swap_qubits(phi, 2, 3), psi)
 
 
 def test_change_of_basis_matrix():
-    phi, psi = _pair("phi"), _pair("psi")
+    phi, psi = PAIRS
     expected = np.array([[0.5, SQRT3 / 2.0], [SQRT3 / 2.0, -0.5]])
     got = np.array([[np.vdot(phi[i], psi[j]) for j in (0, 1)] for i in (0, 1)])
     assert np.abs(got - expected).max() < TOL
     # Exactly: the integer cross-Gram K_phi K_psi^T, over sqrt(n_i n_j).
-    gram = qstate.INTEGER_KETS["phi"] @ qstate.INTEGER_KETS["psi"].T
+    gram = qstate.INTEGER_KETS[0] @ qstate.INTEGER_KETS[1].T
     assert gram.tolist() == [[2, 6], [6, -6]]
     assert np.abs(gram / np.sqrt(np.outer(NORMS, NORMS)) - expected).max() < TOL
     # Symmetric orthogonal: its own inverse.
@@ -116,7 +117,7 @@ def test_change_of_basis_matrix():
 def test_eta_norm_and_overlaps():
     eta = oracles.eta()
     assert abs(np.linalg.norm(eta) - 1.0) < TOL
-    phi0, phi1 = _pair("phi")
+    phi0, phi1 = PAIRS[0]
     assert abs(np.vdot(tensor(phi0, phi0), eta)) ** 2 == pytest.approx(1.0 / 7.0, abs=TOL)
     assert abs(np.vdot(tensor(phi1, phi1), eta)) < TOL
 
@@ -131,42 +132,37 @@ def test_eta_matches_dict_oracle():
 
 
 def test_expand_eta_tables_match_closed_forms():
-    for basis_a in ("phi", "psi"):
-        for basis_b in ("phi", "psi"):
-            got = _expansion(basis_a, basis_b)
-            assert np.abs(got - _floats_of_exact(basis_a, basis_b)).max() < TOL
+    assert qstate._ETA_AMPS.shape == (4, 2, 2)
+    for x in (0, 1):
+        for y in (0, 1):
+            assert np.abs(_expansion(x, y) - _floats_of_exact(x, y)).max() < TOL
 
 
 def test_expand_eta_specific_entries():
-    psi_psi = _expansion("psi", "psi")
+    psi_psi = _expansion(1, 1)
     expected = np.array([[7.0, 3.0 * SQRT3], [3.0 * SQRT3, -3.0]]) / (4.0 * SQRT7)
     assert np.abs(psi_psi - expected).max() < TOL
-    phi_psi = _expansion("phi", "psi")
+    phi_psi = _expansion(0, 1)
     assert abs(phi_psi[0, 1]) < TOL  # no phi0 psi1 component
-    phi_phi = _expansion("phi", "phi")
+    phi_phi = _expansion(0, 0)
     assert np.abs(phi_phi - np.array([[1.0, SQRT3], [SQRT3, 0.0]]) / SQRT7).max() < TOL
     assert np.abs(ETA_PHI_PHI - np.array([[1.0, SQRT3], [SQRT3, 0.0]]) / SQRT7).max() < TOL
-
-
-def test_expand_eta_rejects_unknown_basis():
-    with pytest.raises(ValueError):
-        qstate._pair("chi")
 
 
 def test_eta_reconstruction_from_all_tables():
     # sum_ab table[a, b] |x_a> (x) |y_b> over each pair of bases' float table.
     eta = oracles.eta()
-    for basis_a, basis_b in qstate._ETA_AMPS:
-        av, bv = qstate._pair(basis_a), qstate._pair(basis_b)
-        rebuilt = (av.T @ _floats_of_exact(basis_a, basis_b) @ bv).reshape(256)
-        assert distance(eta, rebuilt) < TOL
+    for x in (0, 1):
+        for y in (0, 1):
+            rebuilt = (PAIRS[x].T @ _floats_of_exact(x, y) @ PAIRS[y]).reshape(256)
+            assert distance(eta, rebuilt) < TOL
 
 
 def test_tensor_basics():
     zero = basis_state(1, "0")
     one = basis_state(1, "1")
     assert amplitude(tensor(zero, one), "01") == 1.0
-    both = tensor(_pair("phi")[0], _pair("phi")[0])
+    both = tensor(PAIRS[0, 0], PAIRS[0, 0])
     assert amplitude(both, "01010101").real == pytest.approx(0.25, abs=TOL)
     # Oracle: product of the two 1/2 amplitudes.
     assert oracles.PHI0["0101"] * oracles.PHI0["0101"] == 0.25
@@ -203,11 +199,9 @@ def test_tensor_associative_general():
 
 
 def test_state_arrays_immutable():
-    # The integer kets are read-only, and _pair hands out a fresh array, so
-    # no caller can change the amplitudes the package reads.
-    for kets in qstate.INTEGER_KETS.values():
+    # The integer kets and their amplitudes are read-only, so no caller can
+    # change the amplitudes the package reads.
+    assert qstate.INTEGER_KETS.shape == (2, 2, 16) and PAIRS.shape == (2, 2, 16)
+    for arr in (qstate.INTEGER_KETS, PAIRS):
         with pytest.raises(ValueError):
-            kets[0, 0] = 1
-    phi = _pair("phi")
-    phi[0, 0] = 1.0
-    assert _pair("phi")[0, 0] == 0.0
+            arr[0, 0, 0] = 1

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (basis_state, born, distance, mix64, rotate_pvm, split, su2,
+from oracles import (basis_state, born, chi2_sf, distance, mix64, rotate_pvm, split, su2,
                      su2_batch_reference, unmix64)
 from afbell.experiment import LABEL_ORDER, _PROJECTORS
-from afbell.qstate import _pair
+from afbell.qstate import PAIRS
 from afbell.rotations import (
     fourfold,
     mix64_array,
@@ -175,24 +175,13 @@ HAAR_BINS = 20
 HAAR_P_MIN = 1e-6
 
 
-def _chi2_sf(x, df):
-    """P(X >= x) for X ~ chi^2(df), x > 0, in closed form: Q(x; 2) =
-    exp(-x/2), Q(x; 1) = erfc(sqrt(x/2)), and Q(x; k + 2) = Q(x; k) +
-    (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1)."""
-    k = 2 - df % 2
-    q = math.exp(-x / 2) if k == 2 else math.erfc(math.sqrt(x / 2))
-    for k in range(k, df, 2):
-        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
-    return q
-
-
 def _uniform_p(u):
     """G-test p-value of values u in [0, 1] against HAAR_BINS equal bins."""
     observed = np.bincount(np.minimum((u * HAAR_BINS).astype(int), HAAR_BINS - 1),
                            minlength=HAAR_BINS)
     hit = observed[observed > 0]
     g = 2.0 * float((hit * np.log(hit * HAAR_BINS / len(u))).sum())
-    return _chi2_sf(g, HAAR_BINS - 1)
+    return chi2_sf(g, HAAR_BINS - 1)
 
 
 def _haar_p_values(us):
@@ -206,7 +195,7 @@ def _haar_p_values(us):
 def test_chi2_survival_closed_form():
     # The 5% critical values of chi^2 with 1, 2, 19 and 20 degrees of freedom.
     for x, df in ((3.841459, 1), (5.991465, 2), (30.143527, 19), (31.410433, 20)):
-        assert _chi2_sf(x, df) == pytest.approx(0.05, rel=1e-5)
+        assert chi2_sf(x, df) == pytest.approx(0.05, rel=1e-5)
 
 
 def test_haar_angle_and_axis_distributions():
@@ -231,14 +220,14 @@ def test_axis_angle_x_pi_flips_all_bits():
 
 
 def test_apply_fourfold_identity_and_norm():
-    s = _pair("phi")[1]
+    s = PAIRS[0, 1]
     assert distance(_rotate(np.eye(2, dtype=complex), s), s) == 0.0
     out = _rotate(_draw(1234), s)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_invariance_of_all_four_states():
-    states = [*_pair("phi"), *_pair("psi")]
+    states = PAIRS.reshape(4, 16)
     worst = 0.0
     for u in sample_su2_batch(split_seed(404, np.arange(100))):
         for s in states:
@@ -276,7 +265,7 @@ def test_rotate_pvm_leaves_F_unchanged():
         assert oracles.pvm_violation(rotated) < 1e-12
         for p, q in zip(f.values(), rotated.values()):
             assert np.abs(p - q).max() < INV_TOL
-        dist = born(_pair("phi")[0], rotated)
+        dist = born(PAIRS[0, 0], rotated)
         assert dist[-1] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -286,7 +275,7 @@ def test_general_unitary_picks_up_global_phase_only():
     theta = 0.3721
     u = np.exp(1j * theta) * _draw(991)
     f = dict(zip(LABEL_ORDER, _PROJECTORS[0]))
-    for s in _pair("phi"):
+    for s in PAIRS[0]:
         out = _rotate(u, s)
         expected = np.exp(4j * theta) * s
         assert np.abs(out - expected).max() < INV_TOL
