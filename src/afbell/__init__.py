@@ -2,8 +2,9 @@
 
 States and measurements are held as arrays only, indexed by setting code
 (F 0 reads phi, G 1 reads psi): the invariant pairs are qstate.PAIRS, F's
-and G's projectors experiment._PROJECTORS, and the single-qubit protocol
-observables.PROTOCOL_ROWS and PROTOCOL_LABELS.  There is no measurement class.
+and G's complete bases experiment._PVM_BASES, and the single-qubit protocol
+observables.PROTOCOL_ROWS and PROTOCOL_LABELS.  There is no measurement class,
+and every Born table comes from experiment's one kernel.
 """
 
 __version__ = "0.2.0"

@@ -28,7 +28,6 @@ from .experiment import (
     stats_report,
     _C_PHI,
     _PHI,
-    _PROJECTORS,
     _draw_setups,
     _setup_tables,
 )
@@ -231,26 +230,10 @@ def run_verify_suite(tolerance: float | None = None, seed: int = 0) -> list[Chec
 
     # One kernel call tables every setup below: the identity, then the setups
     # _draw_setups draws from split_seed(seed, 77) and (1000 + k).
+    # exact-tables reads the identity's, no-signaling the identity's and
+    # setup 77's, and rotation-robustness the rest against the identity's.
     _, drawn = _draw_setups(split_seed(seed, np.r_[77, 1000:1000 + ROBUSTNESS_SAMPLES]))
     tables = _setup_tables(np.concatenate([np.broadcast_to(np.eye(2), (1, 4, 2, 2)), drawn]))
-
-    # Setup 77's pair (a, b) against the dense Born rule on the grid rotated
-    # by U^dagger, Alice's U drawn[0, a] and Bob's drawn[0, 2 + b].  This
-    # checks the kernel at one seeded setup, not which U rotates which side:
-    # F, G and their 0 projectors commute with every U(x)U(x)U(x)U, so a label
-    # table is the same for every setup, whatever the source.  The side wiring
-    # is checked on fine tables by test_table_kernel_rotates_a_non_invariant_source.
-    # The dense Born rule is P(a, b) = Re <G', Pa G' Pb^T> on the moved grid
-    # G', over _PROJECTORS, whose outcomes come in LABEL_ORDER, so the tables
-    # line up.
-    powers = fourfold(drawn[0].conj().swapaxes(1, 2))
-    worst = 0.0
-    for (a, b), table in zip(np.ndindex(2, 2), tables[1]):
-        moved = powers[a] @ grid @ powers[2 + b].T
-        probs = np.array([[max(float(np.real(np.vdot(moved, pa @ moved @ pb.T))), 0.0)
-                           for pb in _PROJECTORS[b]] for pa in _PROJECTORS[a]])
-        worst = max(worst, float(np.abs(probs - table).max()))
-    results.append(CheckResult("heisenberg-schrodinger", worst, exact_tol))
 
     # The identity setup's 36 cells against the exact rationals, indexed by
     # LABEL_ORDER (-1, +1, 0); the paper's four identities are among them.
@@ -418,15 +401,17 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
     cert = lhv.check_feasibility(kept)
     valid = lhv.verify_certificate(cert, kept)
     rendering = lhv.render_certificate(cert, kept)
+    meta = cfg.metadata()
     payload = lhv.certificate_to_json_dict(cert, kept)
-    payload["metadata"] = cfg.metadata()
+    payload["metadata"] = meta
     payload["verified"] = valid
     if cfg.max_hardy:
         zeros = [c for c in kept if c.value == 0]
         payload["max_hardy_fraction"] = str(lhv.max_hardy_fraction(zeros))
+    certificate = json.dumps(payload, indent=2)
 
     if cfg.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(certificate)
     else:
         print(rendering)
         print(f"certificate verification: {'ok' if valid else 'FAILED'}")
@@ -436,8 +421,8 @@ def cmd_lhv_audit(cfg: RunConfig) -> int:
 
     out_dir = _resolve_output_dir(cfg)
     if out_dir is not None:
-        _prepare(out_dir, "certificate.json").write_text(json.dumps(payload, indent=2))
-        meta_lines = "".join(f"# {k}: {v}\n" for k, v in cfg.metadata().items())
+        _prepare(out_dir, "certificate.json").write_text(certificate)
+        meta_lines = "".join(f"# {k}: {v}\n" for k, v in meta.items())
         _prepare(out_dir, "derivation.txt").write_text(meta_lines + rendering + "\n")
         if cfg.format != "json":
             print(f"wrote {out_dir / 'certificate.json'} and {out_dir / 'derivation.txt'}")

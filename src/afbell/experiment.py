@@ -3,9 +3,10 @@
 The behavior P(a, b | x, y), exact or counted, is one (4, 3, 3) array: the
 setting pair's code 2 x + y (F 0, G 1), then Alice's and Bob's outcomes in
 LABEL_ORDER; setting letters appear only where it is rendered.  F and G are
-arrays by setting code too: _PROJECTORS holds their projectors by label,
-built at import from qstate.PAIRS, and the protocol path reads
-observables' rows and labels.
+arrays by setting code too: _PVM_BASES holds their complete bases, built at
+import from qstate.PAIRS, with the labels _PVM_LABELS, and the protocol path
+reads observables' rows and labels.  Every Born table comes from the one
+kernel below.
 
 Alice holds qubits 1-4 of the source state and Bob holds qubits 5-8; each side
 measures F or G, possibly through an independently rotated setup.  One batched
@@ -173,10 +174,12 @@ def _setup_tables(u: np.ndarray) -> np.ndarray:
     return tables.reshape(4, m, 3, 3).swapaxes(0, 1)
 
 
-def _complete_basis(pair: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Rows pair[0], pair[1], then the columns of ``rest`` orthonormalized
-    against the rows so far (Gram-Schmidt run twice); columns in their span
-    drop out."""
+def _complete_basis(pair: np.ndarray) -> np.ndarray:
+    """Rows pair[0], pair[1], then the columns of the rank-14 rest
+    I - |m><m| - |p><p| of the pair (m, p), orthonormalized against the rows
+    so far (Gram-Schmidt run twice); columns in their span drop out."""
+    minus, plus = (np.outer(v, v.conj()) for v in pair)
+    rest = np.eye(16) - minus - plus
     rows = list(pair)
     for col in rest.T:
         for _ in range(2):
@@ -188,16 +191,9 @@ def _complete_basis(pair: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-# F's and G's projectors, read-only (2, 3, 16, 16) by setting code (F 0,
-# G 1) and then LABEL_ORDER: |m><m| and |p><p| of the setting's pair
-# (m, p) = PAIRS[x], then the rank-14 rest I - |m><m| - |p><p|.
-_PROJECTORS = np.array([
-    [minus, plus, np.eye(16) - minus - plus]
-    for minus, plus in ([np.outer(v, v.conj()) for v in pair] for pair in PAIRS)])
-_PROJECTORS.setflags(write=False)
-
-# Conjugated complete F/G bases, their row labels and the labels' one-hot.
-_PVM_BASES = np.array([_complete_basis(pair, p[2]) for pair, p in zip(PAIRS, _PROJECTORS)]).conj()
+# Conjugated complete F/G bases by setting code (F 0, G 1), their row
+# labels and the labels' one-hot.
+_PVM_BASES = np.array([_complete_basis(pair) for pair in PAIRS]).conj()
 _PVM_LABELS = np.array([[-1, +1] + [0] * 14] * 2, dtype=np.int8)
 _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float)
 
@@ -206,6 +202,9 @@ _LABEL_ONE_HOT = (_PVM_LABELS[0][:, None] == np.array(LABEL_ORDER)).astype(float
 # C PHI, the pair Bob's side rotates.
 _PHI = PAIRS[0]
 _C_PHI = ETA_PHI_PHI @ _PHI
+for _arr in (_PVM_BASES, _PVM_LABELS, _LABEL_ONE_HOT, _C_PHI):
+    _arr.setflags(write=False)
+
 
 def _kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's (2, k*2, 35) coefficient matrices, by setting, for
@@ -386,6 +385,8 @@ _MEASUREMENTS = {
     "pvm": (_kernel(_PVM_BASES[:, :2]), _PVM_LABELS[:, :2], _CHUNK),
     "protocol": (_kernel(PROTOCOL_ROWS.conj()), PROTOCOL_LABELS, 2048),
 }
+for _arr in (*_EXACT_KERNEL, *(m for kernel, _, _ in _MEASUREMENTS.values() for m in kernel)):
+    _arr.setflags(write=False)
 MEASUREMENT_PATHS = tuple(_MEASUREMENTS)
 
 

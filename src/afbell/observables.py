@@ -1,8 +1,8 @@
 """The single-qubit protocol that measures the collective observables F and G.
 
 F and G each distinguish a pair of invariant 4-qubit states with outcomes -1
-and +1; their projectors, with the rank-14 rest that carries the label 0, are
-experiment._PROJECTORS.  The same discrimination can be done with fixed
+and +1; their complete bases, whose other 14 rows carry the label 0, are
+experiment._PVM_BASES.  The same discrimination can be done with fixed
 single-qubit measurements: two qubits along z, two along x, and a parity
 classifier over the 16 outcome strings.  The protocol is three read-only
 arrays by setting code (F 0, G 1), row i for the outcome string of i's four

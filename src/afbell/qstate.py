@@ -51,6 +51,7 @@ _ETA_AMPS = (INTEGER_KETS[:, None] @ _phi.T @ _E @ _phi
 
 # The one float of eta: its (phi, phi) expansion, which the sampler reads.
 ETA_PHI_PHI = _E * np.sqrt(np.outer(_NORMS, _NORMS)) / (4 * SQRT7)
+ETA_PHI_PHI.setflags(write=False)
 
 # Exact Born probabilities |<x_a y_b|eta>|^2 = A[a, b]^2/(112 n_a n_b) as
 # Fractions of Python ints: one read-only (4, 2, 2) array, indexed by the pair

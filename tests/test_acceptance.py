@@ -14,7 +14,6 @@ import oracles
 from afbell.cli import main as cli_main
 from afbell.experiment import (
     LABEL_ORDER,
-    _PROJECTORS,
     epr_audit,
     exact_behavior,
     run_trials,
@@ -132,9 +131,8 @@ def test_criterion_5_local_protocol_equivalence():
 
     rng = np.random.default_rng(20260810)
     worst_dist = 0.0
-    for (v0, v1), projectors, rows, labels in zip(
-            qstate.PAIRS, _PROJECTORS, PROTOCOL_ROWS, PROTOCOL_LABELS):
-        pvm = dict(zip(LABEL_ORDER, projectors))
+    for (v0, v1), pvm, rows, labels in zip(
+            qstate.PAIRS, (oracles.F, oracles.G), PROTOCOL_ROWS, PROTOCOL_LABELS):
         coarse = oracles.coarse_grained(rows, labels)
         for _ in range(100):
             c = rng.standard_normal(4)

@@ -227,7 +227,7 @@ def test_no_arguments_is_usage_error(capsys):
 
 VERIFY_ROWS = (
     "state-gram", "protocol-partition", "protocol-pvm-agreement", "invariance-generators",
-    "invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger",
+    "invariance-phi-psi", "invariance-eta-pairs",
     "exact-tables", "zero-outcome-mass", "rotation-robustness", "no-signaling",
 )
 
@@ -250,7 +250,7 @@ def test_verify_suite_makes_one_kernel_call(monkeypatch):
     # Each row reads its own setups of that batch: move 1e-9 of FF mass in
     # setup 77 (index 1) or in the last robustness setup.
     setup_tables = cli._setup_tables
-    for setup, rows in ((1, {"heisenberg-schrodinger", "no-signaling"}),
+    for setup, rows in ((1, {"no-signaling"}),
                         (-1, {"rotation-robustness"})):
         def mutant(u, setup=setup):
             tables = setup_tables(u)
@@ -318,24 +318,18 @@ def test_psi_sign_flip_fails_the_exact_rows(monkeypatch):
     # sign of psi1 where psi0 is 0, so psi stays an orthonormal pair and G a
     # PVM: an amplitude 2/sqrt(12) moves by twice itself.  The pair's Gram
     # matrix is unchanged, but the flipped ket leaves the spin-zero sector,
-    # rotations move it, and G built from it no longer reads eta's tables.
-    # The amplitudes and projectors are built at import, so psi's amplitudes
-    # and G's projectors are rebuilt from the flip.
+    # and rotations move it.  The amplitudes are built at import, so psi's
+    # amplitudes are rebuilt from the flip.
     kets = cli.INTEGER_KETS.copy()
     psi = kets[1]
     psi[1, int(np.flatnonzero(psi[1] * (psi[0] == 0))[0])] *= -1
     monkeypatch.setattr(cli, "INTEGER_KETS", kets)
-    pairs = kets / np.sqrt([[4], [12]]) + 0j
-    monkeypatch.setattr(cli, "PAIRS", pairs)
-    minus, plus = (np.outer(v, v.conj()) for v in pairs[1])
-    monkeypatch.setattr(cli, "_PROJECTORS",
-                        np.array([cli._PROJECTORS[0], [minus, plus, np.eye(16) - minus - plus]]))
+    monkeypatch.setattr(cli, "PAIRS", kets / np.sqrt([[4], [12]]) + 0j)
     rows = {r.name: r for r in run_verify_suite()}
     assert rows["state-gram"].passed
     assert rows["invariance-generators"].deviation == 4.0
     assert rows["invariance-phi-psi"].deviation == pytest.approx(1.63, abs=0.01)
-    assert rows["heisenberg-schrodinger"].deviation == pytest.approx(2 / 7)
-    assert {"invariance-generators", "invariance-phi-psi", "heisenberg-schrodinger"} <= {
+    assert {"invariance-generators", "invariance-phi-psi"} <= {
         name for name, r in rows.items() if not r.passed}
 
 
@@ -479,7 +473,7 @@ def test_verify_uses_seed(tmp_path, capsys, monkeypatch):
     # most seeds, so the setups are checked instead: the one kernel call
     # tables the identity, then the setups drawn from split_seed(seed, 77)
     # and split_seed(seed, 1000 + k), each a Haar draw per setup tag.
-    randomized = ("invariance-phi-psi", "invariance-eta-pairs", "heisenberg-schrodinger")
+    randomized = ("invariance-phi-psi", "invariance-eta-pairs")
     tabled, setup_tables = [], cli._setup_tables
     monkeypatch.setattr(cli, "_setup_tables", lambda u: tabled.append(u) or setup_tables(u))
     seeds = ("1", "0x2A", "7")

@@ -282,15 +282,15 @@ def _categories(root):
     return (4 * log.setting_a + 2 * log.setting_b + (log.outcome_a == 1)).astype(np.int64)
 
 
-def _independence_p(c1, c2):
-    """G-test p-value of the independence of two runs: the 8 x 8 contingency
-    table of each trial's category in the one run and in the other."""
-    observed = np.bincount(8 * c1 + c2, minlength=64).reshape(8, 8)
+def _independence_p(c1, c2, k1=8, k2=8):
+    """G-test p-value of the independence of two paired codes, c1 in 0..k1-1
+    and c2 in 0..k2-1: their k1 x k2 contingency table."""
+    observed = np.bincount(k2 * c1 + c2, minlength=k1 * k2).reshape(k1, k2)
     assert observed.sum(axis=0).all() and observed.sum(axis=1).all()
     expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
     hit = observed > 0
     g = 2.0 * float((observed[hit] * np.log(observed[hit] / expected[hit])).sum())
-    return oracles.chi2_sf(g, 7 * 7)
+    return oracles.chi2_sf(g, (k1 - 1) * (k2 - 1))
 
 
 def test_runs_at_related_roots_are_independent():
@@ -300,6 +300,38 @@ def test_runs_at_related_roots_are_independent():
     assert min(p_values) > INDEPENDENCE_P_MIN, p_values
     # The test's power: a run against itself is as dependent as can be.
     assert _independence_p(runs[0], runs[0]) < INDEPENDENCE_P_MIN
+
+
+# The stream independence test's root and threshold, fixed before its first
+# run: p < 1e-6 overall, Bonferroni-split over six pairs of streams within a
+# trial and four streams against the next trial's.
+STREAM_TEST_ROOT = 0x57E4_11DE_9E4D_0002
+STREAM_TEST_P_MIN = 1e-6 / 10
+
+
+def test_streams_of_a_trial_and_of_adjacent_trials_are_independent():
+    # Each trial's four STREAM_* draws, coded with their number of values:
+    # the setting pair, and the top 3 bits of seed_a, of seed_b and of the
+    # outcome draw, which the log does not keep and oracles re-derives.
+    log, _ = run_trials(INDEPENDENCE_TRIALS, STREAM_TEST_ROOT, "uniform")
+    draw = oracles.split_array(oracles.split_array(STREAM_TEST_ROOT, log.trial), STREAM_OUTCOME)
+    top = np.uint64(61)
+    streams = {
+        "settings": (2 * log.setting_a.astype(np.int64) + log.setting_b, 4),
+        "seed_a": ((log.seed_a >> top).astype(np.int64), 8),
+        "seed_b": ((log.seed_b >> top).astype(np.int64), 8),
+        "outcome": ((draw >> top).astype(np.int64), 8),
+    }
+    p_values = {}
+    for (n1, (c1, k1)), (n2, (c2, k2)) in itertools.combinations(streams.items(), 2):
+        p_values[n1, n2] = _independence_p(c1, c2, k1, k2)
+    for name, (c, k) in streams.items():
+        p_values[name, "next"] = _independence_p(c[:-1], c[1:], k, k)
+    assert len(p_values) == 10
+    assert min(p_values.values()) > STREAM_TEST_P_MIN, p_values
+    # The test's power: a stream against itself is as dependent as can be.
+    c, k = streams["outcome"]
+    assert _independence_p(c, c, k, k) < STREAM_TEST_P_MIN
 
 
 def test_run_trials_seed_streams(monkeypatch):

@@ -2,9 +2,10 @@
 
 Born, classified and coarse-grained distributions come from the references
 in oracles; what is under test is the arrays they read, all by setting code
-(F 0, G 1): F and G are experiment._PROJECTORS, as {label: projector} dicts
-in LABEL_ORDER, the states are qstate.PAIRS, and the protocol is
-observables' PROTOCOL_ROWS, PROTOCOL_INTEGER_ROWS and PROTOCOL_LABELS."""
+(F 0, G 1): F and G are experiment._PVM_BASES with their labels
+_PVM_LABELS, checked against oracles' {label: projector} dicts in
+LABEL_ORDER, the states are qstate.PAIRS, and the protocol is observables'
+PROTOCOL_ROWS, PROTOCOL_INTEGER_ROWS and PROTOCOL_LABELS."""
 
 import hashlib
 import math
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 
 import oracles
-from afbell.experiment import LABEL_ORDER, _PROJECTORS
+from afbell.experiment import LABEL_ORDER, _PVM_BASES, _PVM_LABELS
 from afbell import observables
 from afbell.observables import PROTOCOL_INTEGER_ROWS, PROTOCOL_LABELS, PROTOCOL_ROWS
 from afbell.qstate import PAIRS
 
 TOL = 1e-12
 
-F, G = (dict(zip(LABEL_ORDER, projectors)) for projectors in _PROJECTORS)
+F, G = oracles.F, oracles.G
 (PHI0, PHI1), (PSI0, PSI1) = PAIRS
 STRINGS = [format(i, "04b") for i in range(16)]
 
@@ -31,20 +32,21 @@ def _pvm_ranks(m):
 
 @pytest.mark.parametrize("setting", ["F", "G"])
 def test_pvm_structure(setting):
+    # The package's own complete basis of each setting, rows conjugated: a
+    # unitary whose first two rows are the setting's pair, bit for bit, and
+    # whose rows, summed as projectors by label, are the projectors of the
+    # paper's published pairs, built apart from PAIRS.
     x = "FG".index(setting)
-    projectors = _PROJECTORS[x]
-    assert LABEL_ORDER == (-1, +1, 0) and projectors.shape == (3, 16, 16)
-    assert not projectors.flags.writeable
-    assert _pvm_ranks((F, G)[x]) == [1, 1, 14]
-    assert np.abs(projectors.sum(axis=0) - np.eye(16)).max() < TOL
-    for i, p in enumerate(projectors):
-        assert np.abs(p - p.conj().T).max() < TOL
-        assert np.abs(p @ p - p).max() < TOL
-        for q in projectors[:i]:
-            assert np.abs(p @ q).max() < TOL
-    # The projectors of the paper's published pairs, built apart from PAIRS.
+    basis, labels = _PVM_BASES[x], _PVM_LABELS[x]
+    assert LABEL_ORDER == (-1, +1, 0) and basis.shape == (16, 16)
+    assert np.abs(basis @ basis.conj().T - np.eye(16)).max() < TOL
+    assert basis[:2].tobytes() == PAIRS[x].conj().tobytes()
+    projectors = {label: basis[labels == label].conj().T @ basis[labels == label]
+                  for label in LABEL_ORDER}
+    assert _pvm_ranks(projectors) == [1, 1, 14]
     published = (oracles.F, oracles.G)[x]
-    assert np.abs(projectors - np.array(list(published.values()))).max() < TOL
+    assert np.abs(np.array(list(projectors.values()))
+                  - np.array(list(published.values()))).max() < TOL
 
 
 def test_born_on_eigenstates():

@@ -199,9 +199,19 @@ def test_tensor_associative_general():
 
 
 def test_state_arrays_immutable():
-    # The integer kets and their amplitudes are read-only, so no caller can
-    # change the amplitudes the package reads.
+    # The integer kets, their amplitudes, eta's one float and every array
+    # built from them at import are read-only, so no caller can change the
+    # amplitudes, bases, labels or coefficients the package reads: the
+    # complete F/G bases, their labels and one-hot, C PHI, and the
+    # coefficient matrices and labels of the exact kernel and of each
+    # measurement path.
     assert qstate.INTEGER_KETS.shape == (2, 2, 16) and PAIRS.shape == (2, 2, 16)
-    for arr in (qstate.INTEGER_KETS, PAIRS):
+    arrays = [qstate.INTEGER_KETS, PAIRS, ETA_PHI_PHI, experiment._PVM_BASES,
+              experiment._PVM_LABELS, experiment._LABEL_ONE_HOT, experiment._C_PHI,
+              *experiment._EXACT_KERNEL]
+    for kernel, labels, _ in experiment._MEASUREMENTS.values():
+        arrays += [*kernel, labels]
+    assert len(arrays) == 15
+    for arr in arrays:
         with pytest.raises(ValueError):
-            arr[0, 0, 0] = 1
+            arr[(0,) * arr.ndim] = 1

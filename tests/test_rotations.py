@@ -8,7 +8,6 @@ import pytest
 import oracles
 from oracles import (basis_state, born, chi2_sf, distance, mix64, rotate_pvm, split, su2,
                      su2_batch_reference, unmix64)
-from afbell.experiment import LABEL_ORDER, _PROJECTORS
 from afbell.qstate import PAIRS
 from afbell.rotations import (
     fourfold,
@@ -256,7 +255,7 @@ def test_pair_changes_non_invariant_state():
 
 
 def test_rotate_pvm_leaves_F_unchanged():
-    f = dict(zip(LABEL_ORDER, _PROJECTORS[0]))
+    f = oracles.F
     ident = rotate_pvm(np.eye(2, dtype=complex), f)
     for p, q in zip(f.values(), ident.values()):
         assert np.abs(p - q).max() == 0.0
@@ -274,7 +273,7 @@ def test_general_unitary_picks_up_global_phase_only():
     # invariant states by e^{4 i theta}; probabilities are unchanged.
     theta = 0.3721
     u = np.exp(1j * theta) * _draw(991)
-    f = dict(zip(LABEL_ORDER, _PROJECTORS[0]))
+    f = oracles.F
     for s in PAIRS[0]:
         out = _rotate(u, s)
         expected = np.exp(4j * theta) * s
